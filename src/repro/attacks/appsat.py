@@ -24,17 +24,14 @@ consistent key or an arbitrary one that fails validation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import extract_combinational
-from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
 from .oracle import OracleProtocol
-from .sat_attack import _comb_view, _interface_map
+from .sat_attack import KeyConeMiter, _comb_view, _interface_map
 
 __all__ = ["AppSatResult", "appsat_attack"]
 
@@ -86,47 +83,12 @@ def appsat_attack(
     if solver is None:
         solver = Solver()
 
-    def encode_copy(shared: Mapping[str, int]) -> CircuitEncoder:
-        cnf = CNF(num_vars=solver.num_vars)
-        encoder = CircuitEncoder(cnf, comb, net_vars=shared)
-        solver.add_cnf(cnf)
-        return encoder
-
-    copy1 = encode_copy({})
-    pi_vars = {net: copy1.var_of[net] for net in comb.inputs}
-    copy2 = encode_copy(pi_vars)
-    miter = CNF(num_vars=solver.num_vars)
-    xor_vars = []
-    for net in comb.outputs:
-        x = miter.new_var()
-        miter.add_xor(x, copy1.var_of[net], copy2.var_of[net])
-        xor_vars.append(x)
-    diff = miter.new_var()
-    miter.add_or(diff, xor_vars)
-    solver.add_cnf(miter)
-
-    def pin_pattern(pattern: Dict[str, int], response) -> None:
-        """Constrain both key copies to agree with the chip on pattern."""
-        for copy in (copy1, copy2):
-            cnf = CNF(num_vars=solver.num_vars)
-            encoder = CircuitEncoder(
-                cnf, comb,
-                net_vars={net: copy.var_of[net] for net in comb.key_inputs},
-            )
-            for net, value in pattern.items():
-                var = encoder.var_of[net]
-                cnf.add_clause([var if value else -var])
-            for net in comb.outputs:
-                value = response[oracle_output_of[net]]
-                var = encoder.var_of[net]
-                cnf.add_clause([var if value else -var])
-            solver.add_cnf(cnf)
+    miter = KeyConeMiter(solver, comb, oracle_output_of)
 
     def candidate_key() -> Optional[Dict[str, int]]:
         if not solver.solve([]):
             return None
-        model = solver.model()
-        return {net: int(model[copy1.var_of[net]]) for net in comb.key_inputs}
+        return miter.key(solver.model())
 
     result = AppSatResult(key=None)
     no_more_dips = False
@@ -135,13 +97,12 @@ def appsat_attack(
         for _ in range(dips_per_round):
             if no_more_dips:
                 break
-            if not solver.solve([diff]):
+            if not solver.solve([miter.diff]):
                 no_more_dips = True
                 break
-            model = solver.model()
-            dip = {net: int(model[var]) for net, var in pi_vars.items()}
+            dip = miter.dip(solver.model())
             result.dip_iterations += 1
-            pin_pattern(dip, oracle.query(dip))
+            miter.pin(dip, oracle.query(dip))
 
         # Approximate phase: random-query reconciliation.  Patterns are
         # drawn in the same order the per-query loop used, then both
@@ -166,7 +127,7 @@ def appsat_attack(
             ):
                 mismatches += 1
                 result.repaired_queries += 1
-                pin_pattern(pattern, response)
+                miter.pin(pattern, response)
         error = mismatches / queries_per_round
         result.key = key
         result.estimated_error = error

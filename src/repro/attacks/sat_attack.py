@@ -7,7 +7,8 @@ disagree for some key pair.  Each DIP is resolved against the oracle
 (the activated chip) and both copies are constrained to match the
 observed response, pruning every key inconsistent with it.  When no DIP
 remains, any key satisfying the accumulated constraints is functionally
-correct — for ordinary locking.
+correct — for ordinary locking.  :class:`KeyConeMiter` builds that
+formula over the keys' fan-out cone only (see its docstring).
 
 Against the paper's GK-locked designs, the very first DIP query returns
 UNSAT (the GK key inputs are combinationally non-influential), so the
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from ..netlist.circuit import Circuit, NetlistError
+from ..netlist.compiled import compile_circuit
 from ..netlist.transform import extract_combinational
 from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
@@ -33,8 +35,15 @@ from ..sat.solver import Solver
 from ..sat.tseitin import CircuitEncoder
 from .oracle import OracleProtocol
 
-__all__ = ["IterationStats", "SatAttackResult", "sat_attack",
-           "verify_key_against_oracle"]
+__all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
+           "SatAttackResult", "sat_attack", "verify_key_against_oracle"]
+
+#: Version of :class:`KeyConeMiter`'s variable numbering.  Warm-start
+#: clause pools are stored by variable number, so
+#: :func:`~repro.sat.portfolio.shared_clause_key` is salted with this:
+#: bump it whenever the miter's base encoding changes, or a pool saved
+#: under the old numbering would be seeded into unrelated variables.
+MITER_ENCODING_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,116 @@ def _interface_map(comb: Circuit, oracle: OracleProtocol) -> Dict[str, str]:
     return dict(zip(comb.outputs, oracle.outputs))
 
 
+class KeyConeMiter:
+    """The SAT attack's two-copy miter, built over the keys' fan-out cone.
+
+    Copy 1 encodes the whole combinational view *comb*.  Copy 2 encodes
+    only the gates in the fan-out cone of some key input, with fresh key
+    variables; every other net, the primary inputs included, is bound
+    to copy 1's variable.  ``diff`` is the OR of per-output XORs over the
+    outputs inside the cone, and :meth:`pin` adds one oracle
+    observation to both copies.  *oracle_output_of* maps each output of
+    *comb* to the oracle's name for it.
+
+    :meth:`pin` runs one ternary evaluation of the pattern with every
+    key at X.  Each net that comes out 0/1 is bound to a single
+    constant-true literal (or its negation), so the encoder emits
+    clauses only for the X-valued gates, once per copy over that copy's
+    key variables.
+
+    Soundness, against the full two-copy encoding:
+
+    * Nets outside the cone are functions of the primary inputs alone,
+      so both copies agree on them in every model; sharing their
+      variables, and dropping the outputs among them from ``diff``,
+      removes no model.
+    * Ternary simulation is conservative, so a net that is 0/1 with the
+      keys at X has that value under every key; binding it to a
+      constant is exact.
+    * X-valued nets are encoded exactly, over the copy's own keys.
+    * A key-independent output that disagrees with the oracle pins the
+      constant-true literal false, so the formula is UNSAT, just as
+      the full encoding is.
+    """
+
+    def __init__(
+        self,
+        solver: Solver,
+        comb: Circuit,
+        oracle_output_of: Mapping[str, str],
+    ) -> None:
+        self.solver = solver
+        self.comb = comb
+        self.oracle_output_of = oracle_output_of
+        cone = set(comb.key_inputs)
+        for net in comb.key_inputs:
+            cone.update(
+                comb.gates[name].output for name in comb.fanout_cone(net)
+            )
+        copy1 = self._encode({})
+        copy2 = self._encode({
+            net: var for net, var in copy1.var_of.items() if net not in cone
+        })
+        self.pi_vars = {net: copy1.var_of[net] for net in comb.inputs}
+        #: per copy, key input -> variable
+        self.key_vars = [
+            {net: copy.var_of[net] for net in comb.key_inputs}
+            for copy in (copy1, copy2)
+        ]
+
+        cnf = CNF(num_vars=solver.num_vars)
+        self.true_lit = cnf.new_var()
+        cnf.add_clause([self.true_lit])
+        xor_vars = []
+        for net in comb.outputs:
+            if net in cone:
+                x = cnf.new_var()
+                cnf.add_xor(x, copy1.var_of[net], copy2.var_of[net])
+                xor_vars.append(x)
+        #: assumed true per DIP query: some in-cone output differs
+        self.diff = cnf.new_var()
+        cnf.add_or(self.diff, xor_vars)
+        solver.add_cnf(cnf)
+
+    def _encode(self, net_vars: Mapping[str, int]) -> CircuitEncoder:
+        cnf = CNF(num_vars=self.solver.num_vars)
+        encoder = CircuitEncoder(cnf, self.comb, net_vars=net_vars)
+        self.solver.add_cnf(cnf)
+        return encoder
+
+    def pin(self, pattern: Mapping[str, int], response: Mapping) -> None:
+        """Constrain both copies to answer *response* on *pattern*."""
+        comb = self.comb
+        values = compile_circuit(comb).evaluate(
+            dict(pattern, **dict.fromkeys(comb.key_inputs))
+        )
+        true = self.true_lit
+        constants = {
+            net: true if value else -true
+            for net, value in values.items() if value is not None
+        }
+        cnf = CNF(num_vars=self.solver.num_vars)
+        for key_vars in self.key_vars:
+            encoder = CircuitEncoder(
+                cnf, comb, net_vars=dict(constants, **key_vars)
+            )
+            for net in comb.outputs:
+                lit = encoder.var_of[net]
+                if not response[self.oracle_output_of[net]]:
+                    lit = -lit
+                if lit != true:  # else a constant output that agrees
+                    cnf.add_clause([lit])
+        self.solver.add_cnf(cnf)
+
+    def dip(self, model: Mapping[int, bool]) -> Dict[str, int]:
+        """The primary-input pattern of a model of the miter."""
+        return {net: int(model[var]) for net, var in self.pi_vars.items()}
+
+    def key(self, model: Mapping[int, bool]) -> Dict[str, int]:
+        """Copy 1's key in a model of the miter."""
+        return {net: int(model[var]) for net, var in self.key_vars[0].items()}
+
+
 def sat_attack(
     locked_netlist: Circuit,
     oracle: OracleProtocol,
@@ -125,12 +244,6 @@ def sat_attack(
     if solver is None:
         solver = Solver()
 
-    def encode_copy(shared: Mapping[str, int]) -> CircuitEncoder:
-        cnf = CNF(num_vars=solver.num_vars)
-        encoder = CircuitEncoder(cnf, comb, net_vars=shared)
-        solver.add_cnf(cnf)
-        return encoder
-
     t_start = time.perf_counter()
     # Touch the loop counters so they appear in metric tables even for
     # the paper's headline case (UNSAT at iteration 1: zero of each).
@@ -140,21 +253,7 @@ def sat_attack(
         "attack.sat", design=comb.name, key_bits=len(comb.key_inputs)
     ) as attack_span:
         with trace_span("attack.sat.encode"):
-            copy1 = encode_copy({})
-            pi_vars = {net: copy1.var_of[net] for net in comb.inputs}
-            copy2 = encode_copy(pi_vars)
-
-            # Miter: diff <-> OR over per-output XORs; assumed true per
-            # DIP query.
-            miter_cnf = CNF(num_vars=solver.num_vars)
-            xor_vars = []
-            for net in comb.outputs:
-                x = miter_cnf.new_var()
-                miter_cnf.add_xor(x, copy1.var_of[net], copy2.var_of[net])
-                xor_vars.append(x)
-            diff = miter_cnf.new_var()
-            miter_cnf.add_or(diff, xor_vars)
-            solver.add_cnf(miter_cnf)
+            miter = KeyConeMiter(solver, comb, oracle_output_of)
 
         result = SatAttackResult(
             completed=False, key=None, iterations=0,
@@ -162,33 +261,16 @@ def sat_attack(
         )
         for iteration in range(max_iterations):
             with trace_span("attack.sat.iteration", index=iteration + 1):
-                if not solver.solve([diff]):
+                if not solver.solve([miter.diff]):
                     result.completed = True
                     break
-                model = solver.model()
-                dip = {net: int(model[var]) for net, var in pi_vars.items()}
+                dip = miter.dip(solver.model())
                 result.dips.append(dip)
                 result.iterations += 1
                 response = oracle.query(dip)
                 result.oracle_queries += 1
                 _metrics.inc("attack.sat.oracle_queries")
-                # Pin both copies to the oracle's answer on this DIP.
-                for copy in (copy1, copy2):
-                    cnf = CNF(num_vars=solver.num_vars)
-                    encoder = CircuitEncoder(
-                        cnf, comb,
-                        net_vars={
-                            net: copy.var_of[net] for net in comb.key_inputs
-                        },
-                    )
-                    for net, value in dip.items():
-                        var = encoder.var_of[net]
-                        cnf.add_clause([var if value else -var])
-                    for net in comb.outputs:
-                        var = encoder.var_of[net]
-                        value = response[oracle_output_of[net]]
-                        cnf.add_clause([var if value else -var])
-                    solver.add_cnf(cnf)
+                miter.pin(dip, response)
                 result.iteration_stats.append(IterationStats(
                     index=result.iterations,
                     seconds=time.perf_counter() - t_start,
@@ -208,11 +290,7 @@ def sat_attack(
         if result.completed:
             with trace_span("attack.sat.key_extract"):
                 if solver.solve([]):
-                    model = solver.model()
-                    result.key = {
-                        net: int(model[copy1.var_of[net]])
-                        for net in comb.key_inputs
-                    }
+                    result.key = miter.key(solver.model())
                 else:
                     # over-constrained: no consistent key at all
                     result.key = None
@@ -239,8 +317,6 @@ def verify_key_against_oracle(
     """
     rng = rng or random.Random(0)
     comb = _comb_view(locked_netlist)
-    from ..netlist.compiled import compile_circuit
-
     oracle_output_of = _interface_map(comb, oracle)
     # Draw every pattern first (the same stream the per-pattern loop
     # consumed), then resolve both sides in lane-wide passes.

@@ -680,9 +680,15 @@ def oracle_fingerprint(oracle, patterns: int = 8) -> str:
 def shared_clause_key(
     circuit, attack: str, fingerprint: Optional[str] = None
 ) -> str:
-    """Cache key of one (attacked netlist, attack family, oracle) pool."""
+    """Cache key of one (attacked netlist, attack family, oracle) pool.
+
+    Pools hold clauses by variable number, so the key is salted with the
+    miter's encoding version: a pool saved under another numbering
+    never reaches this one.
+    """
     from io import StringIO
 
+    from ..attacks.sat_attack import MITER_ENCODING_VERSION
     from ..campaign.cache import content_key
     from ..netlist.verilog_io import write_verilog
 
@@ -693,6 +699,7 @@ def shared_clause_key(
         attack=attack,
         netlist=buffer.getvalue(),
         oracle=fingerprint,
+        encoding=MITER_ENCODING_VERSION,
     )
 
 

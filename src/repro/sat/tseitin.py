@@ -3,8 +3,9 @@
 This is the bridge the SAT attack [11] uses: it turns the combinational
 view of a circuit into clauses over one variable per net.  Multiple
 copies of the same circuit can share a :class:`CNF` (the attack's miter
-uses two copies with shared primary inputs but independent keys), so the
-encoder is instantiated per copy and exposes the variable map.
+uses two copies that share every key-independent net but have
+independent keys), so the encoder is instantiated per copy and exposes
+the variable map.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class CircuitEncoder:
             (run it through
             :func:`repro.netlist.transform.extract_combinational` first
             if it has flip-flops).
-        net_vars: Pre-assigned variables for some nets (used to share
-            primary inputs between miter copies).  Remaining nets get
-            fresh variables.
+        net_vars: Pre-assigned literals for some nets (used to share
+            primary inputs, or whole key-independent subcircuits, between
+            miter copies).  A gate whose output is pre-assigned is not
+            encoded again.  Remaining nets get fresh variables.
     """
 
     def __init__(
@@ -119,6 +121,8 @@ class CircuitEncoder:
         for net in self.circuit.inputs + self.circuit.key_inputs:
             self._var(net)
         for i in range(compiled.num_gates):
+            if compiled.out_names[i] in self.var_of:
+                continue  # pre-bound by the caller: already encoded
             out = self._var(compiled.out_names[i])
             operands = [
                 self._var(net) for net in compiled.fanin_name_tuples[i]

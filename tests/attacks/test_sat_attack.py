@@ -129,6 +129,38 @@ class TestAgainstGk:
         assert result.unsat_at_first_iteration
 
 
+class TestOverConstrained:
+    """An oracle no key can reproduce: the key gate sits on ``y1`` only,
+    and the oracle's ``y2`` is the inverse of the netlist's.  ``y2`` is
+    outside the key cone, so the first DIP's constant ``y2`` disagrees
+    with the oracle and leaves no consistent key."""
+
+    @pytest.fixture
+    def setup(self):
+        locked = Builder("locked")
+        a, c = locked.inputs("a", "b")
+        k = locked.key_input("k0")
+        locked.po(locked.xor(locked.and2(a, c), k), "y1")
+        locked.po(locked.or2(a, c), "y2")
+        chip = Builder("chip")
+        a, c = chip.inputs("a", "b")
+        chip.po(chip.and2(a, c), "y1")
+        chip.po(chip.nor2(a, c), "y2")
+        return locked.circuit, CombinationalOracle(chip.circuit)
+
+    def test_sat_attack_finds_no_key(self, setup):
+        locked, oracle = setup
+        result = sat_attack(locked, oracle)
+        assert result.completed
+        assert result.key is None
+
+    def test_appsat_finds_no_key(self, setup):
+        from repro.attacks import appsat_attack
+
+        locked, oracle = setup
+        assert appsat_attack(locked, oracle).key is None
+
+
 class TestInterfaceChecks:
     def test_keyless_netlist_rejected(self, toy_combinational):
         oracle = CombinationalOracle(toy_combinational)

@@ -327,6 +327,36 @@ class TestWarmStart:
         assert same == again
         assert same != other
 
+    def test_pool_from_another_encoding_never_seeds(
+        self, tmp_path, monkeypatch
+    ):
+        """Pools hold clauses by variable number: one stored under a
+        different miter encoding version must not load into this one."""
+        import importlib
+
+        miter_module = importlib.import_module("repro.attacks.sat_attack")
+        circuit = medium_comb()
+        locked = XorLock().lock(circuit, 4, random.Random(0xC0FFEE))
+        oracle = CombinationalOracle(circuit)
+        cache = NetlistCache(str(tmp_path / "cache"))
+        fingerprint = oracle_fingerprint(oracle)
+
+        old = PortfolioSolver(n=2, use_processes=False)
+        assert sat_attack(locked.circuit, oracle, solver=old).completed
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                miter_module, "MITER_ENCODING_VERSION",
+                miter_module.MITER_ENCODING_VERSION - 1,
+            )
+            old_key = shared_clause_key(locked.circuit, "sat", fingerprint)
+            assert store_shared_clauses(
+                cache, old_key, old.persistable_clauses()
+            ) > 0
+
+        new_key = shared_clause_key(locked.circuit, "sat", fingerprint)
+        assert new_key != old_key
+        assert load_shared_clauses(cache, new_key) == []
+
 
 class TestInterrupt:
     def test_interrupted_solver_resumes_correctly(self):
