@@ -1,24 +1,18 @@
-"""Serial vs portfolio SAT attack, cold vs warm-started (BENCH_sat).
+"""Cold vs warm-started SAT attack (BENCH_sat).
 
 One end-to-end story on the largest circuit the pure-Python CDCL can
 attack in benchmark time (s1238, XOR-locked, 4 key bits):
 
-1. the serial incremental solver (the baseline every prior table used);
-2. a cold 4-config portfolio racing child processes against the
-   incremental shadow delegate;
-3. the same portfolio warm-started from run 2's persisted clause pool
-   (round-tripped through the campaign's content-addressed cache, as a
-   real repeated campaign run would);
-4. the inline (no-process) portfolio cold and warm — the
-   contention-free measurement of the warm-start effect alone.
+1. a cold attack on a fresh :class:`~repro.sat.Solver`, whose clause
+   pool :func:`~repro.attacks.warm_start.warm_solver` persists in the
+   campaign's content-addressed cache;
+2. the same attack warm-started from that pool, as a repeated campaign
+   run would be.
 
-Guards: every mode recovers a functionally correct key, and the
-warm-started runs beat their cold counterparts — the persisted pool is
-distilled oracle knowledge, so run i+1 skips the DIP enumeration run i
-paid for.  The portfolio-vs-serial ratio is recorded but only asserted
-when the machine has more cores than race members (like the sharded
-serving bench: process parallelism cannot beat serial execution on one
-core — the racing children just steal the shadow's cycles).
+Guards: both runs recover a functionally correct key, the warm run
+beats the cold one, and it needs 0 DIP iterations — the persisted pool
+is distilled oracle knowledge, so run 2 skips the DIP enumeration run 1
+paid for.
 
 Results merge into ``benchmarks/BENCH_sat.json``.
 """
@@ -28,28 +22,18 @@ import os
 import random
 import time
 
-import pytest
-
 from repro.attacks import (
     CombinationalOracle,
     sat_attack,
     verify_key_against_oracle,
 )
 from repro.attacks.registry import AttackContext
+from repro.attacks.warm_start import warm_solver
 from repro.campaign.cache import NetlistCache
 from repro.locking.registry import build_scheme
-from repro.sat.portfolio import (
-    PortfolioSolver,
-    load_shared_clauses,
-    oracle_fingerprint,
-    shared_clause_key,
-    store_shared_clauses,
-)
 
 _DUMP = os.path.join(os.path.dirname(__file__), "BENCH_sat.json")
 
-PORTFOLIO = 4
-RACE_DEADLINE = 120.0
 KEY_BITS = 4
 SEED = 1
 
@@ -72,19 +56,21 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _attack(target, original, solver):
+def _attack(cache, target, original):
+    """One attack through :func:`warm_solver`: (wall, result, solver)."""
     oracle = CombinationalOracle(original)
     start = time.perf_counter()
-    result = sat_attack(target, oracle, solver=solver)
+    with warm_solver(cache, target, "sat", oracle) as solver:
+        result = sat_attack(target, oracle, solver=solver)
     wall = time.perf_counter() - start
     assert result.completed
     assert verify_key_against_oracle(
         target, CombinationalOracle(original), result.key, samples=64
     ) == 1.0
-    return wall, result
+    return wall, result, solver
 
 
-def test_sat_attack_portfolio_and_warm_start(s1238, tmp_path, bench_record):
+def test_sat_attack_warm_start(s1238, tmp_path, bench_record):
     instance = s1238
     locked = build_scheme("xor", instance.clock).lock(
         instance.circuit, KEY_BITS, random.Random(SEED)
@@ -93,86 +79,34 @@ def test_sat_attack_portfolio_and_warm_start(s1238, tmp_path, bench_record):
         locked=locked, clock=instance.clock, seed=SEED, params={}
     )
     target = context.target()
-    original = locked.original
-    cores = _cores()
     cache = NetlistCache(str(tmp_path / "warm-cache"))
-    pool_key = shared_clause_key(
-        target, "sat", oracle_fingerprint(CombinationalOracle(original))
-    )
 
-    walls, iters = {}, {}
-
-    walls["serial"], result = _attack(target, original, None)
-    iters["serial"] = result.iterations
-
-    cold = PortfolioSolver(
-        n=PORTFOLIO, base_seed=SEED, deadline=RACE_DEADLINE
-    )
-    walls["portfolio_cold"], result = _attack(target, original, cold)
-    iters["portfolio_cold"] = result.iterations
-    stored = store_shared_clauses(
-        cache, pool_key, cold.persistable_clauses()
-    )
-
-    warm = PortfolioSolver(
-        n=PORTFOLIO, base_seed=SEED, deadline=RACE_DEADLINE
-    )
-    seeded = warm.seed_shared_clauses(load_shared_clauses(cache, pool_key))
-    walls["portfolio_warm"], result = _attack(target, original, warm)
-    iters["portfolio_warm"] = result.iterations
-
-    inline_cold = PortfolioSolver(
-        n=PORTFOLIO, base_seed=SEED, use_processes=False
-    )
-    walls["inline_cold"], result = _attack(target, original, inline_cold)
-    iters["inline_cold"] = result.iterations
-
-    inline_warm = PortfolioSolver(
-        n=PORTFOLIO, base_seed=SEED, use_processes=False
-    )
-    inline_warm.seed_shared_clauses(load_shared_clauses(cache, pool_key))
-    walls["inline_warm"], result = _attack(target, original, inline_warm)
-    iters["inline_warm"] = result.iterations
+    walls, iters, conflicts, pool = {}, {}, {}, {}
+    for mode in ("cold", "warm"):
+        walls[mode], result, solver = _attack(cache, target, locked.original)
+        iters[mode] = result.iterations
+        conflicts[mode] = solver.num_conflicts
+        pool[mode] = {"seeded": solver.num_imported,
+                      "persisted": len(solver.persistable_clauses())}
 
     payload = {
         "circuit": "s1238",
         "scheme": "xor",
         "key_bits": KEY_BITS,
         "seed": SEED,
-        "cores": cores,
-        "portfolio": PORTFOLIO,
-        "wall_s": {k: round(v, 1) for k, v in walls.items()},
+        "cores": _cores(),
+        "wall_s": {k: round(v, 2) for k, v in walls.items()},
         "iterations": iters,
-        "pool": {"persisted": stored, "seeded": seeded},
-        "portfolio_stats": {
-            "cold": cold.stats.to_dict(),
-            "warm": warm.stats.to_dict(),
-        },
-        "speedup_portfolio_vs_serial": round(
-            walls["serial"] / walls["portfolio_cold"], 2
-        ),
-        # Racing only pays when the children get their own cores; on a
-        # smaller machine the number is recorded, not asserted.
-        "speedup_asserted": cores > PORTFOLIO,
-        "warm_speedup_vs_cold": round(
-            walls["portfolio_cold"] / walls["portfolio_warm"], 2
-        ),
-        "inline_warm_speedup_vs_cold": round(
-            walls["inline_cold"] / walls["inline_warm"], 2
-        ),
+        "conflicts": conflicts,
+        "pool": pool,
+        "warm_speedup_vs_cold": round(walls["cold"] / walls["warm"], 2),
     }
-    _merge_dump("sat_attack_portfolio", bench_record(payload))
+    _merge_dump("sat_attack_warm_start", bench_record(payload))
     print(f"\nBENCH_sat: {json.dumps(payload['wall_s'])} "
-          f"({cores} cores, warm pool {stored} clauses)")
+          f"(warm pool {pool['warm']['seeded']} clauses)")
 
-    assert stored > 0 and seeded == stored
-    assert walls["portfolio_warm"] < walls["portfolio_cold"], (
-        "warm-started portfolio must beat the cold portfolio"
+    assert pool["cold"]["seeded"] == 0 and pool["warm"]["seeded"] > 0
+    assert iters["warm"] == 0, "the warm run must need no DIP"
+    assert walls["warm"] < walls["cold"], (
+        "the warm-started attack must beat the cold one"
     )
-    assert walls["inline_warm"] < walls["inline_cold"], (
-        "warm-started inline portfolio must beat the cold one"
-    )
-    if cores > PORTFOLIO:
-        assert walls["portfolio_cold"] <= walls["serial"] * 1.2, (
-            "with free cores the shadow race must not lose to serial"
-        )

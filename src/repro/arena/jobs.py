@@ -58,7 +58,7 @@ def _run_arena_cell(
             clock=instance.clock,
             seed=seed,
             params=attack_params,
-            # Warm-start clause pools (portfolio=N cells) persist in the
+            # Warm-start clause pools (warm_start cells) persist in the
             # same campaign cache the cell results live in.
             cache=cache,
         )

@@ -23,12 +23,10 @@ choices instead of erroring one cell at a time mid-campaign.
 
 ``attack_params`` reaches each runner through
 :meth:`~repro.attacks.registry.AttackContext.param`; any knob a runner
-reads is addressable per attack.  Notably the SAT-based families
-(``sat``/``appsat``/``tcf``) accept ``{"portfolio": N}`` to race N
-solver configurations per SAT query (plus ``portfolio_deadline``
-seconds per race); with a campaign cache, portfolio cells warm-start
-their shared clause pools from previous runs on the same
-netlist+oracle.  See ``examples/arena/portfolio.json``.
+reads is addressable per attack.  Notably ``sat`` and ``appsat``
+accept ``{"warm_start": true}``: with a campaign cache, such cells seed
+their solver from the clause pool earlier runs on the same
+netlist+oracle persisted.  See ``examples/arena/warm_start.json``.
 
 Expansion is the full cross product; cells the capability tags rule
 out — a GK-specific attack against a scheme that inserts no GKs, a key

@@ -71,8 +71,9 @@ def appsat_attack(
     prune the candidate); when a whole batch matches (observed error <=
     *error_threshold*), the key is declared approximately correct.
 
-    *solver* swaps in any Solver-compatible object (e.g. a
-    :class:`~repro.sat.portfolio.PortfolioSolver`); it must be fresh.
+    *solver* replaces the default fresh :class:`Solver` (e.g. one seeded
+    by :func:`~repro.attacks.warm_start.warm_solver`); it must have no
+    clauses added yet.
     """
     rng = rng or random.Random(0)
     comb = _comb_view(locked_netlist)

@@ -78,8 +78,9 @@ class AttackContext:
     clock: Optional["ClockSpec"] = None
     seed: int = 0
     params: Dict[str, Any] = field(default_factory=dict)
-    #: campaign/arena cache for cross-run state (portfolio warm-start
-    #: clause pools); ``None`` disables persistence, never the attack.
+    #: campaign/arena cache for cross-run state (the clause pools of
+    #: ``warm_start`` cells); ``None`` disables persistence, never the
+    #: attack.
     cache: Optional[Any] = None
 
     def rng(self, salt: int = 0) -> random.Random:

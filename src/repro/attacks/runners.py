@@ -22,6 +22,7 @@ Conventions shared by all runners:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Any, Dict
 
 from ..netlist.transform import extract_combinational
@@ -38,54 +39,20 @@ def _comb_view(circuit):
     return circuit
 
 
-def _portfolio_solver(context: AttackContext, attack: str, circuit,
-                      oracle=None):
-    """(solver, finish) per the context's ``portfolio`` params.
+def _solver(context: AttackContext, attack: str, circuit, oracle):
+    """Context manager yielding the SAT solver for *attack* on *circuit*.
 
-    ``portfolio=N`` (N >= 1) races N solver configurations per SAT
-    query; 0 (the default) keeps the serial solver and returns
-    ``(None, noop)``.  ``portfolio_deadline`` bounds each race in
-    seconds.  With a context cache and an I/O *oracle*, the shared
-    clause pool warm-starts from — and, via *finish(outcome)*, persists
-    to — the content-addressed cache, keyed by netlist + attack family
-    + oracle fingerprint (``portfolio_warm=False`` opts out).  *finish*
-    also records the portfolio accounting in ``outcome.detail``.
+    With the ``warm_start`` param on and a context cache, the solver is
+    seeded from the cache's clause pool for this netlist, attack family
+    and *oracle*, and persists its own pool on a normal exit
+    (:func:`~repro.attacks.warm_start.warm_solver`).  Otherwise it
+    yields ``None``: the attack makes its own fresh solver.
     """
-    n = int(context.param("portfolio", 0))
-    if n <= 0:
-        return None, lambda outcome: None
-    from ..sat.portfolio import (
-        PortfolioSolver, load_shared_clauses, oracle_fingerprint,
-        shared_clause_key, store_shared_clauses,
-    )
+    if context.cache is None or not context.param("warm_start", False):
+        return nullcontext()
+    from .warm_start import warm_solver
 
-    deadline = context.params.get("portfolio_deadline")
-    solver = PortfolioSolver(
-        n=n,
-        base_seed=context.seed,
-        deadline=float(deadline) if deadline is not None else None,
-    )
-    key = None
-    if (
-        context.cache is not None
-        and oracle is not None
-        and context.param("portfolio_warm", True)
-    ):
-        key = shared_clause_key(
-            circuit, attack, oracle_fingerprint(oracle)
-        )
-        solver.seed_shared_clauses(
-            load_shared_clauses(context.cache, key)
-        )
-
-    def finish(outcome: AttackOutcome) -> None:
-        outcome.detail["portfolio"] = solver.stats.to_dict()
-        if key is not None:
-            store_shared_clauses(
-                context.cache, key, solver.persistable_clauses()
-            )
-
-    return solver, finish
+    return warm_solver(context.cache, circuit, attack, oracle)
 
 
 @register_attack(
@@ -98,18 +65,18 @@ def _run_sat(context: AttackContext) -> AttackOutcome:
 
     target = context.target()
     oracle = CombinationalOracle(context.locked.original)
-    solver, finish = _portfolio_solver(context, "sat", target, oracle)
-    start = time.perf_counter()
-    result = sat_attack(
-        target, oracle,
-        max_iterations=context.param("max_iterations", 128),
-        solver=solver,
-    )
-    wall = time.perf_counter() - start
+    with _solver(context, "sat", target, oracle) as solver:
+        start = time.perf_counter()
+        result = sat_attack(
+            target, oracle,
+            max_iterations=context.param("max_iterations", 128),
+            solver=solver,
+        )
+        wall = time.perf_counter() - start
     key_correct, corruption = score_recovery(
         context.locked.original, target, result.key, rng=context.rng(0xEC)
     )
-    outcome = AttackOutcome(
+    return AttackOutcome(
         attack="sat",
         completed=result.completed,
         success=bool(result.completed and key_correct),
@@ -123,8 +90,6 @@ def _run_sat(context: AttackContext) -> AttackOutcome:
             "unsat_at_first_iteration": result.unsat_at_first_iteration,
         },
     )
-    finish(outcome)
-    return outcome
 
 
 @register_attack(
@@ -137,22 +102,22 @@ def _run_appsat(context: AttackContext) -> AttackOutcome:
 
     target = context.target()
     oracle = CombinationalOracle(context.locked.original)
-    solver, finish = _portfolio_solver(context, "appsat", target, oracle)
-    start = time.perf_counter()
-    result = appsat_attack(
-        target, oracle,
-        rng=context.rng(1),
-        dips_per_round=context.param("dips_per_round", 2),
-        queries_per_round=context.param("queries_per_round", 24),
-        error_threshold=context.param("error_threshold", 0.0),
-        max_rounds=context.param("max_rounds", 16),
-        solver=solver,
-    )
-    wall = time.perf_counter() - start
+    with _solver(context, "appsat", target, oracle) as solver:
+        start = time.perf_counter()
+        result = appsat_attack(
+            target, oracle,
+            rng=context.rng(1),
+            dips_per_round=context.param("dips_per_round", 2),
+            queries_per_round=context.param("queries_per_round", 24),
+            error_threshold=context.param("error_threshold", 0.0),
+            max_rounds=context.param("max_rounds", 16),
+            solver=solver,
+        )
+        wall = time.perf_counter() - start
     key_correct, corruption = score_recovery(
         context.locked.original, target, result.key, rng=context.rng(0xEC)
     )
-    outcome = AttackOutcome(
+    return AttackOutcome(
         attack="appsat",
         completed=result.settled,
         success=result.approximately_correct,
@@ -167,8 +132,6 @@ def _run_appsat(context: AttackContext) -> AttackOutcome:
             "estimated_error": result.estimated_error,
         },
     )
-    finish(outcome)
-    return outcome
 
 
 @register_attack(
@@ -267,9 +230,6 @@ def _run_tcf(context: AttackContext) -> AttackOutcome:
     default_sample = context.clock.period if context.clock else 2.0
     sample_time = context.param("sample_time", float(default_sample))
     oracle = SimulatedTwoVectorOracle(chip, context.locked.key)
-    # Two-vector oracles have no batch I/O interface to fingerprint, so
-    # tcf races without cross-run warm starts (oracle=None).
-    solver, finish = _portfolio_solver(context, "tcf", target)
     start = time.perf_counter()
     result = tcf_attack(
         target,
@@ -277,13 +237,12 @@ def _run_tcf(context: AttackContext) -> AttackOutcome:
         sample_time=sample_time,
         dt=context.param("dt", 0.25),
         max_iterations=context.param("max_iterations", 32),
-        solver=solver,
     )
     wall = time.perf_counter() - start
     key_correct, corruption = score_recovery(
         context.locked.original, target, result.key, rng=context.rng(0xEC)
     )
-    outcome = AttackOutcome(
+    return AttackOutcome(
         attack="tcf",
         completed=result.completed,
         success=bool(result.completed and key_correct),
@@ -298,8 +257,6 @@ def _run_tcf(context: AttackContext) -> AttackOutcome:
             "sample_time": sample_time,
         },
     )
-    finish(outcome)
-    return outcome
 
 
 @register_attack(

@@ -40,7 +40,7 @@ __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
 
 #: Version of :class:`KeyConeMiter`'s variable numbering.  Warm-start
 #: clause pools are stored by variable number, so
-#: :func:`~repro.sat.portfolio.shared_clause_key` is salted with this:
+#: :func:`~repro.attacks.warm_start.shared_clause_key` is salted with this:
 #: bump it whenever the miter's base encoding changes, or a pool saved
 #: under the old numbering would be seeded into unrelated variables.
 MITER_ENCODING_VERSION = 2
@@ -230,11 +230,9 @@ def sat_attack(
     The oracle must expose the same input/output interface (it will, if
     built from the corresponding original design).
 
-    *solver*, when given, replaces the default incremental CDCL with
-    any Solver-compatible object — in particular a
-    :class:`~repro.sat.portfolio.PortfolioSolver`, which races N
-    configurations per DIP query and shares learned clauses between
-    miter iterations.  It must be fresh (no clauses added yet).
+    *solver*, when given, replaces the default fresh :class:`Solver`
+    (e.g. one seeded by :func:`~repro.attacks.warm_start.warm_solver`);
+    it must have no clauses added yet.
     """
     comb = _comb_view(locked_netlist)
     if not comb.key_inputs:

@@ -221,7 +221,6 @@ def tcf_attack(
     dt: float = 0.05,
     max_iterations: int = 64,
     oracle: Optional[TwoVectorOracleProtocol] = None,
-    solver: Optional[Solver] = None,
 ) -> TcfAttackResult:
     """The timed SAT attack: DIP loop over two-vector tests.
 
@@ -232,11 +231,6 @@ def tcf_attack(
     :class:`SimulatedTwoVectorOracle` built from *oracle_circuit* under
     *oracle_key* (possibly keyless).  Succeeds on delay locking (TDK);
     finds no DIP on glitch locking.
-
-    *solver* swaps in any Solver-compatible object (e.g. a
-    :class:`~repro.sat.portfolio.PortfolioSolver` — the time-expanded
-    CNFs are the largest this repo produces, where racing pays most);
-    it must be fresh.
     """
     if oracle is None:
         if oracle_circuit is None:
@@ -247,8 +241,7 @@ def tcf_attack(
     if sample_time <= 0:
         raise NetlistError("sample_time must be positive")
     ticks = int(round(sample_time / dt))
-    if solver is None:
-        solver = Solver()
+    solver = Solver()
 
     cnf = CNF()
     copy1 = encode_timed(cnf, locked, ticks, dt)

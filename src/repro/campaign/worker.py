@@ -28,7 +28,7 @@ import signal
 import threading
 import time
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from io import StringIO
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional
@@ -261,10 +261,10 @@ def _run_attack(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
     key_bits = int(params["key_bits"])
     seed = int(params["seed"])
     max_iterations = int(params.get("max_iterations", 128))
-    portfolio = int(params.get("portfolio", 0))
-    # Serial cells keep their historical cache identity; a portfolio
-    # width is a new computation (different solver, different stats).
-    extra_key = {"portfolio": portfolio} if portfolio else {}
+    warm_start = bool(params.get("warm_start", False))
+    # Cold cells keep their historical cache identity; a warm-started
+    # cell depends on the pools earlier cells left in the cache.
+    extra_key = {"warm_start": True} if warm_start else {}
     key = cache.key(kind="attack", benchmark=name, scheme=scheme,
                     attack=attack, key_bits=key_bits, seed=seed,
                     max_iterations=max_iterations, **extra_key)
@@ -335,31 +335,17 @@ def _run_attack(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
                 ) from exc
         else:
             oracle = CombinationalOracle(instance.circuit)
-        solver = None
-        pool_key = None
-        if portfolio:
-            from ..sat.portfolio import (
-                PortfolioSolver, load_shared_clauses, oracle_fingerprint,
-                shared_clause_key, store_shared_clauses,
-            )
+        warm = nullcontext()
+        if warm_start and cache.enabled:
+            from ..attacks.warm_start import warm_solver
 
-            deadline = params.get("portfolio_deadline")
-            solver = PortfolioSolver(
-                n=portfolio, base_seed=seed,
-                deadline=float(deadline) if deadline else None,
-            )
-            if cache.enabled:
-                pool_key = shared_clause_key(
-                    target, "sat", oracle_fingerprint(oracle)
-                )
-                solver.seed_shared_clauses(
-                    load_shared_clauses(cache, pool_key)
-                )
+            warm = warm_solver(cache, target, "sat", oracle)
         try:
-            result = sat_attack(
-                target, oracle, max_iterations=max_iterations,
-                solver=solver,
-            )
+            with warm as solver:
+                result = sat_attack(
+                    target, oracle, max_iterations=max_iterations,
+                    solver=solver,
+                )
             accuracy = None
             if result.key is not None:
                 accuracy = verify_key_against_oracle(
@@ -376,12 +362,6 @@ def _run_attack(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
         finally:
             if oracle_address:
                 oracle.close()
-        if solver is not None:
-            base["portfolio"] = solver.stats.to_dict()
-            if pool_key is not None:
-                store_shared_clauses(
-                    cache, pool_key, solver.persistable_clauses()
-                )
         base.update(
             completed=result.completed,
             iterations=result.iterations,

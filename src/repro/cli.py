@@ -54,6 +54,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from typing import Dict, Optional
 
 from . import __version__
@@ -212,33 +213,19 @@ def _maybe_adopt_remote_trace(args: argparse.Namespace, oracle) -> None:
 def cmd_attack(args: argparse.Namespace) -> int:
     locked = _load(args.locked)
     oracle = _attack_oracle(args)
-    solver = None
-    warm_cache = None
-    pool_key = None
-    if args.portfolio:
-        from .sat.portfolio import (
-            PortfolioSolver, load_shared_clauses, oracle_fingerprint,
-            shared_clause_key,
-        )
+    warm = nullcontext()
+    if args.warm_cache:
+        from .attacks.warm_start import warm_solver
+        from .campaign.cache import NetlistCache
 
-        solver = PortfolioSolver(
-            n=args.portfolio, deadline=args.portfolio_deadline
+        warm = warm_solver(
+            NetlistCache(args.warm_cache), locked, "sat", oracle
         )
-        if args.warm_cache:
-            from .campaign.cache import NetlistCache
-
-            warm_cache = NetlistCache(args.warm_cache)
-            pool_key = shared_clause_key(
-                locked, "sat", oracle_fingerprint(oracle)
-            )
-            seeded = solver.seed_shared_clauses(
-                load_shared_clauses(warm_cache, pool_key)
-            )
-            _emit(f"warm-start clauses     : {seeded}")
     try:
-        result = sat_attack(locked, oracle,
-                            max_iterations=args.max_iterations,
-                            solver=solver)
+        with warm as solver:
+            result = sat_attack(locked, oracle,
+                                max_iterations=args.max_iterations,
+                                solver=solver)
         _emit(f"completed              : {result.completed}", result=True)
         _emit(f"DIP iterations         : {result.iterations}", result=True)
         _emit(f"UNSAT at 1st iteration : {result.unsat_at_first_iteration}",
@@ -247,13 +234,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         _emit(f"solver decisions       : {result.solver_decisions}")
         _emit(f"solver conflicts       : {result.solver_conflicts}")
         if solver is not None:
-            stats = solver.stats
-            _emit(f"portfolio races        : {stats.races} "
-                  f"(cancelled {stats.cancelled}, "
-                  f"wins {stats.wins or '{}'})")
-            _emit(f"shared clause pool     : {stats.shared_pool} "
-                  f"(seeded {stats.clauses_seeded}, "
-                  f"exported {stats.clauses_exported})")
+            _emit(f"warm-start clauses     : {solver.num_imported}")
         if result.key is not None:
             accuracy = verify_key_against_oracle(
                 locked, oracle, result.key, samples=args.verify_samples
@@ -265,13 +246,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         _emit("no consistent key", result=True)
         return 1
     finally:
-        if solver is not None and pool_key is not None:
-            from .sat.portfolio import store_shared_clauses
-
-            kept = store_shared_clauses(
-                warm_cache, pool_key, solver.persistable_clauses()
-            )
-            _emit(f"pool persisted         : {kept} clauses", err=True)
         _maybe_adopt_remote_trace(args, oracle)
 
 
@@ -897,16 +871,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --remote --circuit")
     p.add_argument("--max-iterations", type=int, default=256)
     p.add_argument("--verify-samples", type=int, default=64)
-    p.add_argument("--portfolio", type=int, default=0, metavar="N",
-                   help="race N solver configurations per DIP query "
-                        "(0 = the serial incremental solver)")
-    p.add_argument("--portfolio-deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-race wall-clock budget for portfolio members")
     p.add_argument("--warm-cache", metavar="DIR",
-                   help="persist the portfolio's shared clause pool in "
-                        "this cache directory: repeated attacks on the "
-                        "same netlist+oracle warm-start from it")
+                   help="warm-start the SAT solver from the clause pool "
+                        "kept in this cache directory, and update the "
+                        "pool afterwards: repeated attacks on the same "
+                        "netlist+oracle start from what earlier runs "
+                        "learned")
     p.add_argument("--remote", metavar="HOST:PORT",
                    help="query a served oracle instead of an in-process "
                         "one (see `repro serve`)")

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
 from .circuit import Circuit, NetlistError
 from .compiled import compile_circuit
 from .transform import extract_combinational
@@ -73,6 +72,9 @@ def generate_test(
         raise NetlistError(f"fault site {fault.net!r} not in the circuit")
     if fault.stuck_at not in (0, 1):
         raise NetlistError("stuck_at must be 0 or 1")
+
+    # Deferred import: repro.sat.tseitin imports this package.
+    from ..sat.tseitin import CircuitEncoder
 
     cnf = CNF()
     good = CircuitEncoder(cnf, comb)

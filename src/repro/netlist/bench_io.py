@@ -32,6 +32,9 @@ _IO = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([\w.\[\]$]+)\s*\)\s*$", re.IGNOREC
 _ASSOCIATIVE = {"AND": "AND2", "OR": "OR2", "NAND": "NAND2", "NOR": "NOR2",
                 "XOR": "XOR2", "XNOR": "XNOR2"}
 
+#: Operand counts of the fixed-arity functions.
+_ARITY = {"DFF": 1, "NOT": 1, "INV": 1, "BUF": 1, "BUFF": 1, "MUX": 3}
+
 
 def parse_bench(
     text: str,
@@ -60,7 +63,13 @@ def parse_bench(
             raise NetlistError(f"cannot parse .bench line: {raw!r}")
         out, func, operand_text = gate_match.groups()
         operands = [tok.strip() for tok in operand_text.split(",") if tok.strip()]
-        gates.append((out, func.upper(), operands))
+        func = func.upper()
+        if func in _ARITY and len(operands) != _ARITY[func]:
+            raise NetlistError(
+                f"{func} takes {_ARITY[func]} operand(s), got "
+                f"{len(operands)}: {raw!r}"
+            )
+        gates.append((out, func, operands))
 
     has_ff = any(func == "DFF" for _, func, _ in gates)
     if has_ff:

@@ -21,7 +21,6 @@ from typing import Dict, Mapping, Optional
 
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
 from .circuit import Circuit, NetlistError
 from .compiled import compile_circuit
 from .transform import extract_combinational
@@ -112,6 +111,9 @@ def check_equivalence(
             }
             if differing:
                 return EquivalenceResult(False, dict(pattern), differing)
+
+    # Deferred import: repro.sat.tseitin imports this package.
+    from ..sat.tseitin import CircuitEncoder
 
     cnf = CNF()
     enc_a = CircuitEncoder(cnf, a)

@@ -1,11 +1,7 @@
-"""SAT substrate: CNF, CDCL solver, portfolio racing, Tseitin encoding."""
+"""SAT substrate: CNF, CDCL solver, Tseitin encoding."""
 
 from .cnf import CNF
-from .portfolio import PortfolioSolver, default_portfolio
-from .solver import Solver, SolverConfig, luby
+from .solver import Solver, luby
 from .tseitin import CircuitEncoder, encode_circuit
 
-__all__ = [
-    "CNF", "Solver", "SolverConfig", "PortfolioSolver",
-    "default_portfolio", "luby", "CircuitEncoder", "encode_circuit",
-]
+__all__ = ["CNF", "Solver", "luby", "CircuitEncoder", "encode_circuit"]

@@ -22,94 +22,22 @@ netlist layer (see :mod:`repro.sat.tseitin` for the bridge).
 from __future__ import annotations
 
 import heapq
-import random
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import context as _obs
 from ..obs.spans import trace_span
 from .cnf import CNF
 
-__all__ = ["Solver", "SolverConfig", "SolverInterrupted", "luby"]
+__all__ = ["Solver", "luby"]
 
 _UNASSIGNED = 2  # internal truth values: 1 true, 0 false, 2 unassigned
 
-
-class SolverInterrupted(Exception):
-    """Raised out of :meth:`Solver.solve` when the solver's
-    ``interrupt`` callback returns True.  The solver is left in a
-    consistent state (backtracked to level 0, learned clauses and
-    activities retained), so a later ``solve`` call resumes the search
-    with everything the interrupted run learned."""
-
-_RESTART_POLICIES = ("luby", "geometric")
-_POLARITY_MODES = ("saved", "false", "true", "random")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """One deterministic CDCL configuration.
-
-    The defaults reproduce the solver's historical behaviour exactly
-    (``Solver()`` and ``Solver(SolverConfig())`` run the same search),
-    which is what makes the configuration space safe to race: every
-    portfolio member is this solver with different heuristics, not a
-    different solver.  Identical configs on identical clause streams
-    take identical decisions — all randomness flows from ``seed``
-    through one private ``random.Random`` — so runs reproduce
-    bit-for-bit across processes.
-
-    * ``var_decay`` / ``clause_decay`` — VSIDS activity decay factors
-      (each conflict multiplies the bump increment by ``1/decay``).
-    * ``restart`` — ``"luby"`` (the Luby sequence scaled by
-      ``restart_base``) or ``"geometric"`` (``restart_base *
-      restart_factor**k``).
-    * ``polarity`` — branch-phase choice: ``"saved"`` (phase saving,
-      the default), ``"false"``/``"true"`` (fixed), or ``"random"``.
-    * ``random_decision_freq`` — probability of branching on a random
-      variable instead of the VSIDS maximum (MiniSat's diversification
-      knob; one probe, falling back to the activity order).
-    * ``seed`` — seed for the solver's private RNG; only drawn from
-      when ``polarity="random"`` or ``random_decision_freq > 0``.
-    """
-
-    var_decay: float = 0.95
-    clause_decay: float = 0.999
-    restart: str = "luby"
-    restart_base: int = 100
-    restart_factor: float = 1.5
-    polarity: str = "saved"
-    random_decision_freq: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.var_decay <= 1.0:
-            raise ValueError(f"var_decay {self.var_decay} outside (0, 1]")
-        if not 0.0 < self.clause_decay <= 1.0:
-            raise ValueError(
-                f"clause_decay {self.clause_decay} outside (0, 1]"
-            )
-        if self.restart not in _RESTART_POLICIES:
-            raise ValueError(
-                f"restart {self.restart!r} not in {_RESTART_POLICIES}"
-            )
-        if self.restart_base < 1:
-            raise ValueError("restart_base must be positive")
-        if self.restart_factor <= 1.0:
-            raise ValueError("restart_factor must exceed 1.0")
-        if self.polarity not in _POLARITY_MODES:
-            raise ValueError(
-                f"polarity {self.polarity!r} not in {_POLARITY_MODES}"
-            )
-        if not 0.0 <= self.random_decision_freq <= 1.0:
-            raise ValueError("random_decision_freq outside [0, 1]")
-
-    def describe(self) -> str:
-        return (f"decay={self.var_decay}/{self.clause_decay} "
-                f"restart={self.restart}({self.restart_base}) "
-                f"polarity={self.polarity} "
-                f"rnd={self.random_decision_freq} seed={self.seed}")
+#: Search constants: restart after 100 x luby(i) conflicts, and the
+#: MiniSat-style VSIDS activity decays for variables and clauses.
+_RESTART_BASE = 100
+_VAR_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
 
 
 def luby(index: int) -> int:
@@ -145,8 +73,7 @@ class _Clause:
 class Solver:
     """Incremental CDCL solver over DIMACS-style integer literals."""
 
-    def __init__(self, config: Optional[SolverConfig] = None) -> None:
-        self.config = config if config is not None else SolverConfig()
+    def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
@@ -159,10 +86,9 @@ class Solver:
         self._reason: List[Optional[_Clause]] = []
         self._activity: List[float] = []
         self._var_inc = 1.0
-        self._var_decay = 1.0 / self.config.var_decay
+        self._var_decay = 1.0 / _VAR_DECAY
         self._cla_inc = 1.0
-        self._cla_decay = 1.0 / self.config.clause_decay
-        self._rng = random.Random(self.config.seed)
+        self._cla_decay = 1.0 / _CLAUSE_DECAY
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -175,11 +101,11 @@ class Solver:
         self.num_learned = 0  # clauses ever learned (survives _reduce_db)
         self.num_imported = 0  # clauses accepted via import_clauses
         self.num_solve_calls = 0
-        #: optional zero-arg callback polled every few hundred conflicts
-        #: (and periodically between conflicts); returning True aborts
-        #: the current solve with :class:`SolverInterrupted`.  The
-        #: portfolio's shadow race uses it to yield to a faster child.
-        self.interrupt = None
+        #: warm-start clauses held for import at the first solve (see
+        #: :meth:`seed_clauses`)
+        self._seeded: List[Tuple[int, ...]] = []
+        #: variable count at the first solve: the base encoding's extent
+        self._base_vars: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Variables and literals
@@ -243,18 +169,19 @@ class Solver:
         self._cancel_until(0)
         seen = set()
         lits: List[int] = []
-        for lit in literals:
+        rest = iter(literals)
+        for lit in rest:
             if lit == 0:
                 raise ValueError("0 is not a literal")
             self._ensure_var(abs(lit))
             ilit = self._to_internal(lit)
             if ilit ^ 1 in seen:
-                return True  # tautology
+                return self._allocate_rest(rest)  # tautology
             if ilit in seen:
                 continue
             value = self._lit_value(ilit)
             if value == 1:
-                return True  # satisfied at level 0
+                return self._allocate_rest(rest)  # satisfied at level 0
             if value == 0:
                 continue  # falsified at level 0: drop literal
             seen.add(ilit)
@@ -272,6 +199,13 @@ class Solver:
         self._clauses.append(clause)
         self._watches[lits[0]].append((lits[1], clause))
         self._watches[lits[1]].append((lits[0], clause))
+        return True
+
+    def _allocate_rest(self, rest: Iterator[int]) -> bool:
+        """Allocate the variables of a dropped clause's unread literals,
+        so :meth:`model` covers every variable any clause named."""
+        for lit in rest:
+            self._ensure_var(abs(lit))
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
@@ -504,49 +438,15 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _pick_branch_var(self) -> Optional[int]:
-        if (
-            self.config.random_decision_freq > 0.0
-            and self._num_vars
-            and self._rng.random() < self.config.random_decision_freq
-        ):
-            # One random probe (MiniSat's scheme): hit an unassigned
-            # variable and branch on it; otherwise fall through to the
-            # activity order.  Its heap entry stays put — stale entries
-            # are already skipped at pop time.
-            var = self._rng.randrange(self._num_vars)
-            if self._assigns[var] == _UNASSIGNED:
-                return var
         while self._order:
             _neg_act, var = heapq.heappop(self._order)
             if self._assigns[var] == _UNASSIGNED:
                 return var
         return None
 
-    def _decide_phase(self, var: int) -> bool:
-        """True to assign the branch variable True."""
-        polarity = self.config.polarity
-        if polarity == "saved":
-            return self._polarity[var] == 1
-        if polarity == "true":
-            return True
-        if polarity == "false":
-            return False
-        return self._rng.random() < 0.5
-
     # ------------------------------------------------------------------
     # Main search
     # ------------------------------------------------------------------
-
-    def _restart_limit(self, index: int) -> int:
-        """Conflicts allowed before restart *index* (1-based) fires."""
-        config = self.config
-        if config.restart == "geometric":
-            return max(
-                1,
-                int(config.restart_base
-                    * config.restart_factor ** (index - 1)),
-            )
-        return config.restart_base * luby(index)
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve the current formula under *assumptions*.
@@ -555,6 +455,11 @@ class Solver:
         assumptions).
         """
         self.num_solve_calls += 1
+        if self._base_vars is None:
+            # Everything added so far is the base encoding, which the
+            # seeded clauses were persisted against.
+            self._base_vars = self._num_vars
+            self.import_clauses(self._seeded)
         if _obs.ACTIVE is None:  # observability off: zero-overhead path
             return self._solve(assumptions)
         return self._solve_observed(assumptions)
@@ -605,24 +510,16 @@ class Solver:
             internal_assumptions.append(self._to_internal(lit))
 
         restart_index = 1
-        conflicts_until_restart = self._restart_limit(restart_index)
+        conflicts_until_restart = _RESTART_BASE * luby(restart_index)
         max_learnts = max(1000, len(self._clauses) // 3)
         conflict_count = 0
         root_level = 0  # decision levels consumed by the assumption prefix
 
-        interrupt = self.interrupt
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.num_conflicts += 1
                 conflict_count += 1
-                if (
-                    interrupt is not None
-                    and self.num_conflicts % 128 == 0
-                    and interrupt()
-                ):
-                    self._cancel_until(0)
-                    raise SolverInterrupted
                 if self._decision_level() <= root_level:
                     # Conflict inside/below the assumption prefix: UNSAT.
                     self._cancel_until(0)
@@ -639,7 +536,7 @@ class Solver:
                 if conflict_count >= conflicts_until_restart:
                     conflict_count = 0
                     restart_index += 1
-                    conflicts_until_restart = self._restart_limit(
+                    conflicts_until_restart = _RESTART_BASE * luby(
                         restart_index
                     )
                     self._cancel_until(root_level)
@@ -666,19 +563,12 @@ class Solver:
                 self._cancel_until(0)
                 return True
             self.num_decisions += 1
-            if (
-                interrupt is not None
-                and self.num_decisions % 4096 == 0
-                and interrupt()
-            ):
-                self._cancel_until(0)
-                raise SolverInterrupted
             self._trail_lim.append(len(self._trail))
-            ilit = 2 * var + (0 if self._decide_phase(var) else 1)
+            ilit = 2 * var + (1 if self._polarity[var] == 0 else 0)
             self._enqueue(ilit, None)
 
     # ------------------------------------------------------------------
-    # Clause sharing (the portfolio's transport)
+    # Clause export and cross-run warm starts
     # ------------------------------------------------------------------
 
     def export_learned(self, max_length: int = 8) -> List[Tuple[int, ...]]:
@@ -723,6 +613,39 @@ class Solver:
             count += 1
         self.num_imported += count
         return count
+
+    def seed_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Hold an earlier run's :meth:`persistable_clauses` for import
+        at the first :meth:`solve`.
+
+        Seeding allocates no variables: the clauses refer to the base
+        encoding the caller is about to add, and encoders number new
+        variables from :attr:`num_vars` up, so allocating here would
+        shift that encoding past every seeded clause.
+        """
+        if self._base_vars is not None:
+            raise ValueError("seed clauses before the first solve")
+        self._seeded.extend(tuple(clause) for clause in clauses if clause)
+
+    def persistable_clauses(self) -> List[Tuple[int, ...]]:
+        """Seeded clauses plus :meth:`export_learned` (length <= 8) over
+        the variables that existed at the first :meth:`solve` only.
+
+        Those variables are the base encoding, for the SAT attack a
+        deterministic function of the netlist; every later variable (a
+        DIP constraint's auxiliaries) depends on this run's query
+        sequence and would alias an unrelated variable in another run.
+        Each kept clause is implied by the base encoding plus
+        constraints that hold for this run's oracle, so a later run that
+        builds the same base encoding against the same oracle may seed
+        it soundly.
+        """
+        base = self._num_vars if self._base_vars is None else self._base_vars
+        pool = dict.fromkeys(self._seeded + self.export_learned(8))
+        return [
+            clause for clause in pool
+            if all(abs(lit) <= base for lit in clause)
+        ]
 
     def model(self) -> Dict[int, bool]:
         """Variable -> truth value of the last satisfying assignment."""

@@ -82,6 +82,13 @@ y = NAND(a, b, c, d)
         with pytest.raises(NetlistError, match="cannot parse"):
             parse_bench("INPUT(a)\nwhat is this\n")
 
+    @pytest.mark.parametrize(
+        "line", ["y = NOT(a, a)", "y = DFF()", "y = MUX(a, b)"]
+    )
+    def test_wrong_operand_count_rejected(self, line):
+        with pytest.raises(NetlistError, match="operand"):
+            parse_bench(f"INPUT(a)\nINPUT(b)\nOUTPUT(y)\n{line}\n")
+
     def test_unsupported_function_rejected(self):
         with pytest.raises(NetlistError, match="unsupported"):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = MAJ(a, a, a)\n")

@@ -2,14 +2,16 @@
 
 Every property here runs the production :class:`~repro.sat.Solver`
 against exhaustive enumeration on random CNFs small enough to
-enumerate (<= 12 variables), across the portfolio's configuration
-space: a heuristic (restart policy, decay, polarity, decision noise)
-may change *how* the solver searches but never *what* it answers.
+enumerate (<= 12 variables).  The answer properties run the one default
+solver through six set-up paths (``CONFIGS``): a path may change *how*
+the solver searches — duplicate clauses, clause and watch order, spare
+decision variables, a seeded warm-start pool, state left by an earlier
+solve — but never *what* it answers.
 
-The certification half targets the clause-sharing contract the
-portfolio relies on: everything :meth:`Solver.export_learned` emits
-must be a logical consequence of the problem clauses alone — checked
-by enumeration — and importing exported clauses into another solver on
+The certification half targets the clause-export contract warm starts
+rely on: everything :meth:`Solver.export_learned` emits must be a
+logical consequence of the problem clauses alone — checked by
+enumeration — and importing exported clauses into another solver on
 the same (or a grown) formula must never change satisfiability.
 
 Example volume is governed by the ``tests/sat/conftest.py`` hypothesis
@@ -21,15 +23,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sat import Solver, SolverConfig
-from repro.sat.portfolio import default_portfolio
+from repro.sat import CNF, Solver
 
 MAX_VARS = 12
-
-#: The configuration spread under test: the serial default plus the
-#: first portfolio lap (restart/decay/polarity/noise variants).  Ids
-#: keep a failing config nameable in the CI log.
-CONFIGS = {f"config{i}": cfg for i, cfg in enumerate(default_portfolio(6))}
 
 
 def all_models(num_vars, clauses):
@@ -71,12 +67,66 @@ def random_cnf(draw, max_vars=MAX_VARS, max_clauses=40, max_width=4):
     return num_vars, clauses
 
 
-def build(clauses, config=None):
-    solver = Solver(config) if config is not None else Solver()
+def build(clauses, solver=None):
+    solver = Solver() if solver is None else solver
     ok = True
     for clause in clauses:
         ok = solver.add_clause(clause) and ok
     return solver, ok
+
+
+def build_redundant(clauses):
+    """Through ``add_cnf``, each clause twice, once with its literals
+    doubled: duplicates reach the clause database and the watches."""
+    cnf = CNF()
+    cnf.extend(clause + clause[::-1] for clause in clauses)
+    cnf.extend(clauses)
+    solver = Solver()
+    return solver, solver.add_cnf(cnf)
+
+
+def build_reversed(clauses):
+    """Clauses and their literals in reverse: other watches, other ties."""
+    return build([clause[::-1] for clause in reversed(clauses)])
+
+
+def build_with_spare_vars(clauses):
+    """Unconstrained variables past the formula's enter the decisions."""
+    solver = Solver()
+    for _ in range(MAX_VARS + 4):
+        solver.new_var()
+    return build(clauses, solver)
+
+
+def build_seeded(clauses):
+    """A warm start: seeded with a donor's pool on the same formula."""
+    donor, ok = build(clauses)
+    solver = Solver()
+    if ok:
+        donor.solve()
+        solver.seed_clauses(donor.persistable_clauses())
+    return build(clauses, solver)
+
+
+def build_half_solved(clauses):
+    """The first half solved before the rest arrives, as in a miter."""
+    cut = len(clauses) // 2
+    solver, ok = build(clauses[:cut])
+    if ok:
+        solver.solve()
+    solver, rest_ok = build(clauses[cut:], solver)
+    return solver, ok and rest_ok
+
+
+#: The set-up paths under test, all on the one default solver.  Ids
+#: keep a failing path nameable in the CI log.
+CONFIGS = {
+    f"config{i}": builder
+    for i, builder in enumerate([
+        build, build_redundant, build_reversed, build_with_spare_vars,
+        build_seeded, build_half_solved,
+    ])
+}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -84,7 +134,7 @@ def build(clauses, config=None):
 def test_every_config_agrees_with_brute_force(name, cnf):
     num_vars, clauses = cnf
     expected = brute_sat(num_vars, clauses)
-    solver, ok = build(clauses, CONFIGS[name])
+    solver, ok = CONFIGS[name](clauses)
     got = ok and solver.solve()
     assert got == (expected is not None)
     if got:
@@ -112,7 +162,7 @@ def test_assumptions_certified_by_enumeration(name, cnf, data):
     expected = brute_sat(
         num_vars, clauses + [[lit] for lit in assumptions]
     )
-    solver, ok = build(clauses, CONFIGS[name])
+    solver, ok = CONFIGS[name](clauses)
     got = ok and solver.solve(assumptions)
     assert got == (expected is not None)
     if got:
@@ -170,10 +220,10 @@ def test_exported_clauses_are_implied(cnf):
 def test_import_never_changes_satisfiability(cnf, data):
     """Injecting exports mid-growth never flips the answer.
 
-    Models the portfolio's actual clause flow: solve a prefix of the
-    formula, export learned clauses, import them into a fresh solver
-    that then receives the *rest* of the formula (the monotone-growth
-    pattern of the SAT attack's miter).  The grown formula's answer
+    Models a warm start's clause flow: solve a prefix of the formula,
+    export learned clauses, import them into a fresh solver that then
+    receives the *rest* of the formula (the monotone-growth pattern of
+    the SAT attack's miter).  The grown formula's answer
     must match brute force — imported clauses may only prune search,
     never models.
     """
@@ -204,7 +254,7 @@ def test_import_never_changes_satisfiability(cnf, data):
 def test_unsat_certified_under_every_config(name, cnf):
     """UNSAT answers are certified: enumeration finds no model."""
     num_vars, clauses = cnf
-    solver, ok = build(clauses, CONFIGS[name])
+    solver, ok = CONFIGS[name](clauses)
     got = ok and solver.solve()
     if not got:
         assert brute_sat(num_vars, clauses) is None

@@ -5,7 +5,9 @@ function (at most 6 inputs and 3 key inputs) are checked against
 independent references — the compiled evaluator and brute-force
 enumeration over inputs and key pairs:
 
-(a) the Tseitin encoding of one copy agrees with the evaluator;
+(a) the Tseitin encoding of one copy agrees with the evaluator, on
+    these circuits and on the combinational views of small
+    :func:`~repro.bench.generator.random_sequential_circuit` netlists;
 (b) a gate whose output is pre-bound is not encoded again, and a second
     copy sharing key-independent nets with the first still agrees with
     the evaluator under its own key;
@@ -23,8 +25,10 @@ import itertools
 from hypothesis import given, strategies as st
 
 from repro.attacks.sat_attack import KeyConeMiter
+from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.netlist import Builder
 from repro.netlist.compiled import compile_circuit
+from repro.netlist.transform import extract_combinational
 from repro.sat import CNF, CircuitEncoder, Solver
 from repro.sat.tseitin import encode_gate_function
 
@@ -78,6 +82,19 @@ def circuits(draw, min_keys=0):
     return b.circuit
 
 
+@st.composite
+def sequential_views(draw):
+    """The combinational view of a small random sequential netlist."""
+    return extract_combinational(random_sequential_circuit(GeneratorSpec(
+        name="seq",
+        num_inputs=draw(st.integers(1, 4)),
+        num_outputs=draw(st.integers(1, 3)),
+        num_flip_flops=draw(st.integers(1, 4)),
+        num_combinational=draw(st.integers(2, 30)),
+        seed=draw(st.integers(0, 2 ** 16)),
+    ))).circuit
+
+
 def lit(var, value):
     return var if value else -var
 
@@ -124,7 +141,7 @@ def gate_clause_count(compiled, index):
     return len(scratch.clauses)
 
 
-@given(circuit=circuits(), data=st.data())
+@given(circuit=st.one_of(circuits(), sequential_views()), data=st.data())
 def test_tseitin_agrees_with_evaluator(circuit, data):
     """(a) With inputs and keys fixed, the outputs are forced to the
     compiled evaluator's values."""

@@ -58,6 +58,15 @@ class TestBasics:
         assert s.add_clause([1, -1])
         assert s.solve()
 
+    def test_dropped_clause_still_allocates_its_variables(self):
+        s = Solver()
+        assert s.add_clause([1, -1, 2])  # tautology before 2 is read
+        s.add_clause([3])
+        assert s.add_clause([3, 4])  # satisfied at level 0 before 4
+        assert s.num_vars == 4
+        assert s.solve()
+        assert set(s.model()) == {1, 2, 3, 4}
+
     def test_duplicate_literals_collapsed(self):
         s = Solver()
         s.add_clause([1, 1, 2, 2])

@@ -57,6 +57,21 @@ class TestLockAndAttack:
         assert code == 0
         assert "functional accuracy    : 1.000" in out
 
+    def test_warm_cache_reattack_needs_no_dip(
+        self, bench_file, tmp_path, capsys
+    ):
+        locked_path = str(tmp_path / "locked.bench")
+        main(["lock", bench_file, "--scheme", "xor", "--key-bits", "2",
+              "-o", locked_path])
+        attack = ["attack", locked_path, bench_file,
+                  "--warm-cache", str(tmp_path / "cache")]
+        assert main(attack) == 0
+        assert "DIP iterations         : 0" not in capsys.readouterr().out
+        assert main(attack) == 0
+        out = capsys.readouterr().out
+        assert "DIP iterations         : 0" in out
+        assert "warm-start clauses     : 0" not in out
+
     def test_gk_lock_reports_overhead(self, capsys):
         assert main([
             "lock", "iwls:s1238", "--scheme", "gk", "--key-bits", "4",
