@@ -19,7 +19,7 @@ core) rides along as an uasserted secondary datapoint — its shallow,
 interface-heavy shape bounds the gain lower.
 
 A second benchmark measures the *multi-process* backend: the same
-concurrent-client workload against a 4-worker sharded server versus the
+concurrent-client workload against a 4-worker server versus the
 single-process threaded server.  Workers evaluate in parallel on
 separate cores, so on a multi-core machine the sharded fleet must
 sustain at least 3x the single-process throughput; on fewer cores than
@@ -45,18 +45,11 @@ import pytest
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.netlist import write_bench
 from repro.netlist.transform import extract_combinational
-from repro.serve import (
-    RemoteOracle,
-    ShardConfig,
-    ShardSupervisor,
-    ThreadedServer,
-    ThreadedShardServer,
-)
+from repro.serve import RemoteOracle, ThreadedServer, owner_index
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatchConfig
 from repro.serve.registry import circuit_content_id
 from repro.serve.server import OracleServer, ServerConfig, registration_view
-from repro.serve.shard import HashRing
 
 _DUMP = os.path.join(os.path.dirname(__file__), "BENCH_serve.json")
 
@@ -99,11 +92,9 @@ def _throughput(circuit, max_batch):
             }
             for _ in range(CLIENTS)
         ]
-        conn = server.connect_local()
-
         async def client(index, rounds):
             for _ in range(rounds):
-                response = await conn.request(requests[index])
+                response = await server.handle(requests[index])
                 assert response["ok"], response
 
         # Warm pass off the clock: compiled-IR caches, dict shapes.
@@ -170,12 +161,11 @@ def _bench_text(circuit):
 
 
 def _balanced_circuits(workers, per_worker):
-    """Deterministic deep circuits whose ring owners balance exactly
+    """Deterministic deep circuits whose owners balance exactly
     across *workers* — the workload saturates the whole fleet instead
-    of whichever workers random seeds happen to hash to.  The ring and
-    the generator are both seed-deterministic, so the scan always
-    selects the same circuits."""
-    ring = HashRing(workers)
+    of whichever workers random seeds happen to hash to.  Ownership and
+    the generator are both deterministic, so the scan always selects
+    the same circuits."""
     found = {w: [] for w in range(workers)}
     for seed in range(1, 400):
         spec = GeneratorSpec(
@@ -191,7 +181,7 @@ def _balanced_circuits(workers, per_worker):
         view, _ = registration_view(
             {"netlist": _bench_text(circuit), "name": circuit.name}
         )
-        owner = ring.owner(circuit_content_id(view))
+        owner = owner_index(circuit_content_id(view), workers)
         if len(found[owner]) < per_worker:
             found[owner].append(circuit)
         if all(len(group) >= per_worker for group in found.values()):
@@ -251,11 +241,11 @@ def test_sharded_vs_single_process_throughput(bench_record):
             batch=batch, admission=admission))) as address:
         single_pps = _socket_throughput(address, circuits)
 
-    supervisor = ShardSupervisor(ShardConfig(
+    server = OracleServer(config=ServerConfig(
         workers=SHARD_WORKERS, batch=batch, admission=admission))
-    with ThreadedShardServer(supervisor) as address:
+    with ThreadedServer(server) as address:
         sharded_pps = _socket_throughput(address, circuits)
-    assert supervisor.respawned_total == 0
+    assert server.supervisor.respawned_total == 0
 
     speedup = sharded_pps / single_pps
     cores = os.cpu_count() or 1
@@ -321,11 +311,9 @@ def _lane_throughput(circuit, lanes):
             }
             for _ in range(LANE_CLIENTS)
         ]
-        conn = server.connect_local()
-
         async def client(index, rounds):
             for _ in range(rounds):
-                response = await conn.request(requests[index])
+                response = await server.handle(requests[index])
                 assert response["ok"], response
 
         await asyncio.gather(*(client(i, 1) for i in range(LANE_CLIENTS)))

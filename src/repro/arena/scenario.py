@@ -23,10 +23,12 @@ choices instead of erroring one cell at a time mid-campaign.
 
 ``attack_params`` reaches each runner through
 :meth:`~repro.attacks.registry.AttackContext.param`; any knob a runner
-reads is addressable per attack.  Notably ``sat`` and ``appsat``
-accept ``{"warm_start": true}``: with a campaign cache, such cells seed
-their solver from the clause pool earlier runs on the same
-netlist+oracle persisted.  See ``examples/arena/warm_start.json``.
+reads (its registry entry's ``params``) is addressable per attack, and
+any other name is refused at load time rather than silently ignored.
+Notably ``sat`` and ``appsat`` accept ``{"warm_start": true}``: with a
+campaign cache, such cells seed their solver from the clause pool
+earlier runs on the same netlist+oracle persisted.  See
+``examples/arena/warm_start.json``.
 
 Expansion is the full cross product; cells the capability tags rule
 out — a GK-specific attack against a scheme that inserts no GKs, a key
@@ -149,7 +151,7 @@ class Scenario:
             if not data.get(axis):
                 raise ValueError(f"scenario needs a non-empty {axis!r} list")
 
-        from ..attacks.registry import attack_names
+        from ..attacks.registry import attack_info, attack_names
         from ..bench.iwls import BENCHMARKS
         from ..locking.registry import scheme_names
 
@@ -183,6 +185,14 @@ class Scenario:
             raise ValueError(
                 f"attack_params for attacks not in the scenario: {bad}"
             )
+        for name, knobs in raw_params.items():
+            accepted = attack_info(name).params
+            unknown = sorted(set(knobs) - set(accepted))
+            if unknown:
+                raise ValueError(
+                    f"attack_params for {name!r}: unknown {unknown}; "
+                    f"{name!r} reads {sorted(accepted)}"
+                )
         attack_params = tuple(
             (name, tuple(sorted(dict(raw_params[name]).items())))
             for name in sorted(raw_params)

@@ -106,6 +106,8 @@ class AttackInfo:
     runner: Callable[[AttackContext], "AttackOutcome"]
     description: str = ""
     tags: FrozenSet[str] = field(default_factory=frozenset)
+    #: the :meth:`AttackContext.param` names the runner reads
+    params: Tuple[str, ...] = ()
 
     def run(self, context: AttackContext) -> "AttackOutcome":
         return self.runner(context)
@@ -116,8 +118,13 @@ def register_attack(
     *,
     description: str = "",
     tags: Tuple[str, ...] = (),
+    params: Tuple[str, ...] = (),
 ):
-    """Function decorator adding one attack runner to the registry."""
+    """Function decorator adding one attack runner to the registry.
+
+    *params* names every :meth:`AttackContext.param` the runner reads;
+    a scenario setting any other knob is refused at load time.
+    """
 
     def decorator(runner):
         if name in _ATTACKS:
@@ -127,6 +134,7 @@ def register_attack(
             runner=runner,
             description=description,
             tags=frozenset(tags),
+            params=tuple(params),
         )
         return runner
 

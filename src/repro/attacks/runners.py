@@ -59,6 +59,7 @@ def _solver(context: AttackContext, attack: str, circuit, oracle):
     "sat",
     description="the SAT (DIP-loop) attack of Subramanyan et al.",
     tags=("oracle:io",),
+    params=("max_iterations", "warm_start"),
 )
 def _run_sat(context: AttackContext) -> AttackOutcome:
     from .sat_attack import sat_attack
@@ -96,6 +97,8 @@ def _run_sat(context: AttackContext) -> AttackOutcome:
     "appsat",
     description="AppSAT approximate deobfuscation (Shamsi et al.)",
     tags=("oracle:io", "approximate"),
+    params=("dips_per_round", "queries_per_round", "error_threshold",
+            "max_rounds", "warm_start"),
 )
 def _run_appsat(context: AttackContext) -> AttackOutcome:
     from .appsat import appsat_attack
@@ -138,6 +141,7 @@ def _run_appsat(context: AttackContext) -> AttackOutcome:
     "removal",
     description="signal-skew removal of point-function blocks",
     tags=("oracle-free",),
+    params=("samples",),
 )
 def _run_removal(context: AttackContext) -> AttackOutcome:
     from .removal import removal_attack
@@ -175,6 +179,7 @@ def _run_removal(context: AttackContext) -> AttackOutcome:
     "enhanced_removal",
     description="Sec. V-D structural GK removal + SAT on the rest",
     tags=("oracle:io", "gk-specific"),
+    params=("max_iterations", "verify_samples"),
 )
 def _run_enhanced_removal(context: AttackContext) -> AttackOutcome:
     from .enhanced_removal import enhanced_removal_attack
@@ -218,6 +223,7 @@ def _run_enhanced_removal(context: AttackContext) -> AttackOutcome:
     "tcf",
     description="timed SAT attack over two-vector tests (TCF encoding)",
     tags=("oracle:timing", "combinational-only"),
+    params=("sample_time", "dt", "max_iterations"),
 )
 def _run_tcf(context: AttackContext) -> AttackOutcome:
     from .tcf import SimulatedTwoVectorOracle, tcf_attack
@@ -263,6 +269,7 @@ def _run_tcf(context: AttackContext) -> AttackOutcome:
     "scan",
     description="launch-on-capture scan measurement of GK parities",
     tags=("oracle:timing", "gk-specific", "needs-clock"),
+    params=("trials", "cycles"),
 )
 def _run_scan(context: AttackContext) -> AttackOutcome:
     from .scan import scan_attack
@@ -313,6 +320,7 @@ def _run_scan(context: AttackContext) -> AttackOutcome:
     "sequential",
     description="T-frame unrolling SAT attack (no scan access)",
     tags=("oracle:sequence", "sequential-only"),
+    params=("frames", "max_iterations"),
 )
 def _run_sequential(context: AttackContext) -> AttackOutcome:
     from .unroll import sequential_sat_attack

@@ -73,7 +73,9 @@ class SatAttackResult:
     completed: bool  # the DIP loop terminated (UNSAT) within budget
     key: Optional[Dict[str, int]]  # a key consistent with all DIPs
     iterations: int  # number of DIPs found
-    unsat_at_first_iteration: bool  # the GK signature (Sec. VI)
+    #: the GK signature (Sec. VI): the cold miter is UNSAT at once;
+    #: never set for a warm-started solver
+    unsat_at_first_iteration: bool
     dips: List[Dict[str, int]] = field(default_factory=list)
     oracle_queries: int = 0
     solver_conflicts: int = 0
@@ -280,8 +282,12 @@ def sat_attack(
                 ))
                 _metrics.inc("attack.sat.iterations")
 
+        # The GK signature is a property of the cold miter: a solver
+        # seeded with an earlier run's clauses may already pin the key
+        # of any lock and so refute the first query for another reason.
         result.unsat_at_first_iteration = (
             result.completed and result.iterations == 0
+            and solver.num_imported == 0
         )
         result.solver_conflicts = solver.num_conflicts
         result.solver_decisions = solver.num_decisions

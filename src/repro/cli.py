@@ -502,7 +502,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_trace_buffer():
+def _fleet_trace_buffer() -> None:
     """Make sure the active session buffers span trees for the ``obs``
     op (``--fleet-trace``); enables a session when none is active."""
     from . import obs
@@ -515,7 +515,6 @@ def _fleet_trace_buffer():
         obs.enable(buffer)
     else:
         session.sinks.append(buffer)
-    return buffer
 
 
 def _write_metrics_file(path: str, text: str) -> None:
@@ -572,6 +571,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         OracleServer,
         ServerConfig,
     )
+    from .serve.client import register_request
 
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
@@ -582,55 +582,73 @@ def cmd_serve(args: argparse.Namespace) -> int:
             check_lanes(args.lanes)
         except ValueError as exc:
             raise SystemExit(f"--lanes: {exc}")
-    batch = BatchConfig(
-        max_batch=args.max_batch,
-        window_s=args.window_ms / 1000.0,
-    )
-    admission = AdmissionConfig(max_pending=args.max_pending)
-    circuits = [(_load(path), path) for path in args.netlists]
+    # The same request RemoteOracle sends, so the printed ID is the one
+    # a client registering the same file gets; a locked netlist is
+    # refused before any worker is forked.
+    registrations = []
+    for path in args.netlists:
+        circuit = _load(path)
+        if circuit.key_inputs:
+            raise SystemExit(
+                f"{circuit.name}: refusing to serve a locked netlist — an "
+                f"oracle wraps the original (keyless) design"
+            )
+        registrations.append((register_request(circuit, args.budget), path))
 
-    if args.workers > 1:
-        return _serve_sharded(args, batch, admission, circuits)
-
-    config = ServerConfig(
+    server = OracleServer(config=ServerConfig(
         host=args.host,
         port=args.port,
-        batch=batch,
-        admission=admission,
+        batch=BatchConfig(
+            max_batch=args.max_batch,
+            window_s=args.window_ms / 1000.0,
+        ),
+        admission=AdmissionConfig(max_pending=args.max_pending),
         default_budget=args.budget,
         lanes=args.lanes,
         trace=args.fleet_trace,
         slow_log_path=args.slow_log,
         slow_request_s=args.slow_threshold_ms / 1000.0,
-    )
+        workers=args.workers,
+    ))
     if args.fleet_trace:
         _fleet_trace_buffer()
-    server = OracleServer(config=config)
+    supervisor = server.supervisor
 
     async def run() -> None:
-        for circuit, path in circuits:
-            entry = server.registry.register(
-                _oracle_view(circuit), budget=args.budget
-            )
-            _emit(f"{entry.circuit_id}  {path} "
-                  f"({len(entry.compiled.inputs)} in, "
-                  f"{len(entry.compiled.outputs)} out)", result=True)
-        host, port = await server.start()
-        _emit(f"serving {len(circuits)} circuit(s) on {host}:{port} "
-              f"({server.registry.lane_width()} lanes, "
-              f"batch<= {server.batcher.max_batch}, "
-              f"window {args.window_ms}ms)",
-              result=True)
         dumper = None
-        if args.metrics_file:
-            dumper = _install_obs_dumper(
-                args.metrics_file, args.metrics_interval, server.handle)
         try:
+            host, port = await server.start()
+            # Register through the server itself, so with workers each
+            # netlist lands on (and is restored to) the worker owning it.
+            for request, path in registrations:
+                response = await server.handle(request)
+                if not response.get("ok"):
+                    raise SystemExit(f"{path}: {response.get('error')}")
+                shape = (f"{len(response['inputs'])} in, "
+                         f"{len(response['outputs'])} out")
+                if supervisor is not None:
+                    owner = supervisor.owner_index(response["circuit"])
+                    shape = f"worker {owner}, {shape}"
+                _emit(f"{response['circuit']}  {path} ({shape})",
+                      result=True)
+            fleet = (f"{args.workers} workers, "
+                     if supervisor is not None else "")
+            _emit(f"serving {len(registrations)} circuit(s) on "
+                  f"{host}:{port} ({fleet}"
+                  f"{server.registry.lane_width()} lanes, "
+                  f"batch<= {server.batcher.max_batch}, "
+                  f"window {args.window_ms}ms)",
+                  result=True)
+            if args.metrics_file:
+                dumper = _install_obs_dumper(
+                    args.metrics_file, args.metrics_interval, server.handle)
             if args.serve_seconds is not None:
                 await asyncio.sleep(args.serve_seconds)
             else:
                 await server.serve_forever()
         finally:
+            # The drain covers registration failures too: workers are
+            # real child processes and must not outlive a SystemExit.
             if dumper is not None:
                 dumper.cancel()
             await server.drain()
@@ -639,117 +657,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 from .obs.export import render_exposition
                 _write_metrics_file(args.metrics_file,
                                     render_exposition(response))
-            stats = server.batcher.stats()
-            _emit(f"drained: {stats['batches']} batches, "
-                  f"{stats['lanes_total']} queries, occupancy mean "
-                  f"{stats['occupancy_mean']}", err=True)
+            if supervisor is not None:
+                _emit(f"drained: {server.requests} requests, "
+                      f"{supervisor.respawned_total} respawns", err=True)
+            else:
+                stats = server.batcher.stats()
+                _emit(f"drained: {stats['batches']} batches, "
+                      f"{stats['lanes_total']} queries, occupancy mean "
+                      f"{stats['occupancy_mean']}", err=True)
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
         _emit("interrupted; drained", err=True)
     return 0
-
-
-def _serve_sharded(args: argparse.Namespace, batch, admission,
-                   circuits) -> int:
-    """``repro serve --workers N``: the multi-process backend."""
-    import asyncio
-    import io
-
-    from .netlist.bench_io import write_bench
-    from .serve import ShardConfig, ShardSupervisor
-
-    def _bench_text(circuit) -> str:
-        stream = io.StringIO()
-        write_bench(circuit, stream)
-        return stream.getvalue()
-
-    supervisor = ShardSupervisor(ShardConfig(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        batch=batch,
-        admission=admission,
-        default_budget=args.budget,
-        lanes=args.lanes,
-        trace=args.fleet_trace,
-        slow_log_path=args.slow_log,
-        slow_request_s=args.slow_threshold_ms / 1000.0,
-    ))
-    if args.fleet_trace:
-        # The supervisor's own routing spans ship through this buffer
-        # alongside the worker trees its polling loop collects.
-        supervisor.span_buffer = _fleet_trace_buffer()
-
-    async def run() -> None:
-        host, port = await supervisor.start()
-        try:
-            # Register through the supervisor itself, so each netlist
-            # lands on (and is restored to) the worker the ring assigns.
-            for circuit, path in circuits:
-                request = {
-                    "op": "register",
-                    "netlist": _bench_text(_oracle_view(circuit)),
-                    "name": circuit.name,
-                }
-                if args.budget is not None:
-                    request["budget"] = args.budget
-                response = await supervisor.handle(request)
-                if not response.get("ok"):
-                    raise SystemExit(f"{path}: {response.get('error')}")
-                owner = supervisor.owner_index(response["circuit"])
-                _emit(f"{response['circuit']}  {path} "
-                      f"(worker {owner})", result=True)
-            # Workers resolve max_batch=None against their own registry
-            # width; mirror that resolution for the banner.
-            from .netlist.compiled import default_lanes
-            lanes = args.lanes if args.lanes is not None else default_lanes()
-            batch_width = (batch.max_batch if batch.max_batch is not None
-                           else lanes)
-            _emit(f"serving {len(circuits)} circuit(s) on {host}:{port} "
-                  f"({args.workers} workers, {lanes} lanes, "
-                  f"batch<= {batch_width}, "
-                  f"window {args.window_ms}ms)", result=True)
-            dumper = None
-            if args.metrics_file:
-                dumper = _install_obs_dumper(
-                    args.metrics_file, args.metrics_interval,
-                    supervisor.handle)
-            try:
-                if args.serve_seconds is not None:
-                    await asyncio.sleep(args.serve_seconds)
-                else:
-                    await supervisor.serve_forever()
-            finally:
-                if dumper is not None:
-                    dumper.cancel()
-        finally:
-            # The drain covers registration failures too: workers are
-            # real child processes and must not outlive a SystemExit.
-            await supervisor.drain()
-            _emit(f"drained: {supervisor.requests} requests, "
-                  f"{supervisor.respawned_total} respawns", err=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        _emit("interrupted; drained", err=True)
-    return 0
-
-
-def _oracle_view(circuit: Circuit):
-    """Same normalization the server applies to registered netlists."""
-    from .netlist.transform import extract_combinational
-
-    if circuit.key_inputs:
-        raise SystemExit(
-            f"{circuit.name}: refusing to serve a locked netlist — an "
-            f"oracle wraps the original (keyless) design"
-        )
-    if circuit.flip_flops():
-        return extract_combinational(circuit).circuit
-    return circuit
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -899,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lanes", type=int, default=None, metavar="N",
                    help="bit-parallel lane width circuits are compiled "
                         "at — any positive multiple of 64 (default: "
-                        "REPRO_LANES or 64); sharded workers inherit it")
+                        "REPRO_LANES or 64); every worker inherits it")
     p.add_argument("--max-batch", type=int, default=None, metavar="N",
                    help="lanes per batch flush; 1 disables coalescing "
                         "(default: match --lanes)")
@@ -908,9 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending", type=int, default=1024, metavar="N",
                    help="admission bound on queued patterns")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker processes; >1 shards circuits across a "
-                        "supervised fleet by consistent hash (each "
-                        "circuit owned by exactly one worker)")
+                   help="worker processes; >1 forks a supervised "
+                        "fleet, each circuit owned by exactly one worker "
+                        "(content ID modulo N)")
     p.add_argument("--budget", type=int, metavar="N",
                    help="per-circuit query budget (refuse queries beyond)")
     p.add_argument("--serve-seconds", type=float, metavar="SEC",
@@ -944,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     p.add_argument("address", metavar="HOST:PORT",
-                   help="a `repro serve` endpoint (single or sharded)")
+                   help="a `repro serve` endpoint (any --workers)")
     p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                    help="seconds between refreshes")
     p.add_argument("--once", action="store_true",

@@ -17,12 +17,12 @@ length-prefixed JSON protocol, with:
 * a synchronous :class:`RemoteOracle` client that drops in wherever a
   :class:`~repro.attacks.oracle.CombinationalOracle` goes
   (:mod:`repro.serve.client`);
-* a **sharded backend** — :class:`ShardSupervisor` routes each request
-  to the one worker *process* that owns the circuit (consistent hash
-  of its content ID), with liveness heartbeats, bounded per-worker
-  in-flight ledgers, crash respawn with registration replay and
-  transparent retry, and graceful drain (:mod:`repro.serve.shard`,
-  :mod:`repro.serve.supervisor`, :mod:`repro.serve.worker`).
+* one server, :class:`OracleServer`, for one worker or N: with
+  ``ServerConfig(workers=N)`` it forks N single-worker servers and
+  routes each circuit to the one that owns it (its content ID modulo
+  N), with liveness heartbeats, bounded per-worker in-flight ledgers,
+  crash respawn with registration replay and transparent retry, and
+  graceful drain (:mod:`repro.serve.supervisor`).
 
 Quick taste::
 
@@ -58,15 +58,12 @@ from .registry import (
     default_registry,
 )
 from .server import (
-    LocalConnection,
     OracleServer,
     ServerConfig,
     ThreadedServer,
     registration_view,
 )
-from .shard import HashRing, ShardConfig
-from .supervisor import ShardSupervisor, ThreadedShardServer, WorkerHandle
-from .worker import spawn_worker, worker_main
+from .supervisor import Supervisor, WorkerHandle, owner_index
 
 __all__ = [
     "AdmissionConfig", "AdmissionController",
@@ -78,9 +75,6 @@ __all__ = [
     "QueryBudgetExceededError", "WorkerCrashedError",
     "CircuitRegistry", "RegisteredCircuit", "circuit_content_id",
     "default_registry",
-    "OracleServer", "ServerConfig", "LocalConnection", "ThreadedServer",
-    "registration_view",
-    "HashRing", "ShardConfig",
-    "ShardSupervisor", "ThreadedShardServer", "WorkerHandle",
-    "spawn_worker", "worker_main",
+    "OracleServer", "ServerConfig", "ThreadedServer", "registration_view",
+    "Supervisor", "WorkerHandle", "owner_index",
 ]

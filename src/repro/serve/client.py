@@ -42,9 +42,34 @@ from .protocol import (
 )
 
 __all__ = ["ServeConnection", "RemoteOracle", "parse_address",
-           "adopt_remote_trace"]
+           "adopt_remote_trace", "register_request"]
 
 Address = Union[str, Tuple[str, int]]
+
+
+def register_request(circuit: Circuit,
+                     budget: Optional[int] = None) -> Dict[str, Any]:
+    """The ``register`` request hosting *circuit*'s oracle view.
+
+    The combinational core is extracted client-side — the same
+    normalization :class:`~repro.attacks.oracle.CombinationalOracle`
+    applies.  Serializing the sequential shell instead would let the
+    server's re-parse regenerate FF gate names and reorder the
+    pseudo-PO list, breaking the positional output mapping the SAT
+    attack builds against its own extraction of the locked netlist.
+    Every caller building the request here gets the same content ID
+    for the same netlist.
+    """
+    if circuit.flip_flops():
+        circuit = extract_combinational(circuit).circuit
+    text = io.StringIO()
+    write_bench(circuit, text)
+    return {
+        "op": "register",
+        "netlist": text.getvalue(),
+        "name": circuit.name,
+        "budget": budget,
+    }
 
 
 def parse_address(address: Address) -> Tuple[str, int]:
@@ -158,23 +183,7 @@ class RemoteOracle:
         self.connection = ServeConnection(address, timeout_s)
         self.deadline_ms = deadline_ms
         if circuit is not None:
-            # Register the *oracle view* (combinational core), extracted
-            # client-side — the same normalization CombinationalOracle
-            # applies.  Serializing the sequential shell instead would
-            # let the server's re-parse regenerate FF gate names and
-            # reorder the pseudo-PO list, breaking the positional
-            # output mapping the SAT attack builds against its own
-            # extraction of the locked netlist.
-            if circuit.flip_flops():
-                circuit = extract_combinational(circuit).circuit
-            text = io.StringIO()
-            write_bench(circuit, text)
-            info = self.connection.request({
-                "op": "register",
-                "netlist": text.getvalue(),
-                "name": circuit.name,
-                "budget": budget,
-            })
+            info = self.connection.request(register_request(circuit, budget))
         else:
             info = self.connection.request(
                 {"op": "describe", "circuit": circuit_id}

@@ -156,17 +156,6 @@ def error_from_payload(payload: Dict[str, Any]) -> ServeError:
 # Framing
 # ----------------------------------------------------------------------
 
-def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """Length-prefixed JSON encoding of one message."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return _LEN.pack(len(body)) + body
-
-
 def encode_raw_frame(body: bytes) -> bytes:
     """Length-prefix pre-encoded *body* bytes (supervisor passthrough)."""
     if len(body) > MAX_FRAME_BYTES:
@@ -175,6 +164,12 @@ def encode_raw_frame(body: bytes) -> bytes:
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LEN.pack(len(body)) + body
+
+
+def encode_frame(obj: Dict[str, Any]) -> bytes:
+    """Length-prefixed JSON encoding of one message."""
+    return encode_raw_frame(
+        json.dumps(obj, separators=(",", ":")).encode("utf-8"))
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
@@ -188,9 +183,6 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     return obj
 
 
-_decode_body = decode_body  # the historical (private) name
-
-
 def _check_length(length: int) -> None:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -202,9 +194,9 @@ def _check_length(length: int) -> None:
 async def read_raw_frame_async(reader) -> Optional[bytes]:
     """Next frame's *body bytes* from an asyncio stream; None on clean EOF.
 
-    The shard supervisor's hot path: it needs the frame boundary (to
-    match a worker response to its queued request) but not the JSON
-    inside, so responses pass through supervisor -> client without a
+    The multi-worker front end's hot path: it needs the frame boundary
+    (to match a worker response to its queued request) but not the JSON
+    inside, so responses pass through front end -> client without a
     decode/re-encode round trip.
     """
     try:
@@ -235,12 +227,7 @@ async def write_frame_async(writer, obj: Dict[str, Any]) -> None:
 
 async def write_raw_frame_async(writer, body: bytes) -> None:
     """Frame pre-encoded *body* bytes (the supervisor's passthrough)."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    writer.write(_LEN.pack(len(body)) + body)
+    writer.write(encode_raw_frame(body))
     await writer.drain()
 
 
@@ -271,4 +258,4 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     body = _recv_exactly(sock, length)
     if body is None:
         raise ProtocolError("connection closed mid-frame")
-    return _decode_body(body)
+    return decode_body(body)

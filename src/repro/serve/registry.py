@@ -232,7 +232,7 @@ class CircuitRegistry:
     def ratchet_query_count(self, circuit_id: str, floor: int) -> int:
         """Raise the circuit's cumulative count to at least *floor*.
 
-        The shard supervisor's crash-restore hook: a respawned worker
+        The worker supervisor's crash-restore hook: a respawned worker
         starts with an empty ledger, so the supervisor replays the
         count it observed before the crash.  Ratcheting (never
         lowering) keeps the call idempotent and means a stale restore

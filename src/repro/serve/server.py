@@ -9,10 +9,14 @@ Layering, from the wire inward:
   clients;
 * a transport-independent dispatcher (:meth:`OracleServer.handle`)
   mapping ``op`` fields onto the registry / batcher / admission
-  trio and typed errors onto failure payloads.  The **in-process
-  transport** (:meth:`OracleServer.connect_local`) calls it directly —
-  the full serving semantics minus sockets, which is what the batcher
-  tests and the batching benchmark drive;
+  trio and typed errors onto failure payloads.  In-process callers
+  (the batcher tests, the batching benchmark, ``repro serve``'s own
+  registrations) await it directly — the full serving semantics minus
+  sockets;
+* with ``ServerConfig.workers`` > 1, ``register``/``describe``/
+  ``query`` go instead to the owning one of N forked single-worker
+  servers (:class:`~repro.serve.supervisor.Supervisor`); the listener,
+  the request envelope and the drain stay here;
 * :class:`ThreadedServer`, a small harness running the server on a
   dedicated event-loop thread so blocking clients (the synchronous
   :class:`~repro.serve.client.RemoteOracle`, a pytest process, the SAT
@@ -20,8 +24,8 @@ Layering, from the wire inward:
 
 Ops: ``ping``, ``register`` (host a ``.bench`` netlist, normalized to
 its combinational oracle view), ``describe``, ``query`` (the batched
-hot path), ``stats``.  Shutdown is a drain: admission stops accepting,
-in-flight batches flush and complete, then the listener closes.
+hot path), ``stats``, ``obs``.  Shutdown is a drain: admission stops
+accepting, in-flight work completes, then the listener closes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..netlist.bench_io import parse_bench
 from ..netlist.transform import extract_combinational
@@ -45,14 +49,22 @@ from .batcher import BatchConfig, DynamicBatcher
 from .protocol import (
     ProtocolError,
     ServeError,
+    decode_body,
     error_to_payload,
-    read_frame_async,
+    read_raw_frame_async,
     write_frame_async,
+    write_raw_frame_async,
 )
 from .registry import CircuitRegistry
 
-__all__ = ["ServerConfig", "OracleServer", "LocalConnection",
-           "ThreadedServer", "registration_view"]
+__all__ = ["ServerConfig", "OracleServer", "ThreadedServer",
+           "registration_view"]
+
+#: requests one connection may have in flight before reads pause.
+#: Pipelining lets a single connection (the front end multiplexing
+#: every client into one worker) keep enough queries in flight to fill
+#: lane-wide batches; responses still go out in request order.
+PIPELINE_DEPTH = 1024
 
 
 @dataclass(frozen=True)
@@ -62,19 +74,18 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is in ``address``
     batch: BatchConfig = field(default_factory=BatchConfig)
+    #: admission policy; with ``workers`` > 1 every worker applies it,
+    #: and ``max_pending`` also bounds the lanes the front end keeps in
+    #: flight to any one worker
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: budget applied to circuits registered without one (None = unlimited)
     default_budget: Optional[int] = None
-    #: requests one connection may have in flight before reads pause.
-    #: Pipelining lets a single connection (the shard supervisor
-    #: multiplexing many clients) keep enough queries in flight to fill
-    #: lane-wide batches; responses still go out in request order.
-    pipeline_depth: int = 1024
-    #: enable observability inside the serving process: spans buffer in
+    #: enable observability inside each forked worker: spans buffer in
     #: a :class:`~repro.obs.sinks.SpanBuffer` that the ``obs`` wire op
-    #: drains (how worker traces reach the supervisor and clients)
+    #: drains (how worker traces reach the front end and clients)
     trace: bool = False
-    #: JSONL slow-request log path (None disables the log)
+    #: JSONL slow-request log path (None disables the log); forked
+    #: workers append to ``<path>.w<index>`` (no interleaved writes)
     slow_log_path: Optional[str] = None
     #: answered requests at or above this duration are logged as slow
     #: (rejections and errors are always logged)
@@ -85,6 +96,13 @@ class ServerConfig:
     #: or 64.  Only used when the server builds its own registry; a
     #: registry passed in keeps its own width.
     lanes: Optional[int] = None
+    #: serving processes: 1 answers every op in this process; N > 1
+    #: forks N single-worker servers, each circuit owned by exactly one
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("a server needs at least one worker")
 
 
 def registration_view(
@@ -95,10 +113,10 @@ def registration_view(
 
     The *oracle view* the server hosts: the netlist parsed, refused if
     locked, and normalized to its combinational core.  Shared between
-    :class:`OracleServer` (which registers the result) and the shard
-    supervisor (which runs the identical pipeline on the identical text
-    purely to learn the circuit's content ID for routing — ``.bench``
-    serialization is not a re-parse fixed point, so the supervisor must
+    the server that registers the result and a multi-worker front end
+    (which runs the identical pipeline on the identical text purely to
+    learn the circuit's content ID for routing — ``.bench``
+    serialization is not a re-parse fixed point, so the front end must
     hash what the worker will hash, not a re-serialization of it).
     """
     netlist = request.get("netlist")
@@ -163,9 +181,8 @@ class OracleServer:
             self.registry, self.admission, self.config.batch,
             slow_log=slow_log,
         )
-        #: single-entry fleet view of this process, so the ``obs`` op
-        #: answers the same shape whether it hits a worker, a lone
-        #: server, or the shard supervisor
+        #: the fleet view the ``obs`` op answers with: this process as
+        #: worker "0", or one entry per forked worker
         self.fleet = FleetAggregator()
         from ..obs.metrics import DEFAULT_TIME_BUCKETS, Histogram
 
@@ -178,14 +195,31 @@ class OracleServer:
         self._started_at = time.time()
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
+        #: the worker fleet when ``config.workers`` > 1, else None
+        self.supervisor = None
+        if self.config.workers > 1:
+            from .supervisor import Supervisor
+
+            self.supervisor = Supervisor(self)
 
     # ------------------------------------------------------------------
-    # Dispatch (shared by TCP and the in-process transport)
+    # Dispatch (shared by TCP and in-process callers)
     # ------------------------------------------------------------------
 
     async def handle(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Answer one request object; never raises — errors are payloads.
+        """Answer one request object; never raises — errors are payloads."""
+        response = await self._respond(request)
+        if isinstance(response, bytes):
+            return decode_body(response)
+        return response
 
+    async def _respond(
+        self, request: Mapping[str, Any], body: Optional[bytes] = None,
+    ) -> Union[bytes, Dict[str, Any]]:
+        """:meth:`handle`, but a forwarded answer stays raw worker bytes.
+
+        *body* is the request's wire encoding when it came off a
+        socket, so a multi-worker front end can forward it verbatim.
         With observability enabled, the request span is re-parented
         under the client's trace context (the optional ``ctx`` frame
         field) so worker-side trees stitch under the submitting span
@@ -198,22 +232,16 @@ class OracleServer:
         ctx = (context_from_request(request)
                if _obs.ACTIVE is not None else None)
         error_code: Optional[str] = None
+        supervisor = self.supervisor
         try:
-            with remote_span("serve.request", ctx, op=str(op)):
-                if op == "ping":
-                    response: Dict[str, Any] = {"ok": True, "pong": True}
-                elif op == "register":
-                    response = self._op_register(request)
-                elif op == "describe":
-                    response = self._op_describe(request)
-                elif op == "query":
-                    response = await self._op_query(request)
-                elif op == "stats":
-                    response = self._op_stats()
-                elif op == "obs":
-                    response = self._op_obs(request)
-                else:
-                    raise ProtocolError(f"unknown op {op!r}")
+            if supervisor is None:
+                with remote_span("serve.request", ctx, op=str(op)):
+                    response = await self._answer(request, op)
+            else:
+                with remote_span("serve.shard.route", ctx,
+                                 op=str(op)) as span:
+                    response = await supervisor.route(request, body, op,
+                                                      span)
         except ServeError as exc:
             self.errors += 1
             error_code = exc.code
@@ -226,21 +254,43 @@ class OracleServer:
         took = time.perf_counter() - t0
         self.latency.observe(took)
         _metrics.observe("serve.request.seconds", took)
-        if self.slow_log is not None and \
-                self.slow_log.should_log(took, error_code):
-            circuit = request.get("circuit")
-            self.slow_log.request(
-                str(op), took, error_code,
-                circuit=circuit[:16] if isinstance(circuit, str) else None,
-            )
+        if self.slow_log is not None:
+            # Worker bytes pass through unparsed; the compact
+            # serialization's fixed prefix is enough to classify.
+            if isinstance(response, bytes) and \
+                    response.startswith(b'{"ok":false'):
+                error_code = "worker-error"
+            if self.slow_log.should_log(took, error_code):
+                circuit = request.get("circuit")
+                self.slow_log.request(
+                    str(op), took, error_code,
+                    circuit=circuit[:16] if isinstance(circuit, str) else None,
+                )
         return response
+
+    async def _answer(self, request: Mapping[str, Any],
+                      op: Any) -> Dict[str, Any]:
+        """Every op, answered by this process's own serving stack."""
+        if op == "ping":
+            return {"ok": True, "pong": True}
+        if op == "register":
+            return self._op_register(request)
+        if op == "describe":
+            return self._op_describe(request)
+        if op == "query":
+            return await self._op_query(request)
+        if op == "stats":
+            return self._op_stats()
+        if op == "obs":
+            return self._op_obs(request)
+        raise ProtocolError(f"unknown op {op!r}")
 
     def _op_register(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         circuit, budget = registration_view(
             request, self.config.default_budget
         )
         entry = self.registry.register(circuit, budget=budget)
-        # Crash-restore hook (shard supervision): replaying a
+        # Crash-restore hook (worker supervision): replaying a
         # registration may carry the cumulative query count observed
         # before the worker died.  Ratchet-only, so it can never refund
         # spent budget.
@@ -298,7 +348,8 @@ class OracleServer:
             "query_count": self.registry.query_count(circuit_id),
         }
 
-    def _op_stats(self) -> Dict[str, Any]:
+    def front_stats(self) -> Dict[str, Any]:
+        """The request envelope's counters, whatever answers the ops."""
         return {
             "ok": True,
             "uptime_s": round(time.time() - self._started_at, 3),
@@ -308,25 +359,31 @@ class OracleServer:
                 "open": self._open_connections,
                 "total": self.connections_total,
             },
-            "latency": {
+        }
+
+    def _op_stats(self) -> Dict[str, Any]:
+        stats = self.front_stats()
+        stats.update(
+            latency={
                 "count": self.latency.count,
                 "mean_s": self.latency.mean,
                 "p50_s": self.latency.quantile(0.5),
                 "p99_s": self.latency.quantile(0.99),
                 "max_s": self.latency.max,
             },
-            "registry": self.registry.stats(),
-            "batcher": self.batcher.stats(),
-            "admission": self.admission.stats(),
-        }
+            registry=self.registry.stats(),
+            batcher=self.batcher.stats(),
+            admission=self.admission.stats(),
+        )
+        return stats
 
     def _op_obs(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         """This process's aggregated observability snapshot.
 
         Everything is *cumulative* — stats counters, the full
         request-latency histogram, the metrics-registry dump — so the
-        op is safe to poll at any rate (the supervisor samples workers
-        with it every ``obs_interval_s``).  ``"spans": true``
+        op is safe to poll at any rate (a multi-worker front end
+        samples its workers with it every second).  ``"spans": true``
         additionally drains the buffered span trees; that part is
         destructive by design — each tree ships exactly once.
         """
@@ -343,11 +400,12 @@ class OracleServer:
             "fleet": self.fleet.snapshot(),
         }
         if request.get("spans"):
-            response["spans"] = self._drain_spans()
+            response["spans"] = self.drain_spans()
         return response
 
     @staticmethod
-    def _drain_spans() -> List[dict]:
+    def drain_spans() -> List[dict]:
+        """Every span tree the active session's buffers hold (once)."""
         session = _obs.ACTIVE
         if session is None:
             return []
@@ -358,21 +416,16 @@ class OracleServer:
         return trees
 
     # ------------------------------------------------------------------
-    # In-process transport
-    # ------------------------------------------------------------------
-
-    def connect_local(self) -> "LocalConnection":
-        """A transport that dispatches straight into :meth:`handle`."""
-        return LocalConnection(self)
-
-    # ------------------------------------------------------------------
     # TCP front-end
     # ------------------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        """Bind and listen; returns the bound ``(host, port)``."""
+        """Start the worker fleet (if any), bind and listen; returns
+        the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("server already started")
+        if self.supervisor is not None:
+            await self.supervisor.start()
         self._server = await asyncio.start_server(
             self._on_client, self.config.host, self.config.port
         )
@@ -385,9 +438,9 @@ class OracleServer:
         """One connection: pipelined requests, responses in order.
 
         Requests are dispatched as soon as they are read — up to
-        ``pipeline_depth`` in flight — instead of read-handle-write
+        ``PIPELINE_DEPTH`` in flight — instead of read-handle-write
         lockstep.  A single connection can therefore keep many queries
-        pending at once, which is what lets the shard supervisor
+        pending at once, which is what lets a multi-worker front end
         multiplex every client over one data connection per worker
         without destroying cross-client batching.  A writer coroutine
         sends responses strictly in request order, preserving the
@@ -397,11 +450,18 @@ class OracleServer:
         self._open_connections += 1
         _metrics.inc("serve.connections", 1)
         responses: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
-        depth = asyncio.Semaphore(max(1, self.config.pipeline_depth))
+        depth = asyncio.Semaphore(PIPELINE_DEPTH)
+        # Only a multi-worker front end forwards a request's wire bytes.
+        # A single worker drops them once decoded: holding the ~20 KB of
+        # a 64-pattern query makes glibc grow and trim the event-loop
+        # thread's heap on every request (about six page faults each).
+        keep_body = self.supervisor is not None
 
-        async def _dispatch(request: Mapping[str, Any]) -> Dict[str, Any]:
+        async def _dispatch(
+            request: Mapping[str, Any], body: Optional[bytes],
+        ) -> Union[bytes, Dict[str, Any]]:
             try:
-                return await self.handle(request)
+                return await self._respond(request, body)
             finally:
                 depth.release()
 
@@ -410,25 +470,32 @@ class OracleServer:
                 task = await responses.get()
                 if task is None:
                     return
-                await write_frame_async(writer, await task)
+                response = await task
+                if isinstance(response, bytes):
+                    await write_raw_frame_async(writer, response)
+                else:
+                    await write_frame_async(writer, response)
 
         pump = asyncio.get_running_loop().create_task(_pump())
         try:
             while True:
                 try:
-                    request = await read_frame_async(reader)
+                    body = await read_raw_frame_async(reader)
+                    if body is None:
+                        break
+                    request = decode_body(body)
+                    if not keep_body:
+                        body = None
                 except ProtocolError as exc:
                     # Framing is out of sync: answer once, then hang up.
                     await write_frame_async(
                         writer, {"ok": False, "error": error_to_payload(exc)}
                     )
                     break
-                if request is None:
-                    break
                 await depth.acquire()
                 responses.put_nowait(
                     asyncio.get_running_loop().create_task(
-                        _dispatch(request)
+                        _dispatch(request, body)
                     )
                 )
             responses.put_nowait(None)
@@ -454,13 +521,17 @@ class OracleServer:
                 pass
 
     async def drain(self, timeout_s: float = 5.0) -> bool:
-        """Graceful shutdown: refuse new work, finish in-flight batches.
+        """Graceful shutdown: refuse new work, finish in-flight work.
 
-        Returns the batcher's drain verdict (False only if in-flight
-        work failed to complete within *timeout_s*).
+        With workers, the fleet is stopped once every worker's
+        in-flight ledger has emptied.  Returns False only if in-flight
+        work failed to complete within *timeout_s*.
         """
         self.admission.begin_drain()
-        settled = await self.batcher.drain(timeout_s)
+        if self.supervisor is not None:
+            settled = await self.supervisor.drain(timeout_s)
+        else:
+            settled = await self.batcher.drain(timeout_s)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -477,16 +548,6 @@ class OracleServer:
             pass
 
 
-class LocalConnection:
-    """In-process transport: the protocol semantics without sockets."""
-
-    def __init__(self, server: OracleServer) -> None:
-        self.server = server
-
-    async def request(self, obj: Mapping[str, Any]) -> Dict[str, Any]:
-        return await self.server.handle(obj)
-
-
 class ThreadedServer:
     """An :class:`OracleServer` on its own event-loop thread.
 
@@ -497,8 +558,8 @@ class ThreadedServer:
         with ThreadedServer(OracleServer()) as (host, port):
             oracle = RemoteOracle((host, port), circuit=original)
 
-    Exiting the context drains the server (in-flight batches complete)
-    and joins the thread.
+    Exiting the context drains the server (in-flight work completes,
+    forked workers are stopped) and joins the thread.
     """
 
     def __init__(self, server: Optional[OracleServer] = None) -> None:
@@ -509,7 +570,7 @@ class ThreadedServer:
         self._stop: Optional[asyncio.Event] = None
         self._startup_error: Optional[BaseException] = None
 
-    def start(self, timeout_s: float = 10.0) -> Tuple[str, int]:
+    def start(self, timeout_s: float = 60.0) -> Tuple[str, int]:
         self._thread = threading.Thread(
             target=self._run, name="repro-serve", daemon=True
         )
@@ -529,7 +590,7 @@ class ThreadedServer:
         self._stop = asyncio.Event()
         try:
             await self.server.start()
-        except BaseException as exc:  # bind failure, bad config, ...
+        except BaseException as exc:  # spawn failure, bind failure, ...
             self._startup_error = exc
             self._started.set()
             return
@@ -542,7 +603,7 @@ class ThreadedServer:
             return
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=10.0)
+        self._thread.join(timeout=30.0)
         self._thread = None
 
     def __enter__(self) -> Tuple[str, int]:

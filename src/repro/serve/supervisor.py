@@ -1,12 +1,15 @@
-"""Shard supervisor: one accepting process, N owning workers.
+"""Worker fleet: the ``workers`` > 1 backend of :class:`OracleServer`.
 
-The single-process server leaves lane-wide evaluation throughput capped
-by one CPU core.  :class:`ShardSupervisor` lifts that cap without a
-cache-coherence protocol: it accepts every client connection itself and
-routes each request to the worker process that *owns* the named
-circuit (consistent hash of the circuit's content ID —
-:mod:`repro.serve.shard`), so a circuit's compiled instance, LRU slot,
-and query-budget ledger live in exactly one worker.
+One accepting process runs the :class:`~repro.serve.server.OracleServer`
+front end (listener, request envelope, drain); :class:`Supervisor`
+forks N single-worker servers behind it and answers ``register`` /
+``describe`` / ``query`` by forwarding each to the worker that *owns*
+the named circuit — the SHA-256 content ID modulo N
+(:func:`owner_index`).  A circuit's compiled instance, LRU slot, and
+query-budget ledger therefore live in exactly one worker, with no
+cache-coherence protocol.  The front end answers ``unknown-circuit``
+itself for an ID no ``register`` has named, so every ID it routes is a
+hex content ID.
 
 Data plane.  Per worker the supervisor keeps one multiplexed **data
 connection**: requests from every client funnel into it (the worker's
@@ -18,56 +21,178 @@ client request once (for routing) and forwards the *original body
 bytes*; responses pass through without any JSON round trip.
 
 Supervision.  Each worker also gets a lockstep **control connection**
-for liveness pings and stats, so health checks never queue behind a
-batching window.  A worker is declared dead on data-channel EOF, a
-dead process, or ``heartbeat_misses`` consecutive ping timeouts; the
-supervisor then respawns it, replays every registration the ring
-assigns to it (ratcheting the query count it had observed, so budget
-enforcement survives the crash without ever refunding spent queries),
-transparently re-sends in-flight retryable requests, and fails the
-rest with the typed, retryable ``worker-crashed`` error.  Per-worker
-in-flight lanes are bounded by an :class:`AdmissionController` ledger;
-shutdown is a drain — refuse new work, let every in-flight request
-settle, then terminate the fleet.
+for liveness pings, stats and ``obs`` polls, so health checks never
+queue behind a batching window.  A worker is declared dead on
+data-channel EOF, a dead process, or ``HEARTBEAT_MISSES`` consecutive
+ping timeouts; the supervisor then respawns it, replays every
+registration it owns (ratcheting the query count it had observed, so
+budget enforcement survives the crash without ever refunding spent
+queries), transparently re-sends in-flight retryable requests, and
+fails the rest with the typed, retryable ``worker-crashed`` error.
+Per-worker in-flight lanes are bounded by an :class:`AdmissionController`
+ledger of ``admission.max_pending``; the drain lets every in-flight
+request settle, then terminates the fleet.
+
+Bootstrap.  A worker is started with a one-way
+:class:`multiprocessing.connection.Connection`; it binds an ephemeral
+loopback port, reports ``(host, port)`` through the pipe, and serves
+until killed.  Everything after the handshake is the normal wire
+protocol, so a worker is directly debuggable with any client pointed
+at its port.  The entrypoint and its arguments are picklable, so any
+start method works; ``fork`` (the default where available) lets
+workers inherit the loaded interpreter.
+
+The supervision timings are module constants; tests monkeypatch them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
-from ..obs import context as _obs
 from ..obs import metrics as _metrics
-from ..obs.aggregate import FleetAggregator
-from ..obs.propagate import child_context, context_from_request, remote_span
-from ..obs.sinks import SlowRequestLog, SpanBuffer
-from .admission import AdmissionConfig, AdmissionController
+from ..obs.propagate import child_context
+from .admission import AdmissionController
 from .protocol import (
     ProtocolError,
     ServeError,
     ShuttingDownError,
+    UnknownCircuitError,
     WorkerCrashedError,
     decode_body,
     encode_raw_frame,
-    error_to_payload,
     read_raw_frame_async,
     write_frame_async,
-    write_raw_frame_async,
 )
 from .registry import circuit_content_id
-from .server import LocalConnection, ServerConfig, registration_view
-from .shard import HashRing, ShardConfig
-from .worker import spawn_worker
+from .server import OracleServer, ServerConfig, registration_view
 
-__all__ = ["ShardSupervisor", "WorkerHandle", "ThreadedShardServer"]
+__all__ = ["Supervisor", "WorkerHandle", "owner_index", "spawn_worker",
+           "worker_main"]
 
-#: ops a worker can answer; anything else is refused at the supervisor
+#: seconds between liveness pings of each worker
+HEARTBEAT_S = 0.5
+#: consecutive missed pings before a worker is declared dead
+HEARTBEAT_MISSES = 4
+#: transparent resends of one in-flight request across crashes
+RETRY_LIMIT = 2
+#: respawns allowed per worker before it is abandoned for good
+MAX_RESPAWNS = 8
+#: seconds a fresh worker gets to report its address
+SPAWN_TIMEOUT_S = 30.0
+#: multiprocessing start method (None = fork where available, else spawn)
+START_METHOD: Optional[str] = None
+#: seconds between polls of every worker's ``obs`` op (metric samples
+#: plus buffered spans); 0 disables the loop, and the fleet view then
+#: refreshes only when a client asks
+OBS_INTERVAL_S = 1.0
+
+#: ops a worker answers; the front end answers the rest itself
 _FORWARDED_OPS = frozenset({"register", "describe", "query"})
 
+
+def owner_index(circuit_id: str, workers: int) -> int:
+    """The worker owning *circuit_id*, a hex SHA-256 content ID.
+
+    Deterministic across processes and platforms, so the front end, a
+    test, and a client-side planner all compute the same owner.
+    """
+    return int(circuit_id, 16) % workers
+
+
+# ----------------------------------------------------------------------
+# Worker process
+# ----------------------------------------------------------------------
+
+def worker_main(index: int, config: ServerConfig, bootstrap) -> None:
+    """Process entrypoint: serve until the supervisor kills us.
+
+    *bootstrap* is the supervisor's pipe; the bound address goes out
+    through it (or, if binding fails, an error string — the supervisor
+    turns that into a spawn failure instead of a timeout).
+    """
+
+    async def main() -> None:
+        # Never inherit the front end's observability session across a
+        # fork: its sinks hold file descriptors (a --trace JSONL file)
+        # that two processes must not interleave writes into.  Clear
+        # the flag without close() — the parent still owns the streams.
+        from ..obs import context as _obs
+
+        _obs.ACTIVE = None
+        if config.trace:
+            from ..obs.context import enable
+            from ..obs.sinks import SpanBuffer
+
+            # Spans buffer locally; the supervisor (or any client's
+            # ``obs`` request) drains them over the control channel.
+            enable(SpanBuffer())
+        server = OracleServer(config=config)
+        try:
+            host, port = await server.start()
+        except BaseException as exc:  # bind failure, bad config, ...
+            bootstrap.send(("error", f"{type(exc).__name__}: {exc}"))
+            bootstrap.close()
+            return
+        bootstrap.send(("ok", (host, port)))
+        bootstrap.close()
+        await server.serve_forever()
+
+    asyncio.run(main())
+
+
+def spawn_worker(index: int, config: ServerConfig):
+    """Start one worker process; returns ``(process, (host, port))``.
+
+    Synchronous (the supervisor calls it through an executor): blocks
+    until the worker reports its address or ``SPAWN_TIMEOUT_S`` passes.
+    """
+    import multiprocessing
+
+    start_method = START_METHOD
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    context = multiprocessing.get_context(start_method)
+    parent, child = context.Pipe(duplex=False)
+    process = context.Process(
+        target=worker_main,
+        args=(index, config, child),
+        name=f"repro-serve-worker-{index}",
+        daemon=True,
+    )
+    process.start()
+    child.close()  # the worker's end lives in the worker now
+    try:
+        if not parent.poll(SPAWN_TIMEOUT_S):
+            raise RuntimeError(
+                f"worker {index} did not report an address within "
+                f"{SPAWN_TIMEOUT_S}s"
+            )
+        status, payload = parent.recv()
+    except (EOFError, RuntimeError):
+        process.terminate()
+        process.join(timeout=5.0)
+        raise RuntimeError(
+            f"worker {index} died during bootstrap"
+        ) from None
+    finally:
+        parent.close()
+    if status != "ok":
+        process.terminate()
+        process.join(timeout=5.0)
+        raise RuntimeError(f"worker {index} failed to start: {payload}")
+    host, port = payload
+    return process, (str(host), int(port))
+
+
+# ----------------------------------------------------------------------
+# Supervisor-side bookkeeping
+# ----------------------------------------------------------------------
 
 class _ConnectionLost(Exception):
     """Internal marker: the worker connection died mid-recovery."""
@@ -76,17 +201,14 @@ class _ConnectionLost(Exception):
 class _Forwarded:
     """One request in flight to a worker (the retry unit)."""
 
-    __slots__ = ("body", "future", "lanes", "op", "circuit_id",
-                 "no_retry", "retries")
+    __slots__ = ("body", "future", "lanes", "op", "no_retry", "retries")
 
     def __init__(self, body: bytes, future: "asyncio.Future", lanes: int,
-                 op: str, circuit_id: Optional[str],
-                 no_retry: bool) -> None:
+                 op: str, no_retry: bool) -> None:
         self.body = body
         self.future = future
         self.lanes = lanes
         self.op = op
-        self.circuit_id = circuit_id
         self.no_retry = no_retry
         self.retries = 0
 
@@ -163,24 +285,17 @@ def _extract_query_count(body: bytes) -> Optional[int]:
 class WorkerHandle:
     """Supervisor-side state of one worker process."""
 
-    def __init__(self, index: int, shard_config: ShardConfig) -> None:
+    def __init__(self, index: int, config: ServerConfig) -> None:
         self.index = index
-        self.shard_config = shard_config
-        self.server_config = ServerConfig(
+        self.server_config = dataclasses.replace(
+            config,
             host="127.0.0.1",
             port=0,
-            batch=shard_config.batch,
-            admission=shard_config.admission,
-            default_budget=shard_config.default_budget,
-            lanes=shard_config.lanes,
-            trace=shard_config.trace,
+            workers=1,
             # Per-process log files: concurrent appends from N workers
             # into one file would interleave mid-line.
-            slow_log_path=(
-                None if shard_config.slow_log_path is None
-                else f"{shard_config.slow_log_path}.w{index}"
-            ),
-            slow_request_s=shard_config.slow_request_s,
+            slow_log_path=(None if config.slow_log_path is None
+                           else f"{config.slow_log_path}.w{index}"),
         )
         self.process = None
         self.address: Optional[Tuple[str, int]] = None
@@ -190,12 +305,7 @@ class WorkerHandle:
         self.inflight: Deque[_Forwarded] = deque()
         # Bounded in-flight ledger: the same admission machinery the
         # worker applies to its own queue, reused supervisor-side.
-        self.ledger = AdmissionController(AdmissionConfig(
-            max_pending=shard_config.max_inflight,
-            max_patterns_per_request=(
-                shard_config.admission.max_patterns_per_request
-            ),
-        ))
+        self.ledger = AdmissionController(config.admission)
         #: cleared while the worker is being (re)spawned; sends park here
         self.ready = asyncio.Event()
         self.generation = 0
@@ -217,14 +327,7 @@ class WorkerHandle:
         loop = asyncio.get_running_loop()
         self.generation += 1
         self.process, self.address = await loop.run_in_executor(
-            None,
-            lambda: spawn_worker(
-                self.index,
-                self.server_config,
-                self.shard_config.start_method,
-                self.shard_config.spawn_timeout_s,
-            ),
-        )
+            None, spawn_worker, self.index, self.server_config)
         host, port = self.address
         self.data_reader, self.data_writer = await asyncio.open_connection(
             host, port)
@@ -235,8 +338,8 @@ class WorkerHandle:
             self._read_responses(self.generation))
         self.ready.set()
 
-    def teardown(self, kill: bool = True) -> None:
-        """Close connections and (optionally) the process, synchronously."""
+    def teardown(self) -> None:
+        """Close connections and kill the process, synchronously."""
         self.ready.clear()
         if self._reader_task is not None and not self._reader_task.done():
             self._reader_task.cancel()
@@ -249,7 +352,7 @@ class WorkerHandle:
                     pass
         self.data_reader = self.data_writer = None
         self.control_reader = self.control_writer = None
-        if kill and self.process is not None and self.process.is_alive():
+        if self.process is not None and self.process.is_alive():
             self.process.kill()
 
     def join_process(self, timeout_s: float = 5.0) -> None:
@@ -401,17 +504,16 @@ class WorkerHandle:
         }
 
 
-class ShardSupervisor:
-    """The accepting front-end over a fleet of owning workers."""
+# ----------------------------------------------------------------------
+# The backend
+# ----------------------------------------------------------------------
 
-    def __init__(
-        self,
-        config: Optional[ShardConfig] = None,
-        slow_log: Optional[SlowRequestLog] = None,
-        span_buffer: Optional[SpanBuffer] = None,
-    ) -> None:
-        self.config = config or ShardConfig()
-        self.ring = HashRing(self.config.workers, self.config.virtual_nodes)
+class Supervisor:
+    """Routes a front end's circuit ops to the owning forked worker."""
+
+    def __init__(self, server: OracleServer) -> None:
+        self.server = server
+        self.config = server.config
         self.workers: List[WorkerHandle] = [
             WorkerHandle(index, self.config)
             for index in range(self.config.workers)
@@ -419,42 +521,20 @@ class ShardSupervisor:
         for worker in self.workers:
             worker._on_crash = self._schedule_recovery
         self._catalog: Dict[str, _Registration] = {}
-        self.requests = 0
-        self.errors = 0
-        self.connections_total = 0
-        self._open_connections = 0
         self.respawned_total = 0
-        self.draining = False
-        if slow_log is None and self.config.slow_log_path:
-            slow_log = SlowRequestLog(self.config.slow_log_path,
-                                      self.config.slow_request_s)
-        self.slow_log = slow_log
-        #: merged fleet view, refreshed by the ``obs`` polling loop and
-        #: on demand by the ``obs`` wire op; keyed by worker index
-        self.fleet = FleetAggregator()
-        #: the supervisor's *own* span shipping buffer.  Injected (by
-        #: ``repro serve``) rather than auto-created: an in-process
-        #: supervisor shares its creator's session, whose sinks already
-        #: see every span — buffering them again would double-ship.
-        self.span_buffer = span_buffer
         self._worker_spans: List[dict] = []
         self._worker_spans_cap = 1024
         self._worker_spans_dropped = 0
-        self._started_at = time.time()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional["asyncio.Task"] = None
         self._obs_task: Optional["asyncio.Task"] = None
         self._recovery_tasks: List["asyncio.Task"] = []
-        self.address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> Tuple[str, int]:
-        """Spawn the fleet, then bind and listen."""
-        if self._server is not None:
-            raise RuntimeError("supervisor already started")
+    async def start(self) -> None:
+        """Spawn the fleet and start the supervision loops."""
         # Sequential on purpose: forking concurrently from several
         # executor threads is exactly the multi-threaded-fork hazard
         # CPython warns about (a child can inherit a lock another
@@ -462,50 +542,27 @@ class ShardSupervisor:
         # of milliseconds per worker, once.
         for worker in self.workers:
             await worker.start()
-        self._heartbeat_task = asyncio.get_running_loop().create_task(
-            self._heartbeat_loop())
-        if self.config.obs_interval_s > 0:
-            self._obs_task = asyncio.get_running_loop().create_task(
-                self._obs_loop())
-        self._server = await asyncio.start_server(
-            self._on_client, self.config.host, self.config.port)
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self.address
+        loop = asyncio.get_running_loop()
+        self._heartbeat_task = loop.create_task(self._heartbeat_loop())
+        if OBS_INTERVAL_S > 0:
+            self._obs_task = loop.create_task(self._obs_loop())
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    async def drain(self, timeout_s: float = 10.0) -> bool:
-        """Refuse new work, let in-flight requests settle, stop the fleet."""
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def drain(self, timeout_s: float) -> bool:
+        """Let in-flight requests settle, then stop the fleet."""
         deadline = time.monotonic() + timeout_s
         settled = True
         for worker in self.workers:
             remaining = max(0.0, deadline - time.monotonic())
             settled = await worker.ledger.wait_idle(remaining) and settled
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
-        if self._obs_task is not None:
-            self._obs_task.cancel()
-            self._obs_task = None
-        for task in self._recovery_tasks:
-            if not task.done():
+        for task in [self._heartbeat_task, self._obs_task,
+                     *self._recovery_tasks]:
+            if task is not None and not task.done():
                 task.cancel()
+        self._heartbeat_task = self._obs_task = None
         self._recovery_tasks.clear()
         loop = asyncio.get_running_loop()
         for worker in self.workers:
-            worker.teardown(kill=True)
+            worker.teardown()
         await asyncio.gather(*(
             loop.run_in_executor(None, worker.join_process)
             for worker in self.workers if worker.process is not None
@@ -518,90 +575,22 @@ class ShardSupervisor:
 
     def owner_index(self, circuit_id: str) -> int:
         """Which worker owns *circuit_id* (the ownership invariant)."""
-        return self.ring.owner(circuit_id)
+        return owner_index(circuit_id, len(self.workers))
 
-    def worker_pids(self) -> List[Optional[int]]:
-        return [worker.pid for worker in self.workers]
-
-    def _worker_for(self, circuit_id: str) -> WorkerHandle:
-        return self.workers[self.ring.owner(circuit_id)]
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def connect_local(self) -> LocalConnection:
-        """In-process transport: same dialect, no sockets (duck-typed
-        against :meth:`OracleServer.connect_local`)."""
-        return LocalConnection(self)
-
-    async def handle(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Answer one request object (the in-process transport)."""
-        response = await self._dispatch(dict(request), body=None)
-        if isinstance(response, (bytes, bytearray)):
-            return decode_body(bytes(response))
-        return response
-
-    async def _dispatch(
-        self, request: Dict[str, Any], body: Optional[bytes],
+    async def route(
+        self, request: Mapping[str, Any], body: Optional[bytes], op: Any,
+        span: Any,
     ) -> Union[bytes, Dict[str, Any]]:
-        """Route one request; returns raw worker bytes or a local dict.
+        """Answer one request; returns raw worker bytes or a local dict.
 
-        With observability enabled, the routing span is re-parented
-        under the client's ``ctx`` and a *fresh* child context replaces
-        it on forwarded requests, so the worker-side request span
-        stitches under this hop (client → route → worker) instead of
-        skipping it.  Rewriting the context invalidates the original
-        body bytes; the untraced hot path keeps forwarding them
-        untouched.
+        *span* is the front end's open ``serve.shard.route`` span.
+        With observability enabled, a *fresh* child context replaces
+        the client's ``ctx`` on forwarded requests, so the worker-side
+        request span stitches under this hop (client → route → worker)
+        instead of skipping it.  Rewriting the context invalidates the
+        original body bytes; the untraced hot path keeps forwarding
+        them untouched.
         """
-        op = request.get("op")
-        self.requests += 1
-        t0 = time.perf_counter()
-        error_code: Optional[str] = None
-        try:
-            if _obs.ACTIVE is None:
-                response = await self._route(request, body, op)
-            else:
-                ctx = context_from_request(request)
-                with remote_span("serve.shard.route", ctx,
-                                 op=str(op)) as span:
-                    if op in _FORWARDED_OPS:
-                        new_ctx = child_context(span)
-                        if new_ctx is not None:
-                            request["ctx"] = new_ctx.to_wire()
-                            body = None  # force re-encode in _forward
-                    response = await self._route(request, body, op)
-        except ServeError as exc:
-            self.errors += 1
-            error_code = exc.code
-            response = {"ok": False, "error": error_to_payload(exc)}
-        except Exception as exc:  # noqa: BLE001 - fail the request, not us
-            self.errors += 1
-            wrapped = ServeError(f"{type(exc).__name__}: {exc}")
-            error_code = wrapped.code
-            response = {"ok": False, "error": error_to_payload(wrapped)}
-        if self.slow_log is not None:
-            took = time.perf_counter() - t0
-            if error_code is None and isinstance(response,
-                                                 (bytes, bytearray)):
-                # Worker bytes pass through unparsed; the compact
-                # serialization's fixed prefix is enough to classify.
-                if bytes(response[:11]) == b'{"ok":false':
-                    error_code = "worker-error"
-            if self.slow_log.should_log(took, error_code):
-                circuit = request.get("circuit")
-                self.slow_log.request(
-                    str(op), took, error_code,
-                    circuit=(circuit[:16] if isinstance(circuit, str)
-                             else None),
-                )
-        return response
-
-    async def _route(
-        self, request: Dict[str, Any], body: Optional[bytes], op: Any,
-    ) -> Union[bytes, Dict[str, Any]]:
-        """The routing core; raises the typed serve errors."""
         if op == "ping":
             return {"ok": True, "pong": True,
                     "workers": sum(w.alive for w in self.workers)}
@@ -609,16 +598,27 @@ class ShardSupervisor:
             return await self._op_stats()
         if op == "obs":
             return await self._op_obs(request)
-        if self.draining:
-            raise ShuttingDownError(
-                "supervisor is draining; retry elsewhere")
-        if op == "register":
-            return await self._forward_register(request, body)
         if op not in _FORWARDED_OPS:
             raise ProtocolError(f"unknown op {op!r}")
+        if self.server.admission.draining:
+            raise ShuttingDownError(
+                "supervisor is draining; retry elsewhere")
+        new_ctx = child_context(span)
+        if new_ctx is not None:
+            request = dict(request, ctx=new_ctx.to_wire())
+            body = None  # force a re-encode in _forward
+        if op == "register":
+            return await self._forward_register(request, body)
         circuit_id = request.get("circuit")
         if not isinstance(circuit_id, str):
             raise ProtocolError(f"{op} needs a 'circuit' field")
+        registration = self._catalog.get(circuit_id)
+        if registration is None:
+            raise UnknownCircuitError(
+                f"no circuit registered under {circuit_id[:16]}..."
+                if len(circuit_id) > 16
+                else f"no circuit registered under {circuit_id!r}"
+            )
         lanes = 1
         if op == "query":
             patterns = request.get("patterns")
@@ -628,18 +628,16 @@ class ShardSupervisor:
             lanes = len(patterns)
         raw = await self._forward(request, body, circuit_id, lanes)
         if op == "query":
-            registration = self._catalog.get(circuit_id)
-            if registration is not None:
-                # Ratchet from *answered* responses only: a request
-                # lost to a crash reports nothing, so its retry is
-                # not double-counted by the restore floor.
-                registration.observe(raw)
+            # Ratchet from *answered* responses only: a request lost to
+            # a crash reports nothing, so its retry is not
+            # double-counted by the restore floor.
+            registration.observe(raw)
         return raw
 
-    async def _forward(self, request: Dict[str, Any],
+    async def _forward(self, request: Mapping[str, Any],
                        body: Optional[bytes], circuit_id: str,
                        lanes: int) -> bytes:
-        worker = self._worker_for(circuit_id)
+        worker = self.workers[self.owner_index(circuit_id)]
         if body is None:
             body = json.dumps(request, separators=(",", ":")).encode("utf-8")
         fwd = _Forwarded(
@@ -647,14 +645,13 @@ class ShardSupervisor:
             asyncio.get_running_loop().create_future(),
             lanes,
             str(request.get("op")),
-            circuit_id,
             bool(request.get("no_retry")),
         )
         _metrics.inc("serve.shard.forwarded", lanes)
         return await worker.send(fwd)
 
     async def _forward_register(
-        self, request: Dict[str, Any], body: Optional[bytes],
+        self, request: Mapping[str, Any], body: Optional[bytes],
     ) -> bytes:
         # Run the worker's exact validate/normalize pipeline on the
         # exact bytes the worker will see: `.bench` serialization is not
@@ -678,63 +675,12 @@ class ShardSupervisor:
         return raw
 
     # ------------------------------------------------------------------
-    # TCP front-end (pipelined, mirroring OracleServer._on_client)
-    # ------------------------------------------------------------------
-
-    async def _on_client(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        self.connections_total += 1
-        self._open_connections += 1
-        responses: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
-
-        async def _pump() -> None:
-            while True:
-                task = await responses.get()
-                if task is None:
-                    return
-                response = await task
-                if isinstance(response, (bytes, bytearray)):
-                    await write_raw_frame_async(writer, bytes(response))
-                else:
-                    await write_frame_async(writer, response)
-
-        loop = asyncio.get_running_loop()
-        pump = loop.create_task(_pump())
-        try:
-            while True:
-                try:
-                    body = await read_raw_frame_async(reader)
-                    request = None if body is None else decode_body(body)
-                except ProtocolError as exc:
-                    await write_frame_async(
-                        writer, {"ok": False, "error": error_to_payload(exc)}
-                    )
-                    break
-                if request is None:
-                    break
-                responses.put_nowait(
-                    loop.create_task(self._dispatch(request, body)))
-            responses.put_nowait(None)
-            await pump
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if not pump.done():
-                pump.cancel()
-            self._open_connections -= 1
-            try:
-                writer.close()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    # ------------------------------------------------------------------
     # Supervision: heartbeats, recovery, replay
     # ------------------------------------------------------------------
 
     async def _heartbeat_loop(self) -> None:
-        interval = self.config.heartbeat_s
-        timeout = max(interval, 0.05)
         while True:
+            interval = HEARTBEAT_S
             await asyncio.sleep(interval)
             for worker in self.workers:
                 if worker.abandoned or worker.recovering:
@@ -743,12 +689,12 @@ class ShardSupervisor:
                     self._schedule_recovery(worker)
                     continue
                 try:
-                    await worker.control_request({"op": "ping"}, timeout)
+                    await worker.control_request({"op": "ping"},
+                                                 max(interval, 0.05))
                 except (asyncio.TimeoutError, ConnectionError, OSError,
                         ProtocolError):
                     worker.missed_heartbeats += 1
-                    if (worker.missed_heartbeats
-                            >= self.config.heartbeat_misses):
+                    if worker.missed_heartbeats >= HEARTBEAT_MISSES:
                         self._schedule_recovery(worker)
                 else:
                     worker.missed_heartbeats = 0
@@ -768,13 +714,13 @@ class ShardSupervisor:
         # The respawned worker restarts its cumulative counters from
         # zero; a stale fleet sample would make the next QPS delta
         # negative, so the worker re-enters the fleet view fresh.
-        self.fleet.discard(str(worker.index))
+        self.server.fleet.discard(str(worker.index))
         pending = list(worker.inflight)
         worker.inflight.clear()
         try:
             while True:
-                worker.teardown(kill=True)
-                if worker.respawns >= self.config.max_respawns:
+                worker.teardown()
+                if worker.respawns >= MAX_RESPAWNS:
                     worker.abandoned = True
                     break
                 worker.respawns += 1
@@ -802,7 +748,7 @@ class ShardSupervisor:
         for fwd in pending:
             if fwd.future.done():
                 continue  # client already gave up
-            if fwd.no_retry or fwd.retries >= self.config.retry_limit:
+            if fwd.no_retry or fwd.retries >= RETRY_LIMIT:
                 worker.crash_failures += 1
                 fwd.future.set_exception(WorkerCrashedError(
                     f"worker {worker.index} crashed with this "
@@ -817,14 +763,15 @@ class ShardSupervisor:
             worker.transmit(fwd)
 
     async def _replay_registrations(self, worker: WorkerHandle) -> None:
-        """Re-register every circuit the ring assigns to *worker*.
+        """Re-register every circuit *worker* owns.
 
         Sent on the (fresh) data channel and awaited before any retried
         request goes out, so a retried query can never race ahead of
         the registration that makes its circuit exist.
         """
         owned = [registration for registration in self._catalog.values()
-                 if self.ring.owner(registration.circuit_id) == worker.index]
+                 if self.owner_index(registration.circuit_id)
+                 == worker.index]
         if not owned:
             return
         loop = asyncio.get_running_loop()
@@ -833,12 +780,12 @@ class ShardSupervisor:
             body = json.dumps(registration.replay_request(),
                               separators=(",", ":")).encode("utf-8")
             replay = _Forwarded(body, loop.create_future(), 1,
-                                "register", registration.circuit_id, True)
+                                "register", True)
             replays.append(replay)
             worker.transmit(replay)
         responses = await asyncio.wait_for(
             asyncio.gather(*(replay.future for replay in replays)),
-            self.config.spawn_timeout_s,
+            SPAWN_TIMEOUT_S,
         )
         for registration, body in zip(owned, responses):
             response = decode_body(body)
@@ -849,11 +796,23 @@ class ShardSupervisor:
                 )
 
     # ------------------------------------------------------------------
-    # Stats rollup
+    # Stats rollup and fleet observability
     # ------------------------------------------------------------------
 
+    def _fleet_state(self) -> Dict[str, Any]:
+        inflight = sum(worker.ledger.pending for worker in self.workers)
+        alive = sum(worker.alive for worker in self.workers)
+        return {
+            "workers": len(self.workers),
+            "workers_alive": alive,
+            "inflight_lanes": inflight,
+            "respawned_total": self.respawned_total,
+            "registered_circuits": len(self._catalog),
+            "draining": self.server.admission.draining,
+        }
+
     async def _op_stats(self) -> Dict[str, Any]:
-        """Aggregate supervisor + per-worker stats into one response."""
+        """Aggregate front-end + per-worker stats into one response."""
         per_worker: List[Dict[str, Any]] = []
         rollup = {
             "requests": 0, "errors": 0, "batches": 0, "lanes_total": 0,
@@ -864,7 +823,7 @@ class ShardSupervisor:
             if worker.alive and not worker.recovering:
                 try:
                     stats = await worker.control_request(
-                        {"op": "stats"}, self.config.heartbeat_s * 2)
+                        {"op": "stats"}, HEARTBEAT_S * 2)
                     entry["server"] = stats
                     rollup["requests"] += stats.get("requests", 0)
                     rollup["errors"] += stats.get("errors", 0)
@@ -880,41 +839,19 @@ class ShardSupervisor:
                         ProtocolError):
                     entry["server"] = None
             per_worker.append(entry)
-        inflight = sum(worker.ledger.pending for worker in self.workers)
-        alive = sum(worker.alive for worker in self.workers)
-        _metrics.set_gauge("serve.shard.workers_alive", alive)
-        _metrics.set_gauge("serve.shard.inflight", inflight)
+        state = self._fleet_state()
+        _metrics.set_gauge("serve.shard.workers_alive", state["workers_alive"])
+        _metrics.set_gauge("serve.shard.inflight", state["inflight_lanes"])
         _metrics.set_gauge("serve.shard.respawns", self.respawned_total)
-        return {
-            "ok": True,
-            "sharded": True,
-            "uptime_s": round(time.time() - self._started_at, 3),
-            "requests": self.requests,
-            "errors": self.errors,
-            "connections": {
-                "open": self._open_connections,
-                "total": self.connections_total,
-            },
-            "supervisor": {
-                "workers": self.config.workers,
-                "workers_alive": alive,
-                "inflight_lanes": inflight,
-                "respawned_total": self.respawned_total,
-                "registered_circuits": len(self._catalog),
-                "draining": self.draining,
-            },
-            "workers": per_worker,
-            "rollup": rollup,
-        }
-
-    # ------------------------------------------------------------------
-    # Fleet observability
-    # ------------------------------------------------------------------
+        response = self.server.front_stats()
+        response.update(sharded=True, supervisor=state, workers=per_worker,
+                        rollup=rollup)
+        return response
 
     async def _obs_loop(self) -> None:
         """Periodic fleet refresh: metric samples plus buffered spans."""
         while True:
-            await asyncio.sleep(self.config.obs_interval_s)
+            await asyncio.sleep(OBS_INTERVAL_S)
             await self._poll_fleet_obs()
 
     async def _poll_fleet_obs(self) -> None:
@@ -924,7 +861,7 @@ class ShardSupervisor:
         stays in the aggregator until recovery discards it, so a
         mid-poll crash degrades the fleet view instead of erroring it.
         """
-        timeout = max(self.config.heartbeat_s * 2, 1.0)
+        timeout = max(HEARTBEAT_S * 2, 1.0)
         request: Dict[str, Any] = {"op": "obs"}
         if self.config.trace:
             request["spans"] = True
@@ -938,7 +875,7 @@ class ShardSupervisor:
                 continue
             if not response.get("ok"):
                 continue
-            self.fleet.update(
+            self.server.fleet.update(
                 str(worker.index),
                 response.get("stats") or {},
                 latency=response.get("latency_hist"),
@@ -957,105 +894,31 @@ class ShardSupervisor:
             self._worker_spans_dropped += overflow
 
     async def _op_obs(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Fleet-wide snapshot: merged worker samples + supervisor state.
+        """Fleet-wide snapshot: merged worker samples + front-end state.
 
         Polls the fleet on demand so the answer is current even with
         the periodic loop disabled.  ``"spans": true`` additionally
         hands over every buffered span tree — the workers' (collected
-        by the polling loop) and the supervisor's own — destructively,
-        exactly once, so a client can stitch one cross-process trace.
+        by the polling loop) and the front end's own, from the active
+        session's span buffers — destructively, exactly once, so a
+        client can stitch one cross-process trace.
         """
         await self._poll_fleet_obs()
-        inflight = sum(worker.ledger.pending for worker in self.workers)
-        alive = sum(worker.alive for worker in self.workers)
+        state = {"requests": self.server.requests,
+                 "errors": self.server.errors}
+        state.update(self._fleet_state())
         response: Dict[str, Any] = {
             "ok": True,
             "sharded": True,
-            "uptime_s": round(time.time() - self._started_at, 3),
-            "supervisor": {
-                "requests": self.requests,
-                "errors": self.errors,
-                "workers": self.config.workers,
-                "workers_alive": alive,
-                "inflight_lanes": inflight,
-                "respawned_total": self.respawned_total,
-                "registered_circuits": len(self._catalog),
-                "draining": self.draining,
-            },
+            "uptime_s": self.server.front_stats()["uptime_s"],
+            "supervisor": state,
             "metrics": _metrics.snapshot(),
-            "fleet": self.fleet.snapshot(),
+            "fleet": self.server.fleet.snapshot(),
         }
         if request.get("spans"):
             trees = self._worker_spans
             self._worker_spans = []
-            if self.span_buffer is not None:
-                trees.extend(self.span_buffer.drain())
+            trees.extend(self.server.drain_spans())
             response["spans"] = trees
             response["spans_dropped"] = self._worker_spans_dropped
         return response
-
-
-class ThreadedShardServer:
-    """A :class:`ShardSupervisor` on its own event-loop thread.
-
-    The sharded sibling of :class:`~repro.serve.server.ThreadedServer`,
-    for synchronous callers that need a live sharded endpoint in the
-    current process::
-
-        with ThreadedShardServer(ShardSupervisor()) as (host, port):
-            oracle = RemoteOracle((host, port), circuit=original)
-
-    Exiting the context drains the supervisor (in-flight requests
-    settle, the fleet is terminated) and joins the thread.
-    """
-
-    def __init__(self, supervisor: Optional[ShardSupervisor] = None) -> None:
-        self.supervisor = (supervisor if supervisor is not None
-                           else ShardSupervisor())
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self, timeout_s: float = 60.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve-shard", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout_s):
-            raise RuntimeError("shard supervisor failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        assert self.supervisor.address is not None
-        return self.supervisor.address
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.supervisor.start()
-        except BaseException as exc:  # spawn failure, bind failure, ...
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self._stop.wait()
-        await self.supervisor.drain()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
-        self._thread = None
-
-    def __enter__(self) -> Tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -55,6 +55,18 @@ class TestValidation:
                 minimal(attack_params={"sat": {"max_iterations": 4}})
             )
 
+    def test_param_no_runner_reads_rejected(self):
+        """A removed or misspelt knob fails the load instead of running
+        a silently different (cold) attack."""
+        with pytest.raises(ValueError) as excinfo:
+            Scenario.from_dict(minimal(
+                attacks=["sat"],
+                attack_params={"sat": {"portfolio": 4, "warm_strat": True}},
+            ))
+        message = str(excinfo.value)
+        assert "portfolio" in message and "warm_strat" in message
+        assert "max_iterations" in message and "warm_start" in message
+
     def test_expectation_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="'where' keys"):
             Scenario.from_dict(minimal(

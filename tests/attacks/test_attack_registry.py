@@ -31,6 +31,20 @@ class TestNames:
             assert info.description, f"{info.name} lacks a description"
             assert info.tags, f"{info.name} lacks capability tags"
 
+    def test_declared_params_are_the_ones_the_runner_reads(self):
+        """``params`` is what scenario validation trusts, so it must
+        name exactly the ``context.param`` reads in the runner (plus
+        ``warm_start``, read by the shared solver helper)."""
+        import inspect
+        import re
+
+        for info in attack_infos():
+            source = inspect.getsource(info.runner)
+            reads = set(re.findall(r'context\.param\(\s*"(\w+)"', source))
+            if "_solver(context" in source:
+                reads.add("warm_start")
+            assert set(info.params) == reads, info.name
+
     def test_unknown_attack_names_the_choices(self):
         with pytest.raises(KeyError, match="choose from"):
             attack_info("rubber-hose")

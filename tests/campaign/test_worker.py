@@ -88,14 +88,14 @@ class TestServedOracleHook:
     a served oracle pool instead of an in-process oracle."""
 
     def test_attack_through_shard_pool_matches_local(self):
-        from repro.serve import ShardConfig, ShardSupervisor, ThreadedShardServer
+        from repro.serve import OracleServer, ServerConfig, ThreadedServer
 
         spec = dict(benchmark="s1238", scheme="xor", key_bits=2, seed=5)
         local = execute_job(JobSpec.make("attack", **spec))
         assert local["status"] == "ok", local["error"]
 
-        supervisor = ShardSupervisor(ShardConfig(workers=2))
-        with ThreadedShardServer(supervisor) as (host, port):
+        server = OracleServer(config=ServerConfig(workers=2))
+        with ThreadedServer(server) as (host, port):
             served = execute_job(JobSpec.make(
                 "attack", oracle=f"{host}:{port}", **spec
             ))
@@ -103,8 +103,8 @@ class TestServedOracleHook:
         # The differential guarantee, observed end to end: identical
         # cell payload whichever oracle transport answered the DIPs.
         assert served["payload"] == local["payload"]
-        assert supervisor.requests > 0  # the queries really went remote
-        assert supervisor.respawned_total == 0
+        assert server.requests > 0  # the queries really went remote
+        assert server.supervisor.respawned_total == 0
 
     def test_dead_pool_is_transient_not_a_wrong_answer(self):
         record = execute_job(JobSpec.make(

@@ -18,11 +18,10 @@ from repro.attacks import (
 from repro.bench import iwls_benchmark
 from repro.locking import XorLock
 from repro.serve import (
+    OracleServer,
     RemoteOracle,
-    ShardConfig,
-    ShardSupervisor,
+    ServerConfig,
     ThreadedServer,
-    ThreadedShardServer,
 )
 
 
@@ -60,7 +59,7 @@ def test_served_attack_is_byte_identical(bench_name, key_bits):
 
 def test_sharded_attack_is_byte_identical():
     """The same faithfulness bar for the multi-process backend: a SAT
-    attack through the supervisor/worker stack — consistent-hash
+    attack through the supervisor/worker stack — content-ID
     routing, raw-frame passthrough, worker-side batching — recovers
     the identical key with identical query accounting."""
     bench = iwls_benchmark("s1238")
@@ -70,8 +69,8 @@ def test_sharded_attack_is_byte_identical():
     local_result = sat_attack(locked.circuit, local)
     assert local_result.completed and local_result.key is not None
 
-    supervisor = ShardSupervisor(ShardConfig(workers=2))
-    with ThreadedShardServer(supervisor) as (host, port):
+    server = OracleServer(config=ServerConfig(workers=2))
+    with ThreadedServer(server) as (host, port):
         with RemoteOracle((host, port), circuit=bench.circuit) as remote:
             remote_result = sat_attack(locked.circuit, remote)
             assert remote_result.completed
@@ -85,7 +84,7 @@ def test_sharded_attack_is_byte_identical():
             ) == 1.0
     # The attack's whole query stream flowed through the one worker
     # that owns the circuit — the ownership invariant under real load.
-    assert supervisor.respawned_total == 0
+    assert server.supervisor.respawned_total == 0
 
 
 def test_served_attack_respects_budget():

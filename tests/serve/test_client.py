@@ -97,7 +97,7 @@ def test_combinational_oracle_satisfies_protocol():
 
 
 def test_local_connection_matches_tcp_semantics():
-    """The in-process transport speaks the same request dialect."""
+    """Awaiting ``handle`` in process speaks the same request dialect."""
     import asyncio
     import io
 
@@ -109,12 +109,11 @@ def test_local_connection_matches_tcp_semantics():
     server = OracleServer()
 
     async def scenario():
-        local = server.connect_local()
-        info = await local.request({
+        info = await server.handle({
             "op": "register", "netlist": text.getvalue(),
             "name": circuit.name,
         })
-        reply = await local.request({
+        reply = await server.handle({
             "op": "query", "circuit": info["circuit"],
             "patterns": [{"a": 1}],
         })

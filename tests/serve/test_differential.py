@@ -10,7 +10,8 @@ reproducible) and assert that equivalence across all three transports:
 
 * **in-process** — the dispatcher driven directly, no sockets;
 * **threaded**  — the single-process asyncio TCP server;
-* **sharded**   — the multi-process supervisor/worker backend.
+* **sharded**   — the same server with ``workers=2``: forked workers
+  behind the supervisor.
 
 A final differential pins the combinational serving view against the
 :class:`TimingOracle` (event-driven simulation of the locked design
@@ -30,10 +31,8 @@ from repro.locking import XorLock
 from repro.serve import (
     OracleServer,
     RemoteOracle,
-    ShardConfig,
-    ShardSupervisor,
+    ServerConfig,
     ThreadedServer,
-    ThreadedShardServer,
 )
 
 from tests.serve.conftest import bench_text
@@ -112,8 +111,8 @@ def threaded_address():
 
 @pytest.fixture(scope="module")
 def sharded_address():
-    supervisor = ShardSupervisor(ShardConfig(workers=2))
-    with ThreadedShardServer(supervisor) as address:
+    with ThreadedServer(OracleServer(
+            config=ServerConfig(workers=2))) as address:
         yield address
 
 
@@ -194,7 +193,8 @@ class TestTransportsAgree:
         outcomes = []
         for factory in (
             lambda: ThreadedServer(OracleServer()),
-            lambda: ThreadedShardServer(ShardSupervisor(ShardConfig(workers=2))),
+            lambda: ThreadedServer(OracleServer(
+                config=ServerConfig(workers=2))),
         ):
             with factory() as address:
                 remote = RemoteOracle(address, circuit=circuit, budget=3)
@@ -218,8 +218,6 @@ class TestWideFlush:
     oracle — outputs bit-identical, accounting per pattern."""
 
     def test_wide_flush_agrees_across_transports(self):
-        from repro.serve import ServerConfig
-
         circuit = generated_circuit(777)
         local = CombinationalOracle(circuit)
         patterns = patterns_for(local, 13, count=65)
@@ -241,9 +239,9 @@ class TestWideFlush:
             assert remote.query_batch(patterns) == want
             assert remote.server_query_count == len(patterns)
 
-        # Sharded: ShardConfig.lanes reaches every forked worker.
-        supervisor = ShardSupervisor(ShardConfig(workers=2, lanes=128))
-        with ThreadedShardServer(supervisor) as address:
+        # Sharded: ServerConfig.lanes reaches every forked worker.
+        with ThreadedServer(OracleServer(
+                config=ServerConfig(workers=2, lanes=128))) as address:
             remote = RemoteOracle(address, circuit=circuit)
             assert remote.query_batch(patterns) == want
             assert remote.server_query_count == len(patterns)
@@ -260,8 +258,8 @@ class TestTimingOracleDifferential:
         circuit = generated_circuit(seed)
         locked = XorLock().lock(circuit, 2, random.Random(seed))
         timing = TimingOracle(locked, clock_period=10.0)
-        supervisor = ShardSupervisor(ShardConfig(workers=2))
-        with ThreadedShardServer(supervisor) as address:
+        with ThreadedServer(OracleServer(
+                config=ServerConfig(workers=2))) as address:
             remote = RemoteOracle(address, circuit=circuit)
             sequence = patterns_for(remote, seed + 100, count=4)
             trace = timing.run(sequence)

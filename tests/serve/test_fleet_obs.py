@@ -1,8 +1,8 @@
 """Fleet observability end to end: one query, one span tree.
 
 The distributed-tracing acceptance test lives here: a client root span
-must come back as ONE contiguous tree spanning the client, the shard
-supervisor, and the owning worker process —
+must come back as ONE contiguous tree spanning the client, the
+front end, and the owning worker process —
 
     client root -> serve.client.query -> serve.shard.route
                 -> serve.request -> serve.batch.flush
@@ -27,12 +27,10 @@ from repro.serve import (
     RemoteOracle,
     ServeConnection,
     ServerConfig,
-    ShardConfig,
-    ShardSupervisor,
     ThreadedServer,
-    ThreadedShardServer,
     adopt_remote_trace,
 )
+from repro.serve import supervisor as supervisor_module
 
 from tests.serve.conftest import (
     FakeClock,
@@ -54,11 +52,7 @@ def _find_chain(span, names):
 
 
 def _request(server, request):
-    async def scenario():
-        connection = server.connect_local()
-        return await connection.request(request)
-
-    return asyncio.run(scenario())
+    return asyncio.run(server.handle(request))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +190,6 @@ def test_control_timeout_resets_the_lockstep_channel():
     first reply stalls forever and whose later replies echo a nonce.
     """
     from repro.serve.protocol import encode_frame, read_raw_frame_async
-    from repro.serve.shard import ShardConfig as _Cfg
     from repro.serve.supervisor import WorkerHandle
 
     async def scenario():
@@ -215,7 +208,7 @@ def test_control_timeout_resets_the_lockstep_channel():
 
         server = await asyncio.start_server(stub, "127.0.0.1", 0)
         try:
-            worker = WorkerHandle(0, _Cfg(workers=1))
+            worker = WorkerHandle(0, ServerConfig())
             worker.address = server.sockets[0].getsockname()[:2]
             worker.control_reader, worker.control_writer = (
                 await asyncio.open_connection(*worker.address))
@@ -243,17 +236,21 @@ class TestShardedFleet:
     CHAIN = ["serve.client.query", "serve.shard.route",
              "serve.request", "serve.batch.flush"]
 
+    @pytest.fixture(autouse=True)
+    def fast_polls(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "HEARTBEAT_S", 0.1)
+        monkeypatch.setattr(supervisor_module, "OBS_INTERVAL_S", 0.2)
+
     def test_traced_fleet_yields_one_contiguous_tree(self):
         """Worker-process spans ship home over the ``obs`` op and stitch
         under the submitting client span — the tentpole acceptance."""
         session = obs.enable(InMemorySink())
-        supervisor = ShardSupervisor(ShardConfig(
-            workers=2, heartbeat_s=0.1, trace=True, obs_interval_s=0.2,
-        ))
-        supervisor.span_buffer = SpanBuffer()
-        session.sinks.append(supervisor.span_buffer)
+        # The front end's own routing spans ship through this buffer
+        # alongside the worker trees its polling loop collects.
+        session.sinks.append(SpanBuffer())
+        server = OracleServer(config=ServerConfig(workers=2, trace=True))
         try:
-            with ThreadedShardServer(supervisor) as address:
+            with ThreadedServer(server) as address:
                 circuit = build_chain("fleettrace", 5)
                 with obs.trace_span("client.root"):
                     oracle = RemoteOracle(address, circuit=circuit)
@@ -277,10 +274,8 @@ class TestShardedFleet:
             obs.disable()
 
     def test_fleet_aggregates_agree_with_worker_stats(self):
-        supervisor = ShardSupervisor(ShardConfig(
-            workers=2, heartbeat_s=0.1, obs_interval_s=0.2,
-        ))
-        with ThreadedShardServer(supervisor) as address:
+        server = OracleServer(config=ServerConfig(workers=2))
+        with ThreadedServer(server) as address:
             circuit = build_chain("fleetagg", 7)
             oracle = RemoteOracle(address, circuit=circuit)
             queries = 5

@@ -20,10 +20,9 @@ def bench_text(circuit):
 
 
 def dispatch(server, *requests):
-    """Run one or more requests through the in-process transport."""
+    """Run one or more requests through the in-process dispatcher."""
     async def scenario():
-        connection = server.connect_local()
-        return [await connection.request(r) for r in requests]
+        return [await server.handle(r) for r in requests]
 
     responses = asyncio.run(scenario())
     return responses[0] if len(responses) == 1 else responses
@@ -222,3 +221,24 @@ class TestTcp:
                 })
         assert server.admission.draining
         assert server.admission.idle
+
+
+class TestOneWorker:
+    """``workers=1`` (the default) is the plain in-process server."""
+
+    def test_started_server_forks_nothing(self):
+        import multiprocessing
+
+        server = OracleServer()
+        with ThreadedServer(server) as (host, port):
+            assert multiprocessing.active_children() == []
+            with ServeConnection((host, port)) as connection:
+                stats = connection.stats()
+        assert server.supervisor is None
+        assert "sharded" not in stats
+
+    def test_workers_must_be_positive(self):
+        from repro.serve import ServerConfig
+
+        with pytest.raises(ValueError):
+            ServerConfig(workers=0)

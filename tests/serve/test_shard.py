@@ -1,4 +1,4 @@
-"""Sharded serving: ring ownership, e2e routing, crash supervision.
+"""Sharded serving: ownership, e2e routing, crash supervision.
 
 The fault-injection tests SIGKILL a live worker process mid-request and
 assert the supervision contract: **zero lost responses** — every
@@ -13,6 +13,7 @@ sensitivity), never fixed sleeps.
 """
 
 import asyncio
+import hashlib
 import os
 import signal
 import threading
@@ -22,54 +23,65 @@ import pytest
 from repro.attacks.oracle import CombinationalOracle
 from repro.serve import (
     BatchConfig,
-    HashRing,
+    OracleServer,
     QueryBudgetExceededError,
     RemoteOracle,
-    ShardConfig,
-    ShardSupervisor,
-    ThreadedShardServer,
+    ServerConfig,
+    ThreadedServer,
     WorkerCrashedError,
     circuit_content_id,
+    owner_index,
     registration_view,
 )
+from repro.serve import supervisor as supervisor_module
 
 from tests.serve.conftest import bench_text, build_chain, eventually
 
 
+@pytest.fixture(autouse=True)
+def fast_heartbeats(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "HEARTBEAT_S", 0.1)
+
+
 # ----------------------------------------------------------------------
-# Ring units
+# Ownership units
 # ----------------------------------------------------------------------
+
+def _content_ids(count):
+    return [hashlib.sha256(f"key-{i}".encode()).hexdigest()
+            for i in range(count)]
+
 
 class TestHashRing:
+    """Ownership: a circuit's content ID modulo the worker count."""
+
     def test_deterministic_across_instances(self):
-        first, second = HashRing(4), HashRing(4)
-        keys = [f"circuit-{i}" for i in range(200)]
-        assert [first.owner(k) for k in keys] == [second.owner(k) for k in keys]
+        first = OracleServer(config=ServerConfig(workers=4)).supervisor
+        second = OracleServer(config=ServerConfig(workers=4)).supervisor
+        keys = _content_ids(200)
+        assert [first.owner_index(k) for k in keys] == \
+            [second.owner_index(k) for k in keys] == \
+            [owner_index(k, 4) for k in keys]
 
     def test_owners_in_range_and_all_workers_used(self):
-        ring = HashRing(8)
-        owners = {ring.owner(f"key-{i}") for i in range(2000)}
-        assert owners == set(range(8))  # vnodes spread the key space
+        owners = {owner_index(k, 8) for k in _content_ids(2000)}
+        assert owners == set(range(8))
 
     def test_single_worker_owns_everything(self):
-        ring = HashRing(1)
-        assert {ring.owner(f"k{i}") for i in range(50)} == {0}
-
-    def test_resize_moves_only_a_fraction(self):
-        """The consistent-hash property: growing 4 -> 5 workers remaps
-        roughly 1/5 of keys, not all of them (hash-mod would remap ~4/5)."""
-        small, grown = HashRing(4), HashRing(5)
-        keys = [f"key-{i}" for i in range(3000)]
-        moved = sum(small.owner(k) != grown.owner(k) for k in keys)
-        assert moved / len(keys) < 0.40  # ~0.20 expected; generous bound
+        assert {owner_index(k, 1) for k in _content_ids(50)} == {0}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
-        with pytest.raises(ValueError):
-            ShardConfig(workers=0)
-        with pytest.raises(ValueError):
-            ShardConfig(retry_limit=-1)
+        """An ID no ``register`` named is refused by the front end
+        itself, hex or not: no worker could hold it."""
+        server = OracleServer(config=ServerConfig(workers=2))
+        for circuit_id in ("nope", "ab" * 32):
+            response = asyncio.run(server.handle({
+                "op": "query", "circuit": circuit_id,
+                "patterns": [{"a": 0}],
+            }))
+            assert response["error"]["code"] == "unknown-circuit"
+        assert all(worker.process is None
+                   for worker in server.supervisor.workers)
 
 
 # ----------------------------------------------------------------------
@@ -86,17 +98,16 @@ def served_cid(circuit) -> str:
 
 
 def chains_covering_workers(workers: int, per_worker: int = 1):
-    """Deterministic circuits whose ring owners cover every worker.
+    """Deterministic circuits whose owners cover every worker.
 
-    The ring is deterministic, so this scan always picks the same
+    Ownership is deterministic, so this scan always picks the same
     chain lengths — no flaky dependence on which worker random
     circuits happen to land on.
     """
-    ring = HashRing(workers)
     found = {w: [] for w in range(workers)}
     for length in range(1, 400):
         circuit = build_chain(f"cov{length}", length)
-        owner = ring.owner(served_cid(circuit))
+        owner = owner_index(served_cid(circuit), workers)
         if len(found[owner]) < per_worker:
             found[owner].append(circuit)
         if all(len(group) >= per_worker for group in found.values()):
@@ -104,10 +115,10 @@ def chains_covering_workers(workers: int, per_worker: int = 1):
     raise AssertionError(f"could not cover {workers} workers")  # pragma: no cover
 
 
-def shard_config(**overrides) -> ShardConfig:
-    defaults = dict(workers=2, heartbeat_s=0.1)
+def sharded_server(**overrides) -> OracleServer:
+    defaults = dict(workers=2)
     defaults.update(overrides)
-    return ShardConfig(**defaults)
+    return OracleServer(config=ServerConfig(**defaults))
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +130,9 @@ class TestShardedServing:
         """Circuits owned by different workers all answer correctly
         through the one supervisor endpoint."""
         coverage = chains_covering_workers(workers=2)
-        supervisor = ShardSupervisor(shard_config())
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server()
+        supervisor = server.supervisor
+        with ThreadedServer(server) as address:
             for owner, circuits in coverage.items():
                 for circuit in circuits:
                     local = CombinationalOracle(circuit)
@@ -136,8 +148,8 @@ class TestShardedServing:
         """The invariant itself: a circuit's registry entry exists in
         exactly the owning worker's process (the others never saw it)."""
         coverage = chains_covering_workers(workers=2)
-        supervisor = ShardSupervisor(shard_config())
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server()
+        with ThreadedServer(server) as address:
             circuit = coverage[0][0]
             remote = RemoteOracle(address, circuit=circuit)
             remote.query({"a": 1})
@@ -150,8 +162,8 @@ class TestShardedServing:
 
     def test_stats_rollup_aggregates_workers(self):
         coverage = chains_covering_workers(workers=2)
-        supervisor = ShardSupervisor(shard_config())
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server()
+        with ThreadedServer(server) as address:
             oracles = [RemoteOracle(address, circuit=group[0])
                        for group in coverage.values()]
             for oracle in oracles:
@@ -170,8 +182,8 @@ class TestShardedServing:
         """Worker-side budget refusal crosses the supervisor verbatim
         as the same typed error a single-process server raises."""
         circuit = build_chain("budgeted", 4)
-        supervisor = ShardSupervisor(shard_config())
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server()
+        with ThreadedServer(server) as address:
             remote = RemoteOracle(address, circuit=circuit, budget=2)
             remote.query({"a": 0})
             remote.query({"a": 1})
@@ -181,8 +193,8 @@ class TestShardedServing:
 
     def test_unknown_op_and_describe_routing(self):
         circuit = build_chain("desc", 5)
-        supervisor = ShardSupervisor(shard_config())
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server()
+        with ThreadedServer(server) as address:
             first = RemoteOracle(address, circuit=circuit)
             # describe-by-id routes to the same owner (second client
             # attaching to an already-hosted circuit).
@@ -191,12 +203,12 @@ class TestShardedServing:
             assert second.connection.ping()
 
     def test_drain_terminates_the_fleet(self):
-        supervisor = ShardSupervisor(shard_config())
-        server = ThreadedShardServer(supervisor)
-        server.start()
-        processes = [worker.process for worker in supervisor.workers]
+        server = sharded_server()
+        threaded = ThreadedServer(server)
+        threaded.start()
+        processes = [worker.process for worker in server.supervisor.workers]
         assert all(p.is_alive() for p in processes)
-        server.stop()
+        threaded.stop()
         assert all(not p.is_alive() for p in processes)
 
 
@@ -213,13 +225,13 @@ class TestWorkerSupervision:
         it reached the worker first)."""
         circuit = build_chain("victim", 6)
         local = CombinationalOracle(circuit)
-        config = shard_config(
+        server = sharded_server(
             workers=2,
             batch=BatchConfig(max_batch=64, window_s=2.0),
         )
-        supervisor = ShardSupervisor(config)
+        supervisor = server.supervisor
         outcome = {}
-        with ThreadedShardServer(supervisor) as address:
+        with ThreadedServer(server) as address:
             remote = RemoteOracle(address, circuit=circuit, timeout_s=60.0)
             owner = supervisor.owner_index(remote.circuit_id)
             handle = supervisor.workers[owner]
@@ -295,10 +307,11 @@ class TestWorkerSupervision:
         every single response arrives and is bit-correct."""
         circuit = build_chain("loaded", 7)
         local = CombinationalOracle(circuit)
-        supervisor = ShardSupervisor(shard_config(workers=2))
+        server = sharded_server(workers=2)
+        supervisor = server.supervisor
         clients, per_client = 3, 15
         results = {}
-        with ThreadedShardServer(supervisor) as address:
+        with ThreadedServer(server) as address:
             seed_oracle = RemoteOracle(address, circuit=circuit,
                                        timeout_s=60.0)
             owner = supervisor.owner_index(seed_oracle.circuit_id)
@@ -337,8 +350,9 @@ class TestWorkerSupervision:
         the replayed registration ratchets the observed count, so a
         post-crash client still hits the budget wall."""
         circuit = build_chain("ratchet", 8)
-        supervisor = ShardSupervisor(shard_config(workers=2))
-        with ThreadedShardServer(supervisor) as address:
+        server = sharded_server(workers=2)
+        supervisor = server.supervisor
+        with ThreadedServer(server) as address:
             remote = RemoteOracle(address, circuit=circuit, budget=3,
                                   timeout_s=60.0)
             remote.query({"a": 0})
@@ -354,6 +368,6 @@ class TestWorkerSupervision:
             assert remote.server_query_count == 3
 
 
-def supervisor_loop(supervisor: ShardSupervisor):
+def supervisor_loop(supervisor):
     """The event loop the supervisor's heartbeat task runs on."""
     return supervisor._heartbeat_task.get_loop()

@@ -71,6 +71,8 @@ class TestLockAndAttack:
         out = capsys.readouterr().out
         assert "DIP iterations         : 0" in out
         assert "warm-start clauses     : 0" not in out
+        # Zero DIPs from a seeded solver is not the GK signature.
+        assert "UNSAT at 1st iteration : False" in out
 
     def test_gk_lock_reports_overhead(self, capsys):
         assert main([
@@ -203,6 +205,20 @@ class TestServe:
         captured = capsys.readouterr()
         assert "serving 1 circuit(s)" in captured.out
         assert "drained" in captured.err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_prints_the_id_a_client_registers(self, capsys, workers):
+        """The printed ID is the one RemoteOracle's registration of the
+        same netlist gets, so the two share one entry and one budget."""
+        from repro.cli import _load
+        from repro.serve import circuit_content_id, registration_view
+        from repro.serve.client import register_request
+
+        assert main(["serve", "iwls:s1238", "--workers", workers,
+                     "--serve-seconds", "0.05"]) == 0
+        printed = capsys.readouterr().out.split()[0]
+        view, _ = registration_view(register_request(_load("iwls:s1238")))
+        assert printed == circuit_content_id(view)
 
     def test_serve_refuses_locked_netlist(self, bench_file, tmp_path):
         locked_path = str(tmp_path / "locked.bench")
