@@ -140,27 +140,35 @@ def _instance(benchmark: str, seed: int, cache: NetlistCache):
         instance = cache.get_object(disk_key) if cache.enabled else None
         if instance is None:
             from ..bench.iwls import iwls_benchmark
-            from ..netlist.compiled import compile_circuit
 
             instance = iwls_benchmark(benchmark, seed=seed)
-            # Compile before pickling: the compiled IR rides along in
-            # the cache entry, so other pool workers skip recompilation.
-            compile_circuit(instance.circuit)
-            cache.put_object(disk_key, instance)
+            if cache.enabled:
+                from ..netlist.compiled import compile_circuit
+
+                # Compile before pickling: the compiled IR rides along
+                # in the cache entry, so other pool workers skip
+                # recompilation.
+                compile_circuit(instance.circuit)
+                cache.put_object(disk_key, instance)
         if len(_INSTANCE_MEMO) >= 8:
             _INSTANCE_MEMO.clear()
         _INSTANCE_MEMO[memo_key] = instance
     return instance
 
 
-def _netlist_text(circuit) -> str:
-    # Structural Verilog: unlike .bench it can express every cell a
-    # locking flow inserts (KEYGEN MUX4s, camouflaged LUTs, ...).
-    from ..netlist.verilog_io import write_verilog
+def _with_netlist(artifact: Dict[str, Any], circuit,
+                  cache: NetlistCache) -> Dict[str, Any]:
+    """*artifact* plus the locked netlist text when a cache will store
+    it; :func:`_summary` drops the text before the record goes home."""
+    if cache.enabled:
+        # Structural Verilog: unlike .bench it can express every cell a
+        # locking flow inserts (KEYGEN MUX4s, camouflaged LUTs, ...).
+        from ..netlist.verilog_io import write_verilog
 
-    buffer = StringIO()
-    write_verilog(circuit, buffer)
-    return buffer.getvalue()
+        buffer = StringIO()
+        write_verilog(circuit, buffer)
+        artifact["netlist"] = buffer.getvalue()
+    return artifact
 
 
 def _summary(artifact: Mapping[str, Any]) -> Dict[str, Any]:
@@ -206,13 +214,12 @@ def _run_table2(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
             return {"benchmark": name, "config": config, "overhead": None,
                     "key": None, "netlist": None}
         oh = overhead(instance.circuit, locked.circuit)
-        return {
+        return _with_netlist({
             "benchmark": name,
             "config": config,
             "overhead": [oh.cell_percent, oh.area_percent],
             "key": locked.key,
-            "netlist": _netlist_text(locked.circuit),
-        }
+        }, locked.circuit, cache)
 
     return _summary(cache.get_or_compute(key, compute))
 
@@ -237,14 +244,13 @@ def _run_lock(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
             instance.circuit, key_bits, random.Random(seed)
         )
         oh = overhead(instance.circuit, locked.circuit)
-        return {
+        return _with_netlist({
             "benchmark": name,
             "scheme": scheme,
             "key_bits": key_bits,
             "overhead": [oh.cell_percent, oh.area_percent],
             "key": locked.key,
-            "netlist": _netlist_text(locked.circuit),
-        }
+        }, locked.circuit, cache)
 
     return _summary(cache.get_or_compute(key, compute))
 

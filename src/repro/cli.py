@@ -564,6 +564,7 @@ def _install_obs_dumper(path: str, interval_s: float, handle):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .serve import (
         AdmissionConfig,
@@ -615,6 +616,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     supervisor = server.supervisor
 
     async def run() -> None:
+        # SIGINT and SIGTERM end the wait below and drain, as the end of
+        # --serve-seconds does.  A loop handler also overrides an
+        # inherited SIG_IGN: a server started with `&` from a script
+        # ignores SIGINT otherwise.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         dumper = None
         try:
             host, port = await server.start()
@@ -642,10 +651,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if args.metrics_file:
                 dumper = _install_obs_dumper(
                     args.metrics_file, args.metrics_interval, server.handle)
-            if args.serve_seconds is not None:
-                await asyncio.sleep(args.serve_seconds)
-            else:
-                await server.serve_forever()
+            try:
+                await asyncio.wait_for(stop.wait(), args.serve_seconds)
+            except asyncio.TimeoutError:
+                pass
         finally:
             # The drain covers registration failures too: workers are
             # real child processes and must not outlive a SystemExit.

@@ -14,7 +14,9 @@ GK+KEYGEN structures — Table II shows the overhead dropping from the
 Every XOR insertion into a GK cone is timing-verified: the GK's
 Eq. (5) trigger window must still contain its (already synthesized)
 trigger after the extra gate delay; insertions that would break a
-glitch are rolled back and another site is tried.
+glitch are rolled back and another site is tried.  Each trial re-times
+only the new gate's fan-out cone (:meth:`TimingAnalysis.retimed`); a
+rejected trial drops that copy and keeps the analysis it started from.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import Dict, List, Optional, Set
 
 from ..netlist.circuit import Circuit
 from ..sta.clock import ClockSpec
-from ..sta.timing import analyze
+from ..sta.timing import TimingAnalysis, analyze
 from .base import LockedCircuit, LockingError, LockingScheme
 from .registry import register_scheme
-from .xor_lock import insert_xor_keygate, lockable_nets
+from .xor_lock import insert_xor_keygate, lockable_nets, remove_xor_keygate
 
 __all__ = ["HybridGkXor"]
 
@@ -122,22 +124,22 @@ class HybridGkXor(LockingScheme):
         key: Dict[str, int] = dict(base.key)
         xor_gates: List[Dict[str, str]] = []
         index = 0
+        timing = analyze(locked, self.clock)
         for net in sites:
             if index == xor_bits:
                 break
             key_net = locked.add_key_input(f"keyin_h{index}")
             bit = rng.randint(0, 1)
             gate_name = insert_xor_keygate(locked, net, key_net, bit)
-            if self._gk_windows_hold(locked, records):
+            trial = timing.retimed([gate_name])
+            if self._gk_windows_hold(locked, records, trial):
+                timing = trial
                 key[key_net] = bit
                 xor_gates.append({"gate": gate_name, "net": net, "key": key_net})
                 protected.add(gate_name)
                 index += 1
-            else:  # roll back: un-splice the key gate
-                gate = locked.remove_gate(gate_name)
-                locked.rewire_sinks(gate.output, net)
-                locked.key_inputs.remove(key_net)
-                locked.release_driver(key_net)
+            else:  # roll back: `timing` still describes the netlist
+                remove_xor_keygate(locked, gate_name)
         if index < xor_bits:
             raise LockingError(
                 f"placed only {index}/{xor_bits} XOR key-gates without "
@@ -155,9 +157,10 @@ class HybridGkXor(LockingScheme):
             metadata=metadata,
         )
 
-    def _gk_windows_hold(self, locked: Circuit, records) -> bool:
+    def _gk_windows_hold(
+        self, locked: Circuit, records, analysis: TimingAnalysis
+    ) -> bool:
         """Do all GK triggers still sit inside their Eq. (5) windows?"""
-        analysis = analyze(locked, self.clock)
         for record in records:
             x_net = record.live_x_net(locked)
             arrival = analysis.arrival_max[x_net]

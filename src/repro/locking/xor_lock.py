@@ -19,7 +19,8 @@ from ..netlist.circuit import Circuit
 from .base import LockedCircuit, LockingError, LockingScheme
 from .registry import register_scheme
 
-__all__ = ["XorLock", "lockable_nets"]
+__all__ = ["XorLock", "insert_xor_keygate", "lockable_nets",
+           "remove_xor_keygate"]
 
 
 def lockable_nets(circuit: Circuit) -> List[str]:
@@ -49,6 +50,8 @@ def insert_xor_keygate(
     function = "XNOR2" if correct_bit else "XOR2"
     out = circuit.new_net("klk")
     gate_name = circuit.new_gate_name("kg")
+    # Splice: move the original readers of `net` onto the key-gate
+    # output, then connect the key-gate input to `net`.
     circuit.rewire_sinks(net, out)
     circuit.add_gate(
         gate_name,
@@ -57,6 +60,19 @@ def insert_xor_keygate(
         out,
     )
     return gate_name
+
+
+def remove_xor_keygate(circuit: Circuit, gate_name: str) -> None:
+    """Undo :func:`insert_xor_keygate` and drop the gate's key input.
+
+    The spliced net gets its readers back, and the netlist is as it was
+    before the key input was added.
+    """
+    gate = circuit.remove_gate(gate_name)
+    circuit.rewire_sinks(gate.output, gate.pins["A"])
+    key_net = gate.pins["B"]
+    circuit.key_inputs.remove(key_net)
+    circuit.release_driver(key_net)
 
 
 @register_scheme(
@@ -101,20 +117,7 @@ class XorLock(LockingScheme):
             key_net = locked.add_key_input(f"keyin_x{i}")
             bit = rng.randint(0, 1)
             key[key_net] = bit
-            # XOR passes the data through when the key bit is 0, XNOR
-            # when it is 1 — the correct bit always yields a buffer.
-            function = "XNOR2" if bit else "XOR2"
-            out = locked.new_net("klk")
-            gate_name = locked.new_gate_name("kg")
-            # Splice: move the original readers of `net` onto the
-            # key-gate output, then connect the key-gate input to `net`.
-            locked.rewire_sinks(net, out)
-            locked.add_gate(
-                gate_name,
-                locked.library.cheapest(function).name,
-                {"A": net, "B": key_net},
-                out,
-            )
+            gate_name = insert_xor_keygate(locked, net, key_net, bit)
             gates.append({"gate": gate_name, "net": net, "key": key_net})
         locked.validate()
         return LockedCircuit(

@@ -225,8 +225,9 @@ class Circuit:
     def replace_cell(self, gate_name: str, cell: Cell) -> None:
         """Swap a gate's library cell (resizing, delay derating).
 
-        Cell swaps change delays the compiled IR has baked in, so they
-        must go through here rather than assigning ``gate.cell``.
+        A swap can change the function and pin order the memoized
+        compiled IR has baked in, so swaps must go through here rather
+        than assigning ``gate.cell``.
         """
         self.gates[gate_name].cell = cell
         self._invalidate()

@@ -1,12 +1,12 @@
 """Compiled circuit IR: one levelized, bit-parallel evaluation core.
 
-Every layer that evaluates a netlist — the cycle oracle the SAT attack
-queries, the event simulator's settle pass, Tseitin encoding, STA,
-equivalence, ATPG, and synthesis — used to re-walk the object-graph
-:class:`~repro.netlist.circuit.Circuit` per call: string-keyed dicts,
-string dispatch per gate, a fresh Kahn sort per pass.  This module
-compiles a circuit **once** into flat structure-of-arrays over integer
-net IDs:
+Every layer that evaluates a netlist many times over one structure —
+the cycle oracle the SAT attack queries, the event simulator's settle
+pass, Tseitin encoding, equivalence and ATPG — used to re-walk the
+object-graph :class:`~repro.netlist.circuit.Circuit` per call:
+string-keyed dicts, string dispatch per gate, a fresh Kahn sort per
+pass.  This module compiles a circuit **once** into flat
+structure-of-arrays over integer net IDs:
 
 * an interned net table (``net_names`` / ``net_ids``), sources first —
   PIs, key inputs, the clock, flip-flop Q nets, then any remaining
@@ -14,13 +14,15 @@ net IDs:
   schedule order;
 * a levelized topological schedule: per gate the function opcode, the
   output net ID, the fanin IDs (both as a flat ``fanin_ptr``/
-  ``fanin_ids`` pair and as per-gate tuples for the hot loop), the cell
-  delay, the level, and the LUT truth table where applicable.
+  ``fanin_ids`` pair and as per-gate tuples for the hot loop), the
+  level, and the LUT truth table where applicable.
 
 The schedule order is **exactly** ``circuit.topological_order()`` — the
 levels are metadata, not a reordering — so consumers that assign CNF
-variables or arrival times in iteration order produce byte-identical
-results before and after the migration.
+variables in iteration order produce byte-identical results before and
+after the migration.  Passes that run once per netlist edit (STA,
+constant propagation) walk ``topological_order()`` directly: the IR
+would be stale by their next call, so building it would be pure cost.
 
 On top of the arrays sits a two-plane **bit-parallel** evaluator with
 full 0/1/X semantics: each net carries a ``value`` word and a ``known``
@@ -206,7 +208,6 @@ class CompiledCircuit:
         "fanin_ids",
         "fanin_tuples",
         "fanin_name_tuples",
-        "delays",
         "levels",
         "truth_tables",
         "lut_value_planes",
@@ -270,7 +271,6 @@ class CompiledCircuit:
         fanin_ptr: List[int] = [0]
         fanin_ids: List[int] = []
         fanin_tuples: List[Tuple[int, ...]] = []
-        delays: List[float] = []
         levels: List[int] = []
         truth_tables: List[Optional[Tuple[int, ...]]] = []
         lut_value_planes: List[Optional[Tuple[int, ...]]] = []
@@ -291,7 +291,6 @@ class CompiledCircuit:
             fanin_ids.extend(fanin)
             fanin_ptr.append(len(fanin_ids))
             fanin_tuples.append(fanin)
-            delays.append(gate.cell.delay)
             levels.append(
                 1 + max((level_of.get(n, 0) for n in fanin), default=0)
             )
@@ -319,7 +318,6 @@ class CompiledCircuit:
         self.fanin_name_tuples = tuple(
             tuple(net_names[i] for i in fanin) for fanin in fanin_tuples
         )
-        self.delays = tuple(delays)
         self.levels = tuple(levels)
         self.truth_tables = tuple(truth_tables)
         self.lut_value_planes = tuple(lut_value_planes)
@@ -343,6 +341,8 @@ class CompiledCircuit:
         # they were compiled at the historical 64-lane width.
         state.setdefault("lanes", LANES)
         state.setdefault("mask", (1 << state["lanes"]) - 1)
+        # Older pickles also carry a cell-delay slot only STA read.
+        state.pop("delays", None)
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
         self._sched = list(

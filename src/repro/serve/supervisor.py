@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import signal
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
@@ -115,6 +116,12 @@ def worker_main(index: int, config: ServerConfig, bootstrap) -> None:
     through it (or, if binding fails, an error string — the supervisor
     turns that into a spawn failure instead of a timeout).
     """
+    # A forked worker inherits the front end's loop signal handlers and
+    # their wakeup fd.  It leaves a terminal's SIGINT to the front end,
+    # which drains the fleet, and dies on a plain SIGTERM.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     async def main() -> None:
         # Never inherit the front end's observability session across a

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..netlist.circuit import Circuit, Gate, NetlistError
-from ..netlist.compiled import compile_circuit
 from ..obs.spans import trace_span
 
 __all__ = ["optimize", "sweep_dead_gates", "propagate_constants",
@@ -51,18 +50,14 @@ def propagate_constants(
     Gates that become constant are replaced by a shared TIE cell.
     """
     changed = 0
-    # Scan over the compiled schedule (same order as the object-graph
-    # topo walk); the structural edits below invalidate it, but the scan
-    # is complete by then.
-    compiled = compile_circuit(circuit)
+    # The structural edits below invalidate the topological order, but
+    # the scan is complete by then.
     const_of: Dict[str, int] = {}
-    for i in range(compiled.num_gates):
-        operands = [
-            const_of.get(net) for net in compiled.fanin_name_tuples[i]
-        ]
-        value = _const_eval(compiled.functions[i], operands)
+    for gate in circuit.topological_order():
+        operands = [const_of.get(net) for net in gate.input_nets()]
+        value = _const_eval(gate.function, operands)
         if value is not None:
-            const_of[compiled.out_names[i]] = value
+            const_of[gate.output] = value
     if not const_of:
         return 0
     tie_nets: Dict[int, str] = {}

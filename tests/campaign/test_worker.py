@@ -114,3 +114,43 @@ class TestServedOracleHook:
         assert record["status"] == "error"
         assert record["transient"] is True
         assert "oracle 127.0.0.1:1" in record["error"]
+
+
+class TestCacheOnlyArtifacts:
+    """Netlist text and the instance's compiled IR exist for the cache:
+    they are built only when a cache will store them."""
+
+    SPEC = JobSpec.make("lock", benchmark="s1238", scheme="xor",
+                        key_bits=4, seed=1)
+
+    def test_nothing_rendered_or_compiled_without_a_cache(self, monkeypatch):
+        import repro.netlist.verilog_io as verilog_io
+        from repro.campaign import worker
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("rendered netlist text for no cache")
+
+        monkeypatch.setattr(verilog_io, "write_verilog", refuse)
+        monkeypatch.setattr(worker, "_INSTANCE_MEMO", {})
+        record = execute_job(self.SPEC, cache=NetlistCache(None))
+        assert record["status"] == "ok", record["error"]
+        assert "netlist" not in record["payload"]
+        instance = worker._INSTANCE_MEMO[("s1238", 2019)]
+        assert instance.circuit._compiled_cache is None
+
+    def test_cached_artifact_keeps_the_netlist(self, tmp_path, monkeypatch):
+        from repro.campaign import worker
+
+        monkeypatch.setattr(worker, "_INSTANCE_MEMO", {})
+        cache = NetlistCache(str(tmp_path))
+        cached = execute_job(self.SPEC, cache=cache)
+        uncached = execute_job(self.SPEC, cache=NetlistCache(None))
+        assert cached["payload"] == uncached["payload"]
+        params = self.SPEC.param_dict
+        entry = cache.get(cache.key(kind="lock", **params))
+        assert "module s1238__xor4" in entry["netlist"]
+        assert {k: v for k, v in entry.items() if k != "netlist"} == \
+            cached["payload"]
+        instance = cache.get_object(
+            cache.key(kind="bench", benchmark="s1238", seed=2019))
+        assert instance.circuit._compiled_cache is not None

@@ -130,6 +130,24 @@ class TestPickle:
             compiled.lanes: compiled
         }
 
+    def test_pickle_carrying_cell_delays_still_loads(self, toy_sequential,
+                                                     monkeypatch):
+        # IRs in older campaign caches carry a per-gate cell-delay slot
+        # the class no longer has; unpickling skips it.
+        compiled = compile_circuit(toy_sequential)
+        delays = tuple(g.cell.delay for g in toy_sequential.topological_order())
+        old_state = dict(compiled.__getstate__(), delays=delays)
+        monkeypatch.setattr(CompiledCircuit, "__getstate__",
+                            lambda self: dict(old_state))
+        data = pickle.dumps(compiled)
+        monkeypatch.undo()
+        clone = pickle.loads(data)
+        assert not hasattr(clone, "delays")
+        assert clone.net_names == compiled.net_names
+        assert clone.evaluate({"a": 1, "b": 0}) == compiled.evaluate(
+            {"a": 1, "b": 0}
+        )
+
     def test_unpickled_circuit_still_evaluates(self, toy_combinational):
         compile_circuit(toy_combinational)
         clone = pickle.loads(pickle.dumps(toy_combinational))

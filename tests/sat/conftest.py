@@ -1,30 +1,6 @@
-"""Hypothesis profiles for the SAT fuzzing layer.
+"""Hypothesis profiles for the SAT fuzzing layer: see
+``tests/hypothesis_profiles.py``."""
 
-CI runs the fuzz suites under ``HYPOTHESIS_PROFILE=ci``: at least 200
-examples per property, derandomized so a red run reproduces from the
-log alone, and no per-example deadline (a CDCL restart storm on a
-pathological draw is slow but not wrong — the step-level timeout in
-the workflow is the watchdog).  The default ``dev`` profile keeps
-local iteration snappy; properties in this package rely on the profile
-instead of per-test ``max_examples`` overrides so one knob scales the
-whole layer.
-"""
+from hypothesis_profiles import load_profile
 
-import os
-
-from hypothesis import HealthCheck, settings
-
-settings.register_profile(
-    "ci",
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-settings.register_profile(
-    "dev",
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+load_profile()

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -254,6 +259,78 @@ class TestServe:
         with pytest.raises(SystemExit, match="locked"):
             main(["serve", locked_path, "--workers", "2",
                   "--serve-seconds", "0.05"])
+
+
+def _children(pid):
+    """PIDs whose parent is *pid*, read from ``/proc/<pid>/stat``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stream:
+                fields = stream.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stream:
+            return stream.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads worker PIDs from /proc")
+class TestServeSignals:
+    """A background `repro serve --workers 2` drains on SIGINT or
+    SIGTERM and takes its forked workers with it."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_drains_server_and_workers(self, bench_file, tmp_path,
+                                              signum):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   PYTHONUNBUFFERED="1")
+        out_path, err_path = tmp_path / "serve.out", tmp_path / "serve.err"
+        with open(out_path, "w") as out, open(err_path, "w") as err:
+            # `&` from a non-interactive shell starts it with SIGINT
+            # ignored.  Files, not pipes: surviving workers would hold a
+            # pipe open and hang the read.
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", bench_file,
+                 "--port", "0", "--workers", "2"],
+                stdout=out, stderr=err, env=env,
+                preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                 signal.SIG_IGN),
+            )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while "serving" not in out_path.read_text():
+                assert server.poll() is None, err_path.read_text()
+                assert time.monotonic() < deadline, "server never served"
+                time.sleep(0.05)
+            workers = _children(server.pid)
+            assert len(workers) >= 2
+            server.send_signal(signum)
+            assert server.wait(timeout=10.0) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            survivors = [pid for pid in workers if _running(pid)]
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+        assert "drained:" in err_path.read_text()
+        assert survivors == []
 
 
 class TestAttackRemoteFlags:
