@@ -70,7 +70,8 @@ def test_disabled_path_is_inert():
     from repro.obs.spans import _NULL, trace_span
 
     assert not obs.is_enabled()
-    request = {"op": "query", "circuit": "abc", "patterns": [{"a": 1}]}
+    request = {"op": "query", "circuit": "abc", "count": 1,
+               "planes": [["1", "1"]]}
     assert attach_context(request) is request
     assert "ctx" not in request
     assert current_context() is None

@@ -3,8 +3,8 @@
 The scenario the batcher exists for: 64 concurrent clients, each
 looping single-pattern queries against the same served circuit — the
 shape of a distributed SAT attack's DIP loop.  Both regimes run the
-*full* dispatch path (``OracleServer.handle``: decode, validate,
-admission, budget charge, batcher, compiled evaluation):
+*full* dispatch path (``OracleServer.handle``: plane decode and
+validation, admission, budget charge, batcher, compiled evaluation):
 
 * ``batching_on`` — ``max_batch=64``: concurrent queries coalesce into
   64-lane :meth:`CompiledCircuit.query_outputs` passes,
@@ -48,6 +48,7 @@ from repro.netlist.transform import extract_combinational
 from repro.serve import RemoteOracle, ThreadedServer, owner_index
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatchConfig
+from repro.serve.client import query_request
 from repro.serve.registry import circuit_content_id
 from repro.serve.server import OracleServer, ServerConfig, registration_view
 
@@ -83,13 +84,9 @@ def _throughput(circuit, max_batch):
         entry = server.registry.register(circuit)
         rng = random.Random(0x5E4E)
         requests = [
-            {
-                "op": "query",
-                "circuit": entry.circuit_id,
-                "patterns": [
-                    {net: rng.randint(0, 1) for net in entry.compiled.inputs}
-                ],
-            }
+            query_request(entry.circuit_id, entry.compiled.inputs, [
+                {net: rng.randint(0, 1) for net in entry.compiled.inputs}
+            ])
             for _ in range(CLIENTS)
         ]
         async def client(index, rounds):
@@ -273,6 +270,65 @@ def test_sharded_vs_single_process_throughput(bench_record):
 
 
 # ----------------------------------------------------------------------
+# The multi-worker front end's speed-up ceiling
+# ----------------------------------------------------------------------
+
+BOUND_QUERIES = 400
+BOUND_PATTERNS = 64
+
+
+def _serve_thread_cpu_ms_per_query(server, circuit):
+    """CPU the server's event-loop thread spends per 64-pattern query.
+
+    One client sends the ``oracle-serve`` op shape back to back; the
+    loop thread's own CPU clock is read before and after, so neither
+    the client's packing nor a forked worker's evaluation counts.
+    """
+    with ThreadedServer(server) as address:
+        thread = next(t for t in threading.enumerate()
+                      if t.name == "repro-serve")
+        clock = time.pthread_getcpuclockid(thread.ident)
+        with RemoteOracle(address, circuit=circuit) as oracle:
+            rng = random.Random(0xB0D)
+            batch = [{net: rng.randint(0, 1) for net in oracle.inputs}
+                     for _ in range(BOUND_PATTERNS)]
+            oracle.query_batch(batch)  # warm: registration, compile
+            start = time.clock_gettime(clock)
+            for _ in range(BOUND_QUERIES):
+                oracle.query_batch(batch)
+            spent = time.clock_gettime(clock) - start
+    return spent * 1e3 / BOUND_QUERIES
+
+
+@pytest.mark.no_obs
+@pytest.mark.skipif(not hasattr(time, "pthread_getcpuclockid"),
+                    reason="needs per-thread CPU clocks")
+def test_front_end_cpu_bound(s1238, bench_record):
+    """With N workers every request still crosses the front end's one
+    event-loop thread, so N workers serve at most (single-process
+    server CPU per query) / (front-end CPU per query) times the
+    queries one process serves, on any number of cores.  Recorded,
+    not asserted."""
+    single = _serve_thread_cpu_ms_per_query(OracleServer(), s1238.circuit)
+    front = _serve_thread_cpu_ms_per_query(
+        OracleServer(config=ServerConfig(workers=2)), s1238.circuit)
+    results = bench_record({
+        "circuit": "s1238_comb",
+        "queries": BOUND_QUERIES,
+        "patterns_per_query": BOUND_PATTERNS,
+        "thread_cpu_ms_per_query": {
+            "single_process_server": round(single, 3),
+            "front_end": round(front, 3),
+        },
+        "speedup_ceiling": round(single / front, 2),
+    })
+    _merge_dump("front_end_bound", results)
+    print(f"\nBENCH_serve front-end bound: {single:.3f} / {front:.3f} ms "
+          f"= {single / front:.2f}x")
+    assert front > 0 and single > 0
+
+
+# ----------------------------------------------------------------------
 # Serve-level lane width curve
 # ----------------------------------------------------------------------
 
@@ -301,14 +357,10 @@ def _lane_throughput(circuit, lanes):
         assert entry.compiled.lanes == lanes
         rng = random.Random(0x1A4E5)
         requests = [
-            {
-                "op": "query",
-                "circuit": entry.circuit_id,
-                "patterns": [
-                    {net: rng.randint(0, 1) for net in entry.compiled.inputs}
-                    for _ in range(LANE_PATTERNS)
-                ],
-            }
+            query_request(entry.circuit_id, entry.compiled.inputs, [
+                {net: rng.randint(0, 1) for net in entry.compiled.inputs}
+                for _ in range(LANE_PATTERNS)
+            ])
             for _ in range(LANE_CLIENTS)
         ]
         async def client(index, rounds):

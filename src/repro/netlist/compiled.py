@@ -48,7 +48,8 @@ the campaign cache ships it to pool workers alongside the instance.
 from __future__ import annotations
 
 import os
-
+from itertools import accumulate
+from operator import itemgetter, lshift
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .circuit import Circuit, NetlistError
@@ -57,6 +58,7 @@ __all__ = [
     "LANES",
     "MASK",
     "CompiledCircuit",
+    "PlaneBatch",
     "compile_circuit",
     "check_lanes",
     "default_lanes",
@@ -169,6 +171,184 @@ def _mux_planes(va, ka, vb, kb, vs, ks):
     k = (sel0 & ka) | (vs & kb) | (agree & ~ks)
     v = (sel0 & va) | (vs & vb) | (agree & va & ~ks)
     return v, k
+
+
+#: 0/1 bytes <-> ASCII "0"/"1": a column of 0/1 ints becomes a plane
+#: word through one ``bytes`` build and one ``int(..., 2)``, and back
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_column(column: Sequence) -> Tuple[int, int]:
+    """(value, known) words of one net's values, lane 0 first."""
+    # The common all-known 0/1 column at C speed.  bytes() refuses None
+    # and non-integers; any byte left after deleting 0s and 1s is some
+    # other integer, which the per-lane loop rejects.
+    try:
+        raw = bytes(column[::-1])
+    except (TypeError, ValueError):
+        raw = None
+    if raw is not None and not raw.translate(None, b"\x00\x01"):
+        return int(raw.translate(_TO_ASCII), 2), (1 << len(column)) - 1
+    value = known = 0
+    for lane, val in enumerate(column):
+        v, k = _plane_bits(val)
+        value |= v << lane
+        known |= k << lane
+    return value, known
+
+
+class PlaneBatch:
+    """*count* patterns over *nets*: one value and one known word per net.
+
+    Bit *i* of a net's words is pattern *i*, with the evaluator's
+    encoding (known clear = X, ``value & ~known == 0``), and no bit is
+    set at or past *count*.  ``len()`` is the pattern count, so a batch
+    stands wherever a list of pattern dicts did: hand one to
+    :meth:`CompiledCircuit.query_outputs` and the outputs come back as
+    a batch too, with no per-pattern dict on either side.  The serving
+    stack carries queries this way from the client to the evaluator
+    and back; :meth:`pack` and :meth:`unpack` are the dict edges.
+    """
+
+    __slots__ = ("nets", "value", "known", "count")
+
+    def __init__(self, nets: Sequence[str], value: Sequence[int],
+                 known: Sequence[int], count: int) -> None:
+        self.nets = tuple(nets)
+        self.value = value
+        self.known = known
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlaneBatch):
+            return NotImplemented
+        return (self.count == other.count and self.nets == other.nets
+                and list(self.value) == list(other.value)
+                and list(self.known) == list(other.known))
+
+    def __repr__(self) -> str:
+        return f"PlaneBatch({len(self.nets)} nets, count={self.count})"
+
+    @classmethod
+    def pack(cls, nets: Sequence[str],
+             assignments: Sequence[Mapping]) -> "PlaneBatch":
+        """Pattern dicts naming exactly *nets* -> one batch.
+
+        A missing or unknown net raises :class:`NetlistError` and a
+        value other than 0/1/None ``ValueError``, as the dict form of
+        ``query_outputs`` does.
+        """
+        nets = tuple(nets)
+        count = len(assignments)
+        if len(nets) > 1:
+            get = itemgetter(*nets)
+        else:  # itemgetter of one net gives a bare value, not a tuple
+            def get(assignment):
+                return tuple(assignment[net] for net in nets)
+        try:
+            rows = [get(assignment) for assignment in assignments]
+        except KeyError:
+            rows = None
+        if rows is None or any(len(assignment) != len(nets)
+                               for assignment in assignments):
+            for assignment in assignments:
+                _check_names(nets, assignment)
+        if not count:
+            return cls(nets, [0] * len(nets), [0] * len(nets), 0)
+        value: List[int] = []
+        known: List[int] = []
+        for column in zip(*rows):
+            v, k = _pack_column(column)
+            value.append(v)
+            known.append(k)
+        return cls(nets, value, known, count)
+
+    def unpack(self) -> List[Dict[str, object]]:
+        """One ``{net: 0/1/None}`` dict per pattern, in lane order."""
+        count = self.count
+        if not count:
+            return []
+        full = (1 << count) - 1
+        width = f"0{count}b"
+        columns = []
+        for v, k in zip(self.value, self.known):
+            bits = format(v, width).encode().translate(_FROM_ASCII)[::-1]
+            if k != full:
+                known = format(k, width).encode().translate(_FROM_ASCII)
+                bits = [b if x else None for b, x in zip(bits, known[::-1])]
+            columns.append(bits)
+        nets = self.nets
+        if not nets:
+            return [{} for _ in range(count)]
+        return [dict(zip(nets, row)) for row in zip(*columns)]
+
+    @classmethod
+    def concat(cls, batches: Sequence["PlaneBatch"]) -> "PlaneBatch":
+        """One batch holding *batches* back to back, each at the lane
+        offset the ones before it fill."""
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        nets = first.nets
+        if any(batch.nets != nets for batch in batches):
+            raise ValueError("cannot concatenate plane batches over "
+                             "different nets")
+        offsets = list(accumulate((b.count for b in batches), initial=0))
+        # Per net, the batches' words are disjoint bit ranges: a sum of
+        # shifted words.
+        value = [sum(map(lshift, words, offsets))
+                 for words in zip(*(b.value for b in batches))]
+        known = [sum(map(lshift, words, offsets))
+                 for words in zip(*(b.known for b in batches))]
+        return cls(nets, value, known, offsets[-1])
+
+    def split(self, counts: Sequence[int]) -> List["PlaneBatch"]:
+        """The inverse of :meth:`concat`: consecutive batches of
+        *counts* patterns, which must add up to ``count``."""
+        if sum(counts) != self.count:
+            raise ValueError(f"split sizes {list(counts)} do not add up "
+                             f"to the batch's {self.count} patterns")
+        if len(counts) == 1:
+            return [self]
+        if self.nets and list(counts).count(1) == len(counts):
+            # One pattern per part (the DIP loop's shape, co-batched):
+            # read all of a net's lanes at once, as unpack() does.
+            width = f"0{self.count}b"
+
+            def lanes(words):
+                return zip(*(format(w, width).encode()
+                             .translate(_FROM_ASCII)[::-1] for w in words))
+
+            return [PlaneBatch(self.nets, v, k, 1)
+                    for v, k in zip(lanes(self.value), lanes(self.known))]
+        parts = []
+        offset = 0
+        for count in counts:
+            keep = (1 << count) - 1
+            parts.append(PlaneBatch(
+                self.nets,
+                [(v >> offset) & keep for v in self.value],
+                [(k >> offset) & keep for k in self.known],
+                count,
+            ))
+            offset += count
+        return parts
+
+
+def _check_names(nets: Tuple[str, ...], assignment: Mapping) -> None:
+    """Raise for the first of *nets* missing from, or the first net
+    outside *nets* present in, *assignment*."""
+    for net in nets:
+        if net not in assignment:
+            raise NetlistError(f"no value supplied for input {net!r}")
+    names = frozenset(nets)
+    for net in assignment:
+        if net not in names:
+            raise NetlistError(f"assignment names unknown net {net!r}")
 
 
 class CompiledCircuit:
@@ -485,16 +665,6 @@ class CompiledCircuit:
                     f"in circuit {self.name!r}"
                 )
 
-    def validate_assignment(self, assignment: Mapping) -> None:
-        """Public form of the evaluator's boundary check.
-
-        Lets callers that *batch independent requests* (the serving
-        layer) reject one bad assignment up front instead of letting it
-        abort a whole co-batched ``query_outputs`` pass.  Checks net
-        names only; values are validated during packing.
-        """
-        self._check_assignment(assignment)
-
     def _pack(
         self,
         assignments: Sequence[Mapping],
@@ -597,10 +767,18 @@ class CompiledCircuit:
 
     def query_outputs(
         self,
-        assignments: Sequence[Mapping],
+        assignments,
         state: Optional[Mapping] = None,
-    ) -> List[Dict[str, object]]:
-        """Primary-output dicts for many patterns (the oracle's view)."""
+    ):
+        """Primary-output dicts for many patterns (the oracle's view).
+
+        *assignments* may instead be a :class:`PlaneBatch` over the
+        circuit's inputs then its key inputs; the outputs then come
+        back as a :class:`PlaneBatch` over ``outputs``, with no
+        per-pattern dict built on either side.
+        """
+        if isinstance(assignments, PlaneBatch):
+            return self._query_planes(assignments, state)
         results: List[Dict[str, object]] = []
         lanes = self.lanes
         for start in range(0, len(assignments), lanes):
@@ -629,6 +807,35 @@ class CompiledCircuit:
                     for net, vb, kb in po_planes
                 })
         return results
+
+    def _query_planes(self, batch: PlaneBatch,
+                      state: Optional[Mapping]) -> PlaneBatch:
+        """:meth:`query_outputs` on planes, ``lanes`` patterns per pass."""
+        sources = self.inputs + self.key_inputs
+        if batch.nets != sources:
+            _check_names(sources, dict.fromkeys(batch.nets))
+            raise NetlistError(
+                "a plane batch must list the circuit's inputs, then its "
+                "key inputs, in order"
+            )
+        count = batch.count
+        lanes = self.lanes
+        source_ids = self.input_ids + self.key_ids
+        out_value = [0] * len(self.output_ids)
+        out_known = [0] * len(self.output_ids)
+        for start in range(0, count, lanes):
+            # Lanes past the batch's count stay X in, and are cut from
+            # the outputs (a TIE cell is known in every lane).
+            keep = (1 << min(lanes, count - start)) - 1
+            value, known = self._pack((), state)
+            for net_id, v, k in zip(source_ids, batch.value, batch.known):
+                value[net_id] = (v >> start) & keep
+                known[net_id] = (k >> start) & keep
+            self.run_planes(value, known)
+            for j, net_id in enumerate(self.output_ids):
+                out_value[j] |= (value[net_id] & keep) << start
+                out_known[j] |= (known[net_id] & keep) << start
+        return PlaneBatch(self.outputs, out_value, out_known, count)
 
     def step_state(
         self,

@@ -4,7 +4,8 @@ The paper's threat model is an attacker querying an *activated chip* as
 a black box; at system scale that chip is a service under heavy query
 pressure from many concurrent clients.  This package hosts circuits
 behind an asyncio server and serves oracle queries over a
-length-prefixed JSON protocol, with:
+length-prefixed JSON protocol whose queries carry bit planes (one
+value/known word pair per net, :mod:`repro.serve.protocol`), with:
 
 * a **dynamic batcher** coalescing concurrent single-pattern queries
   into lane-wide bit-parallel evaluations (:mod:`repro.serve.batcher`);

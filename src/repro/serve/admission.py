@@ -87,18 +87,26 @@ class AdmissionController:
                 seconds = min(seconds, cfg.max_deadline_s)
         return self.clock() + seconds
 
+    def check_size(self, patterns: int) -> None:
+        """Refuse one request of more than ``max_patterns_per_request``.
+
+        The server calls this on a query's ``count`` before decoding
+        its planes, whose words that count sizes.
+        """
+        limit = self.config.max_patterns_per_request
+        if patterns > limit:
+            self.rejected_overload += 1
+            raise OverloadedError(
+                f"request carries {patterns} patterns (limit {limit})"
+            )
+
     def admit(self, patterns: int) -> None:
         """Reserve *patterns* slots or raise a typed, retryable error."""
         if self.draining:
             self.rejected_draining += 1
             raise ShuttingDownError("server is draining; retry elsewhere")
+        self.check_size(patterns)
         cfg = self.config
-        if patterns > cfg.max_patterns_per_request:
-            self.rejected_overload += 1
-            raise OverloadedError(
-                f"request carries {patterns} patterns "
-                f"(limit {cfg.max_patterns_per_request})"
-            )
         if self.pending + patterns > cfg.max_pending:
             self.rejected_overload += 1
             _metrics.inc("serve.admission.rejected")

@@ -8,6 +8,15 @@ it — queries against the same circuit arriving within one **batching
 window** are coalesced into a single ``CompiledCircuit.query_outputs``
 pass.
 
+Requests arrive as bit planes (a
+:class:`~repro.netlist.compiled.PlaneBatch` per request, decoded from
+the wire by the server), so co-batching is arithmetic on plane words:
+each request's planes are shifted to the lane offset the requests
+before it fill (``PlaneBatch.concat``), the combined batch is
+evaluated once, and the output planes are cut back at the same
+offsets (``PlaneBatch.split``).  No per-pattern object is built
+between the socket and the evaluator.
+
 A batch flushes when either trigger fires, whichever comes first:
 
 * **width** — the pending lane count reaches ``max_batch`` (default:
@@ -26,8 +35,9 @@ At flush time, requests whose admission deadline has already expired
 are rejected with the typed
 :class:`~repro.serve.protocol.DeadlineExceededError` (no evaluation is
 wasted on them), budgets are charged per request in arrival order, and
-the surviving patterns run in one pass whose results are sliced back
-per request.
+the surviving requests run in one pass.  If anything in the flush
+raises, every request still waiting fails with that error: no future
+is ever left pending.
 
 The evaluation itself runs synchronously on the event loop: a lane-wide
 pass over the biggest benchmark is ~1 ms at 64 lanes (and grows far
@@ -40,8 +50,9 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
+from ..netlist.compiled import PlaneBatch
 from ..obs import metrics as _metrics
 from ..obs.metrics import Histogram
 from ..obs.spans import trace_span
@@ -76,11 +87,11 @@ class BatchConfig:
 
 
 class _Request:
-    __slots__ = ("patterns", "future", "deadline")
+    __slots__ = ("batch", "future", "deadline")
 
-    def __init__(self, patterns: Sequence[Mapping], future: "asyncio.Future",
+    def __init__(self, batch: PlaneBatch, future: "asyncio.Future",
                  deadline: Optional[float]) -> None:
-        self.patterns = patterns
+        self.batch = batch
         self.future = future
         self.deadline = deadline
 
@@ -134,23 +145,24 @@ class DynamicBatcher:
     async def submit(
         self,
         circuit_id: str,
-        patterns: Sequence[Mapping],
+        batch: PlaneBatch,
         deadline_ms: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        """Queue *patterns* for *circuit_id*; resolves with the outputs.
+    ) -> PlaneBatch:
+        """Queue *batch* (planes over the circuit's inputs) for
+        *circuit_id*; resolves with its output planes.
 
         Raises the serving layer's typed errors: unknown circuit,
         overload, deadline expiry, budget exhaustion.
         """
         entry = self.registry.get(circuit_id)  # UnknownCircuitError first
-        lanes = len(patterns)
+        lanes = len(batch)
         if lanes == 0:
-            return []
+            return entry.compiled.query_outputs(batch)
         self.admission.admit(lanes)  # OverloadedError / ShuttingDownError
         try:
             loop = asyncio.get_running_loop()
             request = _Request(
-                patterns, loop.create_future(),
+                batch, loop.create_future(),
                 self.admission.deadline_for(deadline_ms),
             )
             pending = self._pending.get(circuit_id)
@@ -178,6 +190,17 @@ class DynamicBatcher:
             return
         if pending.timer is not None:
             pending.timer.cancel()
+        try:
+            self._evaluate(circuit_id, pending, full)
+        except Exception as exc:
+            # Runs from a loop callback, where a raise would only be
+            # logged: fail whatever is still waiting instead.
+            for request in pending.requests:
+                if not request.future.done():
+                    request.future.set_exception(exc)
+
+    def _evaluate(self, circuit_id: str, pending: _PendingBatch,
+                  full: bool) -> None:
         self.batches += 1
         if full:
             self.full_batches += 1
@@ -189,15 +212,15 @@ class DynamicBatcher:
         for request in pending.requests:
             if request.future.done():
                 continue  # client gave up (connection dropped)
+            lanes = len(request.batch)
             if request.deadline is not None and now > request.deadline:
-                self.admission.note_expired(len(request.patterns))
+                self.admission.note_expired(lanes)
                 self.rejected_expired += 1
                 late_ms = (now - request.deadline) * 1e3
                 if self.slow_log is not None:
                     self.slow_log.log(
                         "deadline-expired", circuit=circuit_id[:16],
-                        late_ms=round(late_ms, 3),
-                        lanes=len(request.patterns),
+                        late_ms=round(late_ms, 3), lanes=lanes,
                     )
                 request.future.set_exception(DeadlineExceededError(
                     f"request expired {late_ms:.1f}ms "
@@ -205,7 +228,7 @@ class DynamicBatcher:
                 ))
                 continue
             try:
-                self.registry.charge(circuit_id, len(request.patterns))
+                self.registry.charge(circuit_id, lanes)
             except ServeError as exc:  # budget exhausted
                 request.future.set_exception(exc)
                 continue
@@ -213,31 +236,20 @@ class DynamicBatcher:
         if not live:
             return
 
-        flat: List[Mapping] = []
-        for request in live:
-            flat.extend(request.patterns)
-        self.occupancy.observe(len(flat))
-        self.lanes_total += len(flat)
-        _metrics.observe("serve.batch.occupancy", len(flat),
-                         OCCUPANCY_BUCKETS)
+        sizes = [len(request.batch) for request in live]
+        lanes = sum(sizes)
+        self.occupancy.observe(lanes)
+        self.lanes_total += lanes
+        _metrics.observe("serve.batch.occupancy", lanes, OCCUPANCY_BUCKETS)
         _metrics.inc("serve.batch.flushes")
-        try:
-            with trace_span("serve.batch.flush", circuit=circuit_id[:12],
-                            lanes=len(flat), requests=len(live)):
-                outputs = pending.entry.compiled.query_outputs(flat)
-        except Exception as exc:
-            # A pattern that survived per-request validation should not
-            # get here; whatever did fails the whole batch loudly.
-            for request in live:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            return
-        offset = 0
-        for request in live:
-            span = outputs[offset:offset + len(request.patterns)]
-            offset += len(request.patterns)
+        with trace_span("serve.batch.flush", circuit=circuit_id[:12],
+                        lanes=lanes, requests=len(live)):
+            outputs = pending.entry.compiled.query_outputs(
+                PlaneBatch.concat([request.batch for request in live]))
+            parts = outputs.split(sizes)
+        for request, part in zip(live, parts):
             if not request.future.done():
-                request.future.set_result(span)
+                request.future.set_result(part)
 
     def flush_all(self) -> None:
         """Force every pending batch out (drain step one)."""

@@ -10,6 +10,13 @@ request in flight): the attacks are sequential query loops, and a
 blocking client keeps them byte-for-byte deterministic against the
 in-process oracle.
 
+Pattern dicts exist only at this edge: :func:`query_request` packs
+them into one value/known plane pair per circuit input, and
+:func:`query_answer` unpacks the answer's output planes back into one
+dict per pattern (the wire format is in :mod:`repro.serve.protocol`).
+Names and values are checked while packing, with the errors the
+in-process oracle raises, before anything is sent.
+
 ``query_count`` mirrors the in-process semantics exactly: one count per
 pattern, counted locally, so an attack's reported query totals are
 identical whether the oracle is local or served.  The *server's*
@@ -30,19 +37,23 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..netlist.bench_io import write_bench
 from ..netlist.circuit import Circuit
+from ..netlist.compiled import PlaneBatch
 from ..netlist.transform import extract_combinational
 from ..obs.propagate import attach_context
 from ..obs.snapshots import adopt_payload
 from ..obs.spans import trace_span
 from .protocol import (
     ProtocolError,
+    decode_planes,
+    encode_planes,
     error_from_payload,
     recv_frame,
     send_frame,
 )
 
 __all__ = ["ServeConnection", "RemoteOracle", "parse_address",
-           "adopt_remote_trace", "register_request"]
+           "adopt_remote_trace", "register_request", "query_request",
+           "query_answer"]
 
 Address = Union[str, Tuple[str, int]]
 
@@ -70,6 +81,36 @@ def register_request(circuit: Circuit,
         "name": circuit.name,
         "budget": budget,
     }
+
+
+def query_request(circuit_id: str, inputs: Sequence[str],
+                  assignments: Sequence[Mapping[str, Any]],
+                  deadline_ms: Optional[float] = None) -> Dict[str, Any]:
+    """The ``query`` request for *assignments*, pattern dicts naming
+    exactly *inputs* (the order ``describe`` lists them in).
+
+    A missing or unknown net raises
+    :class:`~repro.netlist.circuit.NetlistError` and a value other than
+    0/1/None ``ValueError``, before anything is sent.
+    """
+    batch = PlaneBatch.pack(inputs, assignments)
+    request: Dict[str, Any] = {
+        "op": "query",
+        "circuit": circuit_id,
+        "count": batch.count,
+        "planes": encode_planes(batch),
+    }
+    if deadline_ms is not None:
+        request["deadline_ms"] = deadline_ms
+    return request
+
+
+def query_answer(response: Mapping[str, Any],
+                 outputs: Sequence[str]) -> List[Dict[str, Any]]:
+    """One ``{output: 0/1/None}`` dict per pattern of a ``query``
+    answer; *outputs* in the order ``describe`` lists them in."""
+    return decode_planes(outputs, response.get("count"),
+                         response.get("planes")).unpack()
 
 
 def parse_address(address: Address) -> Tuple[str, int]:
@@ -209,20 +250,15 @@ class RemoteOracle:
         """Outputs for many patterns in one request (one server batch)."""
         if not assignments:
             return []
-        request: Dict[str, Any] = {
-            "op": "query",
-            "circuit": self.circuit_id,
-            "patterns": [dict(a) for a in assignments],
-        }
-        if self.deadline_ms is not None:
-            request["deadline_ms"] = self.deadline_ms
+        request = query_request(self.circuit_id, self.inputs, assignments,
+                                self.deadline_ms)
         with trace_span("serve.client.query", patterns=len(assignments)):
             response = self.connection.request(request)
         self.query_count += len(assignments)
         self.server_query_count = int(
             response.get("query_count", self.server_query_count)
         )
-        return response["outputs"]
+        return query_answer(response, self.outputs)
 
     # ------------------------------------------------------------------
 

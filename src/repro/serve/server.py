@@ -50,6 +50,9 @@ from .protocol import (
     ProtocolError,
     ServeError,
     decode_body,
+    decode_count,
+    decode_planes,
+    encode_planes,
     error_to_payload,
     read_raw_frame_async,
     write_frame_async,
@@ -142,22 +145,6 @@ def registration_view(
     if budget is not None and (not isinstance(budget, int) or budget < 0):
         raise ProtocolError(f"invalid budget {budget!r}")
     return circuit, budget
-
-
-def _decode_pattern(raw: Any, index: int) -> Dict[str, Optional[int]]:
-    """One wire pattern -> oracle assignment; typed error on junk."""
-    if not isinstance(raw, dict):
-        raise ProtocolError(f"pattern #{index} is not an object")
-    pattern: Dict[str, Optional[int]] = {}
-    for net, value in raw.items():
-        if value is None or value == 0 or value == 1:
-            pattern[net] = value
-        else:
-            raise ProtocolError(
-                f"pattern #{index}: net {net!r} carries {value!r} "
-                f"(expected 0, 1, or null)"
-            )
-    return pattern
 
 
 class OracleServer:
@@ -324,27 +311,22 @@ class OracleServer:
         circuit_id = request.get("circuit")
         if not isinstance(circuit_id, str):
             raise ProtocolError("query needs a 'circuit' field")
-        raw_patterns = request.get("patterns")
-        if not isinstance(raw_patterns, list) or not raw_patterns:
-            raise ProtocolError("query needs a non-empty 'patterns' list")
+        count = decode_count(request.get("count"))
         entry = self.registry.get(circuit_id)
-        patterns: List[Dict[str, Optional[int]]] = []
-        for index, raw in enumerate(raw_patterns):
-            pattern = _decode_pattern(raw, index)
-            # Validate per request, before admission: one client's typo
-            # must not poison the co-batched evaluation of 63 others.
-            try:
-                entry.compiled.validate_assignment(pattern)
-            except Exception as exc:
-                raise ProtocolError(f"pattern #{index}: {exc}") from None
-            patterns.append(pattern)
+        # Bound the count before decoding: it sizes every plane word.
+        self.admission.check_size(count)
+        # Decoded per request, before admission: one client's malformed
+        # planes must not poison the co-batched evaluation of others.
+        batch = decode_planes(entry.compiled.inputs, count,
+                              request.get("planes"))
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
             raise ProtocolError(f"invalid deadline_ms {deadline_ms!r}")
-        outputs = await self.batcher.submit(circuit_id, patterns, deadline_ms)
+        outputs = await self.batcher.submit(circuit_id, batch, deadline_ms)
         return {
             "ok": True,
-            "outputs": outputs,
+            "count": outputs.count,
+            "planes": encode_planes(outputs),
             "query_count": self.registry.query_count(circuit_id),
         }
 

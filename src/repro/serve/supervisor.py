@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
 import signal
 import time
 from collections import deque
@@ -65,6 +66,7 @@ from .protocol import (
     UnknownCircuitError,
     WorkerCrashedError,
     decode_body,
+    decode_count,
     encode_raw_frame,
     read_raw_frame_async,
     write_frame_async,
@@ -87,6 +89,8 @@ MAX_RESPAWNS = 8
 SPAWN_TIMEOUT_S = 30.0
 #: multiprocessing start method (None = fork where available, else spawn)
 START_METHOD: Optional[str] = None
+#: seconds between a worker's checks that its front end is still alive
+ORPHAN_POLL_S = 0.5
 #: seconds between polls of every worker's ``obs`` op (metric samples
 #: plus buffered spans); 0 disables the loop, and the fleet view then
 #: refreshes only when a client asks
@@ -109,8 +113,10 @@ def owner_index(circuit_id: str, workers: int) -> int:
 # Worker process
 # ----------------------------------------------------------------------
 
-def worker_main(index: int, config: ServerConfig, bootstrap) -> None:
-    """Process entrypoint: serve until the supervisor kills us.
+def worker_main(index: int, config: ServerConfig, bootstrap,
+                front_pid: int) -> None:
+    """Process entrypoint: serve until the supervisor kills us, or
+    until the front end (process *front_pid*) is gone.
 
     *bootstrap* is the supervisor's pipe; the bound address goes out
     through it (or, if binding fails, an error string — the supervisor
@@ -147,7 +153,14 @@ def worker_main(index: int, config: ServerConfig, bootstrap) -> None:
             return
         bootstrap.send(("ok", (host, port)))
         bootstrap.close()
-        await server.serve_forever()
+        serving = asyncio.get_running_loop().create_task(
+            server.serve_forever())
+        # A front end killed outright (SIGKILL) drains nobody: its
+        # re-parented workers would keep their ports and the server's
+        # stdout/stderr open for good.  Exit once the parent changes.
+        while not serving.done() and os.getppid() == front_pid:
+            await asyncio.sleep(ORPHAN_POLL_S)
+        serving.cancel()
 
     asyncio.run(main())
 
@@ -168,7 +181,7 @@ def spawn_worker(index: int, config: ServerConfig):
     parent, child = context.Pipe(duplex=False)
     process = context.Process(
         target=worker_main,
-        args=(index, config, child),
+        args=(index, config, child, os.getpid()),
         name=f"repro-serve-worker-{index}",
         daemon=True,
     )
@@ -628,11 +641,7 @@ class Supervisor:
             )
         lanes = 1
         if op == "query":
-            patterns = request.get("patterns")
-            if not isinstance(patterns, list) or not patterns:
-                raise ProtocolError(
-                    "query needs a non-empty 'patterns' list")
-            lanes = len(patterns)
+            lanes = decode_count(request.get("count"))
         raw = await self._forward(request, body, circuit_id, lanes)
         if op == "query":
             # Ratchet from *answered* responses only: a request lost to

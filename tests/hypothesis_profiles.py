@@ -9,12 +9,12 @@ local iteration snappy; properties in these packages rely on the
 profile instead of per-test ``max_examples`` overrides so one knob
 scales the whole layer.
 
-``tests/sat/conftest.py`` loads the profile for the whole process with
-:func:`load_profile`.  Other suites apply it to their own properties
-only (``@active_profile()``), so collecting them changes no other
-suite's defaults.  The module is importable as ``hypothesis_profiles``
-because pytest's default import mode puts the root conftest's
-directory, ``tests/``, on the path.
+Each property applies the profile to itself (``@active_profile()``);
+none is loaded for the whole process, so collecting a fuzz suite
+changes no other suite's hypothesis defaults
+(``tests/test_hypothesis_scope.py`` checks this).  The module is
+importable as ``hypothesis_profiles`` because pytest's default import
+mode puts the root conftest's directory, ``tests/``, on the path.
 """
 
 import os
@@ -40,11 +40,9 @@ def _profile_name() -> str:
     return os.environ.get("HYPOTHESIS_PROFILE", "dev")
 
 
-def load_profile() -> None:
-    """Load the profile ``HYPOTHESIS_PROFILE`` names (default ``dev``)."""
-    settings.load_profile(_profile_name())
-
-
-def active_profile() -> settings:
-    """That profile as a decorator for one property."""
-    return settings.get_profile(_profile_name())
+def active_profile(min_examples: int = 0) -> settings:
+    """The profile ``HYPOTHESIS_PROFILE`` names (default ``dev``) as a
+    decorator for one property, run at least *min_examples* times."""
+    profile = settings.get_profile(_profile_name())
+    return settings(profile,
+                    max_examples=max(profile.max_examples, min_examples))

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.netlist import Builder, NetlistError, compile_circuit
-from repro.netlist.compiled import CompiledCircuit
+from repro.netlist.compiled import CompiledCircuit, PlaneBatch
 from repro.sim import (
     evaluate_combinational,
     evaluate_combinational_interpreted,
@@ -232,21 +232,120 @@ class TestCompiledStructure:
 
 
 class TestValidateAssignment:
-    """The serving layer's pre-batching boundary check."""
+    """The evaluator's boundary check on dict assignments, which
+    ``query_outputs`` applies before packing a single bit."""
 
     def test_accepts_complete_assignment(self):
         compiled = compile_circuit(build_toy_combinational())
-        compiled.validate_assignment({"a": 0, "b": 1, "c": 0})  # no raise
+        assert compiled.query_outputs([{"a": 0, "b": 1, "c": 0}]) == \
+            [{"y": 0, "z": 1}]
 
     def test_rejects_missing_and_unknown_nets(self):
         compiled = compile_circuit(build_toy_combinational())
         with pytest.raises(NetlistError, match="no value supplied"):
-            compiled.validate_assignment({"a": 0, "b": 1})
+            compiled.query_outputs([{"a": 0, "b": 1}])
         with pytest.raises(NetlistError, match="unknown net"):
-            compiled.validate_assignment({"a": 0, "b": 1, "c": 0, "zz": 1})
+            compiled.query_outputs([{"a": 0, "b": 1, "c": 0, "zz": 1}])
 
-    def test_checks_names_only_not_values(self):
-        # Values are validated later, during packing; the cheap name
-        # check is what co-batched requests are screened with.
+    def test_rejects_bad_values(self):
         compiled = compile_circuit(build_toy_combinational())
-        compiled.validate_assignment({"a": 0, "b": 2, "c": "junk"})
+        with pytest.raises(ValueError, match="not a logic value"):
+            compiled.query_outputs([{"a": 0, "b": 2, "c": "junk"}])
+
+
+class TestPlaneBatch:
+    """Planes in, planes out: the same answers as dicts in, dicts out."""
+
+    @staticmethod
+    def patterns(circuit, count, seed):
+        import random
+
+        rng = random.Random(seed)
+        nets = list(circuit.inputs) + list(circuit.key_inputs)
+        return [{net: rng.choice((0, 1, None)) for net in nets}
+                for _ in range(count)]
+
+    def test_pack_unpack_round_trip(self):
+        patterns = [{"a": 1, "b": None}, {"a": 0, "b": True},
+                    {"a": 1.0, "b": 0}]
+        batch = PlaneBatch.pack(["a", "b"], patterns)
+        assert len(batch) == 3
+        assert batch.value == [0b101, 0b010]
+        assert batch.known == [0b111, 0b110]
+        assert batch.unpack() == [{"a": 1, "b": None}, {"a": 0, "b": 1},
+                                  {"a": 1, "b": 0}]
+        assert PlaneBatch.pack(["a"], []).unpack() == []
+
+    def test_pack_rejects_like_query_outputs(self):
+        with pytest.raises(NetlistError, match="no value supplied"):
+            PlaneBatch.pack(["a", "b"], [{"a": 0}])
+        with pytest.raises(NetlistError, match="unknown net 'zz'"):
+            PlaneBatch.pack(["a"], [{"a": 0, "zz": 1}])
+        # Integers that bytes() accepts are still not logic values.
+        for junk in (2, 32, 43, 95, "1", [1]):
+            with pytest.raises(ValueError, match="not a logic value"):
+                PlaneBatch.pack(["a"], [{"a": 1}, {"a": junk}])
+
+    @pytest.mark.parametrize("count", [1, 7, 64, 65, 200])
+    def test_query_outputs_planes_match_dicts(self, count):
+        from repro.bench import iwls_benchmark
+        from repro.netlist.transform import extract_combinational
+
+        circuit = extract_combinational(
+            iwls_benchmark("s1238").circuit).circuit
+        compiled = compile_circuit(circuit)
+        patterns = self.patterns(circuit, count, seed=count)
+        answer = compiled.query_outputs(
+            PlaneBatch.pack(compiled.inputs, patterns))
+        assert isinstance(answer, PlaneBatch)
+        assert answer.nets == compiled.outputs and len(answer) == count
+        assert answer.unpack() == compiled.query_outputs(patterns)
+        # No bit at or past the count, even from constant outputs.
+        assert all(k < (1 << count) for k in answer.known)
+
+    def test_key_inputs_follow_inputs(self):
+        b = Builder("keyed")
+        a, = b.inputs("a")
+        key = b.key_input("keyin0")
+        b.po(b.xor(a, key), "y")
+        compiled = compile_circuit(b.circuit)
+        patterns = self.patterns(b.circuit, 5, seed=1)
+        batch = PlaneBatch.pack(["a", "keyin0"], patterns)
+        assert compiled.query_outputs(batch).unpack() == \
+            compiled.query_outputs(patterns)
+        with pytest.raises(NetlistError, match="in order"):
+            compiled.query_outputs(PlaneBatch.pack(["keyin0", "a"],
+                                                   patterns))
+        with pytest.raises(NetlistError, match="no value supplied"):
+            compiled.query_outputs(PlaneBatch(["a"], [0], [1], 1))
+        with pytest.raises(NetlistError, match="unknown net 'zz'"):
+            compiled.query_outputs(PlaneBatch(["a", "keyin0", "zz"],
+                                              [0, 0, 0], [1, 1, 1], 1))
+
+    def test_constant_outputs_stay_inside_the_count(self):
+        b = Builder("const")
+        b.inputs("a")
+        b.po(b.const1(), "one")
+        compiled = compile_circuit(b.circuit)
+        answer = compiled.query_outputs(PlaneBatch.pack(["a"], [{"a": 0}]))
+        assert (answer.value, answer.known) == ([1], [1])
+
+    def test_split_into_single_patterns(self):
+        patterns = [{"a": v, "b": w} for v in (0, 1, None)
+                    for w in (1, None, 0)]
+        joined = PlaneBatch.pack(["a", "b"], patterns)
+        assert joined.split([1] * len(patterns)) == \
+            [PlaneBatch.pack(["a", "b"], [p]) for p in patterns]
+
+    def test_concat_and_split_at_lane_offsets(self):
+        first = PlaneBatch.pack(["a"], [{"a": 1}, {"a": None}])
+        second = PlaneBatch.pack(["a"], [{"a": 0}, {"a": 1}, {"a": 1}])
+        joined = PlaneBatch.concat([first, second])
+        assert len(joined) == 5
+        assert joined.unpack() == first.unpack() + second.unpack()
+        assert joined.split([2, 3]) == [first, second]
+        assert PlaneBatch.concat([first]) is first
+        with pytest.raises(ValueError, match="add up"):
+            joined.split([2, 2])
+        with pytest.raises(ValueError, match="different nets"):
+            PlaneBatch.concat([first, PlaneBatch.pack(["b"], [{"b": 0}])])

@@ -22,6 +22,7 @@ import itertools
 
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis_profiles import active_profile
 
 from repro.sat import CNF, Solver
 
@@ -130,6 +131,7 @@ CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+@active_profile()
 @given(cnf=random_cnf())
 def test_every_config_agrees_with_brute_force(name, cnf):
     num_vars, clauses = cnf
@@ -144,6 +146,7 @@ def test_every_config_agrees_with_brute_force(name, cnf):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+@active_profile()
 @given(cnf=random_cnf(max_vars=8, max_clauses=24), data=st.data())
 def test_assumptions_certified_by_enumeration(name, cnf, data):
     """SAT and UNSAT answers under assumptions, both cross-checked.
@@ -175,6 +178,7 @@ def test_assumptions_certified_by_enumeration(name, cnf, data):
         assert solver.solve() == (brute_sat(num_vars, clauses) is not None)
 
 
+@active_profile()
 @given(cnf=random_cnf(max_vars=10), data=st.data())
 def test_incremental_addition_matches_batch(cnf, data):
     """Clauses added across solve calls answer like a batch solver."""
@@ -191,6 +195,7 @@ def test_incremental_addition_matches_batch(cnf, data):
     assert got == (brute_sat(num_vars, clauses) is not None)
 
 
+@active_profile()
 @given(cnf=random_cnf(max_vars=9, max_clauses=30))
 def test_exported_clauses_are_implied(cnf):
     """Everything export_learned emits is implied by the formula.
@@ -216,6 +221,7 @@ def test_exported_clauses_are_implied(cnf):
             ), f"exported clause {clause} not implied"
 
 
+@active_profile()
 @given(cnf=random_cnf(max_vars=10), data=st.data())
 def test_import_never_changes_satisfiability(cnf, data):
     """Injecting exports mid-growth never flips the answer.
@@ -250,6 +256,7 @@ def test_import_never_changes_satisfiability(cnf, data):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+@active_profile()
 @given(cnf=random_cnf(max_vars=8, max_clauses=20))
 def test_unsat_certified_under_every_config(name, cnf):
     """UNSAT answers are certified: enumeration finds no model."""

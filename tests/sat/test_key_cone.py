@@ -23,6 +23,7 @@ profiles (``HYPOTHESIS_PROFILE=ci`` runs 200+ examples per property).
 import itertools
 
 from hypothesis import given, strategies as st
+from hypothesis_profiles import active_profile
 
 from repro.attacks.sat_attack import KeyConeMiter
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
@@ -141,6 +142,7 @@ def gate_clause_count(compiled, index):
     return len(scratch.clauses)
 
 
+@active_profile()
 @given(circuit=st.one_of(circuits(), sequential_views()), data=st.data())
 def test_tseitin_agrees_with_evaluator(circuit, data):
     """(a) With inputs and keys fixed, the outputs are forced to the
@@ -158,6 +160,7 @@ def test_tseitin_agrees_with_evaluator(circuit, data):
     assert_outputs_pinned(solver, fixed, outputs)
 
 
+@active_profile()
 @given(circuit=circuits(min_keys=1), data=st.data())
 def test_prebound_gates_not_reencoded(circuit, data):
     """(b) Copy 2 shares a random set of key-independent gate outputs
@@ -205,6 +208,7 @@ def test_prebound_gates_not_reencoded(circuit, data):
     assert_outputs_pinned(solver, fixed, outputs)
 
 
+@active_profile()
 @given(circuit=circuits(min_keys=1), data=st.data())
 def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
     """(c) After pinning one pattern/response, a key pair is consistent
@@ -235,6 +239,7 @@ def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
             )
 
 
+@active_profile()
 @given(circuit=circuits(min_keys=1))
 def test_miter_sat_iff_two_keys_disagree(circuit):
     """(d) ``diff`` is satisfiable iff brute force over inputs x key

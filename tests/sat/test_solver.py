@@ -4,7 +4,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
+from hypothesis_profiles import active_profile
 
 from repro.sat import CNF, Solver, luby
 
@@ -179,7 +180,7 @@ class TestHardInstances:
         assert model[1] is True
 
 
-@settings(max_examples=150, deadline=None)
+@active_profile(min_examples=150)
 @given(
     num_vars=st.integers(1, 7),
     data=st.data(),
@@ -208,7 +209,7 @@ def test_fuzz_against_brute_force(num_vars, data):
             assert any(model[abs(l)] == (l > 0) for l in c)
 
 
-@settings(max_examples=50, deadline=None)
+@active_profile(min_examples=50)
 @given(data=st.data())
 def test_fuzz_assumptions(data):
     num_vars = data.draw(st.integers(2, 6))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.netlist import Builder
 from repro.netlist.bench_io import write_bench
+from repro.netlist.compiled import PlaneBatch
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -78,6 +79,13 @@ async def eventually(condition, timeout_s=10.0, interval_s=0.001):
 @pytest.fixture
 def registry():
     return CircuitRegistry()
+
+
+async def submit(batcher, entry, patterns, deadline_ms=None):
+    """``batcher.submit`` for pattern dicts: planes in, dicts out."""
+    batch = PlaneBatch.pack(entry.compiled.inputs, patterns)
+    outputs = await batcher.submit(entry.circuit_id, batch, deadline_ms)
+    return outputs.unpack()
 
 
 def make_batcher(registry, max_batch=64, window_s=0.01, clock=None,

@@ -8,6 +8,7 @@ import asyncio
 
 import pytest
 
+from repro.netlist.compiled import PlaneBatch
 from repro.serve import (
     DeadlineExceededError,
     OverloadedError,
@@ -15,7 +16,7 @@ from repro.serve import (
     UnknownCircuitError,
 )
 
-from tests.serve.conftest import FakeClock, build_chain, make_batcher
+from tests.serve.conftest import FakeClock, build_chain, make_batcher, submit
 
 
 def expected_outputs(entry, patterns):
@@ -29,7 +30,7 @@ def test_single_request_flushes_at_window_deadline(registry):
     batcher, _ = make_batcher(registry, max_batch=64, window_s=0.01)
 
     async def scenario():
-        return await batcher.submit(entry.circuit_id, [{"a": 1}])
+        return await submit(batcher, entry, [{"a": 1}])
 
     outputs = asyncio.run(scenario())
     assert outputs == expected_outputs(entry, [{"a": 1}])
@@ -46,7 +47,7 @@ def test_65_concurrent_requests_split_64_plus_1(registry):
 
     async def scenario():
         tasks = [
-            asyncio.create_task(batcher.submit(entry.circuit_id, [p]))
+            asyncio.create_task(submit(batcher, entry, [p]))
             for p in patterns
         ]
         return await asyncio.gather(*tasks)
@@ -75,7 +76,7 @@ def test_65_patterns_at_width_64_vs_128_identical_accounting(registry):
 
     async def drive(batcher, entry):
         tasks = [
-            asyncio.create_task(batcher.submit(entry.circuit_id, [p]))
+            asyncio.create_task(submit(batcher, entry, [p]))
             for p in patterns
         ]
         return [r for result in await asyncio.gather(*tasks) for r in result]
@@ -128,9 +129,9 @@ def test_mixed_circuits_are_never_cobatched(registry):
         tasks = []
         for i in range(3):  # interleave the two circuits
             tasks.append(asyncio.create_task(
-                batcher.submit(first.circuit_id, [{"a": i % 2}])))
+                submit(batcher, first, [{"a": i % 2}])))
             tasks.append(asyncio.create_task(
-                batcher.submit(second.circuit_id, [{"a": i % 2}])))
+                submit(batcher, second, [{"a": i % 2}])))
         return await asyncio.gather(*tasks)
 
     results = asyncio.run(scenario())
@@ -157,7 +158,7 @@ def test_expired_request_rejected_with_typed_error(registry):
 
     async def scenario():
         task = asyncio.create_task(
-            batcher.submit(entry.circuit_id, [{"a": 0}], deadline_ms=10)
+            submit(batcher, entry, [{"a": 0}], deadline_ms=10)
         )
         await asyncio.sleep(0)  # let the submit enqueue
         assert batcher.pending_lanes == 1
@@ -181,7 +182,7 @@ def test_drain_completes_inflight_requests(registry):
 
     async def scenario():
         tasks = [
-            asyncio.create_task(batcher.submit(entry.circuit_id, [{"a": v}]))
+            asyncio.create_task(submit(batcher, entry, [{"a": v}]))
             for v in (0, 1, 0)
         ]
         await asyncio.sleep(0)  # let every submit enqueue
@@ -204,7 +205,7 @@ def test_budget_charged_in_arrival_order(registry):
 
     async def scenario():
         tasks = [
-            asyncio.create_task(batcher.submit(entry.circuit_id, [{"a": 1}]))
+            asyncio.create_task(submit(batcher, entry, [{"a": 1}]))
             for _ in range(3)
         ]
         return await asyncio.gather(*tasks, return_exceptions=True)
@@ -222,9 +223,9 @@ def test_multi_pattern_request_fills_lanes(registry):
 
     async def scenario():
         first = asyncio.create_task(
-            batcher.submit(entry.circuit_id, [{"a": 0}, {"a": 1}]))
+            submit(batcher, entry, [{"a": 0}, {"a": 1}]))
         second = asyncio.create_task(
-            batcher.submit(entry.circuit_id, [{"a": 1}, {"a": 0}]))
+            submit(batcher, entry, [{"a": 1}, {"a": 0}]))
         return await asyncio.gather(first, second)
 
     results = asyncio.run(scenario())
@@ -234,12 +235,37 @@ def test_multi_pattern_request_fills_lanes(registry):
     assert [r["y"] for r in results[1]] == [0, 1]
 
 
+def test_failed_flush_fails_every_live_request(registry, monkeypatch):
+    """A raise after budget charging (here in the concat) reaches every
+    co-batched request; none is left waiting on its future."""
+    entry = registry.register(build_chain())
+    batcher, admission = make_batcher(registry, max_batch=64, window_s=0.01)
+
+    def broken(batches):
+        raise RuntimeError("concat failed")
+
+    monkeypatch.setattr(PlaneBatch, "concat", broken)
+
+    async def scenario():
+        tasks = [asyncio.create_task(submit(batcher, entry, [{"a": v}]))
+                 for v in (0, 1)]
+        return await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=10.0)
+
+    results = asyncio.run(scenario())
+    assert [str(r) for r in results] == ["concat failed"] * 2
+    assert all(isinstance(r, RuntimeError) for r in results)
+    assert admission.idle
+    assert batcher.pending_lanes == 0
+
+
 def test_unknown_circuit_fails_before_admission(registry):
     batcher, admission = make_batcher(registry)
 
     async def scenario():
         with pytest.raises(UnknownCircuitError):
-            await batcher.submit("no-such-circuit", [{"a": 0}])
+            await batcher.submit("no-such-circuit",
+                                 PlaneBatch.pack(["a"], [{"a": 0}]))
 
     asyncio.run(scenario())
     assert admission.admitted == 0
@@ -251,7 +277,7 @@ def test_overload_rejects_before_enqueue(registry):
 
     async def scenario():
         with pytest.raises(OverloadedError):
-            await batcher.submit(entry.circuit_id, [{"a": 0}] * 3)
+            await submit(batcher, entry, [{"a": 0}] * 3)
 
     asyncio.run(scenario())
     assert batcher.pending_lanes == 0
@@ -263,7 +289,7 @@ def test_empty_request_is_a_noop(registry):
     batcher, admission = make_batcher(registry)
 
     async def scenario():
-        return await batcher.submit(entry.circuit_id, [])
+        return await submit(batcher, entry, [])
 
     assert asyncio.run(scenario()) == []
     assert admission.admitted == 0
@@ -275,7 +301,7 @@ def test_stats_shape(registry):
     batcher, _ = make_batcher(registry, max_batch=8, window_s=0.005)
 
     async def scenario():
-        await batcher.submit(entry.circuit_id, [{"a": 1}])
+        await submit(batcher, entry, [{"a": 1}])
 
     asyncio.run(scenario())
     stats = batcher.stats()

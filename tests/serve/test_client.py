@@ -10,7 +10,8 @@ from repro.serve import (
     ThreadedServer,
     UnknownCircuitError,
 )
-from repro.serve.client import parse_address
+from repro.netlist import NetlistError
+from repro.serve.client import parse_address, query_answer, query_request
 
 from tests.serve.conftest import build_chain
 
@@ -113,10 +114,66 @@ def test_local_connection_matches_tcp_semantics():
             "op": "register", "netlist": text.getvalue(),
             "name": circuit.name,
         })
-        reply = await server.handle({
-            "op": "query", "circuit": info["circuit"],
-            "patterns": [{"a": 1}],
-        })
-        return reply["outputs"][0]["y"]
+        reply = await server.handle(
+            query_request(info["circuit"], info["inputs"], [{"a": 1}]))
+        return query_answer(reply, info["outputs"])[0]["y"]
 
     assert asyncio.run(scenario()) == 0
+
+
+class TestQueryRequest:
+    """The dict edge of the plane wire format."""
+
+    def test_packs_one_plane_pair_per_input(self):
+        request = query_request("cid", ["a", "b"],
+                                [{"a": 1, "b": None}, {"a": 0, "b": 1}],
+                                deadline_ms=5)
+        assert request == {"op": "query", "circuit": "cid", "count": 2,
+                           "planes": [["1", "3"], ["2", "2"]],
+                           "deadline_ms": 5}
+        answer = {"ok": True, "count": 2, "planes": [["1", "3"]]}
+        assert query_answer(answer, ["y"]) == [{"y": 1}, {"y": 0}]
+
+    def test_bad_patterns_rejected_before_sending(self):
+        """Value, unknown-net and missing-net errors are the in-process
+        oracle's, raised client-side: nothing reaches the batcher."""
+        server = OracleServer()
+        with ThreadedServer(server) as (host, port):
+            with RemoteOracle((host, port), circuit=build_chain()) as remote:
+                with pytest.raises(ValueError, match="not a logic value"):
+                    remote.query({"a": 2})
+                with pytest.raises(NetlistError, match="unknown net"):
+                    remote.query({"a": 0, "zz": 1})
+                with pytest.raises(NetlistError, match="no value supplied"):
+                    remote.query({})
+                assert remote.query_count == 0
+        assert server.batcher.lanes_total == 0
+        assert server.admission.admitted == 0
+
+    def test_64_pattern_s1238_query_fits_the_wire_budget(self):
+        """At most 2 KB in and 4 KB out (one JSON object per pattern
+        took 18.5 KB and 38.1 KB)."""
+        import asyncio
+        import json
+        import random
+
+        from repro.bench import iwls_benchmark
+        from repro.serve.client import register_request
+
+        circuit = iwls_benchmark("s1238").circuit
+        server = OracleServer()
+
+        async def scenario():
+            info = await server.handle(register_request(circuit))
+            rng = random.Random(7)
+            patterns = [{net: rng.randint(0, 1) for net in info["inputs"]}
+                        for _ in range(64)]
+            request = query_request(info["circuit"], info["inputs"],
+                                    patterns)
+            return request, await server.handle(request)
+
+        request, response = asyncio.run(scenario())
+        assert response["ok"] and response["count"] == 64
+        size = len(json.dumps(request, separators=(",", ":")))
+        assert size <= 2048
+        assert len(json.dumps(response, separators=(",", ":"))) <= 4096

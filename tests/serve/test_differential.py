@@ -34,6 +34,7 @@ from repro.serve import (
     ServerConfig,
     ThreadedServer,
 )
+from repro.serve.client import query_answer, query_request
 
 from tests.serve.conftest import bench_text
 
@@ -90,14 +91,11 @@ class InProcessOracle:
         return response
 
     def query_batch(self, assignments):
-        response = self._request({
-            "op": "query",
-            "circuit": self.circuit_id,
-            "patterns": [dict(a) for a in assignments],
-        })
+        response = self._request(
+            query_request(self.circuit_id, self.inputs, assignments))
         self.query_count += len(assignments)
         self.server_query_count = int(response["query_count"])
-        return response["outputs"]
+        return query_answer(response, self.outputs)
 
     def query(self, assignment):
         return self.query_batch([assignment])[0]

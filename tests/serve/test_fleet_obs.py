@@ -31,6 +31,7 @@ from repro.serve import (
     adopt_remote_trace,
 )
 from repro.serve import supervisor as supervisor_module
+from repro.serve.client import query_request
 
 from tests.serve.conftest import (
     FakeClock,
@@ -102,8 +103,8 @@ class TestSingleServerTracing:
                                      "netlist": bench_text(circuit),
                                      "name": circuit.name})
         for value in (0, 1, 0):
-            _request(server, {"op": "query", "circuit": register["circuit"],
-                              "patterns": [{"a": value}]})
+            _request(server, query_request(register["circuit"], ["a"],
+                                           [{"a": value}]))
         response = _request(server, {"op": "obs"})
         fleet = response["fleet"]
         stats = response["stats"]
@@ -131,8 +132,7 @@ class TestSlowRequestLog:
         server = OracleServer(
             slow_log=SlowRequestLog(stream, threshold_s=0.0))
         _request(server, {"op": "ping"})
-        _request(server, {"op": "query", "circuit": "nope",
-                          "patterns": [{"a": 0}]})
+        _request(server, query_request("nope", ["a"], [{"a": 0}]))
         events = _log_events(stream)
         assert [e["event"] for e in events] == ["slow", "reject"]
         assert events[0]["op"] == "ping"

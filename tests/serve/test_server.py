@@ -7,6 +7,7 @@ import pytest
 
 from repro.netlist.bench_io import write_bench
 from repro.serve import OracleServer, ServeConnection, ThreadedServer
+from repro.serve.client import query_answer, query_request
 from repro.serve.registry import circuit_content_id
 
 from tests.conftest import build_toy_sequential
@@ -40,14 +41,15 @@ class TestDispatch:
             {"op": "register", "netlist": bench_text(circuit),
              "name": circuit.name},
             {"op": "describe", "circuit": circuit_content_id(circuit)},
-            {"op": "query", "circuit": circuit_content_id(circuit),
-             "patterns": [{"a": 0}, {"a": 1}]},
+            query_request(circuit_content_id(circuit), ["a"],
+                          [{"a": 0}, {"a": 1}]),
         )
         assert registered["ok"] and registered["circuit"] == described["circuit"]
         assert registered["inputs"] == ["a"]
         assert registered["outputs"] == ["y"]
         assert queried["ok"]
-        assert [p["y"] for p in queried["outputs"]] == [1, 0]  # 3 inverters
+        # 3 inverters
+        assert [p["y"] for p in query_answer(queried, ["y"])] == [1, 0]
         assert queried["query_count"] == 2
 
     def test_register_is_idempotent(self):
@@ -90,29 +92,66 @@ class TestDispatch:
         bad_op, bad_circuit = dispatch(
             server,
             {"op": "defragment"},
-            {"op": "query", "circuit": "missing", "patterns": [{"a": 0}]},
+            query_request("missing", ["a"], [{"a": 0}]),
         )
         assert bad_op["error"]["code"] == "protocol-error"
         assert bad_circuit["error"]["code"] == "unknown-circuit"
 
     def test_bad_pattern_value_rejected_per_request(self):
+        """Malformed planes: a typed error before admission, per request."""
         server = OracleServer()
         circuit = build_chain()
         cid = circuit_content_id(circuit)
         register = {"op": "register", "netlist": bench_text(circuit),
                     "name": circuit.name}
-        two, unknown_net, missing = dispatch(
-            server,
-            register,
-            {"op": "query", "circuit": cid, "patterns": [{"a": 2}]},
-            {"op": "query", "circuit": cid, "patterns": [{"a": 0, "zz": 1}]},
-            {"op": "query", "circuit": cid, "patterns": [{}]},
-        )[1:]
-        for response in (two, unknown_net, missing):
-            assert not response["ok"]
-            assert response["error"]["code"] == "protocol-error"
+
+        def query(count, planes):
+            return {"op": "query", "circuit": cid, "count": count,
+                    "planes": planes}
+
+        malformed = [
+            # bad hex, signs, whitespace and prefixes
+            query(1, [["z", "1"]]), query(1, [["-1", "1"]]),
+            query(1, [["+1", "1"]]), query(1, [[" 1", "1"]]),
+            query(1, [["1", "1\n"]]), query(1, [["0x1", "1"]]),
+            query(4, [["1_0", "f"]]), query(1, [["", "1"]]),
+            query(1, [[1, 1]]), query(1, [["1", "1", "1"]]),
+            query(1, ["11"]), query(1, "11"), query(1, None),
+            # wrong number of plane pairs (a missing or an extra input)
+            query(1, []), query(1, [["1", "1"], ["1", "1"]]),
+            # bits set at or past count
+            query(1, [["2", "2"]]), query(1, [["0", "3"]]),
+            query(3, [["0", "8"]]),
+            # a value bit outside its known plane
+            query(2, [["2", "1"]]),
+            # a count that is not a positive int
+            query(0, [["0", "0"]]), query(-1, [["0", "0"]]),
+            query(True, [["1", "1"]]), query(1.0, [["1", "1"]]),
+            query("1", [["1", "1"]]), query(None, [["1", "1"]]),
+        ]
+        responses = dispatch(server, register, *malformed)[1:]
+        for request, response in zip(malformed, responses):
+            assert not response["ok"], request
+            assert response["error"]["code"] == "protocol-error", request
         # Rejected before admission/batching: nothing was evaluated.
         assert server.batcher.lanes_total == 0
+        assert server.admission.admitted == 0
+
+    def test_oversized_count_refused_before_decoding(self):
+        """The count is bounded before it sizes a single plane word."""
+        server = OracleServer()
+        circuit = build_chain()
+        response = dispatch(
+            server,
+            {"op": "register", "netlist": bench_text(circuit),
+             "name": circuit.name},
+            {"op": "query", "circuit": circuit_content_id(circuit),
+             "count": 10 ** 9, "planes": [["0", "0"]]},
+        )[1]
+        assert response["error"]["code"] == "overloaded"
+        assert "limit 4096" in response["error"]["message"]
+        assert server.batcher.lanes_total == 0
+        assert server.admission.admitted == 0
 
     def test_x_propagates_as_null(self):
         server = OracleServer()
@@ -121,10 +160,9 @@ class TestDispatch:
             server,
             {"op": "register", "netlist": bench_text(circuit),
              "name": circuit.name},
-            {"op": "query", "circuit": circuit_content_id(circuit),
-             "patterns": [{"a": None}]},
+            query_request(circuit_content_id(circuit), ["a"], [{"a": None}]),
         )
-        assert responses[1]["outputs"][0]["y"] is None
+        assert query_answer(responses[1], ["y"])[0]["y"] is None
 
     def test_stats_shape(self):
         server = OracleServer()
@@ -133,8 +171,7 @@ class TestDispatch:
             server,
             {"op": "register", "netlist": bench_text(circuit),
              "name": circuit.name},
-            {"op": "query", "circuit": circuit_content_id(circuit),
-             "patterns": [{"a": 1}]},
+            query_request(circuit_content_id(circuit), ["a"], [{"a": 1}]),
             {"op": "stats"},
         )
         stats = responses[2]
@@ -170,11 +207,9 @@ class TestTcp:
                     "op": "register", "netlist": bench_text(circuit),
                     "name": circuit.name,
                 })
-                answer = connection.request({
-                    "op": "query", "circuit": registered["circuit"],
-                    "patterns": [{"a": 0}],
-                })
-                assert answer["outputs"][0]["y"] == 1
+                answer = connection.request(query_request(
+                    registered["circuit"], ["a"], [{"a": 0}]))
+                assert query_answer(answer, ["y"])[0]["y"] == 1
                 stats = connection.stats()
                 assert stats["connections"]["total"] == 1
 
@@ -199,10 +234,9 @@ class TestTcp:
 
             def one_query(value):
                 with ServeConnection((host, port)) as connection:
-                    return connection.request({
-                        "op": "query", "circuit": cid,
-                        "patterns": [{"a": value}],
-                    })["outputs"][0]["y"]
+                    answer = connection.request(
+                        query_request(cid, ["a"], [{"a": value}]))
+                    return query_answer(answer, ["y"])[0]["y"]
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 answers = list(pool.map(one_query, [i % 2 for i in range(8)]))

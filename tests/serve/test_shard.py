@@ -34,6 +34,7 @@ from repro.serve import (
     registration_view,
 )
 from repro.serve import supervisor as supervisor_module
+from repro.serve.client import query_answer, query_request
 
 from tests.serve.conftest import bench_text, build_chain, eventually
 
@@ -75,10 +76,8 @@ class TestHashRing:
         itself, hex or not: no worker could hold it."""
         server = OracleServer(config=ServerConfig(workers=2))
         for circuit_id in ("nope", "ab" * 32):
-            response = asyncio.run(server.handle({
-                "op": "query", "circuit": circuit_id,
-                "patterns": [{"a": 0}],
-            }))
+            response = asyncio.run(server.handle(
+                query_request(circuit_id, ["a"], [{"a": 0}])))
             assert response["error"]["code"] == "unknown-circuit"
         assert all(worker.process is None
                    for worker in server.supervisor.workers)
@@ -238,11 +237,8 @@ class TestWorkerSupervision:
             victim_pid = handle.pid
 
             def client():
-                request = {
-                    "op": "query",
-                    "circuit": remote.circuit_id,
-                    "patterns": [{"a": 1}],
-                }
+                request = query_request(remote.circuit_id, remote.inputs,
+                                        [{"a": 1}])
                 if no_retry:
                     request["no_retry"] = True
                 try:
@@ -273,6 +269,7 @@ class TestWorkerSupervision:
             outcome["victim_pid"] = victim_pid
             outcome["handle"] = handle
             outcome["expected"] = local.query({"a": 1})
+            outcome["outputs"] = remote.outputs
         return outcome
 
     def test_sigkill_mid_batch_retries_transparently(self):
@@ -283,7 +280,8 @@ class TestWorkerSupervision:
         assert "error" not in outcome, outcome.get("error")
         response = outcome["response"]
         assert response["ok"] is True
-        assert response["outputs"][0] == outcome["expected"]
+        assert query_answer(response, outcome["outputs"])[0] == \
+            outcome["expected"]
         # Replayed registration + retried query: charged exactly once.
         assert response["query_count"] == 1
         assert outcome["respawned_pid"] != outcome["victim_pid"]

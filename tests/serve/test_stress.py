@@ -18,7 +18,7 @@ import random
 
 from repro.serve import QueryBudgetExceededError
 
-from tests.serve.conftest import FakeClock, build_chain, make_batcher
+from tests.serve.conftest import FakeClock, build_chain, make_batcher, submit
 
 
 def test_concurrent_deadline_expiry_exact_accounting(registry):
@@ -44,7 +44,7 @@ def test_concurrent_deadline_expiry_exact_accounting(registry):
                 deadline_ms, expired = 10_000, False
                 live_lanes += lanes
             tasks.append((expired, lanes, asyncio.create_task(
-                batcher.submit(entry.circuit_id, patterns, deadline_ms)
+                submit(batcher, entry, patterns, deadline_ms)
             )))
         await asyncio.sleep(0)  # let every submit enqueue
         assert batcher.pending_lanes == expired_lanes + live_lanes
@@ -89,7 +89,7 @@ def test_client_disconnect_mid_flush_no_lost_or_double_charged(registry):
         for i in range(120):
             patterns = [{"a": (i + j) % 2} for j in range(rng.randint(1, 2))]
             tasks.append(asyncio.create_task(
-                batcher.submit(entry.circuit_id, patterns)
+                submit(batcher, entry, patterns)
             ))
         await asyncio.sleep(0)  # everything parked in one pending batch
         dropped = [t for t in tasks if rng.random() < 0.4]
@@ -140,7 +140,7 @@ def test_soak_mixed_failure_modes_converge_to_idle(registry):
                             for _ in range(rng.randint(1, 3))]
                 deadline_ms = 10 if rng.random() < 0.3 else None
                 tasks.append(asyncio.create_task(
-                    batcher.submit(entry.circuit_id, patterns, deadline_ms)
+                    submit(batcher, entry, patterns, deadline_ms)
                 ))
             await asyncio.sleep(0)
             for task in tasks:
@@ -177,7 +177,7 @@ def test_budget_exhaustion_mid_batch_is_not_double_charged(registry):
     async def scenario():
         tasks = [
             asyncio.create_task(
-                batcher.submit(entry.circuit_id, [{"a": 1}, {"a": 0}])
+                submit(batcher, entry, [{"a": 1}, {"a": 0}])
             )
             for _ in range(3)  # 6 lanes against a budget of 3
         ]

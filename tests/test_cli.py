@@ -332,6 +332,52 @@ class TestServeSignals:
         assert "drained:" in err_path.read_text()
         assert survivors == []
 
+    def test_workers_exit_when_the_front_end_is_killed(self, bench_file):
+        """SIGKILL drains nobody: each worker must notice its front end
+        is gone, exit, and release the server's stdout/stderr pipes."""
+        import select
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   PYTHONUNBUFFERED="1")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", bench_file,
+             "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        workers = []
+        try:
+            out = b""
+            deadline = time.monotonic() + 60.0
+            while b"serving" not in out:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, "server never served"
+                ready, _, _ = select.select([server.stdout], [], [],
+                                            remaining)
+                if ready:
+                    chunk = os.read(server.stdout.fileno(), 4096)
+                    assert chunk, "server exited early"
+                    out += chunk
+            workers = _children(server.pid)
+            assert len(workers) >= 2
+            server.kill()
+            server.wait(timeout=10.0)
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in workers) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _running(pid)]
+            # Returns only once every holder of the pipes has exited.
+            server.communicate(timeout=10.0)
+        finally:
+            if server.poll() is None:
+                server.kill()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            server.communicate()
+        assert survivors == []
+
 
 class TestAttackRemoteFlags:
     def test_remote_without_oracle_or_circuit_rejected(
