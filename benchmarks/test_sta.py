@@ -12,6 +12,12 @@ full :func:`~repro.sta.timing.analyze`.  On Table II's s5378 hybrid cell
 2. the span breakdown of one whole hybrid lock: ``sta.analyze``,
    ``sta.retime`` and ``synth.optimize``, each with calls and ms.
 
+A third record covers planning: one serial Table I + II campaign of
+s1238 and s5378 at seed 2019, per design its planning passes
+(``flow.plan.computed``, asserted to be exactly one), its
+``sta.analyze`` and ``flow.plan`` spans (calls and ms) and how many
+``flow.plan`` spans reused the design's plan.
+
 Results merge into ``benchmarks/BENCH_sta.json`` with the host's core
 count and the lane width.
 """
@@ -26,6 +32,8 @@ import pytest
 
 from repro import obs
 from repro.bench import iwls_benchmark
+from repro.campaign import CampaignConfig, CampaignMatrix, run_campaign
+from repro.campaign import worker
 from repro.locking import HybridGkXor
 from repro.sta.timing import TimingAnalysis, analyze
 
@@ -37,6 +45,8 @@ SEED = 2019
 #: a run's per-trial cost is the best of this many timings
 REPEATS = 5
 RATIO_FLOOR = 3.0
+#: the designs of the Table I + II campaign record
+TABLE_BENCHES = ("s1238", "s5378")
 
 
 def _merge_dump(section, payload):
@@ -147,3 +157,55 @@ def test_hybrid_lock_span_breakdown(bench_record):
     _merge_dump("hybrid_lock_spans", bench_record(payload))
     print(f"\nBENCH_sta spans: {json.dumps(layers)}")
     assert layers["sta.retime"]["calls"] >= KEY_BITS // 2
+
+
+def _walk(tree):
+    yield tree
+    for child in tree["children"]:
+        yield from _walk(child)
+
+
+@pytest.mark.no_obs
+def test_table_campaign_plans_each_design_once(monkeypatch, bench_record):
+    monkeypatch.setattr(worker, "_INSTANCE_MEMO", {})
+    jobs = (CampaignMatrix.table1(TABLE_BENCHES, seed=SEED).expand()
+            + CampaignMatrix.table2(TABLE_BENCHES, seed=SEED).expand())
+    start = time.perf_counter()
+    result = run_campaign(jobs, CampaignConfig(jobs=1))
+    wall = time.perf_counter() - start
+    assert result.ok
+
+    designs = {}
+    for record in result.ordered():
+        entry = designs.setdefault(record["params"]["benchmark"], {
+            "jobs": 0, "plan_passes": 0, "plans_shared": 0,
+            "sta.analyze": {"calls": 0, "ms": 0.0},
+            "flow.plan": {"calls": 0, "ms": 0.0},
+        })
+        entry["jobs"] += 1
+        computed = record["obs"]["metrics"].get("flow.plan.computed", {})
+        entry["plan_passes"] += computed.get("value", 0)
+        for root in record["obs"]["spans"]:
+            for span in _walk(root):
+                layer = entry.get(span["name"])
+                if layer is None:
+                    continue
+                layer["calls"] += 1
+                layer["ms"] += (span["duration"] or 0.0) * 1000.0
+                if span["attrs"].get("shared"):
+                    entry["plans_shared"] += 1
+    for entry in designs.values():
+        for name in ("sta.analyze", "flow.plan"):
+            entry[name]["ms"] = round(entry[name]["ms"], 2)
+    payload = {
+        "benchmarks": list(TABLE_BENCHES),
+        "seed": SEED,
+        "cores": _cores(),
+        "jobs": len(jobs),
+        "campaign_ms": round(wall * 1000.0, 2),
+        "designs": designs,
+    }
+    _merge_dump("table_campaign", bench_record(payload))
+    print(f"\nBENCH_sta table campaign: {json.dumps(designs)}")
+    assert {name: entry["plan_passes"] for name, entry in designs.items()} \
+        == {name: 1 for name in TABLE_BENCHES}

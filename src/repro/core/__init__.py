@@ -21,7 +21,14 @@ from .timing_rules import (
     trigger_window_off_level,
     trigger_window_on_level,
 )
-from .insertion import DEFAULT_GLITCH_LENGTH, GkPlan, available_ffs, plan_gk_insertion
+from .insertion import (
+    DEFAULT_GLITCH_LENGTH,
+    DesignPlan,
+    GkPlan,
+    available_ffs,
+    plan_design,
+    plan_gk_insertion,
+)
 from .strategy import GkConfig, choose_config, expected_capture
 from .flow import GkLock, GkRecord, expose_gk_keys
 from .withholding import WithholdingError, WithholdingRecord, withhold_gk
@@ -32,7 +39,8 @@ __all__ = [
     "TriggerWindow", "glitch_length", "insertion_valid_off_level",
     "insertion_valid_on_level", "minimum_glitch_length", "path_delay_bounds",
     "trigger_window_off_level", "trigger_window_on_level",
-    "DEFAULT_GLITCH_LENGTH", "GkPlan", "available_ffs", "plan_gk_insertion",
+    "DEFAULT_GLITCH_LENGTH", "DesignPlan", "GkPlan", "available_ffs",
+    "plan_design", "plan_gk_insertion",
     "GkConfig", "choose_config", "expected_capture",
     "GkLock", "GkRecord", "expose_gk_keys",
     "WithholdingError", "WithholdingRecord", "withhold_gk",

@@ -4,7 +4,9 @@ The flow mirrors the paper's tool sequence step for step:
 
 1. synthesize + P&R + STA the original design (our substrates);
 2. determine feasible FF locations under the *same clock period*
-   (:func:`repro.core.insertion.available_ffs`);
+   (:func:`repro.core.insertion.plan_design`; without P&R the plan is
+   the unlocked design's own, shared with Table I and every other lock
+   of that netlist);
 3. pick locations, choose each GK's behaviour/structure
    (:mod:`repro.core.strategy`), splice in the GK and its KEYGEN with
    constraint-synthesized delay elements;
@@ -37,7 +39,7 @@ from ..sta.clock import ClockSpec
 from ..sta.timing import TimingAnalysis, analyze
 from ..synth.optimize import optimize
 from .gk import GkStructure, insert_gk
-from .insertion import DEFAULT_GLITCH_LENGTH, GkPlan, available_ffs
+from .insertion import DEFAULT_GLITCH_LENGTH, GkPlan, plan_design
 from .keygen import KEYGEN_MODES, KeygenStructure, insert_keygen
 from .strategy import GkConfig, choose_config
 from .timing_rules import TriggerWindow
@@ -129,33 +131,44 @@ class GkLock(LockingScheme):
     def lock(
         self, circuit: Circuit, num_key_bits: int, rng: random.Random
     ) -> LockedCircuit:
+        return self.lock_timed(circuit, num_key_bits, rng)[0]
+
+    def lock_timed(
+        self, circuit: Circuit, num_key_bits: int, rng: random.Random
+    ) -> Tuple[LockedCircuit, TimingAnalysis]:
+        """:meth:`lock`, plus the post-insertion timing analysis of the
+        locked netlist (with routed wire delays under ``run_pnr``)."""
         if num_key_bits < 2 or num_key_bits % 2:
             raise LockingError("each GK uses 2 key bits; width must be even")
         count = num_key_bits // 2
-        locked = circuit.clone(f"{circuit.name}__gk{num_key_bits}")
+        locked_name = f"{circuit.name}__gk{num_key_bits}"
 
         with trace_span("flow.gk_lock", design=circuit.name, gks=count):
+            locked: Optional[Circuit] = None
             wire_delay = None
+            analysis = None
             if self.run_pnr:
+                # Routed wire delays belong to the clone's own layout,
+                # so a P&R lock plans on its clone.
+                locked = circuit.clone(locked_name)
                 with trace_span("flow.pnr"):
                     wire_delay = route(place(locked)).wire_delay
-            with trace_span("flow.sta.baseline"):
-                analysis = analyze(locked, self.clock, wire_delay=wire_delay)
-            # ECO baseline: endpoints already violated before any insertion
-            # (possible when routed wire delays exceed the synthesis guard
-            # band) are not the flow's doing and are excluded from triage.
-            baseline_violated = {
-                e.ff
-                for e in analysis.setup_violations() + analysis.hold_violations()
-            }
+                with trace_span("flow.sta.baseline"):
+                    analysis = analyze(locked, self.clock,
+                                       wire_delay=wire_delay)
             with trace_span("flow.plan") as plan_span:
-                plans = available_ffs(
-                    locked,
+                # Without P&R the plan is *circuit*'s own: the clone made
+                # below is structurally identical, and Table I's row and
+                # every other lock of *circuit* reuse it.
+                design, shared = plan_design(
+                    circuit if locked is None else locked,
                     self.clock,
                     self.glitch_length,
                     analysis=analysis,
                     margin=self.margin,
                 )
+                plans = dict(design.plans)
+                baseline_violated = design.violated
                 candidates = [
                     name for name, plan in plans.items() if plan.feasible
                 ]
@@ -164,12 +177,14 @@ class GkLock(LockingScheme):
                         n for n in candidates if n in self.candidate_ffs
                     ]
                 plan_span.annotate(feasible=len(candidates),
-                                   ffs=len(plans))
+                                   ffs=len(plans), shared=shared)
             if len(candidates) < count:
                 raise LockingError(
                     f"{circuit.name}: only {len(candidates)} feasible FFs for "
                     f"{count} GKs"
                 )
+            if locked is None:
+                locked = circuit.clone(locked_name)
             order = list(candidates)
             rng.shuffle(order)
 
@@ -247,7 +262,7 @@ class GkLock(LockingScheme):
                 "drift_waived_violations": drift_waived,
                 "rejected_locations": rejected,
             },
-        )
+        ), post
 
     # ------------------------------------------------------------------
 

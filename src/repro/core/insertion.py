@@ -17,9 +17,11 @@ alternates transition polarity every cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..netlist.circuit import Circuit
+from ..obs import metrics as _metrics
 from ..sta.clock import ClockSpec
 from ..sta.timing import TimingAnalysis, analyze
 from .timing_rules import (
@@ -29,7 +31,8 @@ from .timing_rules import (
     trigger_window_on_level,
 )
 
-__all__ = ["GkPlan", "plan_gk_insertion", "available_ffs", "DEFAULT_GLITCH_LENGTH"]
+__all__ = ["GkPlan", "DesignPlan", "plan_gk_insertion", "plan_design",
+           "available_ffs", "DEFAULT_GLITCH_LENGTH"]
 
 #: The paper's experimental glitch length (Sec. VI).
 DEFAULT_GLITCH_LENGTH = 1.0
@@ -144,6 +147,57 @@ def plan_gk_insertion(
     )
 
 
+@dataclass(frozen=True)
+class DesignPlan:
+    """A GK plan at every flip-flop of one design, from one timing
+    analysis, plus the endpoints that analysis already violates (the
+    flow's ECO baseline, excluded from post-insertion triage).  Read-only:
+    every lock of the design shares it."""
+
+    plans: Mapping[str, GkPlan]
+    violated: FrozenSet[str]
+
+
+def plan_design(
+    circuit: Circuit,
+    clock: ClockSpec,
+    glitch_length: float = DEFAULT_GLITCH_LENGTH,
+    wire_delay: Optional[Mapping[str, float]] = None,
+    analysis: Optional[TimingAnalysis] = None,
+    margin: float = _PLAN_MARGIN,
+) -> Tuple[DesignPlan, bool]:
+    """Time *circuit* once and plan a GK at every flip-flop.
+
+    Without a wire-delay map or an analysis the plan is a pure function
+    of the netlist and its arguments, so it is kept on the netlist
+    (:meth:`~repro.netlist.circuit.Circuit.memo`) until the next edit:
+    Table I's row and every GK lock of one unlocked design share one
+    ``analyze`` and one planning pass.  Returns the plan and whether it
+    was shared.  Each planning pass counts in ``flow.plan.computed``.
+    """
+
+    def compute() -> DesignPlan:
+        timing = analysis
+        if timing is None:
+            timing = analyze(circuit, clock, wire_delay=wire_delay)
+        _metrics.inc("flow.plan.computed")
+        plans = {
+            ff.name: plan_gk_insertion(
+                circuit, timing, ff.name, glitch_length, margin)
+            for ff in sorted(circuit.flip_flops(), key=lambda g: g.name)
+        }
+        violated = frozenset(
+            e.ff for e in timing.setup_violations() + timing.hold_violations()
+        )
+        return DesignPlan(plans=MappingProxyType(plans), violated=violated)
+
+    if wire_delay is not None or analysis is not None:
+        return compute(), False
+    key = ("gk-plan", clock.period, tuple(sorted(clock.skew.items())),
+           clock.uncertainty, glitch_length, margin)
+    return circuit.memo(key, compute)
+
+
 def available_ffs(
     circuit: Circuit,
     clock: ClockSpec,
@@ -152,12 +206,10 @@ def available_ffs(
     analysis: Optional[TimingAnalysis] = None,
     margin: float = _PLAN_MARGIN,
 ) -> Dict[str, GkPlan]:
-    """Plan a GK at every flip-flop; Table I counts the feasible ones."""
-    if analysis is None:
-        analysis = analyze(circuit, clock, wire_delay=wire_delay)
-    plans: Dict[str, GkPlan] = {}
-    for ff in sorted(circuit.flip_flops(), key=lambda g: g.name):
-        plans[ff.name] = plan_gk_insertion(
-            circuit, analysis, ff.name, glitch_length, margin
-        )
-    return plans
+    """Plan a GK at every flip-flop; Table I counts the feasible ones.
+
+    The plans of :func:`plan_design`, in a dict of the caller's own.
+    """
+    design, _shared = plan_design(
+        circuit, clock, glitch_length, wire_delay, analysis, margin)
+    return dict(design.plans)

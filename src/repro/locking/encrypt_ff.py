@@ -36,12 +36,12 @@ def po_signatures(
 
     Observable sinks are primary outputs (``po:<net>``) and capturing
     flip-flops (``ff:<gate>``), computed through combinational logic
-    only — the same notion of "fanouting to the same set of POs" as [4].
+    only — the same notion of "fanouting to the same set of POs" as [4]
+    (one pass over the netlist: :meth:`Circuit.transitive_po_sets`).
     """
-    names = sorted(candidates) if candidates is not None else sorted(
-        ff.name for ff in circuit.flip_flops()
-    )
-    return {name: circuit.transitive_po_set(name) for name in names}
+    signatures = circuit.transitive_po_sets()
+    names = sorted(signatures if candidates is None else candidates)
+    return {name: signatures[name] for name in names}
 
 
 def rank_groups(

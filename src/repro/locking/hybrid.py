@@ -14,9 +14,12 @@ GK+KEYGEN structures — Table II shows the overhead dropping from the
 Every XOR insertion into a GK cone is timing-verified: the GK's
 Eq. (5) trigger window must still contain its (already synthesized)
 trigger after the extra gate delay; insertions that would break a
-glitch are rolled back and another site is tried.  Each trial re-times
-only the new gate's fan-out cone (:meth:`TimingAnalysis.retimed`); a
-rejected trial drops that copy and keeps the analysis it started from.
+glitch are rolled back and another site is tried.  The trials start
+from the GK flow's own post-insertion analysis of the locked netlist —
+with its routed wire delays under P&R, the timing the GKs were verified
+against.  Each trial re-times only the new gate's fan-out cone
+(:meth:`TimingAnalysis.retimed`); a rejected trial drops that copy and
+keeps the analysis it started from.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Set
 
 from ..netlist.circuit import Circuit
 from ..sta.clock import ClockSpec
-from ..sta.timing import TimingAnalysis, analyze
+from ..sta.timing import TimingAnalysis
 from .base import LockedCircuit, LockingError, LockingScheme
 from .registry import register_scheme
 from .xor_lock import insert_xor_keygate, lockable_nets, remove_xor_keygate
@@ -77,7 +80,7 @@ class HybridGkXor(LockingScheme):
             run_pnr=self.run_pnr,
             margin=self.margin,
         )
-        base = gk_scheme.lock(circuit, gk_bits, rng)
+        base, timing = gk_scheme.lock_timed(circuit, gk_bits, rng)
         locked = base.circuit
         locked.name = f"{circuit.name}__hybrid{num_key_bits}"
         records = base.metadata["gks"]
@@ -124,7 +127,6 @@ class HybridGkXor(LockingScheme):
         key: Dict[str, int] = dict(base.key)
         xor_gates: List[Dict[str, str]] = []
         index = 0
-        timing = analyze(locked, self.clock)
         for net in sites:
             if index == xor_bits:
                 break

@@ -105,16 +105,26 @@ class CellLibrary:
     elements.
     """
 
+    #: function -> cells_for() answer; cleared by add(), never pickled
+    #: (class default for libraries pickled before it existed)
+    _by_function: Optional[Dict[str, Tuple[Cell, ...]]] = None
+
     def __init__(self, name: str, cells: Iterable[Cell] = ()) -> None:
         self.name = name
         self._cells: Dict[str, Cell] = {}
         for cell in cells:
             self.add(cell)
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_by_function", None)
+        return state
+
     def add(self, cell: Cell) -> None:
         if cell.name in self._cells:
             raise ValueError(f"duplicate cell {cell.name!r} in library {self.name!r}")
         self._cells[cell.name] = cell
+        self._by_function = None
 
     def __getitem__(self, name: str) -> Cell:
         try:
@@ -132,10 +142,16 @@ class CellLibrary:
         return len(self._cells)
 
     def cells_for(self, function: str) -> Tuple[Cell, ...]:
-        """All cells implementing *function*, cheapest (by area) first."""
-        matches = [c for c in self._cells.values() if c.function == function]
-        matches.sort(key=lambda c: (c.area, c.delay, c.name))
-        return tuple(matches)
+        """All cells implementing *function*, cheapest (by area) first
+        (memoized per function until the next :meth:`add`)."""
+        if self._by_function is None:
+            self._by_function = {}
+        found = self._by_function.get(function)
+        if found is None:
+            matches = [c for c in self._cells.values() if c.function == function]
+            matches.sort(key=lambda c: (c.area, c.delay, c.name))
+            found = self._by_function[function] = tuple(matches)
+        return found
 
     def cheapest(self, function: str) -> Cell:
         """The smallest-area cell implementing *function*."""

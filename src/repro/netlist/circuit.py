@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+    Optional, Sequence, Set, Tuple,
+)
 
 from .cells import Cell, CellLibrary, default_library
 
@@ -102,9 +105,13 @@ class Circuit:
     Structural queries that are pure functions of the netlist —
     :meth:`topological_order` and the compiled IR built by
     :func:`repro.netlist.compiled.compile_circuit` — are memoized behind
-    a mutation counter.  Every structural edit goes through a method
-    that bumps the counter, so stale derived state is impossible; code
-    that pokes at ``_driver`` directly must use :meth:`release_driver`.
+    a mutation counter, and so is the one entry :meth:`memo` keeps.
+    Every structural edit goes through a method that bumps the counter,
+    so stale derived state is impossible; code that pokes at ``_driver``
+    directly must use :meth:`release_driver`.  :meth:`flip_flops` is
+    memoized behind a second counter that only the edits able to change
+    the flip-flop set bump (adding or removing a flip-flop, a cell
+    swap), so rewires and combinational splices keep it.
     """
 
     # Class-level defaults keep instances pickled before these fields
@@ -112,6 +119,13 @@ class Circuit:
     _mutations: int = 0
     _topo_cache = None  # (mutations, tuple of gates) or None
     _compiled_cache = None  # (mutations, {lanes: CompiledCircuit}) or None
+    _ff_edits: int = 0
+    _ff_cache = None  # (ff_edits, tuple of flip-flops, their names) or None
+    _memo = None  # (mutations, key, value) or None; see memo()
+
+    #: Memos left out of pickles: cheap to rebuild, and a campaign cache
+    #: entry keeps the bytes it had before they existed.
+    _UNPICKLED = ("_ff_edits", "_ff_cache", "_memo")
 
     def __init__(
         self,
@@ -132,8 +146,17 @@ class Circuit:
         self._mutations = 0
         self._topo_cache = None
         self._compiled_cache = None
+        self._ff_edits = 0
+        self._ff_cache = None
+        self._memo = None
         if clock is not None:
             self._driver[clock] = ""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        for name in self._UNPICKLED:
+            state.pop(name, None)
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -183,6 +206,8 @@ class Circuit:
         gate.validate()
         self._claim_driver(output, name)
         self.gates[name] = gate
+        if cell.is_sequential:
+            self._ff_edits += 1
         for pin, net in gate.pins.items():
             self._fanouts.setdefault(net, set()).add((name, pin))
         return gate
@@ -190,6 +215,8 @@ class Circuit:
     def remove_gate(self, name: str) -> Gate:
         """Remove a gate; its output net becomes undriven (caller rewires)."""
         gate = self.gates.pop(name)
+        if gate.is_flip_flop:
+            self._ff_edits += 1
         del self._driver[gate.output]
         for pin, net in gate.pins.items():
             self._fanouts[net].discard((name, pin))
@@ -230,6 +257,7 @@ class Circuit:
         than assigning ``gate.cell``.
         """
         self.gates[gate_name].cell = cell
+        self._ff_edits += 1
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -261,7 +289,22 @@ class Circuit:
         return tuple(sorted(self._fanouts.get(net, ())))
 
     def flip_flops(self) -> List[Gate]:
-        return [g for g in self.gates.values() if g.is_flip_flop]
+        """Flip-flops in insertion order (memoized; see the class
+        docstring)."""
+        return list(self._flip_flop_index()[0])
+
+    def flip_flop_names(self) -> FrozenSet[str]:
+        """Names of the flip-flops: the membership test hot loops use
+        instead of ``gate.is_flip_flop``."""
+        return self._flip_flop_index()[1]
+
+    def _flip_flop_index(self) -> Tuple[Tuple[Gate, ...], FrozenSet[str]]:
+        cached = self._ff_cache
+        if cached is None or cached[0] != self._ff_edits:
+            ffs = tuple(g for g in self.gates.values() if g.is_flip_flop)
+            cached = (self._ff_edits, ffs, frozenset(g.name for g in ffs))
+            self._ff_cache = cached
+        return cached[1], cached[2]
 
     def combinational_gates(self) -> List[Gate]:
         return [g for g in self.gates.values() if not g.is_flip_flop]
@@ -282,15 +325,16 @@ class Circuit:
         cached = self._topo_cache
         if cached is not None and cached[0] == self._mutations:
             return list(cached[1])
+        ffs = self.flip_flop_names()
         indegree: Dict[str, int] = {}
         dependents: Dict[str, List[str]] = {}
         for gate in self.gates.values():
-            if gate.is_flip_flop:
+            if gate.name in ffs:
                 continue
             count = 0
             for net in set(gate.pins.values()):
                 driver = self._driver.get(net, "")
-                if driver and not self.gates[driver].is_flip_flop:
+                if driver and driver not in ffs:
                     count += 1
                     dependents.setdefault(driver, []).append(gate.name)
             indegree[gate.name] = count
@@ -308,6 +352,25 @@ class Circuit:
             raise NetlistError(f"combinational cycle through gates {cyclic[:8]}")
         self._topo_cache = (self._mutations, tuple(order))
         return order
+
+    def memo(
+        self, key: Hashable, compute: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """``compute()``, kept on the netlist until its next edit.
+
+        One entry per netlist: a call with another *key* recomputes and
+        replaces it.  The entry never goes into a pickle.  Returns the
+        value and whether it came from the entry.  GK planning keeps a
+        design's plan here (:func:`repro.core.insertion.plan_design`).
+        """
+        cached = self._memo
+        if (cached is not None and cached[0] == self._mutations
+                and cached[1] == key):
+            return cached[2], True
+        stamp = self._mutations
+        value = compute()
+        self._memo = (stamp, key, value)
+        return value, False
 
     def compiled(self, lanes: Optional[int] = None) -> "object":
         """The circuit's compiled IR (cached per lane width behind the
@@ -411,6 +474,7 @@ class Circuit:
 
     def validate(self) -> None:
         """Check structural sanity; raises :class:`NetlistError`."""
+        ffs = self.flip_flop_names()
         for gate in self.gates.values():
             gate.validate()
             for pin, net in gate.pins.items():
@@ -418,7 +482,7 @@ class Circuit:
                     raise NetlistError(
                         f"gate {gate.name} pin {pin}: undriven net {net!r}"
                     )
-            if gate.is_flip_flop:
+            if gate.name in ffs:
                 if self.clock is None:
                     raise NetlistError(f"flip-flop {gate.name} but no clock defined")
                 if gate.pins.get("CLK") != self.clock:
@@ -447,6 +511,7 @@ class Circuit:
 
     def fanin_cone(self, net: str) -> Set[str]:
         """Names of gates in the transitive fanin of *net* (stops at FFs)."""
+        ffs = self.flip_flop_names()
         cone: Set[str] = set()
         stack = [net]
         while stack:
@@ -454,14 +519,14 @@ class Circuit:
             driver = self._driver.get(current, "")
             if not driver or driver in cone:
                 continue
-            gate = self.gates[driver]
             cone.add(driver)
-            if not gate.is_flip_flop:
-                stack.extend(gate.pins.values())
+            if driver not in ffs:
+                stack.extend(self.gates[driver].pins.values())
         return cone
 
     def fanout_cone(self, net: str) -> Set[str]:
         """Names of gates in the transitive fanout of *net* (stops at FFs)."""
+        ffs = self.flip_flop_names()
         cone: Set[str] = set()
         stack = [net]
         while stack:
@@ -469,37 +534,64 @@ class Circuit:
             for gate_name, _pin in self._fanouts.get(current, ()):
                 if gate_name in cone:
                     continue
-                gate = self.gates[gate_name]
                 cone.add(gate_name)
-                if not gate.is_flip_flop:
-                    stack.append(gate.output)
+                if gate_name not in ffs:
+                    stack.append(self.gates[gate_name].output)
         return cone
 
-    def transitive_po_set(self, ff_name: str) -> frozenset:
-        """POs (and FF D-inputs) reachable from a flip-flop's output.
+    def transitive_po_sets(self) -> Dict[str, FrozenSet[str]]:
+        """Flip-flop name -> POs and FF D-inputs reachable from its Q.
 
-        Used by the Encrypt-Flip-Flop selection algorithm [4], which
-        groups FFs "fanouting to the same set of POs".
+        Sinks are labelled ``po:<net>`` and ``ff:<gate>``, reached
+        through combinational logic only.  Used by the
+        Encrypt-Flip-Flop selection algorithm [4], which groups FFs
+        "fanouting to the same set of POs".
+
+        One reverse-topological pass covers every flip-flop: a net's
+        reachable sinks are a bitset, one bit per sink, OR-ed from its
+        readers', which later gates in topological order already hold.
         """
-        gate = self.gates[ff_name]
-        reached: Set[str] = set()
-        po_nets = set(self.outputs)
-        stack = [gate.output]
-        visited: Set[str] = set()
-        while stack:
-            net = stack.pop()
-            if net in visited:
-                continue
-            visited.add(net)
-            if net in po_nets:
-                reached.add(f"po:{net}")
+        ff_gates = self._flip_flop_index()[0]
+        outputs = list(dict.fromkeys(self.outputs))
+        labels = ([f"po:{net}" for net in outputs]
+                  + [f"ff:{ff.name}" for ff in ff_gates])
+        po_bit = {net: 1 << i for i, net in enumerate(outputs)}
+        ff_bit = {ff.name: 1 << i
+                  for i, ff in enumerate(ff_gates, start=len(outputs))}
+        reach: Dict[str, int] = {}
+
+        def sinks_of(net: str) -> int:
+            mask = po_bit.get(net, 0)
             for gate_name, _pin in self._fanouts.get(net, ()):
-                sink = self.gates[gate_name]
-                if sink.is_flip_flop:
-                    reached.add(f"ff:{gate_name}")
-                else:
-                    stack.append(sink.output)
-        return frozenset(reached)
+                bit = ff_bit.get(gate_name)
+                if bit is None:
+                    bit = reach[self.gates[gate_name].output]
+                mask |= bit
+            return mask
+
+        for gate in reversed(self.topological_order()):
+            reach[gate.output] = sinks_of(gate.output)
+        decoded: Dict[int, FrozenSet[str]] = {}
+        signatures: Dict[str, FrozenSet[str]] = {}
+        for ff in ff_gates:
+            mask = sinks_of(ff.output)
+            if mask not in decoded:
+                members = []
+                rest = mask
+                while rest:  # one step per set bit, lowest first
+                    low = rest & -rest
+                    members.append(labels[low.bit_length() - 1])
+                    rest ^= low
+                decoded[mask] = frozenset(members)
+            signatures[ff.name] = decoded[mask]
+        return signatures
+
+    def transitive_po_set(self, ff_name: str) -> FrozenSet[str]:
+        """One flip-flop's entry of :meth:`transitive_po_sets`."""
+        signatures = self.transitive_po_sets()
+        if ff_name not in signatures:
+            raise NetlistError(f"{ff_name!r} is not a flip-flop")
+        return signatures[ff_name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats()

@@ -113,8 +113,10 @@ def _place(circuit: Circuit, refinement_passes: int) -> Layout:
             if not near:
                 desired[name] = positions[name]
                 continue
-            cx = sum(positions[n][0] for n in near) / len(near)
-            cy = sum(positions[n][1] for n in near) / len(near)
+            # fsum is exact, so the centroid does not depend on the
+            # (hash-seeded) order the neighbours were collected in
+            cx = math.fsum(positions[n][0] for n in near) / len(near)
+            cy = math.fsum(positions[n][1] for n in near) / len(near)
             desired[name] = (cx, cy)
         # Re-legalize: order by desired (y, x) and repack rows.
         new_order = sorted(

@@ -281,16 +281,17 @@ def _fanout_cone(
     arrivals depend only on its fan-in's, so every such order gives the
     same floats.
     """
+    ffs = circuit.flip_flop_names()
     cone: Dict[str, Gate] = {}
     flip_flops: Dict[str, Gate] = {}
     for name in gates:
         gate = circuit.gates[name]
-        if gate.is_flip_flop:
+        if name in ffs:
             flip_flops[name] = gate
             continue
         for member in (name, *circuit.fanout_cone(gate.output)):
             reached = circuit.gates[member]
-            if reached.is_flip_flop:
+            if member in ffs:
                 flip_flops[member] = reached
             else:
                 cone[member] = reached

@@ -183,11 +183,9 @@ def sweep_dead_gates(
     circuit: Circuit, protected: FrozenSet[str] = frozenset()
 ) -> int:
     """Remove gates not feeding any PO or flip-flop; returns #removed."""
-    live: Set[str] = set()
+    live: Set[str] = set(circuit.flip_flop_names())
     stack = list(circuit.outputs)
-    for ff in circuit.flip_flops():
-        live.add(ff.name)
-        stack.append(ff.pins["D"])
+    stack += [ff.pins["D"] for ff in circuit.flip_flops()]
     for name in protected:
         if name in circuit.gates:
             live.add(name)
@@ -197,11 +195,9 @@ def sweep_dead_gates(
         driver = circuit.driver_of(net)
         if driver is None or driver.name in live:
             continue
+        # flip-flops are live from the start: this driver is combinational
         live.add(driver.name)
-        if not driver.is_flip_flop:
-            stack.extend(driver.pins.values())
-        else:
-            stack.append(driver.pins["D"])
+        stack.extend(driver.pins.values())
     dead = [name for name in circuit.gates if name not in live]
     for name in dead:
         circuit.remove_gate(name)

@@ -105,3 +105,35 @@ class TestBehaviour:
                 if post.circuit.driver_of(net) is not None
             }
             assert through & protected  # only the deliberate delays
+
+
+class TestPnr:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_xor_trials_see_the_routed_wires(self, seed, monkeypatch):
+        """Under P&R the GKs are planned and verified with routed wire
+        delays, so every GK trigger must still sit in its Eq. (5)
+        window under the post-insertion routed analysis once the XORs
+        are in.  Checked against zero-wire timing, s5378 broke a window
+        at instance seeds 1, 2 and 3."""
+        from repro.bench import iwls_benchmark
+        from repro.core import flow
+        from repro.sta import analyze
+
+        routes = []
+
+        def recorded(layout):
+            routes.append(route(layout))
+            return routes[-1]
+
+        route = flow.route
+        monkeypatch.setattr(flow, "route", recorded)
+        inst = iwls_benchmark("s5378", seed=seed)
+        scheme = HybridGkXor(inst.clock, run_pnr=True)
+        locked = scheme.lock(inst.circuit, 32, random.Random(seed + 99))
+        # the second route is GkLock's post-insertion P&R
+        assert len(routes) == 2
+        routed = analyze(locked.circuit, inst.clock,
+                         wire_delay=routes[-1].wire_delay)
+        assert scheme._gk_windows_hold(
+            locked.circuit, locked.metadata["gks"], routed)
+        assert len(locked.metadata["xor_gates"]) == 16

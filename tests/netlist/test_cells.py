@@ -66,6 +66,16 @@ class TestCellLibrary:
         areas = [c.area for c in buffers]
         assert areas == sorted(areas)
 
+    def test_add_clears_the_cells_for_memo(self):
+        lib = default_library()
+        assert lib.cells_for("BUF") is lib.cells_for("BUF")  # memoized
+        assert lib.cheapest("BUF").name == "BUF_X1"
+        tiny = Cell("BUF_T", "BUF", ("A",), "Y", area=0.5, delay=0.3)
+        lib.add(tiny)
+        assert lib.cells_for("BUF")[0] is tiny
+        assert lib.cheapest("BUF") is tiny
+        assert lib.cells_for("LUT") == lib.cells_for("LUT")
+
     def test_delay_elements_sorted_by_delay_descending(self):
         lib = default_library()
         elems = lib.delay_elements()

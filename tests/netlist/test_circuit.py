@@ -242,3 +242,55 @@ class TestCones:
         assert any(item.startswith("po:") for item in sig0)
         assert any(item.startswith("ff:") for item in sig0)
         assert sig0 != frozenset() and sig1 != frozenset()
+        assert c.transitive_po_sets() == {"ff0": sig0, "ff1": sig1}
+
+    def test_transitive_po_set_of_a_non_flip_flop(self, toy_sequential):
+        gate = next(g for g in toy_sequential.gates.values()
+                    if not g.is_flip_flop)
+        with pytest.raises(NetlistError, match="not a flip-flop"):
+            toy_sequential.transitive_po_set(gate.name)
+
+
+class TestFlipFlopMemo:
+    """``flip_flops()`` and ``flip_flop_names()`` are memoized; every
+    edit that can change the flip-flop set must refresh them."""
+
+    @staticmethod
+    def names(c):
+        expected = [g.name for g in c.gates.values() if g.is_flip_flop]
+        assert [g.name for g in c.flip_flops()] == expected
+        assert c.flip_flop_names() == frozenset(expected)
+        assert [g.name for g in c.combinational_gates()] == [
+            g.name for g in c.gates.values() if not g.is_flip_flop]
+        return expected
+
+    def test_add_and_remove_a_flip_flop(self, toy_sequential):
+        c = toy_sequential
+        assert self.names(c) == ["ff0", "ff1"]
+        c.add_gate("ff2", "DFF_X1", {"D": "a", "CLK": "clk"}, "q2")
+        assert self.names(c) == ["ff0", "ff1", "ff2"]
+        c.remove_gate("ff0")
+        assert self.names(c) == ["ff1", "ff2"]
+
+    def test_replace_cell_both_ways(self, toy_sequential):
+        c = toy_sequential
+        assert self.names(c) == ["ff0", "ff1"]
+        c.replace_cell("ff0", c.library["SDFF_X1"])
+        assert self.names(c) == ["ff0", "ff1"]
+        assert c.flip_flops()[0].cell.name == "SDFF_X1"
+        gate = next(g for g in c.gates.values() if g.function == "NAND2")
+        c.replace_cell(gate.name, c.library["DFF_X1"])  # pins now mismatch
+        assert gate.name in self.names(c)
+
+    def test_combinational_edits_keep_the_memo_right(self, toy_sequential):
+        c = toy_sequential
+        before = self.names(c)
+        c.add_gate("extra", "INV_X1", {"A": "a"}, "extra_y")
+        c.rewire_sinks("extra_y", "a")
+        c.remove_gate("extra")
+        assert self.names(c) == before
+
+    def test_flip_flops_returns_a_fresh_list(self, toy_sequential):
+        c = toy_sequential
+        c.flip_flops().clear()
+        assert len(c.flip_flops()) == 2

@@ -1,5 +1,9 @@
 """Tests for the placement and routing substrate."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.pnr import Layout, place, route
@@ -25,6 +29,27 @@ class TestPlacement:
         a = place(s1238.circuit)
         b = place(s1238.circuit)
         assert a.positions == b.positions
+
+    def test_same_layout_under_any_hash_seed(self):
+        """Set iteration order follows the process's string-hash seed;
+        the layout must not (seen: s5378 GK plans under P&R moved with
+        ``PYTHONHASHSEED``)."""
+        script = (
+            "from repro.bench import iwls_benchmark\n"
+            "from repro.pnr import place\n"
+            "layout = place(iwls_benchmark('s1238').circuit)\n"
+            "print(sorted(layout.positions.items()))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        layouts = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            layouts.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(layouts) == 1
 
     def test_no_same_row_overlap(self, toy_sequential):
         layout = place(toy_sequential)
