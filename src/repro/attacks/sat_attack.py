@@ -8,7 +8,8 @@ disagree for some key pair.  Each DIP is resolved against the oracle
 observed response, pruning every key inconsistent with it.  When no DIP
 remains, any key satisfying the accumulated constraints is functionally
 correct — for ordinary locking.  :class:`KeyConeMiter` builds that
-formula over the keys' fan-out cone only (see its docstring).
+formula on one structural-hash table, so copy 2 and each pin add
+clauses only for the keys' fan-out cone (see its docstring).
 
 Against the paper's GK-locked designs, the very first DIP query returns
 UNSAT (the GK key inputs are combinationally non-influential), so the
@@ -32,7 +33,7 @@ from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
+from ..sat.tseitin import CircuitEncoder, NodeTable, miter_xors
 from .oracle import OracleProtocol
 
 __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
@@ -43,7 +44,7 @@ __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
 #: :func:`~repro.attacks.warm_start.shared_clause_key` is salted with this:
 #: bump it whenever the miter's base encoding changes, or a pool saved
 #: under the old numbering would be seeded into unrelated variables.
-MITER_ENCODING_VERSION = 2
+MITER_ENCODING_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -110,35 +111,37 @@ def _interface_map(comb: Circuit, oracle: OracleProtocol) -> Dict[str, str]:
 
 
 class KeyConeMiter:
-    """The SAT attack's two-copy miter, built over the keys' fan-out cone.
+    """The SAT attack's two-copy miter, on one structural-hash table.
 
-    Copy 1 encodes the whole combinational view *comb*.  Copy 2 encodes
-    only the gates in the fan-out cone of some key input, with fresh key
-    variables; every other net, the primary inputs included, is bound
-    to copy 1's variable.  ``diff`` is the OR of per-output XORs over the
-    outputs inside the cone, and :meth:`pin` adds one oracle
-    observation to both copies.  *oracle_output_of* maps each output of
-    *comb* to the oracle's name for it.
+    Copy 1 encodes the combinational view *comb*; copy 2 encodes it
+    again with fresh key variables and copy 1's primary-input literals,
+    through the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate
+    outside the keys' fan-out cone sees copy 1's fan-in literals, so it
+    hashes onto copy 1's node and adds nothing.  ``diff`` is the OR of
+    per-output XORs over the outputs whose two literals differ, and
+    :meth:`pin` adds one oracle observation to both copies:
+    *comb* is encoded once per copy with the pattern's inputs bound to
+    the constant-true literal (or its negation) and that copy's key
+    variables, so the pattern folds through its constants and only the
+    key-dependent remainder gets new nodes, shared wherever the two
+    copies (or earlier pins) built the same node.  *oracle_output_of*
+    maps each output of *comb* to the oracle's name for it.
 
-    :meth:`pin` runs one ternary evaluation of the pattern with every
-    key at X.  Each net that comes out 0/1 is bound to a single
-    constant-true literal (or its negation), so the encoder emits
-    clauses only for the X-valued gates, once per copy over that copy's
-    key variables.
+    Soundness, against the plain two-copy encoding:
 
-    Soundness, against the full two-copy encoding:
+    * Hash-consing is exact: a node's key is its operation and its
+      fan-in literals, so a shared node computes the same function in
+      every model.  Outputs whose copies share one literal agree in
+      every model, and dropping them from ``diff`` removes no model.
+    * Folding is exact: each rewrite (a constant operand, equal or
+      complementary operands, a negated MUX select or arm) is a Boolean
+      identity.
+    * A key-independent output that disagrees with the oracle folds to
+      a constant and pins the constant-true literal false, so the
+      formula is UNSAT, just as the plain encoding is.
 
-    * Nets outside the cone are functions of the primary inputs alone,
-      so both copies agree on them in every model; sharing their
-      variables, and dropping the outputs among them from ``diff``,
-      removes no model.
-    * Ternary simulation is conservative, so a net that is 0/1 with the
-      keys at X has that value under every key; binding it to a
-      constant is exact.
-    * X-valued nets are encoded exactly, over the copy's own keys.
-    * A key-independent output that disagrees with the oracle pins the
-      constant-true literal false, so the formula is UNSAT, just as
-      the full encoding is.
+    ``clauses`` counts the base encoding's clauses and
+    ``merged_outputs`` the outputs both copies hash to one literal.
     """
 
     def __init__(
@@ -150,15 +153,10 @@ class KeyConeMiter:
         self.solver = solver
         self.comb = comb
         self.oracle_output_of = oracle_output_of
-        cone = set(comb.key_inputs)
-        for net in comb.key_inputs:
-            cone.update(
-                comb.gates[name].output for name in comb.fanout_cone(net)
-            )
+        self.table = NodeTable()
+        self.clauses = 0
         copy1 = self._encode({})
-        copy2 = self._encode({
-            net: var for net, var in copy1.var_of.items() if net not in cone
-        })
+        copy2 = self._encode({net: copy1.var_of[net] for net in comb.inputs})
         self.pi_vars = {net: copy1.var_of[net] for net in comb.inputs}
         #: per copy, key input -> variable
         self.key_vars = [
@@ -167,40 +165,40 @@ class KeyConeMiter:
         ]
 
         cnf = CNF(num_vars=solver.num_vars)
-        self.true_lit = cnf.new_var()
-        cnf.add_clause([self.true_lit])
-        xor_vars = []
-        for net in comb.outputs:
-            if net in cone:
-                x = cnf.new_var()
-                cnf.add_xor(x, copy1.var_of[net], copy2.var_of[net])
-                xor_vars.append(x)
-        #: assumed true per DIP query: some in-cone output differs
+        xors = miter_xors(cnf, (
+            (net, copy1.var_of[net], copy2.var_of[net])
+            for net in comb.outputs
+        ))
+        self.merged_outputs = len(comb.outputs) - len(xors)
+        #: assumed true per DIP query: some unmerged output differs
         self.diff = cnf.new_var()
-        cnf.add_or(self.diff, xor_vars)
-        solver.add_cnf(cnf)
+        cnf.add_or(self.diff, [x for _, x in xors])
+        self._add(cnf)
+
+    def _add(self, cnf: CNF) -> int:
+        self.solver.add_cnf(cnf)
+        self.clauses += len(cnf.clauses)
+        return len(cnf.clauses)
 
     def _encode(self, net_vars: Mapping[str, int]) -> CircuitEncoder:
         cnf = CNF(num_vars=self.solver.num_vars)
-        encoder = CircuitEncoder(cnf, self.comb, net_vars=net_vars)
-        self.solver.add_cnf(cnf)
+        encoder = CircuitEncoder(cnf, self.comb, net_vars, table=self.table)
+        self._add(cnf)
         return encoder
 
-    def pin(self, pattern: Mapping[str, int], response: Mapping) -> None:
-        """Constrain both copies to answer *response* on *pattern*."""
+    def pin(self, pattern: Mapping[str, int], response: Mapping) -> int:
+        """Constrain both copies to answer *response* on *pattern*;
+        returns the number of clauses added."""
         comb = self.comb
-        values = compile_circuit(comb).evaluate(
-            dict(pattern, **dict.fromkeys(comb.key_inputs))
-        )
-        true = self.true_lit
-        constants = {
-            net: true if value else -true
-            for net, value in values.items() if value is not None
-        }
+        table = self.table
         cnf = CNF(num_vars=self.solver.num_vars)
+        constants = {
+            net: table.constant(cnf, pattern[net]) for net in comb.inputs
+        }
+        true = table.constant(cnf, 1)
         for key_vars in self.key_vars:
             encoder = CircuitEncoder(
-                cnf, comb, net_vars=dict(constants, **key_vars)
+                cnf, comb, dict(constants, **key_vars), table=table
             )
             for net in comb.outputs:
                 lit = encoder.var_of[net]
@@ -208,7 +206,7 @@ class KeyConeMiter:
                     lit = -lit
                 if lit != true:  # else a constant output that agrees
                     cnf.add_clause([lit])
-        self.solver.add_cnf(cnf)
+        return self._add(cnf)
 
     def dip(self, model: Mapping[int, bool]) -> Dict[str, int]:
         """The primary-input pattern of a model of the miter."""
@@ -252,15 +250,21 @@ def sat_attack(
     with trace_span(
         "attack.sat", design=comb.name, key_bits=len(comb.key_inputs)
     ) as attack_span:
-        with trace_span("attack.sat.encode"):
+        with trace_span("attack.sat.encode") as encode_span:
             miter = KeyConeMiter(solver, comb, oracle_output_of)
+            encode_span.annotate(
+                vars=solver.num_vars, clauses=miter.clauses,
+                merged_outputs=miter.merged_outputs,
+            )
 
         result = SatAttackResult(
             completed=False, key=None, iterations=0,
             unsat_at_first_iteration=False,
         )
         for iteration in range(max_iterations):
-            with trace_span("attack.sat.iteration", index=iteration + 1):
+            with trace_span(
+                "attack.sat.iteration", index=iteration + 1
+            ) as iteration_span:
                 if not solver.solve([miter.diff]):
                     result.completed = True
                     break
@@ -270,7 +274,7 @@ def sat_attack(
                 response = oracle.query(dip)
                 result.oracle_queries += 1
                 _metrics.inc("attack.sat.oracle_queries")
-                miter.pin(dip, response)
+                iteration_span.annotate(pin_clauses=miter.pin(dip, response))
                 result.iteration_stats.append(IterationStats(
                     index=result.iterations,
                     seconds=time.perf_counter() - t_start,

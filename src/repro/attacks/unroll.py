@@ -23,11 +23,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..netlist.circuit import Circuit, NetlistError
+from ..netlist.circuit import Circuit, Gate, NetlistError
 from ..netlist.transform import extract_combinational
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
+from ..sat.tseitin import encode_gate_function
 from ..sim.cyclesim import CycleSimulator
 
 __all__ = ["UnrolledCopy", "SequentialAttackResult", "sequential_sat_attack"]
@@ -43,6 +43,40 @@ class UnrolledCopy:
     pi_vars: List[Dict[str, int]]
     #: po_vars[t][net] — per-frame primary output variables
     po_vars: List[Dict[str, int]]
+
+
+def _encode_frame(
+    cnf: CNF,
+    comb: Circuit,
+    order: Sequence[Gate],
+    net_vars: Mapping[str, int],
+) -> Dict[str, int]:
+    """One frame: a plain Tseitin copy of *comb*, one variable per net.
+
+    Nets in *net_vars* keep their variables (a gate driving one is not
+    encoded); the rest are numbered in input, then gate (*order*), then
+    output order.  Not hashed: the search, and so the unrolled attack's
+    DIP counts, follow this numbering.
+    """
+    var_of = dict(net_vars)
+
+    def var(net: str) -> int:
+        if net not in var_of:
+            var_of[net] = cnf.new_var()
+        return var_of[net]
+
+    for net in comb.inputs + comb.key_inputs:
+        var(net)
+    for gate in order:
+        if gate.output in var_of:
+            continue
+        out = var(gate.output)
+        operands = [var(net) for net in gate.input_nets()]
+        encode_gate_function(cnf, gate.function, out, operands,
+                             gate.truth_table)
+    for net in comb.outputs:
+        var(net)
+    return var_of
 
 
 def _unroll(
@@ -70,6 +104,7 @@ def _unroll(
         cnf.add_clause([-var])  # reset state: all flip-flops at 0
 
     real_pis = [n for n in comb.inputs if n not in set(pseudo_in.values())]
+    order = comb.topological_order()
     for t in range(frames):
         net_vars: Dict[str, int] = dict(keys)
         for ff, q_net in pseudo_in.items():
@@ -77,11 +112,11 @@ def _unroll(
         if shared_pis is not None:
             for net in real_pis:
                 net_vars[net] = shared_pis[t][net]
-        encoder = CircuitEncoder(cnf, comb, net_vars=net_vars)
-        pi_vars.append({net: encoder.var_of[net] for net in real_pis})
-        po_vars.append({net: encoder.var_of[net] for net in original_pos})
+        var_of = _encode_frame(cnf, comb, order, net_vars)
+        pi_vars.append({net: var_of[net] for net in real_pis})
+        po_vars.append({net: var_of[net] for net in original_pos})
         state_vars = {
-            ff: encoder.var_of[d_net] for ff, d_net in pseudo_out.items()
+            ff: var_of[d_net] for ff, d_net in pseudo_out.items()
         }
     return UnrolledCopy(
         frames=frames, key_vars=keys, pi_vars=pi_vars, po_vars=po_vars

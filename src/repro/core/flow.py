@@ -13,9 +13,12 @@ The flow mirrors the paper's tool sequence step for step:
 4. re-synthesize with the delay paths protected (design constraints);
 5. re-run STA and triage the reported violations: a violation whose
    worst path runs through a deliberately delayed GK/KEYGEN path is a
-   **false** violation (the glitch timing was verified at insertion); a
-   **true** violation causes that GK to be removed and the flow to
-   retry at another feasible location.
+   **false** violation (the glitch timing was verified at insertion);
+   any other is a **true** violation.  The paper removes that GK and
+   retries at another feasible location; :class:`GkLock` keeps the GK
+   and only reports the true violations, in
+   ``metadata["true_violations"]`` and the ``flow.gk.true_violations``
+   metric.
 
 The correct key assigns each GK's 2-bit KEYGEN key to the transitional
 mode whose trigger time parks the glitch over the capture window; all

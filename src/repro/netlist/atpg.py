@@ -74,31 +74,33 @@ def generate_test(
         raise NetlistError("stuck_at must be 0 or 1")
 
     # Deferred import: repro.sat.tseitin imports this package.
-    from ..sat.tseitin import CircuitEncoder
+    from ..sat.tseitin import CircuitEncoder, NodeTable, miter_xors
 
+    # Both copies hash into one table.  The faulty copy is the same
+    # circuit with the fault net pre-bound to the stuck constant (its
+    # driver cut), so only the fault's fan-out cone gets new nodes, and
+    # an output whose copies share one literal cannot observe the fault.
     cnf = CNF()
-    good = CircuitEncoder(cnf, comb)
+    table = NodeTable()
+    pinned = {
+        net: table.constant(cnf, value)
+        for net, value in (key or {}).items() if net in comb.key_inputs
+    }
+    good = CircuitEncoder(cnf, comb, pinned, table=table)
     shared = {net: good.var_of[net] for net in comb.inputs + comb.key_inputs}
-    # Faulty copy: same inputs/keys, but the fault net's variable is
-    # forced instead of driven by its cone.
-    faulty_net_var = cnf.new_var()
-    cnf.add_clause([faulty_net_var if fault.stuck_at else -faulty_net_var])
-    shared_faulty = dict(shared)
-    shared_faulty[fault.net] = faulty_net_var
-    faulty = CircuitEncoder(cnf, _strip_driver(comb, fault.net), shared_faulty)
+    shared[fault.net] = table.constant(cnf, fault.stuck_at)
+    faulty = CircuitEncoder(cnf, comb, shared, table=table)
 
-    xor_vars = []
-    for net in comb.outputs:
-        x = cnf.new_var()
-        cnf.add_xor(x, good.var_of[net], faulty.var_of[net])
-        xor_vars.append(x)
-    diff = cnf.new_var()
-    cnf.add_or(diff, xor_vars)
-    cnf.add_clause([diff])
-    if key:
-        for net, value in key.items():
-            var = good.var_of[net]
-            cnf.add_clause([var if value else -var])
+    observable = miter_xors(cnf, (
+        (net, good.var_of[net], faulty.var_of[net]) for net in comb.outputs
+    ))
+    if not observable:
+        return None
+    cnf.add_clause([x for _, x in observable])
+    for net, value in (key or {}).items():
+        if net not in pinned:  # a pinned non-key net constrains the good copy
+            lit = good.var_of[net]
+            cnf.add_clause([lit if value else -lit])
 
     solver = Solver()
     solver.add_cnf(cnf)
@@ -106,25 +108,8 @@ def generate_test(
         return None
     model = solver.model()
     pattern = {net: int(model[good.var_of[net]]) for net in comb.inputs}
-    observed = next(
-        net
-        for net, x in zip(comb.outputs, xor_vars)
-        if model[x]
-    )
+    observed = next(net for net, x in observable if model[x])
     return TestPattern(fault=fault, inputs=pattern, observed_at=observed)
-
-
-def _strip_driver(comb: Circuit, net: str) -> Circuit:
-    """A copy of *comb* with *net*'s driver removed (for fault injection)."""
-    clone = comb.clone(f"{comb.name}__faulty")
-    driver = clone.driver_of(net)
-    if driver is not None:
-        clone.remove_gate(driver.name)
-        # the net becomes an "input" of the faulty copy; the encoder's
-        # shared variable (forced to the stuck value) supplies it
-        clone._claim_driver(net, "")
-        clone.inputs.append(net)
-    return clone
 
 
 @dataclass

@@ -3,7 +3,12 @@
 Builds the classic miter between two netlists — shared inputs, XORed
 outputs, OR-reduced to a single difference bit — and asks the CDCL
 solver whether any input makes them disagree.  UNSAT proves
-equivalence; SAT yields a counterexample input pattern.
+equivalence; SAT yields a counterexample input pattern.  Both circuits
+are encoded through one structural-hash table
+(:class:`~repro.sat.tseitin.NodeTable`) with pinned keys folded as
+constants, so an output whose two copies hash to one literal is equal
+by construction and only the others reach the solver: checking a
+recovered key against the original design usually needs no SAT call.
 
 Used by the optimization tests (a pass is only correct if the miter is
 UNSAT), by the removal attack's ground-truth scoring, and available to
@@ -19,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
+from ..obs.spans import trace_span
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
@@ -113,37 +119,53 @@ def check_equivalence(
                 return EquivalenceResult(False, dict(pattern), differing)
 
     # Deferred import: repro.sat.tseitin imports this package.
-    from ..sat.tseitin import CircuitEncoder
+    from ..sat.tseitin import CircuitEncoder, NodeTable, miter_xors
 
-    cnf = CNF()
-    enc_a = CircuitEncoder(cnf, a)
-    shared = {net: enc_a.var_of[net] for net in a.inputs}
-    enc_b = CircuitEncoder(cnf, b, net_vars=shared)
-    for encoder, key in ((enc_a, key_a), (enc_b, key_b)):
-        for net, value in (key or {}).items():
-            var = encoder.var_of[net]
-            cnf.add_clause([var if value else -var])
+    with trace_span("netlist.equivalence") as span:
+        # Both circuits hash into one table over shared inputs, with
+        # pinned keys bound to constants: whatever the pinned keys do
+        # not reach, the copies share, and an output whose copies share
+        # one literal is proven equal without the solver.
+        cnf = CNF()
+        table = NodeTable()
+        enc_a = CircuitEncoder(cnf, a, _pinned_keys(a, key_a, table, cnf),
+                               table=table)
+        shared = {net: enc_a.var_of[net] for net in a.inputs}
+        shared.update(_pinned_keys(b, key_b, table, cnf))
+        enc_b = CircuitEncoder(cnf, b, shared, table=table)
+        for encoder, key in ((enc_a, key_a), (enc_b, key_b)):
+            for net, value in (key or {}).items():
+                if net not in encoder.circuit.key_inputs:
+                    lit = encoder.var_of[net]
+                    cnf.add_clause([lit if value else -lit])
 
-    xor_vars = []
-    for net_a, net_b in zip(a.outputs, b.outputs):
-        x = cnf.new_var()
-        cnf.add_xor(x, enc_a.var_of[net_a], enc_b.var_of[net_b])
-        xor_vars.append(x)
-    diff = cnf.new_var()
-    cnf.add_or(diff, xor_vars)
-    cnf.add_clause([diff])
+        unmerged = miter_xors(cnf, (
+            ((net_a, net_b), enc_a.var_of[net_a], enc_b.var_of[net_b])
+            for net_a, net_b in zip(a.outputs, b.outputs)
+        ))
+        span.annotate(merged=len(a.outputs) - len(unmerged),
+                      unmerged=len(unmerged), solved=bool(unmerged))
+        if not unmerged:
+            return EquivalenceResult(True, None, None)
+        cnf.add_clause([x for _, x in unmerged])
 
-    solver = Solver()
-    solver.add_cnf(cnf)
-    if not solver.solve():
-        return EquivalenceResult(True, None, None)
-    model = solver.model()
+        solver = Solver()
+        solver.add_cnf(cnf)
+        if not solver.solve():
+            return EquivalenceResult(True, None, None)
+        model = solver.model()
     counterexample = {net: int(model[enc_a.var_of[net]]) for net in a.inputs}
-    differing = {}
-    for net_a, net_b, x in zip(a.outputs, b.outputs, xor_vars):
-        if model[x]:
-            differing[net_a] = net_b
+    differing = dict(pair for pair, x in unmerged if model[x])
     return EquivalenceResult(False, counterexample, differing)
+
+
+def _pinned_keys(circuit: Circuit, key: Optional[Mapping[str, int]],
+                 table, cnf: CNF) -> Dict[str, int]:
+    """*circuit*'s key inputs pinned in *key*, bound to constants."""
+    return {
+        net: table.constant(cnf, value)
+        for net, value in (key or {}).items() if net in circuit.key_inputs
+    }
 
 
 def check_sequential_equivalence(

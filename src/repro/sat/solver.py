@@ -521,7 +521,12 @@ class Solver:
                 self.num_conflicts += 1
                 conflict_count += 1
                 if self._decision_level() <= root_level:
-                    # Conflict inside/below the assumption prefix: UNSAT.
+                    # Conflict inside/below the assumption prefix: UNSAT;
+                    # at level 0 no assumption is involved, so for good
+                    # (the trail keeps the conflict, and a later call
+                    # would not propagate into it again).
+                    if self._decision_level() == 0:
+                        self._unsat = True
                     self._cancel_until(0)
                     return False
                 learnt, backtrack_level = self._analyze(conflict)

@@ -1,22 +1,37 @@
-"""Tseitin encoding: netlists to CNF.
+"""Tseitin encoding: netlists to CNF, constant-folded and structurally
+hashed.
 
 This is the bridge the SAT attack [11] uses: it turns the combinational
-view of a circuit into clauses over one variable per net.  Multiple
-copies of the same circuit can share a :class:`CNF` (the attack's miter
-uses two copies that share every key-independent net but have
-independent keys), so the encoder is instantiated per copy and exposes
-the variable map.
+view of a circuit into clauses.  :class:`CircuitEncoder` gives each gate
+a *literal* rather than a variable of its own: BUF and INV pass on their
+fan-in literal or its negation, NAND, OR, NOR and XNOR become signed
+literals of an AND or XOR node, constants fold onto one constant-true
+literal, and each remaining node is keyed on its operation and its
+folded fan-in literals (AIG-style structural hashing, Kuehlmann et al.,
+IEEE TCAD 2002).  A :class:`NodeTable` passed to
+several encoder calls makes them share nodes: two copies of a circuit
+that see the same fan-in literals get the same literal and emit its
+clauses once, which is how the SAT attack's miter copies, its DIP pins,
+the equivalence checker and ATPG stay small.
+
+The rewrites are folding, trivial AND/XOR/MUX identities and hashing
+only.  Nothing re-associates, so a GK's arms
+``MUX(k, XNOR(x, k), XOR(x, k))`` stay three nodes rather than one
+``NOT x``.  :func:`encode_gate_function` is the plain one-variable-per-
+net encoding of one cell, kept for the time-expanded (TCF) and unrolled
+encoders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..netlist.circuit import Circuit, Gate, NetlistError
+from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
 from .cnf import CNF
 
-__all__ = ["CircuitEncoder", "encode_circuit", "encode_gate_function"]
+__all__ = ["CircuitEncoder", "NodeTable", "encode_circuit",
+           "encode_gate_function", "miter_xors"]
 
 
 def encode_gate_function(
@@ -28,9 +43,9 @@ def encode_gate_function(
 ) -> None:
     """Clauses for ``out <-> function(operands)`` over explicit variables.
 
-    Shared by the plain circuit encoder and the time-expanded (TCF)
-    encoder, which wires the same cell functions between variables of
-    different time ticks.
+    Shared by the time-expanded (TCF) and unrolled encoders, which wire
+    the same cell functions between variables of different time ticks or
+    frames, and by :class:`NodeTable` for its LUT nodes.
     """
     if function == "BUF":
         cnf.add_equal(out, operands[0])
@@ -75,6 +90,169 @@ def encode_gate_function(
         raise NetlistError(f"cannot encode function {function!r}")
 
 
+class NodeTable:
+    """Structurally hashed nodes, shared by every encoder call given it.
+
+    ``nodes`` maps a node key — ``("and", a, b)``, ``("xor", a, b)``,
+    ``("mux", sel, a, b)`` or ``("lut", operands, table)`` over folded,
+    normalized literals — to its variable.  ``true`` is the constant-true
+    literal, allocated with its unit clause on first use.  Every method
+    takes the :class:`CNF` that receives a new node's clauses; the CNFs
+    of one table must all feed the same solver, in order.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: Dict[tuple, int] = {}
+        self.true: Optional[int] = None
+
+    def constant(self, cnf: CNF, value: int) -> int:
+        """The literal of constant *value*."""
+        if self.true is None:
+            self.true = cnf.new_var()
+            cnf.add_clause([self.true])
+        return self.true if value else -self.true
+
+    def _node(self, cnf: CNF, key: tuple) -> Tuple[int, bool]:
+        """(variable of *key*, whether it is new and needs clauses)."""
+        var = self.nodes.get(key)
+        if var is not None:
+            return var, False
+        var = self.nodes[key] = cnf.new_var()
+        return var, True
+
+    def and2(self, cnf: CNF, a: int, b: int) -> int:
+        true = self.true
+        if true is not None:
+            if a == -true or b == -true:
+                return -true
+            if a == true:
+                return b
+            if b == true:
+                return a
+        if a == b:
+            return a
+        if a == -b:
+            return self.constant(cnf, 0)
+        if a > b:
+            a, b = b, a
+        out, new = self._node(cnf, ("and", a, b))
+        if new:
+            cnf.add_and(out, (a, b))
+        return out
+
+    def xor2(self, cnf: CNF, a: int, b: int) -> int:
+        true = self.true
+        if true is not None:
+            if abs(a) == true:
+                return -b if a == true else b
+            if abs(b) == true:
+                return -a if b == true else a
+        if a == b:
+            return self.constant(cnf, 0)
+        if a == -b:
+            return self.constant(cnf, 1)
+        # XOR(-a, b) == -XOR(a, b): key on the variables, sign the result
+        negate = (a < 0) != (b < 0)
+        a, b = sorted((abs(a), abs(b)))
+        out, new = self._node(cnf, ("xor", a, b))
+        if new:
+            cnf.add_xor(out, a, b)
+        return -out if negate else out
+
+    def mux2(self, cnf: CNF, a: int, b: int, sel: int) -> int:
+        """``sel ? b : a``."""
+        true = self.true
+        if true is not None and abs(sel) == true:
+            return b if sel == true else a
+        if a == b:
+            return a
+        if sel < 0:
+            sel, a, b = -sel, b, a
+        if true is not None:
+            if a == -true:
+                return self.and2(cnf, sel, b)
+            if a == true:
+                return -self.and2(cnf, sel, -b)
+            if b == -true:
+                return self.and2(cnf, -sel, a)
+            if b == true:
+                return -self.and2(cnf, -sel, -a)
+        if a < 0:  # MUX(s, -a, -b) == -MUX(s, a, b)
+            return -self.mux2(cnf, -a, -b, sel)
+        out, new = self._node(cnf, ("mux", sel, a, b))
+        if new:
+            cnf.add_mux(out, a, b, sel)
+        return out
+
+    def lut(self, cnf: CNF, operands: Sequence[int],
+            truth_table: Sequence[int]) -> int:
+        """A LUT over *operands* (``I0`` the low index bit)."""
+        true = self.true
+        # Re-tabulate over the distinct variables among the operands:
+        # this folds constant, repeated and negated operands at once.
+        free = []
+        for lit in operands:
+            if abs(lit) != true and abs(lit) not in free:
+                free.append(abs(lit))
+        table = []
+        for row in range(1 << len(free)):
+            value = {var: (row >> i) & 1 for i, var in enumerate(free)}
+            index = 0
+            for i, lit in enumerate(operands):
+                if abs(lit) == true:
+                    bit = lit == true
+                else:
+                    bit = value[abs(lit)] ^ (lit < 0)
+                index |= bit << i
+            table.append(truth_table[index])
+        if len(set(table)) == 1:
+            return self.constant(cnf, table[0])
+        if len(free) == 1:
+            return free[0] if table[1] else -free[0]
+        negate = table[0] == 1  # normalize: the all-zero row reads 0
+        if negate:
+            table = [1 - bit for bit in table]
+        out, new = self._node(cnf, ("lut", tuple(free), tuple(table)))
+        if new:
+            encode_gate_function(cnf, "LUT", out, free, table)
+        return -out if negate else out
+
+    def gate(self, cnf: CNF, function: str, operands: Sequence[int],
+             truth_table=None) -> int:
+        """The literal of one cell *function* over *operands*."""
+        if function == "AND2":
+            return self.and2(cnf, *operands)
+        if function == "NAND2":
+            return -self.and2(cnf, *operands)
+        if function == "OR2":
+            return -self.and2(cnf, -operands[0], -operands[1])
+        if function == "NOR2":
+            return self.and2(cnf, -operands[0], -operands[1])
+        if function == "XOR2":
+            return self.xor2(cnf, *operands)
+        if function == "XNOR2":
+            return -self.xor2(cnf, *operands)
+        if function == "INV":
+            return -operands[0]
+        if function == "BUF":
+            return operands[0]
+        if function == "MUX2":
+            return self.mux2(cnf, *operands)
+        if function == "MUX4":
+            a, b, c, d, s0, s1 = operands
+            return self.mux2(cnf, self.mux2(cnf, a, b, s0),
+                             self.mux2(cnf, c, d, s0), s1)
+        if function == "TIE0":
+            return self.constant(cnf, 0)
+        if function == "TIE1":
+            return self.constant(cnf, 1)
+        if function == "LUT":
+            if truth_table is None:
+                raise NetlistError("LUT encoding needs a truth table")
+            return self.lut(cnf, operands, truth_table)
+        raise NetlistError(f"cannot encode function {function!r}")
+
+
 class CircuitEncoder:
     """Encodes one combinational copy of a circuit into a shared CNF.
 
@@ -84,10 +262,16 @@ class CircuitEncoder:
             (run it through
             :func:`repro.netlist.transform.extract_combinational` first
             if it has flip-flops).
-        net_vars: Pre-assigned literals for some nets (used to share
-            primary inputs, or whole key-independent subcircuits, between
-            miter copies).  A gate whose output is pre-assigned is not
-            encoded again.  Remaining nets get fresh variables.
+        net_vars: Pre-assigned literals for some nets: shared primary
+            inputs, a copy's own key variables, or constants from
+            ``table.constant`` (a pinned pattern, a stuck-at fault).  A
+            gate whose output is pre-assigned is not encoded: its driver
+            is cut.  Remaining inputs get fresh variables.
+        table: Node table to hash into; share one between calls to share
+            their nodes (a fresh one by default).
+
+    ``var_of`` maps every net to its literal, which may be negative or
+    the constant ``±table.true``.
     """
 
     def __init__(
@@ -95,6 +279,7 @@ class CircuitEncoder:
         cnf: CNF,
         circuit: Circuit,
         net_vars: Optional[Mapping[str, int]] = None,
+        table: Optional[NodeTable] = None,
     ) -> None:
         if circuit.flip_flops():
             raise NetlistError(
@@ -103,6 +288,7 @@ class CircuitEncoder:
             )
         self.cnf = cnf
         self.circuit = circuit
+        self.table = NodeTable() if table is None else table
         self.var_of: Dict[str, int] = dict(net_vars or {})
         self._encode()
 
@@ -114,23 +300,20 @@ class CircuitEncoder:
         return var
 
     def _encode(self) -> None:
-        # Walk the compiled schedule: same gate order as
-        # ``topological_order()`` and same pin order within each gate,
-        # so variable numbering is identical to the object-graph walk.
         compiled = compile_circuit(self.circuit)
         for net in self.circuit.inputs + self.circuit.key_inputs:
             self._var(net)
-        for i in range(compiled.num_gates):
-            if compiled.out_names[i] in self.var_of:
-                continue  # pre-bound by the caller: already encoded
-            out = self._var(compiled.out_names[i])
-            operands = [
-                self._var(net) for net in compiled.fanin_name_tuples[i]
-            ]
-            encode_gate_function(
-                self.cnf, compiled.functions[i], out, operands,
-                compiled.truth_tables[i],
-            )
+        cnf, gate, var_of = self.cnf, self.table.gate, self.var_of
+        for function, out, fanins, truth_table in zip(
+            compiled.functions, compiled.out_names,
+            compiled.fanin_name_tuples, compiled.truth_tables,
+        ):
+            if out in var_of:
+                continue  # pre-bound by the caller: its driver is cut
+            var_of[out] = gate(cnf, function, [
+                var_of[net] if net in var_of else self._var(net)
+                for net in fanins
+            ], truth_table)
         for net in self.circuit.outputs:
             self._var(net)
 
@@ -142,6 +325,21 @@ class CircuitEncoder:
 
     def key_vars(self) -> Dict[str, int]:
         return {net: self.var_of[net] for net in self.circuit.key_inputs}
+
+
+def miter_xors(
+    cnf: CNF, pairs: Iterable[Tuple[object, int, int]]
+) -> List[Tuple[object, int]]:
+    """``(tag, x)`` with ``x <-> lit_a XOR lit_b`` for each
+    ``(tag, lit_a, lit_b)`` whose literals differ; a pair that hashed to
+    one literal is equal in every model and gets no XOR."""
+    xors = []
+    for tag, lit_a, lit_b in pairs:
+        if lit_a != lit_b:
+            x = cnf.new_var()
+            cnf.add_xor(x, lit_a, lit_b)
+            xors.append((tag, x))
+    return xors
 
 
 def encode_circuit(

@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import CombinationalOracle, appsat_attack
 from repro.core import GkLock, expose_gk_keys
 from repro.locking import CompoundLock, LockingError, SarLock, XorLock
-from repro.netlist import Builder
+from repro.netlist import Builder, check_equivalence
 
 
 def medium_comb():
@@ -93,12 +93,15 @@ class TestAppSat:
         assert all(result.key[k] == v for k, v in xor_keys.items())
 
     def test_exact_on_pure_xor(self, rng):
+        """The settled key is functionally exact, though not always the
+        lock's own: here ``keyin_x2`` and ``keyin_x3`` sit in series on
+        one path, so flipping both keeps the function."""
         c = medium_comb()
         locked = XorLock().lock(c, 4, rng)
         oracle = CombinationalOracle(c)
         result = appsat_attack(locked.circuit, oracle, rng=random.Random(2))
         assert result.approximately_correct
-        assert result.key == locked.key
+        assert check_equivalence(c, locked.circuit, key_b=result.key)
 
     def test_degenerates_on_gk(self, s1238):
         """Against GKs every key has the same (wrong) behaviour: the

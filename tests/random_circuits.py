@@ -1,0 +1,136 @@
+"""Random combinational circuits for the encoder and checker properties.
+
+:func:`recipes` draws a circuit as data: input and key counts, gate
+specs over the nets made so far, and output picks.  :func:`build` turns
+a recipe into a :class:`~repro.netlist.Builder` circuit over every cell
+function (at most 6 inputs, 3 key inputs and 12 gates), and
+:func:`circuit_pairs` builds a recipe and a variant with at most one
+gate redrawn.  :func:`simulate` is the reference evaluator: a walk of
+``topological_order()`` with the cell functions of :mod:`repro.sim.logic`
+in which *forced* nets keep their given value instead of their
+driver's.  Importable as ``random_circuits`` because pytest puts
+``tests/`` on the path (see ``hypothesis_profiles``).
+"""
+
+import itertools
+
+from hypothesis import strategies as st
+
+from repro.netlist import Builder
+from repro.sim.logic import eval_function
+
+FUNCTIONS = (
+    "AND2", "NAND2", "OR2", "NOR2", "XOR2", "XNOR2", "INV", "BUF",
+    "MUX2", "MUX4", "LUT", "TIE0", "TIE1",
+)
+_ARITY = {"TIE0": 0, "TIE1": 0, "INV": 1, "BUF": 1, "MUX2": 3, "MUX4": 6}
+_TWO_INPUT = {
+    "AND2": "and2", "NAND2": "nand2", "OR2": "or2", "NOR2": "nor2",
+    "XOR2": "xor", "XNOR2": "xnor",
+}
+
+
+@st.composite
+def gate_specs(draw, available):
+    """``(function, operand indices, truth table)`` over *available* nets."""
+    function = draw(st.sampled_from(FUNCTIONS))
+    arity = _ARITY.get(function, 2)
+    table = None
+    if function == "LUT":
+        arity = draw(st.integers(2, 4))
+        table = tuple(draw(st.lists(
+            st.integers(0, 1), min_size=1 << arity, max_size=1 << arity
+        )))
+    operands = tuple(
+        draw(st.integers(0, available - 1)) for _ in range(arity)
+    )
+    return function, operands, table
+
+
+@st.composite
+def recipes(draw, min_keys=0):
+    """``(inputs, keys, gate specs, output indices)``; every net may
+    drive an output."""
+    num_inputs = draw(st.integers(1, 6))
+    num_keys = draw(st.integers(min_keys, 3))
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        gates.append(draw(gate_specs(num_inputs + num_keys + len(gates))))
+    outputs = draw(st.lists(
+        st.integers(0, num_inputs + num_keys + len(gates) - 1),
+        min_size=1, max_size=4, unique=True,
+    ))
+    return num_inputs, num_keys, tuple(gates), tuple(outputs)
+
+
+def build(recipe, name="rand"):
+    num_inputs, num_keys, gates, outputs = recipe
+    b = Builder(name)
+    nets = list(b.inputs(*(f"i{n}" for n in range(num_inputs))))
+    nets += [b.key_input(f"k{n}") for n in range(num_keys)]
+    for function, operands, table in gates:
+        args = [nets[index] for index in operands]
+        if function == "TIE0":
+            out = b.const0()
+        elif function == "TIE1":
+            out = b.const1()
+        elif function in ("INV", "BUF"):
+            out = (b.inv if function == "INV" else b.buf)(*args)
+        elif function == "MUX2":
+            out = b.mux2(*args)
+        elif function == "MUX4":
+            out = b.mux4(*args)
+        elif function == "LUT":
+            out = b.lut(args, list(table))
+        else:
+            out = getattr(b, _TWO_INPUT[function])(*args)
+        nets.append(out)
+    for index in outputs:
+        b.po(nets[index])
+    return b.circuit
+
+
+def circuits(min_keys=0):
+    """A random combinational circuit with at least *min_keys* keys."""
+    return recipes(min_keys).map(build)
+
+
+@st.composite
+def circuit_pairs(draw, min_keys=0):
+    """Circuits A and B with the same interface; B is A with at most one
+    gate redrawn (so the pair is often, not always, equivalent)."""
+    recipe = draw(recipes(min_keys))
+    num_inputs, num_keys, gates, outputs = recipe
+    variant = list(gates)
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(gates) - 1))
+        variant[index] = draw(gate_specs(num_inputs + num_keys + index))
+    return (build(recipe, "a"),
+            build((num_inputs, num_keys, tuple(variant), outputs), "b"))
+
+
+def simulate(circuit, assignment, forced=None):
+    """Every net's 0/1 value under *assignment* (inputs and keys), with
+    each net of *forced* held at its given value."""
+    forced = forced or {}
+    values = dict(assignment, **forced)
+    for gate in circuit.topological_order():
+        if gate.output not in forced:
+            values[gate.output] = eval_function(
+                gate.function, [values[net] for net in gate.input_nets()],
+                gate.truth_table,
+            )
+    return values
+
+
+def bits(data, nets):
+    """A random 0/1 value per net, drawn from hypothesis *data*."""
+    return {net: data.draw(st.integers(0, 1)) for net in nets}
+
+
+def all_patterns(nets):
+    """Every 0/1 assignment of *nets*."""
+    return [
+        dict(zip(nets, values))
+        for values in itertools.product((0, 1), repeat=len(nets))
+    ]

@@ -132,6 +132,17 @@ class TestAssumptions:
             assert s.solve([-1, -2])
             assert not s.solve([-1, -2, -3])
 
+    def test_unsat_without_assumptions_stays_unsat(self):
+        """A conflict at decision level 0 refutes the formula itself: the
+        next call must not search past the falsified clause."""
+        s = Solver()
+        for clause in ([2, -1], [-1, 1], [-1, 1, 1, 1], [-1, 1, 1],
+                       [1, 1, -2], [2, 1], [-2, -1]):
+            assert s.add_clause(clause)
+        assert not s.solve()
+        assert not s.solve()
+        assert not s.solve([1])
+
 
 class TestHardInstances:
     @pytest.mark.parametrize("holes", [3, 4, 5, 6])

@@ -32,9 +32,8 @@ def check_encoder_matches_simulation(circuit, trials=None):
             for net, v in assignment.items()
         ]
         assert solver.solve(assumptions), assignment
-        model = solver.model()
         for net in circuit.outputs:
-            assert model[encoder.var_of[net]] == bool(values[net]), (
+            assert solver.model_lit(encoder.var_of[net]) == bool(values[net]), (
                 net,
                 assignment,
             )
