@@ -18,13 +18,8 @@ by interface marshalling.  A paper benchmark (s1238's combinational
 core) rides along as an uasserted secondary datapoint — its shallow,
 interface-heavy shape bounds the gain lower.
 
-A second benchmark measures the *multi-process* backend: the same
-concurrent-client workload against a 4-worker server versus the
-single-process threaded server.  Workers evaluate in parallel on
-separate cores, so on a multi-core machine the sharded fleet must
-sustain at least 3x the single-process throughput; on fewer cores than
-workers the ratio is recorded but not asserted (process parallelism
-cannot beat serial execution on one core).
+A second benchmark records the lane-width curve: the deep oracle
+served at 64 and 256 lanes under one concurrent multi-pattern load.
 
 Results land in ``benchmarks/BENCH_serve.json`` (one section per
 benchmark, merged).  Guard: on the deep oracle, batching must deliver
@@ -36,21 +31,15 @@ import asyncio
 import json
 import os
 import random
-import threading
 import time
-from io import StringIO
 
 import pytest
 
-from repro.bench.generator import GeneratorSpec, random_sequential_circuit
-from repro.netlist import write_bench
 from repro.netlist.transform import extract_combinational
-from repro.serve import RemoteOracle, ThreadedServer, owner_index
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatchConfig
 from repro.serve.client import query_request
-from repro.serve.registry import circuit_content_id
-from repro.serve.server import OracleServer, ServerConfig, registration_view
+from repro.serve.server import OracleServer, ServerConfig
 
 _DUMP = os.path.join(os.path.dirname(__file__), "BENCH_serve.json")
 
@@ -138,194 +127,6 @@ def test_serve_batching_throughput(s1238, deep4k, bench_record):
         f"batching delivers only {ratios['deep4k']:.1f}x on the deep "
         f"oracle (need {MIN_BATCHING_SPEEDUP:.0f}x)"
     )
-
-
-# ----------------------------------------------------------------------
-# Sharded vs single-process throughput
-# ----------------------------------------------------------------------
-
-MIN_SHARD_SPEEDUP = 3.0
-SHARD_WORKERS = 4
-SHARD_PER_WORKER = 2        # circuits per worker: 8 concurrent clients
-SHARD_ROUNDS = 6
-SHARD_PATTERNS = 32         # lanes per request: evaluation dominates framing
-
-
-def _bench_text(circuit):
-    buffer = StringIO()
-    write_bench(circuit, buffer)
-    return buffer.getvalue()
-
-
-def _balanced_circuits(workers, per_worker):
-    """Deterministic deep circuits whose owners balance exactly
-    across *workers* — the workload saturates the whole fleet instead
-    of whichever workers random seeds happen to hash to.  Ownership and
-    the generator are both deterministic, so the scan always selects
-    the same circuits."""
-    found = {w: [] for w in range(workers)}
-    for seed in range(1, 400):
-        spec = GeneratorSpec(
-            name=f"shard{seed}",
-            num_inputs=24,
-            num_outputs=16,
-            num_flip_flops=0,
-            num_combinational=1500,
-            seed=seed,
-            reduce_dangling=True,
-        )
-        circuit = random_sequential_circuit(spec)
-        view, _ = registration_view(
-            {"netlist": _bench_text(circuit), "name": circuit.name}
-        )
-        owner = owner_index(circuit_content_id(view), workers)
-        if len(found[owner]) < per_worker:
-            found[owner].append(circuit)
-        if all(len(group) >= per_worker for group in found.values()):
-            return [c for group in found.values() for c in group]
-    raise AssertionError(f"could not balance {workers} workers")
-
-
-def _socket_throughput(address, circuits):
-    """Patterns/second: one thread per circuit, multi-pattern requests
-    over real sockets — identical client code for both backends."""
-    oracles = [RemoteOracle(address, circuit=c) for c in circuits]
-    rng = random.Random(0x5A4D)
-    batches = [
-        [
-            {net: rng.randint(0, 1) for net in oracle.inputs}
-            for _ in range(SHARD_PATTERNS)
-        ]
-        for oracle in oracles
-    ]
-    try:
-        # Warm pass off the clock: registration, compiled-IR caches.
-        for oracle, batch in zip(oracles, batches):
-            assert len(oracle.query_batch(batch)) == SHARD_PATTERNS
-
-        barrier = threading.Barrier(len(oracles) + 1)
-
-        def client(oracle, batch):
-            barrier.wait()
-            for _ in range(SHARD_ROUNDS):
-                outputs = oracle.query_batch(batch)
-                assert len(outputs) == SHARD_PATTERNS
-
-        threads = [
-            threading.Thread(target=client, args=(oracle, batch))
-            for oracle, batch in zip(oracles, batches)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-    finally:
-        for oracle in oracles:
-            oracle.close()
-    return len(oracles) * SHARD_ROUNDS * SHARD_PATTERNS / elapsed
-
-
-@pytest.mark.no_obs
-def test_sharded_vs_single_process_throughput(bench_record):
-    circuits = _balanced_circuits(SHARD_WORKERS, SHARD_PER_WORKER)
-    batch = BatchConfig(max_batch=SHARD_PATTERNS, window_s=0.001)
-    admission = AdmissionConfig(max_pending=8192)
-
-    with ThreadedServer(OracleServer(config=ServerConfig(
-            batch=batch, admission=admission))) as address:
-        single_pps = _socket_throughput(address, circuits)
-
-    server = OracleServer(config=ServerConfig(
-        workers=SHARD_WORKERS, batch=batch, admission=admission))
-    with ThreadedServer(server) as address:
-        sharded_pps = _socket_throughput(address, circuits)
-    assert server.supervisor.respawned_total == 0
-
-    speedup = sharded_pps / single_pps
-    cores = os.cpu_count() or 1
-    _merge_dump("sharded", bench_record({
-        "workers": SHARD_WORKERS,
-        "clients": len(circuits),
-        "rounds": SHARD_ROUNDS,
-        "patterns_per_request": SHARD_PATTERNS,
-        "cores": cores,
-        "patterns_per_second": {
-            "single_process": round(single_pps, 1),
-            "sharded": round(sharded_pps, 1),
-        },
-        "speedup": round(speedup, 2),
-        "speedup_asserted": cores >= SHARD_WORKERS,
-    }))
-    print(f"\nBENCH_serve sharded: {single_pps:.0f} -> {sharded_pps:.0f} "
-          f"patterns/s ({speedup:.2f}x, {cores} cores)")
-
-    if cores >= SHARD_WORKERS:
-        assert speedup >= MIN_SHARD_SPEEDUP, (
-            f"{SHARD_WORKERS} workers deliver only {speedup:.2f}x the "
-            f"single-process throughput (need {MIN_SHARD_SPEEDUP:.0f}x)"
-        )
-
-
-# ----------------------------------------------------------------------
-# The multi-worker front end's speed-up ceiling
-# ----------------------------------------------------------------------
-
-BOUND_QUERIES = 400
-BOUND_PATTERNS = 64
-
-
-def _serve_thread_cpu_ms_per_query(server, circuit):
-    """CPU the server's event-loop thread spends per 64-pattern query.
-
-    One client sends the ``oracle-serve`` op shape back to back; the
-    loop thread's own CPU clock is read before and after, so neither
-    the client's packing nor a forked worker's evaluation counts.
-    """
-    with ThreadedServer(server) as address:
-        thread = next(t for t in threading.enumerate()
-                      if t.name == "repro-serve")
-        clock = time.pthread_getcpuclockid(thread.ident)
-        with RemoteOracle(address, circuit=circuit) as oracle:
-            rng = random.Random(0xB0D)
-            batch = [{net: rng.randint(0, 1) for net in oracle.inputs}
-                     for _ in range(BOUND_PATTERNS)]
-            oracle.query_batch(batch)  # warm: registration, compile
-            start = time.clock_gettime(clock)
-            for _ in range(BOUND_QUERIES):
-                oracle.query_batch(batch)
-            spent = time.clock_gettime(clock) - start
-    return spent * 1e3 / BOUND_QUERIES
-
-
-@pytest.mark.no_obs
-@pytest.mark.skipif(not hasattr(time, "pthread_getcpuclockid"),
-                    reason="needs per-thread CPU clocks")
-def test_front_end_cpu_bound(s1238, bench_record):
-    """With N workers every request still crosses the front end's one
-    event-loop thread, so N workers serve at most (single-process
-    server CPU per query) / (front-end CPU per query) times the
-    queries one process serves, on any number of cores.  Recorded,
-    not asserted."""
-    single = _serve_thread_cpu_ms_per_query(OracleServer(), s1238.circuit)
-    front = _serve_thread_cpu_ms_per_query(
-        OracleServer(config=ServerConfig(workers=2)), s1238.circuit)
-    results = bench_record({
-        "circuit": "s1238_comb",
-        "queries": BOUND_QUERIES,
-        "patterns_per_query": BOUND_PATTERNS,
-        "thread_cpu_ms_per_query": {
-            "single_process_server": round(single, 3),
-            "front_end": round(front, 3),
-        },
-        "speedup_ceiling": round(single / front, 2),
-    })
-    _merge_dump("front_end_bound", results)
-    print(f"\nBENCH_serve front-end bound: {single:.3f} / {front:.3f} ms "
-          f"= {single / front:.2f}x")
-    assert front > 0 and single > 0
 
 
 # ----------------------------------------------------------------------

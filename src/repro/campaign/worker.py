@@ -324,10 +324,10 @@ def _run_attack(params: Dict[str, Any], cache: NetlistCache) -> Dict[str, Any]:
             else locked.circuit
         )
         # params["oracle"] = "host:port" routes the DIP loop through a
-        # served oracle pool (e.g. `repro serve --workers N`) instead
-        # of an in-process one.  The cache key deliberately excludes
-        # the address: the differential suite pins served answers as
-        # bit-identical to local ones, so both runs share one cell.
+        # served oracle (`repro serve`) instead of an in-process one.
+        # The cache key deliberately excludes the address: the
+        # differential suite pins served answers as bit-identical to
+        # local ones, so both runs share one cell.
         oracle_address = params.get("oracle")
         if oracle_address:
             from ..serve import RemoteOracle, ServeError

@@ -197,7 +197,8 @@ def _attack_oracle(args: argparse.Namespace):
 def _maybe_adopt_remote_trace(args: argparse.Namespace, oracle) -> None:
     """After a ``--remote`` attack under ``--trace``/``--profile``, pull
     the server's buffered span trees home so the report shows one
-    stitched tree: client root → route → request → batch flush."""
+    stitched tree: client root → client query → request → batch
+    flush."""
     if not getattr(args, "remote", None):
         return
     from .obs import context as _obs
@@ -574,8 +575,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     from .serve.client import register_request
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if args.lanes is not None:
         from .netlist.compiled import check_lanes
 
@@ -585,7 +584,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"--lanes: {exc}")
     # The same request RemoteOracle sends, so the printed ID is the one
     # a client registering the same file gets; a locked netlist is
-    # refused before any worker is forked.
+    # refused before the server starts.
     registrations = []
     for path in args.netlists:
         circuit = _load(path)
@@ -606,14 +605,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         admission=AdmissionConfig(max_pending=args.max_pending),
         default_budget=args.budget,
         lanes=args.lanes,
-        trace=args.fleet_trace,
         slow_log_path=args.slow_log,
         slow_request_s=args.slow_threshold_ms / 1000.0,
-        workers=args.workers,
     ))
     if args.fleet_trace:
         _fleet_trace_buffer()
-    supervisor = server.supervisor
 
     async def run() -> None:
         # SIGINT and SIGTERM end the wait below and drain, as the end of
@@ -627,23 +623,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dumper = None
         try:
             host, port = await server.start()
-            # Register through the server itself, so with workers each
-            # netlist lands on (and is restored to) the worker owning it.
             for request, path in registrations:
                 response = await server.handle(request)
                 if not response.get("ok"):
                     raise SystemExit(f"{path}: {response.get('error')}")
-                shape = (f"{len(response['inputs'])} in, "
-                         f"{len(response['outputs'])} out")
-                if supervisor is not None:
-                    owner = supervisor.owner_index(response["circuit"])
-                    shape = f"worker {owner}, {shape}"
-                _emit(f"{response['circuit']}  {path} ({shape})",
-                      result=True)
-            fleet = (f"{args.workers} workers, "
-                     if supervisor is not None else "")
+                _emit(f"{response['circuit']}  {path} "
+                      f"({len(response['inputs'])} in, "
+                      f"{len(response['outputs'])} out)", result=True)
             _emit(f"serving {len(registrations)} circuit(s) on "
-                  f"{host}:{port} ({fleet}"
+                  f"{host}:{port} ("
                   f"{server.registry.lane_width()} lanes, "
                   f"batch<= {server.batcher.max_batch}, "
                   f"window {args.window_ms}ms)",
@@ -656,8 +644,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except asyncio.TimeoutError:
                 pass
         finally:
-            # The drain covers registration failures too: workers are
-            # real child processes and must not outlive a SystemExit.
             if dumper is not None:
                 dumper.cancel()
             await server.drain()
@@ -666,14 +652,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 from .obs.export import render_exposition
                 _write_metrics_file(args.metrics_file,
                                     render_exposition(response))
-            if supervisor is not None:
-                _emit(f"drained: {server.requests} requests, "
-                      f"{supervisor.respawned_total} respawns", err=True)
-            else:
-                stats = server.batcher.stats()
-                _emit(f"drained: {stats['batches']} batches, "
-                      f"{stats['lanes_total']} queries, occupancy mean "
-                      f"{stats['occupancy_mean']}", err=True)
+            stats = server.batcher.stats()
+            _emit(f"drained: {stats['batches']} batches, "
+                  f"{stats['lanes_total']} queries, occupancy mean "
+                  f"{stats['occupancy_mean']}", err=True)
 
     try:
         asyncio.run(run())
@@ -829,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lanes", type=int, default=None, metavar="N",
                    help="bit-parallel lane width circuits are compiled "
                         "at — any positive multiple of 64 (default: "
-                        "REPRO_LANES or 64); every worker inherits it")
+                        "REPRO_LANES or 64)")
     p.add_argument("--max-batch", type=int, default=None, metavar="N",
                    help="lanes per batch flush; 1 disables coalescing "
                         "(default: match --lanes)")
@@ -837,10 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max latency a lone query waits for co-batching")
     p.add_argument("--max-pending", type=int, default=1024, metavar="N",
                    help="admission bound on queued patterns")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker processes; >1 forks a supervised "
-                        "fleet, each circuit owned by exactly one worker "
-                        "(content ID modulo N)")
     p.add_argument("--budget", type=int, metavar="N",
                    help="per-circuit query budget (refuse queries beyond)")
     p.add_argument("--serve-seconds", type=float, metavar="SEC",
@@ -857,15 +835,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = SIGUSR1 only)")
     group.add_argument("--slow-log", metavar="FILE",
                        help="always-on JSONL log of slow/refused "
-                            "requests (workers append to FILE.wN)")
+                            "requests")
     group.add_argument("--slow-threshold-ms", type=float, default=1000.0,
                        metavar="MS",
                        help="answered requests at or above MS are "
                             "logged as slow (errors always are)")
     group.add_argument("--fleet-trace", action="store_true",
-                       help="trace inside the serving processes and "
-                            "buffer span trees for the obs op / remote "
-                            "trace adoption")
+                       help="trace inside the server and buffer span "
+                            "trees for the obs op / remote trace "
+                            "adoption")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -874,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     p.add_argument("address", metavar="HOST:PORT",
-                   help="a `repro serve` endpoint (any --workers)")
+                   help="a `repro serve` endpoint")
     p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                    help="seconds between refreshes")
     p.add_argument("--once", action="store_true",

@@ -56,7 +56,6 @@ from .snapshots import (
 from .propagate import (
     TraceContext,
     attach_context,
-    child_context,
     context_from_request,
     current_context,
     remote_span,
@@ -80,7 +79,7 @@ __all__ = [
     "ProfileReport", "run_profile", "traced",
     "MetricMergeError", "adopt_payload", "capture_payload", "merge_metrics",
     "span_tree_from_dict", "span_tree_to_dict",
-    "TraceContext", "attach_context", "child_context",
+    "TraceContext", "attach_context",
     "context_from_request", "current_context", "remote_span",
     "FleetAggregator",
     "render_exposition", "render_fleet_prometheus", "render_prometheus",

@@ -1,12 +1,13 @@
-"""Fleet-wide metric aggregation: many workers, one snapshot.
+"""Fleet-wide metric aggregation: worker samples, one snapshot.
 
-The supervisor polls every worker's ``obs`` wire op; each poll returns
-*cumulative* per-process stats (the same shape as the ``stats`` op,
-plus the full request-latency histogram).  :class:`FleetAggregator`
-keeps exactly one sample per worker id and **replaces** it on every
-update — never folds — so polling any number of times cannot
-double-count a counter.  Rates (QPS, per-circuit QPS) come from the
-delta between consecutive samples of the same worker.
+A server's ``obs`` wire op feeds its *cumulative* stats (the same
+shape as the ``stats`` op, plus the full request-latency histogram)
+into a :class:`FleetAggregator` on every call; ``repro serve`` is one
+process, so it reports itself as worker ``"0"``.  The aggregator keeps
+exactly one sample per worker id and **replaces** it on every update —
+never folds — so polling any number of times cannot double-count a
+counter.  Rates (QPS, per-circuit QPS) come from the delta between
+consecutive samples of the same worker.
 
 ``snapshot()`` merges on read:
 
@@ -15,9 +16,9 @@ delta between consecutive samples of the same worker.
 * per-circuit rows join each worker's registry view keyed by circuit
   content id — query-count burn, remaining budget, owning workers;
 * latency quantiles come from a bucket-exact merge of the workers'
-  request-latency histograms.  All workers run the same server build,
-  so the bucket boundaries agree; if they ever do not, the merge
-  raises :class:`~repro.obs.snapshots.MetricMergeError` rather than
+  request-latency histograms.  If their bucket boundaries ever
+  disagree, the merge raises
+  :class:`~repro.obs.snapshots.MetricMergeError` rather than
   corrupting the quantiles (same policy as ``merge_metrics``).
 
 The clock is injectable so rendering tests are deterministic.
@@ -84,10 +85,6 @@ class FleetAggregator:
                         0.0, (count - prior_counts.get(cid, 0)) / dt
                     )
         self._samples[worker_id] = sample
-
-    def discard(self, worker_id: str) -> None:
-        """Forget a worker (it crashed and its counters restart at 0)."""
-        self._samples.pop(worker_id, None)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -164,16 +161,14 @@ class FleetAggregator:
                 entry["workers"].append(worker_id)
                 budget = budgets.get(cid)
                 if budget is not None:
-                    # Budgets are per-process ledgers; under consistent-
-                    # hash routing one worker owns the circuit, so the
-                    # smallest remaining ledger is the binding one.
+                    # Budgets are per-process ledgers: the smallest is
+                    # the binding one.
                     entry["budget"] = (budget if entry["budget"] is None
                                        else min(entry["budget"], budget))
 
         for entry in circuits.values():
             entry["qps"] = round(entry["qps"], 3)
-            # Budget burn-down: under consistent-hash routing one worker
-            # serves the circuit, so the summed count is its count.
+            # Budget burn-down against the summed count.
             entry["remaining"] = (
                 None if entry["budget"] is None
                 else max(0, entry["budget"] - entry["query_count"])

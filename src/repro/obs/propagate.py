@@ -1,10 +1,9 @@
 """Cross-process trace propagation: one query, one tree.
 
-A query that flows client -> supervisor -> worker -> batcher touches
-three processes, each with its own :class:`~repro.obs.context.ObsSession`.
-This module carries the *identity* of the client's trace across those
-hops so the three per-process span forests can be stitched back into a
-single tree:
+A query that flows client -> server -> batcher touches two processes,
+each with its own :class:`~repro.obs.context.ObsSession`.  This module
+carries the *identity* of the client's trace across that hop so the
+two per-process span forests can be stitched back into a single tree:
 
 * :class:`TraceContext` is the compact wire form — trace id, parent
   span token, sampling flag — attached to protocol frames under the
@@ -17,12 +16,11 @@ single tree:
   frames and old servers never see the field.
 * :func:`remote_span` opens a server-side span re-parented under the
   caller's context: a true child when the parent span lives in this
-  very session (in-process supervisor, same-session test client), or
-  an annotated root (``trace_id``/``trace_parent`` attrs) that
+  very session (a server thread in the client's process, a
+  same-session test client), or an annotated root
+  (``trace_id``/``trace_parent`` attrs) that
   :func:`~repro.obs.snapshots.adopt_payload` stitches under the
   submitting span once the tree ships home.
-* :func:`child_context` mints the context for the next hop downstream
-  (supervisor -> worker, runner -> campaign job).
 
 Decoding is strictly tolerant: a frame with no context, or junk where
 the context should be, yields ``None`` — an old client talking to a new
@@ -38,7 +36,7 @@ from .spans import _NULL, _SpanContext, Span, current_span, trace_span
 
 __all__ = [
     "TraceContext", "current_context", "attach_context",
-    "context_from_request", "remote_span", "child_context",
+    "context_from_request", "remote_span",
 ]
 
 #: hard cap on id/token string lengths accepted off the wire
@@ -128,7 +126,7 @@ def attach_context(request: MutableMapping[str, Any]) -> MutableMapping[str, Any
     Free when observability is disabled — one attribute load and an
     ``is None`` test, the same dict object returned unmodified — so
     non-tracing clients emit byte-identical frames.  A context already
-    present (a supervisor re-forwarding) is left alone.
+    present (set by the caller) is left alone.
     """
     if _obs.ACTIVE is None or "ctx" in request:
         return request
@@ -150,7 +148,7 @@ def remote_span(name: str, ctx: Optional[TraceContext], **attrs: Any):
     * *ctx* is None -> behaves exactly like :func:`trace_span`;
     * *ctx* is unsampled -> the null span (the caller opted out);
     * *ctx*'s parent token resolves to a span this session knows
-      (in-process supervisor, same-session client) -> a true child of
+      (a server thread in the client's process) -> a true child of
       that live span;
     * otherwise -> a root annotated with ``trace_id``/``trace_parent``
       so adoption can stitch it under the submitting span later.
@@ -170,20 +168,3 @@ def remote_span(name: str, ctx: Optional[TraceContext], **attrs: Any):
     # export=True: the span joins a distributed trace, so mint its
     # token now — shipped copies are then deduplicated on adoption.
     return _SpanContext(session, name, attrs, parent=parent, export=True)
-
-
-def child_context(span: Any) -> Optional[TraceContext]:
-    """Context for the next hop downstream of an open *span*.
-
-    The span is exported (so the returning tree can attach under it)
-    and the trace id it already belongs to — if it was itself opened
-    from a remote context — is propagated unchanged.
-    """
-    session = _obs.ACTIVE
-    if session is None or not isinstance(span, Span):
-        return None
-    token = session.export_span(span)
-    trace_id = span.attrs.get("trace_id")
-    if not isinstance(trace_id, str):
-        trace_id = session.trace_id
-    return TraceContext(trace_id, token)

@@ -121,14 +121,14 @@ class TreeSink(Sink):
 class SpanBuffer(Sink):
     """Buffers completed *root* trees, serialized, for another process.
 
-    The shipping half of distributed tracing: a serve worker attaches
-    one to its session and the supervisor (or a client's ``obs``
-    request) drains it periodically.  Trees are serialized eagerly at
-    close time so draining is a cheap list handoff and later span
-    mutation cannot race the reader.  Bounded: past *capacity* roots
-    the oldest are dropped and counted, so a fleet nobody polls cannot
-    leak memory.  Thread-safe (spans close on the event loop, drains
-    arrive from control-channel handlers).
+    The shipping half of distributed tracing: ``repro serve
+    --fleet-trace`` attaches one to its session and a client's ``obs``
+    request (``"spans": true``) drains it.  Trees are serialized
+    eagerly at close time so draining is a cheap list handoff and later
+    span mutation cannot race the reader.  Bounded: past *capacity*
+    roots the oldest are dropped and counted, so a server nobody polls
+    cannot leak memory.  Thread-safe (spans close on the event loop,
+    drains may arrive from another thread).
     """
 
     def __init__(self, capacity: int = 512) -> None:

@@ -18,12 +18,8 @@ value/known word pair per net, :mod:`repro.serve.protocol`), with:
 * a synchronous :class:`RemoteOracle` client that drops in wherever a
   :class:`~repro.attacks.oracle.CombinationalOracle` goes
   (:mod:`repro.serve.client`);
-* one server, :class:`OracleServer`, for one worker or N: with
-  ``ServerConfig(workers=N)`` it forks N single-worker servers and
-  routes each circuit to the one that owns it (its content ID modulo
-  N), with liveness heartbeats, bounded per-worker in-flight ledgers,
-  crash respawn with registration replay and transparent retry, and
-  graceful drain (:mod:`repro.serve.supervisor`).
+* one server process, :class:`OracleServer`, answering each connection
+  in lockstep on one event-loop thread (:mod:`repro.serve.server`).
 
 Quick taste::
 
@@ -50,7 +46,6 @@ from .protocol import (
     ServeError,
     ShuttingDownError,
     UnknownCircuitError,
-    WorkerCrashedError,
 )
 from .registry import (
     CircuitRegistry,
@@ -64,7 +59,6 @@ from .server import (
     ThreadedServer,
     registration_view,
 )
-from .supervisor import Supervisor, WorkerHandle, owner_index
 
 __all__ = [
     "AdmissionConfig", "AdmissionController",
@@ -73,9 +67,8 @@ __all__ = [
     "adopt_remote_trace",
     "ServeError", "ProtocolError", "OverloadedError", "ShuttingDownError",
     "DeadlineExceededError", "UnknownCircuitError",
-    "QueryBudgetExceededError", "WorkerCrashedError",
+    "QueryBudgetExceededError",
     "CircuitRegistry", "RegisteredCircuit", "circuit_content_id",
     "default_registry",
     "OracleServer", "ServerConfig", "ThreadedServer", "registration_view",
-    "Supervisor", "WorkerHandle", "owner_index",
 ]

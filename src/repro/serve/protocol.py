@@ -58,19 +58,15 @@ __all__ = [
     "DeadlineExceededError",
     "UnknownCircuitError",
     "QueryBudgetExceededError",
-    "WorkerCrashedError",
     "error_to_payload",
     "error_from_payload",
     "encode_frame",
-    "encode_raw_frame",
     "decode_body",
     "encode_planes",
     "decode_count",
     "decode_planes",
     "read_frame_async",
-    "read_raw_frame_async",
     "write_frame_async",
-    "write_raw_frame_async",
     "send_frame",
     "recv_frame",
 ]
@@ -134,25 +130,12 @@ class QueryBudgetExceededError(ServeError):
     code = "budget-exhausted"
 
 
-class WorkerCrashedError(ServeError):
-    """A shard worker died with this request in flight and it could not
-    (or may not) be retried transparently — the request was marked
-    ``no_retry``, or the supervisor's retry budget for it is spent.
-
-    Retryable: the supervisor respawns crashed workers, so the same
-    request sent again later lands on a fresh worker.
-    """
-
-    code = "worker-crashed"
-    retryable = True
-
-
 _ERROR_TYPES = {
     cls.code: cls
     for cls in (
         ServeError, ProtocolError, OverloadedError, ShuttingDownError,
         DeadlineExceededError, UnknownCircuitError,
-        QueryBudgetExceededError, WorkerCrashedError,
+        QueryBudgetExceededError,
     )
 }
 
@@ -253,20 +236,15 @@ def decode_planes(nets: Sequence[str], count: Any,
 # Framing
 # ----------------------------------------------------------------------
 
-def encode_raw_frame(body: bytes) -> bytes:
-    """Length-prefix pre-encoded *body* bytes (supervisor passthrough)."""
+def encode_frame(obj: Dict[str, Any]) -> bytes:
+    """Length-prefixed JSON encoding of one message."""
+    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LEN.pack(len(body)) + body
-
-
-def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """Length-prefixed JSON encoding of one message."""
-    return encode_raw_frame(
-        json.dumps(obj, separators=(",", ":")).encode("utf-8"))
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
@@ -290,14 +268,8 @@ def _check_length(length: int) -> None:
         )
 
 
-async def read_raw_frame_async(reader) -> Optional[bytes]:
-    """Next frame's *body bytes* from an asyncio stream; None on clean EOF.
-
-    The multi-worker front end's hot path: it needs the frame boundary
-    (to match a worker response to its queued request) but not the JSON
-    inside, so responses pass through front end -> client without a
-    decode/re-encode round trip.
-    """
+async def read_frame_async(reader) -> Optional[Dict[str, Any]]:
+    """Next message from an asyncio stream; None on clean EOF."""
     try:
         prefix = await reader.readexactly(_LEN.size)
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -308,25 +280,11 @@ async def read_raw_frame_async(reader) -> Optional[bytes]:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
-    return body
-
-
-async def read_frame_async(reader) -> Optional[Dict[str, Any]]:
-    """Next message from an asyncio stream; None on clean EOF."""
-    body = await read_raw_frame_async(reader)
-    if body is None:
-        return None
     return decode_body(body)
 
 
 async def write_frame_async(writer, obj: Dict[str, Any]) -> None:
     writer.write(encode_frame(obj))
-    await writer.drain()
-
-
-async def write_raw_frame_async(writer, body: bytes) -> None:
-    """Frame pre-encoded *body* bytes (the supervisor's passthrough)."""
-    writer.write(encode_raw_frame(body))
     await writer.drain()
 
 

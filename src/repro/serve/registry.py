@@ -229,24 +229,6 @@ class CircuitRegistry:
             self._query_counts[circuit_id] = count
             return count
 
-    def ratchet_query_count(self, circuit_id: str, floor: int) -> int:
-        """Raise the circuit's cumulative count to at least *floor*.
-
-        The worker supervisor's crash-restore hook: a respawned worker
-        starts with an empty ledger, so the supervisor replays the
-        count it observed before the crash.  Ratcheting (never
-        lowering) keeps the call idempotent and means a stale restore
-        can only make budget enforcement *stricter*, never refund
-        queries an attacker already spent.
-        """
-        if floor < 0:
-            raise ValueError(f"count floor must be >= 0, got {floor}")
-        with self._lock:
-            current = self._query_counts.get(circuit_id, 0)
-            if floor > current:
-                self._query_counts[circuit_id] = current = floor
-            return current
-
     def query_count(self, circuit_id: str) -> int:
         return self._query_counts.get(circuit_id, 0)
 

@@ -4,37 +4,37 @@ Layering, from the wire inward:
 
 * a TCP listener (:meth:`OracleServer.start`) framing requests with the
   length-prefixed JSON protocol; one asyncio task per connection,
-  requests on a connection answered in order, connections served
-  concurrently — which is what lets the batcher coalesce across
-  clients;
+  reading a request, answering it and writing the answer in lockstep,
+  connections served concurrently — which is what lets the batcher
+  coalesce across clients;
 * a transport-independent dispatcher (:meth:`OracleServer.handle`)
   mapping ``op`` fields onto the registry / batcher / admission
   trio and typed errors onto failure payloads.  In-process callers
   (the batcher tests, the batching benchmark, ``repro serve``'s own
   registrations) await it directly — the full serving semantics minus
   sockets;
-* with ``ServerConfig.workers`` > 1, ``register``/``describe``/
-  ``query`` go instead to the owning one of N forked single-worker
-  servers (:class:`~repro.serve.supervisor.Supervisor`); the listener,
-  the request envelope and the drain stay here;
 * :class:`ThreadedServer`, a small harness running the server on a
   dedicated event-loop thread so blocking clients (the synchronous
   :class:`~repro.serve.client.RemoteOracle`, a pytest process, the SAT
   attack) can talk to a live server in the same process.
 
-Ops: ``ping``, ``register`` (host a ``.bench`` netlist, normalized to
-its combinational oracle view), ``describe``, ``query`` (the batched
-hot path), ``stats``, ``obs``.  Shutdown is a drain: admission stops
-accepting, in-flight work completes, then the listener closes.
+One process serves every op: its event-loop thread decodes, batches,
+evaluates and encodes (DESIGN §7 records why there is no multi-process
+backend).  Ops: ``ping``, ``register`` (host a ``.bench`` netlist,
+normalized to its combinational oracle view), ``describe``, ``query``
+(the batched hot path), ``stats``, ``obs``.  Shutdown is a drain:
+admission stops accepting, in-flight work completes, then the listener
+closes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.bench_io import parse_bench
 from ..netlist.transform import extract_combinational
@@ -49,25 +49,17 @@ from .batcher import BatchConfig, DynamicBatcher
 from .protocol import (
     ProtocolError,
     ServeError,
-    decode_body,
     decode_count,
     decode_planes,
     encode_planes,
     error_to_payload,
-    read_raw_frame_async,
+    read_frame_async,
     write_frame_async,
-    write_raw_frame_async,
 )
 from .registry import CircuitRegistry
 
 __all__ = ["ServerConfig", "OracleServer", "ThreadedServer",
            "registration_view"]
-
-#: requests one connection may have in flight before reads pause.
-#: Pipelining lets a single connection (the front end multiplexing
-#: every client into one worker) keep enough queries in flight to fill
-#: lane-wide batches; responses still go out in request order.
-PIPELINE_DEPTH = 1024
 
 
 @dataclass(frozen=True)
@@ -77,18 +69,10 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is in ``address``
     batch: BatchConfig = field(default_factory=BatchConfig)
-    #: admission policy; with ``workers`` > 1 every worker applies it,
-    #: and ``max_pending`` also bounds the lanes the front end keeps in
-    #: flight to any one worker
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: budget applied to circuits registered without one (None = unlimited)
     default_budget: Optional[int] = None
-    #: enable observability inside each forked worker: spans buffer in
-    #: a :class:`~repro.obs.sinks.SpanBuffer` that the ``obs`` wire op
-    #: drains (how worker traces reach the front end and clients)
-    trace: bool = False
-    #: JSONL slow-request log path (None disables the log); forked
-    #: workers append to ``<path>.w<index>`` (no interleaved writes)
+    #: JSONL slow-request log path (None disables the log)
     slow_log_path: Optional[str] = None
     #: answered requests at or above this duration are logged as slow
     #: (rejections and errors are always logged)
@@ -99,13 +83,6 @@ class ServerConfig:
     #: or 64.  Only used when the server builds its own registry; a
     #: registry passed in keeps its own width.
     lanes: Optional[int] = None
-    #: serving processes: 1 answers every op in this process; N > 1
-    #: forks N single-worker servers, each circuit owned by exactly one
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("a server needs at least one worker")
 
 
 def registration_view(
@@ -115,12 +92,11 @@ def registration_view(
     """Validate a ``register`` request and return ``(circuit, budget)``.
 
     The *oracle view* the server hosts: the netlist parsed, refused if
-    locked, and normalized to its combinational core.  Shared between
-    the server that registers the result and a multi-worker front end
-    (which runs the identical pipeline on the identical text purely to
-    learn the circuit's content ID for routing — ``.bench``
-    serialization is not a re-parse fixed point, so the front end must
-    hash what the worker will hash, not a re-serialization of it).
+    locked, and normalized to its combinational core.  ``.bench``
+    serialization is not a re-parse fixed point, so a caller that needs
+    the content ID a ``register`` request gets (``repro serve`` printing
+    it, a test) hashes this view, not a re-serialization of it.  The
+    budget is a non-negative int; a bool is not.
     """
     netlist = request.get("netlist")
     if not isinstance(netlist, str) or not netlist.strip():
@@ -142,7 +118,7 @@ def registration_view(
     if circuit.flip_flops():
         circuit = extract_combinational(circuit).circuit
     budget = request.get("budget", default_budget)
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    if budget is not None and (type(budget) is not int or budget < 0):
         raise ProtocolError(f"invalid budget {budget!r}")
     return circuit, budget
 
@@ -169,7 +145,7 @@ class OracleServer:
             slow_log=slow_log,
         )
         #: the fleet view the ``obs`` op answers with: this process as
-        #: worker "0", or one entry per forked worker
+        #: worker "0"
         self.fleet = FleetAggregator()
         from ..obs.metrics import DEFAULT_TIME_BUCKETS, Histogram
 
@@ -182,36 +158,19 @@ class OracleServer:
         self._started_at = time.time()
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
-        #: the worker fleet when ``config.workers`` > 1, else None
-        self.supervisor = None
-        if self.config.workers > 1:
-            from .supervisor import Supervisor
-
-            self.supervisor = Supervisor(self)
 
     # ------------------------------------------------------------------
     # Dispatch (shared by TCP and in-process callers)
     # ------------------------------------------------------------------
 
     async def handle(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Answer one request object; never raises — errors are payloads."""
-        response = await self._respond(request)
-        if isinstance(response, bytes):
-            return decode_body(response)
-        return response
+        """Answer one request object; never raises — errors are payloads.
 
-    async def _respond(
-        self, request: Mapping[str, Any], body: Optional[bytes] = None,
-    ) -> Union[bytes, Dict[str, Any]]:
-        """:meth:`handle`, but a forwarded answer stays raw worker bytes.
-
-        *body* is the request's wire encoding when it came off a
-        socket, so a multi-worker front end can forward it verbatim.
         With observability enabled, the request span is re-parented
         under the client's trace context (the optional ``ctx`` frame
-        field) so worker-side trees stitch under the submitting span
-        when they ship home.  Disabled, the context field is never even
-        decoded.
+        field), so a traced client's tree stitches the server's spans
+        under the submitting span when they ship home.  Disabled, the
+        context field is never even decoded.
         """
         op = request.get("op")
         t0 = time.perf_counter()
@@ -219,16 +178,9 @@ class OracleServer:
         ctx = (context_from_request(request)
                if _obs.ACTIVE is not None else None)
         error_code: Optional[str] = None
-        supervisor = self.supervisor
         try:
-            if supervisor is None:
-                with remote_span("serve.request", ctx, op=str(op)):
-                    response = await self._answer(request, op)
-            else:
-                with remote_span("serve.shard.route", ctx,
-                                 op=str(op)) as span:
-                    response = await supervisor.route(request, body, op,
-                                                      span)
+            with remote_span("serve.request", ctx, op=str(op)):
+                response = await self._answer(request, op)
         except ServeError as exc:
             self.errors += 1
             error_code = exc.code
@@ -241,23 +193,18 @@ class OracleServer:
         took = time.perf_counter() - t0
         self.latency.observe(took)
         _metrics.observe("serve.request.seconds", took)
-        if self.slow_log is not None:
-            # Worker bytes pass through unparsed; the compact
-            # serialization's fixed prefix is enough to classify.
-            if isinstance(response, bytes) and \
-                    response.startswith(b'{"ok":false'):
-                error_code = "worker-error"
-            if self.slow_log.should_log(took, error_code):
-                circuit = request.get("circuit")
-                self.slow_log.request(
-                    str(op), took, error_code,
-                    circuit=circuit[:16] if isinstance(circuit, str) else None,
-                )
+        if self.slow_log is not None and \
+                self.slow_log.should_log(took, error_code):
+            circuit = request.get("circuit")
+            self.slow_log.request(
+                str(op), took, error_code,
+                circuit=circuit[:16] if isinstance(circuit, str) else None,
+            )
         return response
 
     async def _answer(self, request: Mapping[str, Any],
                       op: Any) -> Dict[str, Any]:
-        """Every op, answered by this process's own serving stack."""
+        """Dispatch one request on its ``op`` field."""
         if op == "ping":
             return {"ok": True, "pong": True}
         if op == "register":
@@ -277,15 +224,6 @@ class OracleServer:
             request, self.config.default_budget
         )
         entry = self.registry.register(circuit, budget=budget)
-        # Crash-restore hook (worker supervision): replaying a
-        # registration may carry the cumulative query count observed
-        # before the worker died.  Ratchet-only, so it can never refund
-        # spent budget.
-        floor = request.get("min_query_count")
-        if floor is not None:
-            if not isinstance(floor, int) or floor < 0:
-                raise ProtocolError(f"invalid min_query_count {floor!r}")
-            self.registry.ratchet_query_count(entry.circuit_id, floor)
         payload = entry.describe()
         payload.update(
             ok=True,
@@ -319,8 +257,14 @@ class OracleServer:
         # planes must not poison the co-batched evaluation of others.
         batch = decode_planes(entry.compiled.inputs, count,
                               request.get("planes"))
+        # An int or a finite float; a negative one expires at once
+        # (AdmissionController.deadline_for clamps it).  A bool, NaN or
+        # an infinity is refused: NaN would expire the request with the
+        # retryable deadline-exceeded, which a client retries for ever.
         deadline_ms = request.get("deadline_ms")
-        if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
+        if deadline_ms is not None and not (
+                type(deadline_ms) is int
+                or type(deadline_ms) is float and math.isfinite(deadline_ms)):
             raise ProtocolError(f"invalid deadline_ms {deadline_ms!r}")
         outputs = await self.batcher.submit(circuit_id, batch, deadline_ms)
         return {
@@ -330,8 +274,7 @@ class OracleServer:
             "query_count": self.registry.query_count(circuit_id),
         }
 
-    def front_stats(self) -> Dict[str, Any]:
-        """The request envelope's counters, whatever answers the ops."""
+    def _op_stats(self) -> Dict[str, Any]:
         return {
             "ok": True,
             "uptime_s": round(time.time() - self._started_at, 3),
@@ -341,31 +284,25 @@ class OracleServer:
                 "open": self._open_connections,
                 "total": self.connections_total,
             },
-        }
-
-    def _op_stats(self) -> Dict[str, Any]:
-        stats = self.front_stats()
-        stats.update(
-            latency={
+            "latency": {
                 "count": self.latency.count,
                 "mean_s": self.latency.mean,
                 "p50_s": self.latency.quantile(0.5),
                 "p99_s": self.latency.quantile(0.99),
                 "max_s": self.latency.max,
             },
-            registry=self.registry.stats(),
-            batcher=self.batcher.stats(),
-            admission=self.admission.stats(),
-        )
-        return stats
+            "registry": self.registry.stats(),
+            "batcher": self.batcher.stats(),
+            "admission": self.admission.stats(),
+        }
 
     def _op_obs(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         """This process's aggregated observability snapshot.
 
         Everything is *cumulative* — stats counters, the full
         request-latency histogram, the metrics-registry dump — so the
-        op is safe to poll at any rate (a multi-worker front end
-        samples its workers with it every second).  ``"spans": true``
+        op is safe to poll at any rate (``repro top`` polls it every
+        couple of seconds).  ``"spans": true``
         additionally drains the buffered span trees; that part is
         destructive by design — each tree ships exactly once.
         """
@@ -402,12 +339,9 @@ class OracleServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        """Start the worker fleet (if any), bind and listen; returns
-        the bound ``(host, port)``."""
+        """Bind and listen; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        if self.supervisor is not None:
-            await self.supervisor.start()
         self._server = await asyncio.start_server(
             self._on_client, self.config.host, self.config.port
         )
@@ -417,82 +351,38 @@ class OracleServer:
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
-        """One connection: pipelined requests, responses in order.
+        """One connection: read a request, answer it, write the answer.
 
-        Requests are dispatched as soon as they are read — up to
-        ``PIPELINE_DEPTH`` in flight — instead of read-handle-write
-        lockstep.  A single connection can therefore keep many queries
-        pending at once, which is what lets a multi-worker front end
-        multiplex every client over one data connection per worker
-        without destroying cross-client batching.  A writer coroutine
-        sends responses strictly in request order, preserving the
-        protocol's FIFO contract for clients that do pipeline.
+        Lockstep, as every client of the protocol keeps one request in
+        flight.  A client that writes several frames before reading
+        still gets every answer, in order: the next frame is read only
+        once the previous answer is written.  Concurrent connections
+        are what the batcher coalesces.
         """
         self.connections_total += 1
         self._open_connections += 1
         _metrics.inc("serve.connections", 1)
-        responses: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
-        depth = asyncio.Semaphore(PIPELINE_DEPTH)
-        # Only a multi-worker front end forwards a request's wire bytes.
-        # A single worker drops them once decoded: holding the ~20 KB of
-        # a 64-pattern query makes glibc grow and trim the event-loop
-        # thread's heap on every request (about six page faults each).
-        keep_body = self.supervisor is not None
-
-        async def _dispatch(
-            request: Mapping[str, Any], body: Optional[bytes],
-        ) -> Union[bytes, Dict[str, Any]]:
-            try:
-                return await self._respond(request, body)
-            finally:
-                depth.release()
-
-        async def _pump() -> None:
-            while True:
-                task = await responses.get()
-                if task is None:
-                    return
-                response = await task
-                if isinstance(response, bytes):
-                    await write_raw_frame_async(writer, response)
-                else:
-                    await write_frame_async(writer, response)
-
-        pump = asyncio.get_running_loop().create_task(_pump())
         try:
             while True:
                 try:
-                    body = await read_raw_frame_async(reader)
-                    if body is None:
-                        break
-                    request = decode_body(body)
-                    if not keep_body:
-                        body = None
+                    request = await read_frame_async(reader)
                 except ProtocolError as exc:
                     # Framing is out of sync: answer once, then hang up.
                     await write_frame_async(
                         writer, {"ok": False, "error": error_to_payload(exc)}
                     )
                     break
-                await depth.acquire()
-                responses.put_nowait(
-                    asyncio.get_running_loop().create_task(
-                        _dispatch(request, body)
-                    )
-                )
-            responses.put_nowait(None)
-            await pump  # flush every queued response before closing
+                if request is None:
+                    break
+                await write_frame_async(writer, await self.handle(request))
         except (ConnectionError, asyncio.CancelledError):
             # Peer vanished mid-write, or loop shutdown cancelled this
             # connection task (the drain closed the listener while a
             # peer kept its socket open).  Exit quietly: re-raising
             # would only spam the loop's exception handler on the way
-            # down.  In-flight dispatch tasks resolve (or are torn down
-            # with the loop) on their own; their responses are dropped.
+            # down.
             pass
         finally:
-            if not pump.done():
-                pump.cancel()
             # No await here: at loop shutdown this task may already be
             # cancelled, and awaiting wait_closed() would re-raise into
             # the transport's close callback.
@@ -505,15 +395,11 @@ class OracleServer:
     async def drain(self, timeout_s: float = 5.0) -> bool:
         """Graceful shutdown: refuse new work, finish in-flight work.
 
-        With workers, the fleet is stopped once every worker's
-        in-flight ledger has emptied.  Returns False only if in-flight
-        work failed to complete within *timeout_s*.
+        Returns False only if in-flight work failed to complete within
+        *timeout_s*.
         """
         self.admission.begin_drain()
-        if self.supervisor is not None:
-            settled = await self.supervisor.drain(timeout_s)
-        else:
-            settled = await self.batcher.drain(timeout_s)
+        settled = await self.batcher.drain(timeout_s)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -540,8 +426,8 @@ class ThreadedServer:
         with ThreadedServer(OracleServer()) as (host, port):
             oracle = RemoteOracle((host, port), circuit=original)
 
-    Exiting the context drains the server (in-flight work completes,
-    forked workers are stopped) and joins the thread.
+    Exiting the context drains the server (in-flight work completes)
+    and joins the thread.
     """
 
     def __init__(self, server: Optional[OracleServer] = None) -> None:
@@ -572,7 +458,7 @@ class ThreadedServer:
         self._stop = asyncio.Event()
         try:
             await self.server.start()
-        except BaseException as exc:  # spawn failure, bind failure, ...
+        except BaseException as exc:  # bind failure, ...
             self._startup_error = exc
             self._started.set()
             return

@@ -85,16 +85,16 @@ def test_cache_delta_is_per_job(tmp_path):
 
 class TestServedOracleHook:
     """``params["oracle"]`` routes the attack kind's DIP loop through
-    a served oracle pool instead of an in-process oracle."""
+    a served oracle instead of an in-process oracle."""
 
     def test_attack_through_shard_pool_matches_local(self):
-        from repro.serve import OracleServer, ServerConfig, ThreadedServer
+        from repro.serve import OracleServer, ThreadedServer
 
         spec = dict(benchmark="s1238", scheme="xor", key_bits=2, seed=5)
         local = execute_job(JobSpec.make("attack", **spec))
         assert local["status"] == "ok", local["error"]
 
-        server = OracleServer(config=ServerConfig(workers=2))
+        server = OracleServer()
         with ThreadedServer(server) as (host, port):
             served = execute_job(JobSpec.make(
                 "attack", oracle=f"{host}:{port}", **spec
@@ -104,7 +104,6 @@ class TestServedOracleHook:
         # cell payload whichever oracle transport answered the DIPs.
         assert served["payload"] == local["payload"]
         assert server.requests > 0  # the queries really went remote
-        assert server.supervisor.respawned_total == 0
 
     def test_dead_pool_is_transient_not_a_wrong_answer(self):
         record = execute_job(JobSpec.make(

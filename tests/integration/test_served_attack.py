@@ -17,12 +17,7 @@ from repro.attacks import (
 )
 from repro.bench import iwls_benchmark
 from repro.locking import XorLock
-from repro.serve import (
-    OracleServer,
-    RemoteOracle,
-    ServerConfig,
-    ThreadedServer,
-)
+from repro.serve import RemoteOracle, ThreadedServer
 
 
 @pytest.mark.parametrize("bench_name,key_bits", [
@@ -55,36 +50,6 @@ def test_served_attack_is_byte_identical(bench_name, key_bits):
             assert verify_key_against_oracle(
                 locked.circuit, remote, remote_result.key, samples=32
             ) == 1.0
-
-
-def test_sharded_attack_is_byte_identical():
-    """The same faithfulness bar for the multi-process backend: a SAT
-    attack through the supervisor/worker stack — content-ID
-    routing, raw-frame passthrough, worker-side batching — recovers
-    the identical key with identical query accounting."""
-    bench = iwls_benchmark("s1238")
-    locked = XorLock().lock(bench.circuit, 6, random.Random(7))
-
-    local = CombinationalOracle(bench.circuit)
-    local_result = sat_attack(locked.circuit, local)
-    assert local_result.completed and local_result.key is not None
-
-    server = OracleServer(config=ServerConfig(workers=2))
-    with ThreadedServer(server) as (host, port):
-        with RemoteOracle((host, port), circuit=bench.circuit) as remote:
-            remote_result = sat_attack(locked.circuit, remote)
-            assert remote_result.completed
-            assert remote_result.key == local_result.key
-            assert remote_result.iterations == local_result.iterations
-            assert remote_result.dips == local_result.dips
-            assert remote.query_count == local.query_count
-            assert remote.server_query_count == remote.query_count
-            assert verify_key_against_oracle(
-                locked.circuit, remote, remote_result.key, samples=32
-            ) == 1.0
-    # The attack's whole query stream flowed through the one worker
-    # that owns the circuit — the ownership invariant under real load.
-    assert server.supervisor.respawned_total == 0
 
 
 def test_served_attack_respects_budget():

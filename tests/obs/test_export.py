@@ -84,25 +84,14 @@ class TestFleetAggregator:
         assert snap["workers"]["0"]["qps"] == 0.0
 
     def test_counter_reset_clamps_qps_to_zero(self):
-        """A respawned worker restarts its counters; until ``discard``
-        is called the delta is negative and must clamp, not go < 0."""
+        """A restarted server's counters start over; the delta is
+        negative and must clamp, not go < 0."""
         clock = FakeClock()
         fleet = FleetAggregator(clock=clock)
         fleet.update("0", _stats(requests=500))
         clock.advance(2.0)
         fleet.update("0", _stats(requests=3))
         assert fleet.snapshot()["workers"]["0"]["qps"] == 0.0
-
-    def test_discard_forgets_a_crashed_worker(self):
-        fleet = FleetAggregator(clock=FakeClock())
-        fleet.update("0", _stats(requests=10))
-        fleet.update("1", _stats(requests=20))
-        assert len(fleet) == 2
-        fleet.discard("1")
-        snap = fleet.snapshot()
-        assert snap["totals"]["workers"] == 1
-        assert snap["totals"]["requests"] == 10
-        assert "1" not in snap["workers"]
 
     def test_circuit_rows_join_across_workers(self):
         clock = FakeClock()

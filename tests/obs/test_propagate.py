@@ -11,7 +11,6 @@ from repro import obs
 from repro.obs.propagate import (
     TraceContext,
     attach_context,
-    child_context,
     context_from_request,
     current_context,
     remote_span,
@@ -148,27 +147,3 @@ class TestRemoteSpan:
             assert root.attrs["trace_token"]  # exported for dedupe
         finally:
             obs.disable()
-
-
-class TestChildContext:
-    def test_chain_preserves_the_originating_trace_id(self):
-        obs.enable(InMemorySink())
-        try:
-            upstream = TraceContext("origin", parent="tok-0")
-            with remote_span("hop", upstream) as span:
-                ctx = child_context(span)
-                assert ctx is not None
-                assert ctx.trace_id == "origin"  # not this session's id
-                assert ctx.parent == span.attrs["trace_token"]
-        finally:
-            obs.disable()
-
-    def test_null_span_yields_none(self):
-        obs.enable(InMemorySink())
-        try:
-            assert child_context(_NULL) is None
-        finally:
-            obs.disable()
-
-    def test_disabled_yields_none(self):
-        assert child_context(Span("x", None, {})) is None

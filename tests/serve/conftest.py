@@ -1,7 +1,12 @@
 """Shared helpers for the serving-subsystem tests."""
 
-import asyncio
+import contextlib
 import io
+import os
+import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -55,25 +60,43 @@ class FakeClock:
         self.now += seconds
 
 
-async def eventually(condition, timeout_s=10.0, interval_s=0.001):
-    """Await *condition()* turning truthy; fail fast on timeout.
+@contextlib.contextmanager
+def serve_process(netlist, directory, *flags, **popen):
+    """``python -m repro serve NETLIST --port 0 FLAGS`` in a child
+    process, its output in *directory*'s ``serve.out`` and
+    ``serve.err``.
 
-    For conditions that have no future/event to await (e.g. another
-    process's side effects).  Unlike a fixed ``sleep(N)``, timing
-    variance only shifts latency — the assertion itself cannot flake
-    unless the condition genuinely never holds within *timeout_s*.
+    Yields the process and the ``(host, port)`` it prints once it
+    serves; fails if it never does, and kills it on the way out if it
+    is still running.
     """
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout_s
-    while True:
-        value = condition()
-        if value:
-            return value
-        if loop.time() > deadline:
-            raise AssertionError(
-                f"condition {condition!r} not met within {timeout_s}s"
-            )
-        await asyncio.sleep(interval_s)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+               PYTHONUNBUFFERED="1")
+    out_path = directory / "serve.out"
+    with open(out_path, "w") as out, \
+            open(directory / "serve.err", "w") as err:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(netlist),
+             "--port", "0", *flags],
+            stdout=out, stderr=err, env=env, **popen,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while True:
+            match = re.search(r"serving \d+ circuit\(s\) on (\S+):(\d+) ",
+                              out_path.read_text())
+            if match:
+                break
+            assert server.poll() is None, "server exited before serving"
+            assert time.monotonic() < deadline, "server never served"
+            time.sleep(0.05)
+        yield server, (match.group(1), int(match.group(2)))
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
 
 
 @pytest.fixture

@@ -1,17 +1,15 @@
 """Property-based differential suite: every transport, one truth.
 
-The serving stack may batch, shard, fork, crash-recover — but a served
-oracle must stay *observationally identical* to the in-process
+The serving stack may batch and widen its lanes — but a served oracle
+must stay *observationally identical* to the in-process
 :class:`CombinationalOracle` it wraps: bit-identical outputs for every
 pattern, and identical query accounting (one count per pattern,
 regardless of transport or batching).  These tests generate random
 circuits and random patterns (seeded; hypothesis examples are
-reproducible) and assert that equivalence across all three transports:
+reproducible) and assert that equivalence across both transports:
 
 * **in-process** — the dispatcher driven directly, no sockets;
-* **threaded**  — the single-process asyncio TCP server;
-* **sharded**   — the same server with ``workers=2``: forked workers
-  behind the supervisor.
+* **threaded**  — the asyncio TCP server on its own thread.
 
 A final differential pins the combinational serving view against the
 :class:`TimingOracle` (event-driven simulation of the locked design
@@ -66,15 +64,17 @@ class InProcessOracle:
     Drives :meth:`OracleServer.handle` directly — the full protocol
     semantics (registration normalization, batching, budgets) minus
     TCP, which makes it the reference point between the local oracle
-    and the two socketed transports.
+    and the socketed transport.
     """
 
-    def __init__(self, server: OracleServer, circuit) -> None:
+    def __init__(self, server: OracleServer, circuit,
+                 budget=None) -> None:
         self.server = server
         info = self._request({
             "op": "register",
             "netlist": bench_text(circuit),
             "name": circuit.name,
+            "budget": budget,
         })
         self.circuit_id = info["circuit"]
         self.inputs = list(info["inputs"])
@@ -108,13 +108,6 @@ def threaded_address():
 
 
 @pytest.fixture(scope="module")
-def sharded_address():
-    with ThreadedServer(OracleServer(
-            config=ServerConfig(workers=2))) as address:
-        yield address
-
-
-@pytest.fixture(scope="module")
 def inprocess_server():
     return OracleServer()
 
@@ -124,8 +117,8 @@ class TestTransportsAgree:
            pattern_seed=st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
     def test_outputs_bit_identical_across_transports(
-            self, threaded_address, sharded_address, inprocess_server,
-            circuit_seed, pattern_seed):
+            self, threaded_address, inprocess_server, circuit_seed,
+            pattern_seed):
         """Same circuit, same patterns -> byte-equal outputs and equal
         local accounting on every transport."""
         circuit = generated_circuit(circuit_seed)
@@ -133,7 +126,6 @@ class TestTransportsAgree:
         oracles = [
             InProcessOracle(inprocess_server, circuit),
             RemoteOracle(threaded_address, circuit=circuit),
-            RemoteOracle(sharded_address, circuit=circuit),
         ]
         patterns = patterns_for(local, pattern_seed, count=9)
         want = local.query_batch(patterns)
@@ -149,14 +141,14 @@ class TestTransportsAgree:
     @given(circuit_seed=st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
     def test_sequential_designs_get_the_same_oracle_view(
-            self, threaded_address, sharded_address, circuit_seed):
+            self, threaded_address, inprocess_server, circuit_seed):
         """Registration normalizes a sequential netlist to the same
         combinational core CombinationalOracle extracts: identical
         interface (pseudo-PIs/POs included) on every transport."""
         circuit = generated_circuit(circuit_seed, num_flip_flops=4)
         local = CombinationalOracle(circuit)
-        for address in (threaded_address, sharded_address):
-            remote = RemoteOracle(address, circuit=circuit)
+        for remote in (InProcessOracle(inprocess_server, circuit),
+                       RemoteOracle(threaded_address, circuit=circuit)):
             assert remote.inputs == local.inputs
             assert remote.outputs == local.outputs
             pattern = patterns_for(local, circuit_seed, count=1)[0]
@@ -165,13 +157,13 @@ class TestTransportsAgree:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=6, deadline=None)
     def test_server_side_accounting_matches_local(
-            self, threaded_address, sharded_address, seed):
+            self, threaded_address, inprocess_server, seed):
         """The server's cumulative per-circuit count (the ledger budget
         enforcement reads) equals the local oracle's pattern count."""
         circuit = generated_circuit(seed)
         local = CombinationalOracle(circuit)
-        for address in (threaded_address, sharded_address):
-            remote = RemoteOracle(address, circuit=circuit)
+        for remote in (InProcessOracle(inprocess_server, circuit),
+                       RemoteOracle(threaded_address, circuit=circuit)):
             base = remote.server_query_count  # earlier examples may share
             patterns = patterns_for(local, seed + 1, count=7)
             remote.query_batch(patterns[:3])
@@ -181,21 +173,19 @@ class TestTransportsAgree:
             assert remote.server_query_count == base + len(patterns)
 
     def test_budget_refusal_is_transport_identical(self):
-        """Both socketed transports refuse at exactly the same query
-        index with the same typed error."""
+        """Both transports refuse at exactly the same query index with
+        the same typed error."""
         from repro.serve import QueryBudgetExceededError
 
         circuit = generated_circuit(4242)
         local = CombinationalOracle(circuit)
         patterns = patterns_for(local, 11, count=4)
         outcomes = []
-        for factory in (
-            lambda: ThreadedServer(OracleServer()),
-            lambda: ThreadedServer(OracleServer(
-                config=ServerConfig(workers=2))),
-        ):
-            with factory() as address:
-                remote = RemoteOracle(address, circuit=circuit, budget=3)
+        with ThreadedServer(OracleServer()) as address:
+            for remote in (
+                InProcessOracle(OracleServer(), circuit, budget=3),
+                RemoteOracle(address, circuit=circuit, budget=3),
+            ):
                 answered = []
                 refused_at = None
                 for index, pattern in enumerate(patterns):
@@ -236,13 +226,6 @@ class TestWideFlush:
             remote = RemoteOracle(address, circuit=circuit)
             assert remote.query_batch(patterns) == want
             assert remote.server_query_count == len(patterns)
-
-        # Sharded: ServerConfig.lanes reaches every forked worker.
-        with ThreadedServer(OracleServer(
-                config=ServerConfig(workers=2, lanes=128))) as address:
-            remote = RemoteOracle(address, circuit=circuit)
-            assert remote.query_batch(patterns) == want
-            assert remote.server_query_count == len(patterns)
             assert remote.query(patterns[0]) == want[0]
 
 
@@ -256,8 +239,7 @@ class TestTimingOracleDifferential:
         circuit = generated_circuit(seed)
         locked = XorLock().lock(circuit, 2, random.Random(seed))
         timing = TimingOracle(locked, clock_period=10.0)
-        with ThreadedServer(OracleServer(
-                config=ServerConfig(workers=2))) as address:
+        with ThreadedServer(OracleServer()) as address:
             remote = RemoteOracle(address, circuit=circuit)
             sequence = patterns_for(remote, seed + 100, count=4)
             trace = timing.run(sequence)

@@ -1,36 +1,33 @@
 """Fleet observability end to end: one query, one span tree.
 
 The distributed-tracing acceptance test lives here: a client root span
-must come back as ONE contiguous tree spanning the client, the
-front end, and the owning worker process —
+must come back as ONE contiguous tree spanning the client and the
+server process —
 
-    client root -> serve.client.query -> serve.shard.route
-                -> serve.request -> serve.batch.flush
+    client root -> serve.client.query -> serve.request
+                -> serve.batch.flush
 
 — plus the ops-plane invariants: the ``obs`` wire op's fleet totals
-agree with the per-worker cumulative stats, and the slow-request log
-captures slow, rejected, and deadline-expired requests.
+agree with the cumulative stats, and the slow-request log captures
+slow, rejected, and deadline-expired requests.
 """
 
 import asyncio
 import io
 import json
-import time
+import signal
 
 import pytest
 
 from repro import obs
-from repro.obs.sinks import InMemorySink, SlowRequestLog, SpanBuffer
+from repro.obs.sinks import InMemorySink, SlowRequestLog
 from repro.serve import (
     DeadlineExceededError,
     OracleServer,
     RemoteOracle,
-    ServeConnection,
-    ServerConfig,
     ThreadedServer,
     adopt_remote_trace,
 )
-from repro.serve import supervisor as supervisor_module
 from repro.serve.client import query_request
 
 from tests.serve.conftest import (
@@ -38,6 +35,7 @@ from tests.serve.conftest import (
     bench_text,
     build_chain,
     make_batcher,
+    serve_process,
 )
 
 
@@ -175,139 +173,37 @@ class TestSlowRequestLog:
 
 
 # ----------------------------------------------------------------------
-# Control-channel resilience
+# Cross-process stitching
 # ----------------------------------------------------------------------
 
-def test_control_timeout_resets_the_lockstep_channel():
-    """A timed-out control request must not desync the channel.
+class TestCrossProcessTracing:
+    CHAIN = ["client.root", "serve.client.query", "serve.request",
+             "serve.batch.flush"]
 
-    The control connection is lockstep (no request ids): if a slow
-    response is abandoned by ``wait_for`` but arrives later, it would
-    be read as the answer to the *next* request — every stats/obs poll
-    from then on returns the previous reply.  Obs polls ship span
-    payloads, so slow replies are realistic; the fix drops and redials
-    the connection on timeout.  Driven by a stub worker endpoint whose
-    first reply stalls forever and whose later replies echo a nonce.
-    """
-    from repro.serve.protocol import encode_frame, read_raw_frame_async
-    from repro.serve.supervisor import WorkerHandle
-
-    async def scenario():
-        connections = []
-
-        async def stub(reader, writer):
-            connection = len(connections)
-            connections.append(connection)
-            while await read_raw_frame_async(reader) is not None:
-                if connection == 0:
-                    continue  # first connection: stall every reply
-                writer.write(encode_frame({"ok": True,
-                                           "nonce": connection}))
-                await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(stub, "127.0.0.1", 0)
-        try:
-            worker = WorkerHandle(0, ServerConfig())
-            worker.address = server.sockets[0].getsockname()[:2]
-            worker.control_reader, worker.control_writer = (
-                await asyncio.open_connection(*worker.address))
-
-            with pytest.raises(asyncio.TimeoutError):
-                await worker.control_request({"op": "stats"}, 0.1)
-            # The channel was redialed: the next request goes out on a
-            # fresh connection and gets ITS OWN answer, not a stale one.
-            response = await worker.control_request({"op": "ping"}, 5.0)
-            assert response["nonce"] == 1
-            assert len(connections) == 2
-            worker.control_writer.close()
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Sharded fleet: cross-process stitching + aggregate agreement
-# ----------------------------------------------------------------------
-
-class TestShardedFleet:
-    CHAIN = ["serve.client.query", "serve.shard.route",
-             "serve.request", "serve.batch.flush"]
-
-    @pytest.fixture(autouse=True)
-    def fast_polls(self, monkeypatch):
-        monkeypatch.setattr(supervisor_module, "HEARTBEAT_S", 0.1)
-        monkeypatch.setattr(supervisor_module, "OBS_INTERVAL_S", 0.2)
-
-    def test_traced_fleet_yields_one_contiguous_tree(self):
-        """Worker-process spans ship home over the ``obs`` op and stitch
-        under the submitting client span — the tentpole acceptance."""
-        session = obs.enable(InMemorySink())
-        # The front end's own routing spans ship through this buffer
-        # alongside the worker trees its polling loop collects.
-        session.sinks.append(SpanBuffer())
-        server = OracleServer(config=ServerConfig(workers=2, trace=True))
-        try:
-            with ThreadedServer(server) as address:
-                circuit = build_chain("fleettrace", 5)
+    def test_traced_query_yields_one_contiguous_tree(self, tmp_path):
+        """`repro serve --fleet-trace` in its own process: its request
+        and flush spans ship home over the ``obs`` op and stitch under
+        the submitting client span — the flow of ``repro attack
+        --remote ... --profile``."""
+        circuit = build_chain("xtrace", 5)
+        netlist = tmp_path / "xtrace.bench"
+        netlist.write_text(bench_text(circuit))
+        with serve_process(netlist, tmp_path,
+                           "--fleet-trace") as (server, address):
+            session = obs.enable(InMemorySink())
+            try:
                 with obs.trace_span("client.root"):
                     oracle = RemoteOracle(address, circuit=circuit)
                     for value in (0, 1):
                         oracle.query({"a": value})
-
-                (root,) = [r for r in session.roots
-                           if r.name == "client.root"]
-                deadline = time.monotonic() + 10.0
-                stitched = False
-                while time.monotonic() < deadline and not stitched:
-                    # obs polls run every 0.2 s; keep adopting until the
-                    # worker's request/flush spans have shipped home.
-                    adopt_remote_trace(oracle.connection)
-                    stitched = _find_chain(root, ["client.root"] + self.CHAIN)
-                    if not stitched:
-                        time.sleep(0.1)
-                assert stitched, f"no contiguous chain under {root.name}"
+                # The server closes a request's span before it writes
+                # the answer, so both trees are buffered by now.
+                assert adopt_remote_trace(oracle.connection) >= 2
                 oracle.close()
-        finally:
-            obs.disable()
-
-    def test_fleet_aggregates_agree_with_worker_stats(self):
-        server = OracleServer(config=ServerConfig(workers=2))
-        with ThreadedServer(server) as address:
-            circuit = build_chain("fleetagg", 7)
-            oracle = RemoteOracle(address, circuit=circuit)
-            queries = 5
-            for i in range(queries):
-                oracle.query({"a": i % 2})
-
-            connection = ServeConnection(address)
-            try:
-                deadline = time.monotonic() + 10.0
-                fleet = {}
-                while time.monotonic() < deadline:
-                    response = connection.fetch_obs()
-                    assert response["ok"] and response["sharded"]
-                    fleet = response["fleet"]
-                    row = (fleet.get("circuits") or {}).get(oracle.circuit_id)
-                    if row and row["query_count"] >= queries:
-                        break
-                    time.sleep(0.1)
-
-                assert fleet["totals"]["workers"] == 2
-                row = fleet["circuits"][oracle.circuit_id]
-                assert row["query_count"] == queries
-                assert len(row["workers"]) == 1  # exclusive ring ownership
-
-                # Cross-check the fleet view against the authoritative
-                # per-worker rollup the plain stats op reports.
-                stats = connection.request({"op": "stats"})
-                rollup = stats["rollup"]["query_counts"]
-                assert rollup[oracle.circuit_id] == row["query_count"]
-                worker_requests = sum(
-                    w["requests"] for w in fleet["workers"].values())
-                assert fleet["totals"]["requests"] == worker_requests
             finally:
-                connection.close()
-                oracle.close()
+                obs.disable()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10.0) == 0
+        (root,) = [r for r in session.roots if r.name == "client.root"]
+        assert _find_chain(root, self.CHAIN), \
+            f"no contiguous chain under {root.name}"

@@ -3,8 +3,6 @@
 import asyncio
 import io
 
-import pytest
-
 from repro.netlist.bench_io import write_bench
 from repro.serve import OracleServer, ServeConnection, ThreadedServer
 from repro.serve.client import query_answer, query_request
@@ -82,10 +80,16 @@ class TestDispatch:
 
     def test_register_rejects_garbage(self):
         server = OracleServer()
-        for netlist in ("", "widget(", 42):
-            response = dispatch(server, {"op": "register", "netlist": netlist})
-            assert not response["ok"]
-            assert response["error"]["code"] == "protocol-error"
+        text = bench_text(build_chain())
+        garbage = [{"netlist": netlist} for netlist in ("", "widget(", 42)]
+        # A budget is a non-negative int: a bool is not a budget of 1.
+        garbage += [{"netlist": text, "budget": budget}
+                    for budget in (True, False, 2.0, float("nan"), -1)]
+        for fields in garbage:
+            response = dispatch(server, {"op": "register", **fields})
+            assert not response["ok"], fields
+            assert response["error"]["code"] == "protocol-error", fields
+        assert len(server.registry) == 0
 
     def test_unknown_op_and_unknown_circuit(self):
         server = OracleServer()
@@ -105,9 +109,9 @@ class TestDispatch:
         register = {"op": "register", "netlist": bench_text(circuit),
                     "name": circuit.name}
 
-        def query(count, planes):
+        def query(count, planes, **fields):
             return {"op": "query", "circuit": cid, "count": count,
-                    "planes": planes}
+                    "planes": planes, **fields}
 
         malformed = [
             # bad hex, signs, whitespace and prefixes
@@ -128,6 +132,11 @@ class TestDispatch:
             query(0, [["0", "0"]]), query(-1, [["0", "0"]]),
             query(True, [["1", "1"]]), query(1.0, [["1", "1"]]),
             query("1", [["1", "1"]]), query(None, [["1", "1"]]),
+            # a deadline that is not an int or a finite float (json
+            # parses the NaN and Infinity literals)
+            *(query(1, [["1", "1"]], deadline_ms=deadline)
+              for deadline in (True, False, float("nan"), float("inf"),
+                               float("-inf"), "10")),
         ]
         responses = dispatch(server, register, *malformed)[1:]
         for request, response in zip(malformed, responses):
@@ -245,6 +254,32 @@ class TestTcp:
         # Windowed coalescing across sockets: fewer flushes than queries.
         assert server.batcher.batches < 8
 
+    def test_pipelined_queries_answered_in_order(self):
+        """A client that writes three query frames before reading any
+        answer gets all three, in order, from the lockstep loop."""
+        import socket
+
+        from repro.serve.protocol import encode_frame, recv_frame
+
+        circuit = build_chain()
+        batches = [[{"a": 0}], [{"a": 1}, {"a": 0}], [{"a": 1}] * 3]
+        with ThreadedServer() as address:
+            with ServeConnection(address) as connection:
+                cid = connection.request({
+                    "op": "register", "netlist": bench_text(circuit),
+                    "name": circuit.name,
+                })["circuit"]
+            with socket.create_connection(address, timeout=10.0) as sock:
+                sock.sendall(b"".join(
+                    encode_frame(query_request(cid, ["a"], batch))
+                    for batch in batches))
+                answers = [recv_frame(sock) for _ in batches]
+        assert [query_answer(answer, ["y"]) for answer in answers] == [
+            [{"y": 1}], [{"y": 0}, {"y": 1}], [{"y": 0}] * 3]
+        # Each request was answered before the next was read: none
+        # shared a batch, so each saw only its predecessors' charges.
+        assert [answer["query_count"] for answer in answers] == [1, 3, 6]
+
     def test_drain_on_shutdown_leaves_no_pending_work(self):
         server = OracleServer()
         with ThreadedServer(server) as (host, port):
@@ -255,24 +290,3 @@ class TestTcp:
                 })
         assert server.admission.draining
         assert server.admission.idle
-
-
-class TestOneWorker:
-    """``workers=1`` (the default) is the plain in-process server."""
-
-    def test_started_server_forks_nothing(self):
-        import multiprocessing
-
-        server = OracleServer()
-        with ThreadedServer(server) as (host, port):
-            assert multiprocessing.active_children() == []
-            with ServeConnection((host, port)) as connection:
-                stats = connection.stats()
-        assert server.supervisor is None
-        assert "sharded" not in stats
-
-    def test_workers_must_be_positive(self):
-        from repro.serve import ServerConfig
-
-        with pytest.raises(ValueError):
-            ServerConfig(workers=0)

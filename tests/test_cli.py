@@ -1,16 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
-import os
 import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.cli import main
 from repro.netlist import parse_bench, write_bench
+
+from tests.serve.conftest import serve_process
 
 
 @pytest.fixture()
@@ -211,16 +209,14 @@ class TestServe:
         assert "serving 1 circuit(s)" in captured.out
         assert "drained" in captured.err
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_serve_prints_the_id_a_client_registers(self, capsys, workers):
+    def test_serve_prints_the_id_a_client_registers(self, capsys):
         """The printed ID is the one RemoteOracle's registration of the
         same netlist gets, so the two share one entry and one budget."""
         from repro.cli import _load
         from repro.serve import circuit_content_id, registration_view
         from repro.serve.client import register_request
 
-        assert main(["serve", "iwls:s1238", "--workers", workers,
-                     "--serve-seconds", "0.05"]) == 0
+        assert main(["serve", "iwls:s1238", "--serve-seconds", "0.05"]) == 0
         printed = capsys.readouterr().out.split()[0]
         view, _ = registration_view(register_request(_load("iwls:s1238")))
         assert printed == circuit_content_id(view)
@@ -232,151 +228,21 @@ class TestServe:
         with pytest.raises(SystemExit, match="locked"):
             main(["serve", locked_path, "--serve-seconds", "0.05"])
 
-    def test_serve_workers_smoke_spawns_and_drains(self, bench_file,
-                                                   capsys):
-        """`--workers 2` boots the sharded backend: the netlist is
-        registered through the supervisor (its owning worker printed)
-        and shutdown drains the fleet."""
-        assert main(["serve", bench_file, "--workers", "2",
-                     "--serve-seconds", "0.05"]) == 0
-        captured = capsys.readouterr()
-        assert "(worker " in captured.out
-        assert "2 workers" in captured.out
-        assert "drained" in captured.err
-        assert "respawns" in captured.err
 
-    def test_serve_workers_validation(self, bench_file):
-        with pytest.raises(SystemExit, match="workers"):
-            main(["serve", bench_file, "--workers", "0",
-                  "--serve-seconds", "0.05"])
-
-    def test_serve_workers_refuses_locked_netlist(self, bench_file,
-                                                  tmp_path):
-        """The sharded path applies the same oracle-view policy."""
-        locked_path = str(tmp_path / "locked.bench")
-        main(["lock", bench_file, "--scheme", "xor", "--key-bits", "2",
-              "-o", locked_path])
-        with pytest.raises(SystemExit, match="locked"):
-            main(["serve", locked_path, "--workers", "2",
-                  "--serve-seconds", "0.05"])
-
-
-def _children(pid):
-    """PIDs whose parent is *pid*, read from ``/proc/<pid>/stat``."""
-    found = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as stream:
-                fields = stream.read().rsplit(")", 1)[1].split()
-        except OSError:
-            continue
-        if int(fields[1]) == pid:
-            found.append(int(entry))
-    return found
-
-
-def _running(pid):
-    """Alive and not a zombie awaiting its reaper."""
-    try:
-        with open(f"/proc/{pid}/stat") as stream:
-            return stream.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc"),
-                    reason="reads worker PIDs from /proc")
 class TestServeSignals:
-    """A background `repro serve --workers 2` drains on SIGINT or
-    SIGTERM and takes its forked workers with it."""
+    """A background `repro serve` drains on SIGINT or SIGTERM."""
 
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
                              ids=["SIGINT", "SIGTERM"])
     def test_signal_drains_server_and_workers(self, bench_file, tmp_path,
                                               signum):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                   PYTHONUNBUFFERED="1")
-        out_path, err_path = tmp_path / "serve.out", tmp_path / "serve.err"
-        with open(out_path, "w") as out, open(err_path, "w") as err:
-            # `&` from a non-interactive shell starts it with SIGINT
-            # ignored.  Files, not pipes: surviving workers would hold a
-            # pipe open and hang the read.
-            server = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve", bench_file,
-                 "--port", "0", "--workers", "2"],
-                stdout=out, stderr=err, env=env,
-                preexec_fn=lambda: signal.signal(signal.SIGINT,
-                                                 signal.SIG_IGN),
-            )
-        workers = []
-        try:
-            deadline = time.monotonic() + 60.0
-            while "serving" not in out_path.read_text():
-                assert server.poll() is None, err_path.read_text()
-                assert time.monotonic() < deadline, "server never served"
-                time.sleep(0.05)
-            workers = _children(server.pid)
-            assert len(workers) >= 2
+        # `&` from a non-interactive shell starts it with SIGINT ignored.
+        with serve_process(bench_file, tmp_path, preexec_fn=lambda:
+                           signal.signal(signal.SIGINT, signal.SIG_IGN)
+                           ) as (server, _address):
             server.send_signal(signum)
             assert server.wait(timeout=10.0) == 0
-        finally:
-            if server.poll() is None:
-                server.kill()
-                server.wait()
-            survivors = [pid for pid in workers if _running(pid)]
-            for pid in survivors:
-                os.kill(pid, signal.SIGKILL)
-        assert "drained:" in err_path.read_text()
-        assert survivors == []
-
-    def test_workers_exit_when_the_front_end_is_killed(self, bench_file):
-        """SIGKILL drains nobody: each worker must notice its front end
-        is gone, exit, and release the server's stdout/stderr pipes."""
-        import select
-
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                   PYTHONUNBUFFERED="1")
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", bench_file,
-             "--port", "0", "--workers", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        workers = []
-        try:
-            out = b""
-            deadline = time.monotonic() + 60.0
-            while b"serving" not in out:
-                remaining = deadline - time.monotonic()
-                assert remaining > 0, "server never served"
-                ready, _, _ = select.select([server.stdout], [], [],
-                                            remaining)
-                if ready:
-                    chunk = os.read(server.stdout.fileno(), 4096)
-                    assert chunk, "server exited early"
-                    out += chunk
-            workers = _children(server.pid)
-            assert len(workers) >= 2
-            server.kill()
-            server.wait(timeout=10.0)
-            deadline = time.monotonic() + 10.0
-            while any(_running(pid) for pid in workers) and \
-                    time.monotonic() < deadline:
-                time.sleep(0.05)
-            survivors = [pid for pid in workers if _running(pid)]
-            # Returns only once every holder of the pipes has exited.
-            server.communicate(timeout=10.0)
-        finally:
-            if server.poll() is None:
-                server.kill()
-            for pid in workers:
-                if _running(pid):
-                    os.kill(pid, signal.SIGKILL)
-            server.communicate()
-        assert survivors == []
+        assert "drained:" in (tmp_path / "serve.err").read_text()
 
 
 class TestAttackRemoteFlags:
