@@ -29,9 +29,10 @@ from typing import Dict, Optional
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
+from ..netlist.transform import combinational_circuit, combinational_view
 from ..sat.solver import Solver
 from .oracle import OracleProtocol
-from .sat_attack import KeyConeMiter, _comb_view, _interface_map
+from .sat_attack import KeyConeMiter, _interface_map
 
 __all__ = ["AppSatResult", "appsat_attack"]
 
@@ -76,7 +77,9 @@ def appsat_attack(
     clauses added yet.
     """
     rng = rng or random.Random(0)
-    comb = _comb_view(locked_netlist)
+    # The random phase evaluates candidates on the compiled core, so
+    # AppSAT keeps a flip-flop-free circuit rather than a bare view.
+    comb = combinational_circuit(locked_netlist)
     if not comb.key_inputs:
         raise NetlistError("netlist has no key inputs; nothing to attack")
     oracle_output_of = _interface_map(comb, oracle)
@@ -84,7 +87,7 @@ def appsat_attack(
     if solver is None:
         solver = Solver()
 
-    miter = KeyConeMiter(solver, comb, oracle_output_of)
+    miter = KeyConeMiter(solver, combinational_view(comb), oracle_output_of)
 
     def candidate_key() -> Optional[Dict[str, int]]:
         if not solver.solve([]):

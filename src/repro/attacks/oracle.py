@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - py<3.8 fallback, never hit in CI
 
 from ..locking.base import LockedCircuit
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 from ..sim.harness import SequentialTrace, simulate_sequential
 from ..sim.logic import LogicValue
 
@@ -123,12 +123,10 @@ class CombinationalOracle:
     def __init__(self, original: Circuit) -> None:
         if original.key_inputs:
             raise NetlistError("the oracle wraps the *original* (keyless) design")
-        if original.flip_flops():
-            original = extract_combinational(original).circuit
-        self.circuit = original
-        self._compiled = _registry_compiled(original)
-        self.inputs: List[str] = list(original.inputs)
-        self.outputs: List[str] = list(original.outputs)
+        self.circuit = comb = combinational_circuit(original)
+        self._compiled = _registry_compiled(comb)
+        self.inputs: List[str] = list(comb.inputs)
+        self.outputs: List[str] = list(comb.outputs)
         self.query_count = 0
 
     def query(self, assignment: Mapping[str, LogicValue]) -> Dict[str, LogicValue]:

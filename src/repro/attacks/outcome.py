@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
 from ..netlist.equivalence import check_equivalence
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 
 __all__ = ["AttackOutcome", "recovered_corruption", "score_recovery"]
 
@@ -85,12 +85,6 @@ class AttackOutcome:
         )
 
 
-def _comb(circuit: Circuit) -> Circuit:
-    if circuit.flip_flops():
-        return extract_combinational(circuit).circuit
-    return circuit
-
-
 def recovered_corruption(
     original: Circuit,
     attacked: Circuit,
@@ -105,8 +99,8 @@ def recovered_corruption(
     fraction of disagreeing (pattern, output) pairs.  ``None`` when the
     interfaces cannot be aligned.
     """
-    a = _comb(original)
-    b = _comb(attacked)
+    a = combinational_circuit(original)
+    b = combinational_circuit(attacked)
     if sorted(a.inputs) != sorted(b.inputs):
         return None
     if len(a.outputs) != len(b.outputs):

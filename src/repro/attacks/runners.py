@@ -25,18 +25,12 @@ import time
 from contextlib import nullcontext
 from typing import Any, Dict
 
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 from .oracle import CombinationalOracle
 from .outcome import AttackOutcome, score_recovery
 from .registry import AttackContext, register_attack
 
 __all__: list = []
-
-
-def _comb_view(circuit):
-    if circuit.flip_flops():
-        return extract_combinational(circuit).circuit
-    return circuit
 
 
 def _solver(context: AttackContext, attack: str, circuit, oracle):
@@ -228,11 +222,11 @@ def _run_enhanced_removal(context: AttackContext) -> AttackOutcome:
 def _run_tcf(context: AttackContext) -> AttackOutcome:
     from .tcf import SimulatedTwoVectorOracle, tcf_attack
 
-    target = _comb_view(context.target())
+    target = combinational_circuit(context.target())
     # The activated chip on the tester: the locked netlist itself under
     # the correct key (scan access supplies state controllability for
     # sequential designs — the same reduction the attacker ran).
-    chip = _comb_view(context.locked.circuit)
+    chip = combinational_circuit(context.locked.circuit)
     default_sample = context.clock.period if context.clock else 2.0
     sample_time = context.param("sample_time", float(default_sample))
     oracle = SimulatedTwoVectorOracle(chip, context.locked.key)

@@ -28,7 +28,9 @@ from typing import Dict, List, Mapping, Optional
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import (
+    CombinationalView, combinational_circuit, combinational_view,
+)
 from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
 from ..sat.cnf import CNF
@@ -88,20 +90,14 @@ class SatAttackResult:
         return self.iterations > 0
 
 
-def _comb_view(locked_netlist: Circuit) -> Circuit:
-    if locked_netlist.flip_flops():
-        return extract_combinational(locked_netlist).circuit
-    return locked_netlist
-
-
-def _interface_map(comb: Circuit, oracle: OracleProtocol) -> Dict[str, str]:
+def _interface_map(comb, oracle: OracleProtocol) -> Dict[str, str]:
     """Locked-netlist output net -> oracle output net.
 
+    *comb* is the locked netlist's combinational view or circuit.
     Locking may rename a flip-flop's D net (a GK splices its MUX in
-    front of the FF), but both combinational extractions list outputs in
-    the same order: original POs first, then pseudo-POs sorted by FF
-    name.  Inputs must agree by name (locking never renames Q nets or
-    PIs).
+    front of the FF), but both combinational cores list outputs in the
+    same order: original POs first, then pseudo-POs sorted by FF name.
+    Inputs must agree by name (locking never renames Q nets or PIs).
     """
     if sorted(comb.inputs) != sorted(oracle.inputs):
         raise NetlistError("oracle input interface does not match")
@@ -113,19 +109,21 @@ def _interface_map(comb: Circuit, oracle: OracleProtocol) -> Dict[str, str]:
 class KeyConeMiter:
     """The SAT attack's two-copy miter, on one structural-hash table.
 
-    Copy 1 encodes the combinational view *comb*; copy 2 encodes it
+    *view* is the locked netlist's
+    :func:`~repro.netlist.transform.combinational_view`, built once and
+    encoded by every copy and pin.  Copy 1 encodes it; copy 2 encodes it
     again with fresh key variables and copy 1's primary-input literals,
     through the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate
     outside the keys' fan-out cone sees copy 1's fan-in literals, so it
     hashes onto copy 1's node and adds nothing.  ``diff`` is the OR of
     per-output XORs over the outputs whose two literals differ, and
-    :meth:`pin` adds one oracle observation to both copies:
-    *comb* is encoded once per copy with the pattern's inputs bound to
-    the constant-true literal (or its negation) and that copy's key
+    :meth:`pin` adds one oracle observation to both copies: *view* is
+    encoded once per copy with the pattern's inputs bound to the
+    constant-true literal (or its negation) and that copy's key
     variables, so the pattern folds through its constants and only the
     key-dependent remainder gets new nodes, shared wherever the two
     copies (or earlier pins) built the same node.  *oracle_output_of*
-    maps each output of *comb* to the oracle's name for it.
+    maps each output of *view* to the oracle's name for it.
 
     Soundness, against the plain two-copy encoding:
 
@@ -147,29 +145,29 @@ class KeyConeMiter:
     def __init__(
         self,
         solver: Solver,
-        comb: Circuit,
+        view: CombinationalView,
         oracle_output_of: Mapping[str, str],
     ) -> None:
         self.solver = solver
-        self.comb = comb
+        self.view = view
         self.oracle_output_of = oracle_output_of
         self.table = NodeTable()
         self.clauses = 0
         copy1 = self._encode({})
-        copy2 = self._encode({net: copy1.var_of[net] for net in comb.inputs})
-        self.pi_vars = {net: copy1.var_of[net] for net in comb.inputs}
+        copy2 = self._encode({net: copy1.var_of[net] for net in view.inputs})
+        self.pi_vars = {net: copy1.var_of[net] for net in view.inputs}
         #: per copy, key input -> variable
         self.key_vars = [
-            {net: copy.var_of[net] for net in comb.key_inputs}
+            {net: copy.var_of[net] for net in view.key_inputs}
             for copy in (copy1, copy2)
         ]
 
         cnf = CNF(num_vars=solver.num_vars)
         xors = miter_xors(cnf, (
             (net, copy1.var_of[net], copy2.var_of[net])
-            for net in comb.outputs
+            for net in view.outputs
         ))
-        self.merged_outputs = len(comb.outputs) - len(xors)
+        self.merged_outputs = len(view.outputs) - len(xors)
         #: assumed true per DIP query: some unmerged output differs
         self.diff = cnf.new_var()
         cnf.add_or(self.diff, [x for _, x in xors])
@@ -182,25 +180,25 @@ class KeyConeMiter:
 
     def _encode(self, net_vars: Mapping[str, int]) -> CircuitEncoder:
         cnf = CNF(num_vars=self.solver.num_vars)
-        encoder = CircuitEncoder(cnf, self.comb, net_vars, table=self.table)
+        encoder = CircuitEncoder(cnf, self.view, net_vars, table=self.table)
         self._add(cnf)
         return encoder
 
     def pin(self, pattern: Mapping[str, int], response: Mapping) -> int:
         """Constrain both copies to answer *response* on *pattern*;
         returns the number of clauses added."""
-        comb = self.comb
+        view = self.view
         table = self.table
         cnf = CNF(num_vars=self.solver.num_vars)
         constants = {
-            net: table.constant(cnf, pattern[net]) for net in comb.inputs
+            net: table.constant(cnf, pattern[net]) for net in view.inputs
         }
         true = table.constant(cnf, 1)
         for key_vars in self.key_vars:
             encoder = CircuitEncoder(
-                cnf, comb, dict(constants, **key_vars), table=table
+                cnf, view, dict(constants, **key_vars), table=table
             )
-            for net in comb.outputs:
+            for net in view.outputs:
                 lit = encoder.var_of[net]
                 if not response[self.oracle_output_of[net]]:
                     lit = -lit
@@ -225,19 +223,21 @@ def sat_attack(
 ) -> SatAttackResult:
     """Run the DIP loop against *locked_netlist* using *oracle*.
 
-    Sequential netlists are first reduced to their combinational core
-    (pseudo-PI/PO transformation), matching the paper's preprocessing.
-    The oracle must expose the same input/output interface (it will, if
+    The miter encodes the netlist's combinational core (pseudo-PI/PO
+    transformation), matching the paper's preprocessing, through one
+    :func:`~repro.netlist.transform.combinational_view`: a sequential
+    netlist is validated and described in place, not copied.  The
+    oracle must expose the same input/output interface (it will, if
     built from the corresponding original design).
 
     *solver*, when given, replaces the default fresh :class:`Solver`
     (e.g. one seeded by :func:`~repro.attacks.warm_start.warm_solver`);
     it must have no clauses added yet.
     """
-    comb = _comb_view(locked_netlist)
-    if not comb.key_inputs:
+    view = combinational_view(locked_netlist)
+    if not view.key_inputs:
         raise NetlistError("netlist has no key inputs; nothing to attack")
-    oracle_output_of = _interface_map(comb, oracle)
+    oracle_output_of = _interface_map(view, oracle)
 
     if solver is None:
         solver = Solver()
@@ -248,10 +248,10 @@ def sat_attack(
     _metrics.inc("attack.sat.iterations", 0)
     _metrics.inc("attack.sat.oracle_queries", 0)
     with trace_span(
-        "attack.sat", design=comb.name, key_bits=len(comb.key_inputs)
+        "attack.sat", design=view.name, key_bits=len(view.key_inputs)
     ) as attack_span:
         with trace_span("attack.sat.encode") as encode_span:
-            miter = KeyConeMiter(solver, comb, oracle_output_of)
+            miter = KeyConeMiter(solver, view, oracle_output_of)
             encode_span.annotate(
                 vars=solver.num_vars, clauses=miter.clauses,
                 merged_outputs=miter.merged_outputs,
@@ -324,7 +324,7 @@ def verify_key_against_oracle(
     combinational netlist itself is glitch-blind.
     """
     rng = rng or random.Random(0)
-    comb = _comb_view(locked_netlist)
+    comb = combinational_circuit(locked_netlist)
     oracle_output_of = _interface_map(comb, oracle)
     # Draw every pattern first (the same stream the per-pattern loop
     # consumed), then resolve both sides in lane-wide passes.

@@ -100,8 +100,10 @@ class GkLock(LockingScheme):
             period ("we adopt the same clock period", Sec. IV-B).
         glitch_length: Target L_glitch (the paper uses 1ns).
         run_pnr: Run placement/routing before and after insertion so
-            wire delays enter the timing picture (Table II does this;
-            unit tests skip it for speed).
+            wire delays enter the timing picture.  Off by default; the
+            committed Table II runs without it (``run_pnr=False`` in
+            :mod:`repro.reporting.tables` and the campaign worker), and
+            so do the unit tests, for speed.
         candidate_ffs: Optional whitelist of FF names (e.g. the
             Encrypt-Flip-Flop group of [4]).
         margin: Planning margin absorbing delay quantization.

@@ -24,7 +24,9 @@ from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
 from .compiled import compile_circuit
-from .transform import extract_combinational
+from .transform import (
+    CombinationalView, combinational_circuit, combinational_view,
+)
 
 __all__ = ["Fault", "TestPattern", "generate_test", "fault_coverage"]
 
@@ -49,12 +51,6 @@ class TestPattern:
     observed_at: str
 
 
-def _comb(circuit: Circuit) -> Circuit:
-    if circuit.flip_flops():
-        return extract_combinational(circuit).circuit
-    return circuit
-
-
 def generate_test(
     circuit: Circuit,
     fault: Fault,
@@ -63,13 +59,21 @@ def generate_test(
     """A test pattern for *fault*, or None if it is untestable.
 
     Sequential circuits are handled through their combinational core
-    (full-scan assumption, as in the paper's Sec. VI discussion).  For
-    locked netlists, *key* fixes the key inputs to the programmed value
-    — production test happens on *activated* parts.
+    (full-scan assumption, as in the paper's Sec. VI discussion), which
+    one :func:`~repro.netlist.transform.combinational_view` describes
+    for both copies.  For locked netlists, *key* fixes the key inputs
+    to the programmed value — production test happens on *activated*
+    parts.
     """
-    comb = _comb(circuit)
-    if fault.net not in comb.nets():
-        raise NetlistError(f"fault site {fault.net!r} not in the circuit")
+    return _generate_test(combinational_view(circuit), fault, key)
+
+
+def _generate_test(
+    view: CombinationalView,
+    fault: Fault,
+    key: Optional[Dict[str, int]],
+) -> Optional[TestPattern]:
+    """:func:`generate_test` on the combinational core *view*."""
     if fault.stuck_at not in (0, 1):
         raise NetlistError("stuck_at must be 0 or 1")
 
@@ -84,15 +88,18 @@ def generate_test(
     table = NodeTable()
     pinned = {
         net: table.constant(cnf, value)
-        for net, value in (key or {}).items() if net in comb.key_inputs
+        for net, value in (key or {}).items() if net in view.key_inputs
     }
-    good = CircuitEncoder(cnf, comb, pinned, table=table)
-    shared = {net: good.var_of[net] for net in comb.inputs + comb.key_inputs}
+    good = CircuitEncoder(cnf, view, pinned, table=table)
+    # the good copy gave every net of the core a literal
+    if fault.net not in good.var_of:
+        raise NetlistError(f"fault site {fault.net!r} not in the circuit")
+    shared = {net: good.var_of[net] for net in view.inputs + view.key_inputs}
     shared[fault.net] = table.constant(cnf, fault.stuck_at)
-    faulty = CircuitEncoder(cnf, comb, shared, table=table)
+    faulty = CircuitEncoder(cnf, view, shared, table=table)
 
     observable = miter_xors(cnf, (
-        (net, good.var_of[net], faulty.var_of[net]) for net in comb.outputs
+        (net, good.var_of[net], faulty.var_of[net]) for net in view.outputs
     ))
     if not observable:
         return None
@@ -107,7 +114,7 @@ def generate_test(
     if not solver.solve():
         return None
     model = solver.model()
-    pattern = {net: int(model[good.var_of[net]]) for net in comb.inputs}
+    pattern = {net: int(model[good.var_of[net]]) for net in view.inputs}
     observed = next(net for net, x in observable if model[x])
     return TestPattern(fault=fault, inputs=pattern, observed_at=observed)
 
@@ -138,7 +145,7 @@ def fault_coverage(
     exact ATPG per fault is SAT-complete, so full sweeps are for small
     blocks.
     """
-    comb = _comb(circuit)
+    comb = combinational_circuit(circuit)
     if nets is None:
         nets = sorted(g.output for g in comb.gates.values())
     nets = list(nets)
@@ -149,12 +156,14 @@ def fault_coverage(
 
     # Bit-parallel random fault simulation first: one lane-wide pass of
     # patterns per fault through the compiled evaluator catches the
-    # easy-to-detect majority, leaving SAT-exact ATPG for the stubborn
-    # remainder.  Sound because a simulated Boolean difference *is* a
-    # detecting pattern, so the detected/untestable counts are identical
-    # to the pure-SAT sweep (wider lanes can only move faults from the
-    # SAT column to the cheaper sim column).
+    # easy-to-detect majority, leaving SAT-exact ATPG, on one view of
+    # the core for the whole sweep, for the stubborn remainder.  Sound
+    # because a simulated Boolean difference *is* a detecting pattern,
+    # so the detected/untestable counts are identical to the pure-SAT
+    # sweep (wider lanes can only move faults from the SAT column to
+    # the cheaper sim column).
     compiled = compile_circuit(comb)
+    view = combinational_view(comb)
     lanes, mask = compiled.lanes, compiled.mask
     sim_rng = random.Random(0x5EED)  # never the caller's rng
     pinned = dict(key or {})
@@ -201,7 +210,7 @@ def fault_coverage(
                         break
             if detected_by_sim:
                 report.detected += 1
-            elif generate_test(circuit, fault, key=key) is None:
+            elif _generate_test(view, fault, key) is None:
                 report.untestable.append(fault)
             else:
                 report.detected += 1

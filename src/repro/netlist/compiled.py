@@ -2,8 +2,9 @@
 
 Every layer that evaluates a netlist many times over one structure —
 the cycle oracle the SAT attack queries, the event simulator's settle
-pass, Tseitin encoding, equivalence and ATPG — used to re-walk the
-object-graph :class:`~repro.netlist.circuit.Circuit` per call:
+pass, the equivalence prefilter and ATPG's fault simulation — used to
+re-walk the object-graph :class:`~repro.netlist.circuit.Circuit` per
+call:
 string-keyed dicts, string dispatch per gate, a fresh Kahn sort per
 pass.  This module compiles a circuit **once** into flat
 structure-of-arrays over integer net IDs:
@@ -18,11 +19,12 @@ structure-of-arrays over integer net IDs:
   level, and the LUT truth table where applicable.
 
 The schedule order is **exactly** ``circuit.topological_order()`` — the
-levels are metadata, not a reordering — so consumers that assign CNF
-variables in iteration order produce byte-identical results before and
-after the migration.  Passes that run once per netlist edit (STA,
-constant propagation) walk ``topological_order()`` directly: the IR
-would be stale by their next call, so building it would be pure cost.
+levels are metadata, not a reordering.  Passes that do not evaluate
+walk ``topological_order()`` directly: STA and constant propagation,
+which run once per netlist edit (the IR would be stale by their next
+call, so building it would be pure cost), and the Tseitin encoder,
+which reads only the gate order
+(:func:`~repro.netlist.transform.combinational_view`).
 
 On top of the arrays sits a two-plane **bit-parallel** evaluator with
 full 0/1/X semantics: each net carries a ``value`` word and a ``known``
@@ -380,16 +382,13 @@ class CompiledCircuit:
         "ff_d_ids",
         "num_gates",
         "ops",
-        "functions",
         "gate_names",
         "out_ids",
         "out_names",
         "fanin_ptr",
         "fanin_ids",
         "fanin_tuples",
-        "fanin_name_tuples",
         "levels",
-        "truth_tables",
         "lut_value_planes",
         "_sched",
         "_iface_keyset",
@@ -445,14 +444,12 @@ class CompiledCircuit:
         self.ff_d_ids = tuple(net_ids[ff.pins["D"]] for ff in ffs)
 
         ops: List[int] = []
-        functions: List[str] = []
         gate_names: List[str] = []
         out_ids: List[int] = []
         fanin_ptr: List[int] = [0]
         fanin_ids: List[int] = []
         fanin_tuples: List[Tuple[int, ...]] = []
         levels: List[int] = []
-        truth_tables: List[Optional[Tuple[int, ...]]] = []
         lut_value_planes: List[Optional[Tuple[int, ...]]] = []
         level_of: Dict[int, int] = {}
 
@@ -465,7 +462,6 @@ class CompiledCircuit:
                 )
             fanin = tuple(net_ids[n] for n in gate.input_nets())
             ops.append(opcode)
-            functions.append(gate.function)
             gate_names.append(gate.name)
             out_ids.append(net_ids[gate.output])
             fanin_ids.extend(fanin)
@@ -475,7 +471,6 @@ class CompiledCircuit:
                 1 + max((level_of.get(n, 0) for n in fanin), default=0)
             )
             level_of[net_ids[gate.output]] = levels[-1]
-            truth_tables.append(gate.truth_table)
             if gate.truth_table is not None:
                 lut_value_planes.append(
                     tuple(self.mask if bit else 0 for bit in gate.truth_table)
@@ -488,18 +483,13 @@ class CompiledCircuit:
         self.net_ids = net_ids
         self.num_gates = len(ops)
         self.ops = tuple(ops)
-        self.functions = tuple(functions)
         self.gate_names = tuple(gate_names)
         self.out_ids = tuple(out_ids)
         self.out_names = tuple(net_names[i] for i in out_ids)
         self.fanin_ptr = tuple(fanin_ptr)
         self.fanin_ids = tuple(fanin_ids)
         self.fanin_tuples = tuple(fanin_tuples)
-        self.fanin_name_tuples = tuple(
-            tuple(net_names[i] for i in fanin) for fanin in fanin_tuples
-        )
         self.levels = tuple(levels)
-        self.truth_tables = tuple(truth_tables)
         self.lut_value_planes = tuple(lut_value_planes)
         self._sched = list(
             zip(self.ops, self.out_ids, self.fanin_tuples,
@@ -521,8 +511,13 @@ class CompiledCircuit:
         # they were compiled at the historical 64-lane width.
         state.setdefault("lanes", LANES)
         state.setdefault("mask", (1 << state["lanes"]) - 1)
-        # Older pickles also carry a cell-delay slot only STA read.
-        state.pop("delays", None)
+        # Older pickles also carry slots the class dropped once their
+        # only reader stopped using the IR: per-gate cell delays (STA)
+        # and the functions, fan-in names and truth tables the Tseitin
+        # encoder read.
+        for slot in ("delays", "functions", "fanin_name_tuples",
+                     "truth_tables"):
+            state.pop(slot, None)
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
         self._sched = list(

@@ -29,7 +29,7 @@ from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
 from .compiled import compile_circuit
-from .transform import extract_combinational
+from .transform import combinational_circuit, extract_combinational
 
 __all__ = [
     "EquivalenceResult",
@@ -52,12 +52,6 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _comb(circuit: Circuit) -> Circuit:
-    if circuit.flip_flops():
-        return extract_combinational(circuit).circuit
-    return circuit
-
-
 def check_equivalence(
     circuit_a: Circuit,
     circuit_b: Circuit,
@@ -71,8 +65,8 @@ def check_equivalence(
     Key inputs, if any, must be pinned by *key_a* / *key_b* — an
     unconstrained key would make the question ill-posed.
     """
-    a = _comb(circuit_a)
-    b = _comb(circuit_b)
+    a = combinational_circuit(circuit_a)
+    b = combinational_circuit(circuit_b)
     if sorted(a.inputs) != sorted(b.inputs):
         raise NetlistError(
             f"input interfaces differ: {sorted(a.inputs)[:4]}... vs "
@@ -135,7 +129,7 @@ def check_equivalence(
         enc_b = CircuitEncoder(cnf, b, shared, table=table)
         for encoder, key in ((enc_a, key_a), (enc_b, key_b)):
             for net, value in (key or {}).items():
-                if net not in encoder.circuit.key_inputs:
+                if net not in encoder.view.key_inputs:
                     lit = encoder.var_of[net]
                     cnf.add_clause([lit if value else -lit])
 
@@ -186,7 +180,6 @@ def check_sequential_equivalence(
     """
     # Deferred import: attacks depends on netlist, not vice versa.
     from ..attacks.unroll import _unroll
-    from .transform import extract_combinational
 
     if frames < 1:
         raise NetlistError("need at least one frame")

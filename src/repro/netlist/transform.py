@@ -1,11 +1,15 @@
 """Netlist transformations.
 
-The central one is :func:`extract_combinational`: the SAT attack on a
-sequential design first "extracts the combinational part ... by treating
-the inputs and outputs of FFs as pseudo primary outputs and inputs,
-respectively" (paper, Sec. VI).  The other helpers support the locking
-flows: exposing internal nets as key inputs after stripping KEYGENs, and
-inserting buffers.
+The central ones describe a netlist's combinational core: the SAT
+attack on a sequential design first "extracts the combinational part
+... by treating the inputs and outputs of FFs as pseudo primary outputs
+and inputs, respectively" (paper, Sec. VI).
+:func:`extract_combinational` builds that core as a new circuit (for
+the evaluators); :func:`combinational_view` describes it in place,
+without a copy (for the Tseitin encoder); :func:`combinational_circuit`
+is the flip-flop-free circuit of any netlist.  The other helpers
+support the locking flows: exposing internal nets as key inputs after
+stripping KEYGENs, and inserting buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .circuit import Circuit, Gate, NetlistError
 
 __all__ = [
     "CombinationalExtraction",
+    "CombinationalView",
+    "combinational_circuit",
+    "combinational_view",
     "extract_combinational",
     "remove_gates",
     "expose_as_key_input",
@@ -39,28 +46,43 @@ class CombinationalExtraction:
     pseudo_outputs: Dict[str, str]
 
 
+def _core_interface(
+    circuit: Circuit,
+) -> Tuple[List[str], List[str], List[Gate]]:
+    """(inputs, outputs, flip-flops) of *circuit*'s combinational core.
+
+    Inputs are the PIs then the flip-flops' Q nets, outputs the POs
+    then their D nets, both in flip-flop name order: the one order of
+    the extraction and the view alike.  The SAT attack maps a locked
+    netlist's outputs onto its oracle's by this position.
+    """
+    flip_flops = sorted(circuit.flip_flops(), key=lambda g: g.name)
+    return (circuit.inputs + [ff.output for ff in flip_flops],
+            circuit.outputs + [ff.pins["D"] for ff in flip_flops],
+            flip_flops)
+
+
 def extract_combinational(circuit: Circuit) -> CombinationalExtraction:
     """Remove flip-flops, exposing Q nets as PIs and D nets as POs.
 
     Scan flops lose their SI/SE connectivity (the attack model assumes
     full scan access, so the D path is what matters).  The clock net
-    disappears.  The original circuit is not modified.
+    disappears.  The original circuit is not modified.  The copy is
+    what the evaluators need; to encode a netlist,
+    :func:`combinational_view` describes the same core without one.
     """
     comb = Circuit(f"{circuit.name}__comb", circuit.library)
-    comb.inputs = list(circuit.inputs)
+    comb.inputs, comb.outputs, flip_flops = _core_interface(circuit)
     comb.key_inputs = list(circuit.key_inputs)
-    comb.outputs = list(circuit.outputs)
-    for net in comb.inputs + comb.key_inputs:
+    for net in circuit.inputs + circuit.key_inputs:
         comb._claim_driver(net, "")
 
     pseudo_inputs: Dict[str, str] = {}
     pseudo_outputs: Dict[str, str] = {}
-    for ff in sorted(circuit.flip_flops(), key=lambda g: g.name):
+    for ff in flip_flops:
         pseudo_inputs[ff.name] = ff.output
         pseudo_outputs[ff.name] = ff.pins["D"]
         comb._claim_driver(ff.output, "")
-        comb.inputs.append(ff.output)
-        comb.outputs.append(ff.pins["D"])
 
     for gate in circuit.gates.values():
         if gate.is_flip_flop:
@@ -74,6 +96,67 @@ def extract_combinational(circuit: Circuit) -> CombinationalExtraction:
         )
     comb.validate()
     return CombinationalExtraction(comb, pseudo_inputs, pseudo_outputs)
+
+
+def combinational_circuit(circuit: Circuit) -> Circuit:
+    """The flip-flop-free circuit of *circuit*: its
+    :func:`extract_combinational` copy if it has flip-flops, else
+    *circuit* itself."""
+    if circuit.flip_flops():
+        return extract_combinational(circuit).circuit
+    return circuit
+
+
+#: ``(function, output net, fan-in nets in pin order, LUT truth table)``
+ViewGate = Tuple[str, str, Tuple[str, ...], Optional[Tuple[int, ...]]]
+
+
+@dataclass(frozen=True)
+class CombinationalView:
+    """A netlist's combinational core, described without a copy.
+
+    The interface and name are those of
+    ``combinational_circuit(netlist)``: *inputs* are the PIs then the
+    flip-flops' Q nets, *outputs* the POs then their D nets, both in
+    flip-flop name order.  *gates* has one entry per combinational gate
+    of ``netlist.topological_order()``, which lists the gates as the
+    extraction's own ``topological_order()`` does, so an encoder
+    walking the view numbers variables as on the copy.  Build one per
+    use: the view reads the netlist as it is and goes stale on its
+    next edit.
+    """
+
+    name: str
+    inputs: List[str]
+    key_inputs: List[str]
+    outputs: List[str]
+    gates: List[ViewGate]
+
+
+def combinational_view(netlist: Circuit) -> CombinationalView:
+    """Describe *netlist*'s combinational core in place.
+
+    A sequential netlist is validated first, as
+    :func:`extract_combinational` validates its copy, so an undriven
+    net or a combinational cycle raises :class:`NetlistError` here too.
+    """
+    inputs, outputs, flip_flops = _core_interface(netlist)
+    name = netlist.name
+    if flip_flops:
+        netlist.validate()
+        name = f"{name}__comb"
+    return CombinationalView(
+        name=name,
+        inputs=inputs,
+        key_inputs=list(netlist.key_inputs),
+        outputs=outputs,
+        gates=[
+            (gate.cell.function, gate.output,
+             tuple([gate.pins[pin] for pin in gate.cell.inputs]),
+             gate.truth_table)
+            for gate in netlist.topological_order()
+        ],
+    )
 
 
 def remove_gates(circuit: Circuit, gate_names: Iterable[str]) -> List[str]:

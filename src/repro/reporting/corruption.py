@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..locking.base import LockedCircuit
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 from ..sim.harness import compare_with_original, random_input_sequence
 
 __all__ = ["CorruptionReport", "combinational_corruption",
@@ -63,16 +63,8 @@ def combinational_corruption(
     """
     rng = rng or random.Random(0)
     original = locked.original
-    comb_orig = (
-        extract_combinational(original).circuit
-        if original.flip_flops()
-        else original
-    )
-    comb_lock = (
-        extract_combinational(locked.circuit).circuit
-        if locked.circuit.flip_flops()
-        else locked.circuit
-    )
+    comb_orig = combinational_circuit(original)
+    comb_lock = combinational_circuit(locked.circuit)
     output_map = list(zip(comb_lock.outputs, comb_orig.outputs))
     observations = corrupted = 0
     for _ in range(wrong_keys):

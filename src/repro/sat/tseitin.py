@@ -2,17 +2,20 @@
 hashed.
 
 This is the bridge the SAT attack [11] uses: it turns the combinational
-view of a circuit into clauses.  :class:`CircuitEncoder` gives each gate
-a *literal* rather than a variable of its own: BUF and INV pass on their
-fan-in literal or its negation, NAND, OR, NOR and XNOR become signed
-literals of an AND or XOR node, constants fold onto one constant-true
-literal, and each remaining node is keyed on its operation and its
-folded fan-in literals (AIG-style structural hashing, Kuehlmann et al.,
-IEEE TCAD 2002).  A :class:`NodeTable` passed to
-several encoder calls makes them share nodes: two copies of a circuit
-that see the same fan-in literals get the same literal and emit its
-clauses once, which is how the SAT attack's miter copies, its DIP pins,
-the equivalence checker and ATPG stay small.
+core of a netlist into clauses.  :class:`CircuitEncoder` walks a
+:class:`~repro.netlist.transform.CombinationalView`, which describes
+that core in place (flip-flop Q nets as inputs, D nets as outputs), so
+a sequential netlist is encoded without an extracted copy.  It gives
+each gate a *literal* rather than a variable of its own: BUF and INV
+pass on their fan-in literal or its negation, NAND, OR, NOR and XNOR
+become signed literals of an AND or XOR node, constants fold onto one
+constant-true literal, and each remaining node is keyed on its
+operation and its folded fan-in literals (AIG-style structural
+hashing, Kuehlmann et al., IEEE TCAD 2002).  A :class:`NodeTable`
+passed to several encoder calls makes them share nodes: two copies of
+a circuit that see the same fan-in literals get the same literal and
+emit its clauses once, which is how the SAT attack's miter copies, its
+DIP pins, the equivalence checker and ATPG stay small.
 
 The rewrites are folding, trivial AND/XOR/MUX identities and hashing
 only.  Nothing re-associates, so a GK's arms
@@ -24,10 +27,12 @@ encoders.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.compiled import compile_circuit
+from ..netlist.transform import CombinationalView, combinational_view
 from .cnf import CNF
 
 __all__ = ["CircuitEncoder", "NodeTable", "encode_circuit",
@@ -254,14 +259,17 @@ class NodeTable:
 
 
 class CircuitEncoder:
-    """Encodes one combinational copy of a circuit into a shared CNF.
+    """Encodes one combinational copy of a netlist into a shared CNF.
 
     Args:
         cnf: Formula to append clauses/variables to.
-        circuit: Circuit to encode.  It must be purely combinational
-            (run it through
-            :func:`repro.netlist.transform.extract_combinational` first
-            if it has flip-flops).
+        circuit: The netlist to encode, combinational or sequential, or
+            its :func:`~repro.netlist.transform.combinational_view`.  A
+            netlist gets its view built on the spot; a caller encoding
+            one netlist several times builds the view once and passes
+            it.  Flip-flop Q nets are inputs and D nets outputs, in the
+            order of :func:`~repro.netlist.transform.extract_combinational`,
+            and the variables are numbered as on that copy.
         net_vars: Pre-assigned literals for some nets: shared primary
             inputs, a copy's own key variables, or constants from
             ``table.constant`` (a pinned pattern, a stuck-at fault).  A
@@ -277,17 +285,14 @@ class CircuitEncoder:
     def __init__(
         self,
         cnf: CNF,
-        circuit: Circuit,
+        circuit: Union[Circuit, CombinationalView],
         net_vars: Optional[Mapping[str, int]] = None,
         table: Optional[NodeTable] = None,
     ) -> None:
-        if circuit.flip_flops():
-            raise NetlistError(
-                f"circuit {circuit.name!r} is sequential; "
-                "extract the combinational core before encoding"
-            )
+        if isinstance(circuit, Circuit):
+            circuit = combinational_view(circuit)
         self.cnf = cnf
-        self.circuit = circuit
+        self.view = circuit
         self.table = NodeTable() if table is None else table
         self.var_of: Dict[str, int] = dict(net_vars or {})
         self._encode()
@@ -300,31 +305,28 @@ class CircuitEncoder:
         return var
 
     def _encode(self) -> None:
-        compiled = compile_circuit(self.circuit)
-        for net in self.circuit.inputs + self.circuit.key_inputs:
+        view = self.view
+        for net in view.inputs + view.key_inputs:
             self._var(net)
         cnf, gate, var_of = self.cnf, self.table.gate, self.var_of
-        for function, out, fanins, truth_table in zip(
-            compiled.functions, compiled.out_names,
-            compiled.fanin_name_tuples, compiled.truth_tables,
-        ):
+        for function, out, fanins, truth_table in view.gates:
             if out in var_of:
                 continue  # pre-bound by the caller: its driver is cut
             var_of[out] = gate(cnf, function, [
                 var_of[net] if net in var_of else self._var(net)
                 for net in fanins
             ], truth_table)
-        for net in self.circuit.outputs:
+        for net in view.outputs:
             self._var(net)
 
     def output_vars(self) -> Dict[str, int]:
-        return {net: self.var_of[net] for net in self.circuit.outputs}
+        return {net: self.var_of[net] for net in self.view.outputs}
 
     def input_vars(self) -> Dict[str, int]:
-        return {net: self.var_of[net] for net in self.circuit.inputs}
+        return {net: self.var_of[net] for net in self.view.inputs}
 
     def key_vars(self) -> Dict[str, int]:
-        return {net: self.var_of[net] for net in self.circuit.key_inputs}
+        return {net: self.var_of[net] for net in self.view.key_inputs}
 
 
 def miter_xors(

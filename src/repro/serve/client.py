@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..netlist.bench_io import write_bench
 from ..netlist.circuit import Circuit
 from ..netlist.compiled import PlaneBatch
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 from ..obs.propagate import attach_context
 from ..obs.snapshots import adopt_payload
 from ..obs.spans import trace_span
@@ -71,8 +71,7 @@ def register_request(circuit: Circuit,
     Every caller building the request here gets the same content ID
     for the same netlist.
     """
-    if circuit.flip_flops():
-        circuit = extract_combinational(circuit).circuit
+    circuit = combinational_circuit(circuit)
     text = io.StringIO()
     write_bench(circuit, text)
     return {

@@ -30,14 +30,14 @@ closes.
 from __future__ import annotations
 
 import asyncio
-import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.bench_io import parse_bench
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit
 from ..obs import context as _obs
 from ..obs import metrics as _metrics
 from ..obs.aggregate import FleetAggregator
@@ -115,8 +115,7 @@ def registration_view(
             "refusing to serve a locked netlist: an oracle wraps the "
             "original (keyless) design"
         )
-    if circuit.flip_flops():
-        circuit = extract_combinational(circuit).circuit
+    circuit = combinational_circuit(circuit)
     budget = request.get("budget", default_budget)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ProtocolError(f"invalid budget {budget!r}")
@@ -257,14 +256,16 @@ class OracleServer:
         # planes must not poison the co-batched evaluation of others.
         batch = decode_planes(entry.compiled.inputs, count,
                               request.get("planes"))
-        # An int or a finite float; a negative one expires at once
-        # (AdmissionController.deadline_for clamps it).  A bool, NaN or
-        # an infinity is refused: NaN would expire the request with the
-        # retryable deadline-exceeded, which a client retries for ever.
+        # An int or a float within float range; a negative one expires
+        # at once (AdmissionController.deadline_for clamps it).  A bool,
+        # NaN, an infinity or a larger int is refused: NaN would expire
+        # the request with the retryable deadline-exceeded, which a
+        # client retries for ever, and an int past float range would
+        # overflow deadline_for's float().
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is not None and not (
-                type(deadline_ms) is int
-                or type(deadline_ms) is float and math.isfinite(deadline_ms)):
+                type(deadline_ms) in (int, float)
+                and abs(deadline_ms) <= sys.float_info.max):
             raise ProtocolError(f"invalid deadline_ms {deadline_ms!r}")
         outputs = await self.batcher.submit(circuit_id, batch, deadline_ms)
         return {

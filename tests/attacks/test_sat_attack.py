@@ -174,3 +174,32 @@ class TestInterfaceChecks:
         b.po(b.inv(x), "y")
         with pytest.raises(NetlistError, match="interface"):
             sat_attack(locked.circuit, CombinationalOracle(b.circuit))
+
+    @staticmethod
+    def _keyed_sequential():
+        """y = a XOR q, q' = y XOR k0, plus a PO z for the flaw to drive."""
+        b = Builder("flawed")
+        b.clock("clk")
+        a = b.input("a")
+        k = b.key_input("k0")
+        q = b.circuit.new_net("q")
+        y = b.xor(a, q)
+        b.dff(b.xor(y, k), out=q, name="ff0")
+        b.po(y, "y")
+        return b, a, k
+
+    def test_sequential_netlist_with_undriven_net_rejected(
+            self, toy_sequential):
+        b, a, _k = self._keyed_sequential()
+        b.po(b.and2(a, "ghost"), "z")
+        with pytest.raises(NetlistError, match="undriven"):
+            sat_attack(b.circuit, CombinationalOracle(toy_sequential))
+
+    def test_sequential_netlist_with_combinational_cycle_rejected(
+            self, toy_sequential):
+        b, a, k = self._keyed_sequential()
+        loop = b.and2(a, "loop")
+        b.xor(loop, k, out="loop")
+        b.po(loop, "z")
+        with pytest.raises(NetlistError, match="cycle"):
+            sat_attack(b.circuit, CombinationalOracle(toy_sequential))

@@ -132,17 +132,26 @@ class TestPickle:
 
     def test_pickle_carrying_cell_delays_still_loads(self, toy_sequential,
                                                      monkeypatch):
-        # IRs in older campaign caches carry a per-gate cell-delay slot
-        # the class no longer has; unpickling skips it.
+        # IRs in older campaign caches carry slots the class no longer
+        # has (per-gate cell delays; the functions, fan-in names and
+        # truth tables the Tseitin encoder read); unpickling skips them.
         compiled = compile_circuit(toy_sequential)
-        delays = tuple(g.cell.delay for g in toy_sequential.topological_order())
-        old_state = dict(compiled.__getstate__(), delays=delays)
+        order = toy_sequential.topological_order()
+        old_state = dict(
+            compiled.__getstate__(),
+            delays=tuple(g.cell.delay for g in order),
+            functions=tuple(g.function for g in order),
+            fanin_name_tuples=tuple(g.input_nets() for g in order),
+            truth_tables=tuple(g.truth_table for g in order),
+        )
         monkeypatch.setattr(CompiledCircuit, "__getstate__",
                             lambda self: dict(old_state))
         data = pickle.dumps(compiled)
         monkeypatch.undo()
         clone = pickle.loads(data)
-        assert not hasattr(clone, "delays")
+        for dropped in ("delays", "functions", "fanin_name_tuples",
+                        "truth_tables"):
+            assert not hasattr(clone, dropped)
         assert clone.net_names == compiled.net_names
         assert clone.evaluate({"a": 1, "b": 0}) == compiled.evaluate(
             {"a": 1, "b": 0}
@@ -211,9 +220,10 @@ class TestCompiledStructure:
         order = toy_sequential.topological_order()
         assert compiled.gate_names == tuple(g.name for g in order)
         assert compiled.out_names == tuple(g.output for g in order)
-        assert compiled.fanin_name_tuples == tuple(
-            g.input_nets() for g in order
-        )
+        assert tuple(
+            tuple(compiled.net_names[i] for i in fanin)
+            for fanin in compiled.fanin_tuples
+        ) == tuple(g.input_nets() for g in order)
 
     def test_levels_monotone_along_fanin(self, s1238):
         compiled = compile_circuit(s1238.circuit)

@@ -34,7 +34,7 @@ from random_circuits import all_patterns, bits, circuits, simulate
 from repro.attacks.sat_attack import KeyConeMiter
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.netlist.compiled import compile_circuit
-from repro.netlist.transform import extract_combinational
+from repro.netlist.transform import combinational_view, extract_combinational
 from repro.sat import CNF, CircuitEncoder, Solver
 from repro.sat.tseitin import NodeTable
 
@@ -166,7 +166,8 @@ def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
     simulation."""
     solver = Solver()
     miter = KeyConeMiter(
-        solver, circuit, {net: net for net in circuit.outputs}
+        solver, combinational_view(circuit),
+        {net: net for net in circuit.outputs},
     )
     keys = all_patterns(circuit.key_inputs)
     matches = [True] * len(keys)
@@ -203,7 +204,8 @@ def test_miter_sat_iff_two_keys_disagree(circuit):
     witness."""
     solver = Solver()
     miter = KeyConeMiter(
-        solver, circuit, {net: net for net in circuit.outputs}
+        solver, combinational_view(circuit),
+        {net: net for net in circuit.outputs},
     )
     compiled = compile_circuit(circuit)
     keys = all_patterns(circuit.key_inputs)

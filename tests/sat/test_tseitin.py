@@ -3,11 +3,16 @@
 import itertools
 import random
 
-import pytest
+from hypothesis import given, strategies as st
+from hypothesis_profiles import active_profile
 
-from repro.netlist import Builder, NetlistError
+from repro.bench.generator import GeneratorSpec, random_sequential_circuit
+from repro.locking import XorLock
+from repro.netlist import Builder
+from repro.netlist.transform import combinational_view, extract_combinational
 from repro.sat import CNF, CircuitEncoder, Solver, encode_circuit
 from repro.sim import evaluate_combinational
+from repro.sim.cyclesim import evaluate_combinational_interpreted
 
 
 def check_encoder_matches_simulation(circuit, trials=None):
@@ -37,6 +42,61 @@ def check_encoder_matches_simulation(circuit, trials=None):
                 net,
                 assignment,
             )
+
+
+def check_sequential_encoding(netlist):
+    """Encoding *netlist* in place equals encoding its extracted copy:
+    the same clause list, variable count and ``var_of``.  With at most
+    10 inputs and keys, every full assignment of them has exactly one
+    model, whose outputs are the interpreted evaluator's on the copy."""
+    extraction = extract_combinational(netlist).circuit
+    view = combinational_view(netlist)
+    assert (view.name, view.inputs, view.key_inputs, view.outputs) == (
+        extraction.name, extraction.inputs, extraction.key_inputs,
+        extraction.outputs,
+    )
+    cnf, copy_cnf = CNF(), CNF()
+    encoder = CircuitEncoder(cnf, netlist)
+    on_copy = CircuitEncoder(copy_cnf, extraction)
+    assert cnf.clauses == copy_cnf.clauses
+    assert cnf.num_vars == copy_cnf.num_vars
+    assert encoder.var_of == on_copy.var_of
+
+    drive = extraction.inputs + extraction.key_inputs
+    if len(drive) > 10:
+        return
+    solver = Solver()
+    solver.add_cnf(cnf)
+    for bits in itertools.product((0, 1), repeat=len(drive)):
+        assignment = dict(zip(drive, bits))
+        assumptions = [
+            encoder.var_of[net] if value else -encoder.var_of[net]
+            for net, value in assignment.items()
+        ]
+        assert solver.solve(assumptions), assignment
+        expected = evaluate_combinational_interpreted(extraction, assignment)
+        for net in extraction.outputs:
+            assert solver.model_lit(encoder.var_of[net]) == bool(
+                expected[net]), (net, assignment)
+        model = solver.model()
+        solver.add_clause([-var if value else var
+                           for var, value in model.items()])
+        assert not solver.solve(assumptions), ("second model", assignment)
+
+
+@active_profile()
+@given(
+    inputs=st.integers(1, 4), outputs=st.integers(1, 3),
+    flip_flops=st.integers(1, 4), gates=st.integers(2, 30),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_sequential_encoding_matches_extraction(inputs, outputs, flip_flops,
+                                                gates, seed):
+    """Seeded small sequential netlists encode as their extraction."""
+    check_sequential_encoding(random_sequential_circuit(GeneratorSpec(
+        name="seq", num_inputs=inputs, num_outputs=outputs,
+        num_flip_flops=flip_flops, num_combinational=gates, seed=seed,
+    )))
 
 
 class TestEncoding:
@@ -89,9 +149,22 @@ class TestEncoding:
         solver.add_cnf(extra)
         assert not solver.solve([x])
 
-    def test_sequential_circuit_rejected(self, toy_sequential):
-        with pytest.raises(NetlistError, match="sequential"):
-            encode_circuit(toy_sequential)
+    def test_sequential_netlist_encodes_as_its_extraction(
+            self, toy_sequential):
+        check_sequential_encoding(toy_sequential)
+
+    def test_locked_netlist_encodes_as_its_extraction(self):
+        """Key gates are added after the gates they feed, so the walk
+        must follow the topological order, not insertion order."""
+        design = random_sequential_circuit(GeneratorSpec(
+            name="lockme", num_inputs=3, num_outputs=2, num_flip_flops=3,
+            num_combinational=20, seed=5,
+        ))
+        locked = XorLock().lock(design, 3, random.Random(1))
+        check_sequential_encoding(locked.circuit)
+
+    def test_benchmark_encodes_as_its_extraction(self, s1238):
+        check_sequential_encoding(s1238.circuit)
 
     def test_toy_combinational_exhaustive(self, toy_combinational):
         check_encoder_matches_simulation(toy_combinational)

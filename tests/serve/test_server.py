@@ -146,6 +146,21 @@ class TestDispatch:
         assert server.batcher.lanes_total == 0
         assert server.admission.admitted == 0
 
+    def test_deadline_past_float_range_is_a_protocol_error(self):
+        """An int deadline too large for a float is refused on the wire
+        check, not by an OverflowError in admission (a serve-error)."""
+        server = OracleServer()
+        circuit = build_chain()
+        response = dispatch(
+            server,
+            {"op": "register", "netlist": bench_text(circuit),
+             "name": circuit.name},
+            {"op": "query", "circuit": circuit_content_id(circuit),
+             "count": 1, "planes": [["1", "1"]], "deadline_ms": 10 ** 400},
+        )[1]
+        assert response["error"]["code"] == "protocol-error"
+        assert server.admission.stats()["admitted"] == 0
+
     def test_oversized_count_refused_before_decoding(self):
         """The count is bounded before it sizes a single plane word."""
         server = OracleServer()
