@@ -109,7 +109,8 @@ try:
     import pytest_benchmark  # noqa: F401
 except ImportError:
     # CI's fast image has no pytest-benchmark; a minimal stand-in keeps
-    # the suite collectible — one timed call, no statistics.
+    # the suite runnable — one timed call, no statistics, for both the
+    # plain and the pedantic form.
     @pytest.fixture
     def benchmark():
         import time
@@ -120,6 +121,10 @@ except ImportError:
             run.elapsed = time.perf_counter() - start
             return result
 
+        def pedantic(fn, args=(), kwargs=None, rounds=1, iterations=1):
+            return run(fn, *args, **(kwargs or {}))
+
+        run.pedantic = pedantic
         return run
 
 

@@ -14,7 +14,7 @@ Three results, matching the paper's argument structure:
 
 import pytest
 
-from repro.attacks import find_delay_test, tcf_attack, two_vector_response
+from repro.attacks import SimulatedTwoVectorOracle, find_delay_test, tcf_attack
 from repro.core.gk import build_gk_demo
 from repro.netlist import Builder
 from repro.synth import insert_delay_chain
@@ -49,7 +49,7 @@ def test_tcf_cracks_delay_locking(benchmark):
 
     result = benchmark.pedantic(
         tcf_attack,
-        args=(locked, locked, {"k": 0}, 0.3),
+        args=(locked, SimulatedTwoVectorOracle(locked, {"k": 0}), 0.3),
         kwargs={"dt": 0.05, "max_iterations": 16},
         rounds=1,
         iterations=1,
@@ -72,7 +72,7 @@ def test_tcf_fails_on_gk(benchmark):
 
     result = benchmark.pedantic(
         tcf_attack,
-        args=(view, oracle.circuit, None, 0.6),
+        args=(view, SimulatedTwoVectorOracle(oracle.circuit), 0.6),
         kwargs={"dt": 0.05, "max_iterations": 8},
         rounds=1,
         iterations=1,

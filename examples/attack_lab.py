@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.attacks import (
     CombinationalOracle,
+    SimulatedTwoVectorOracle,
     enhanced_removal_attack,
     removal_attack,
     scan_attack,
@@ -82,7 +83,9 @@ def main():
     chain = insert_delay_chain(b.circuit, a, 0.5, prefix="slow")
     b.po(b.mux2(a, chain.output_net, k), "y")
     delay_locked = b.circuit
-    tcf_delay = tcf_attack(delay_locked, delay_locked, {"k": 0}, 0.3)
+    tcf_delay = tcf_attack(
+        delay_locked, SimulatedTwoVectorOracle(delay_locked, {"k": 0}), 0.3
+    )
     print(f"  vs delay key (TDK-style) -> {verdict(tcf_delay.completed and tcf_delay.key == {'k': 0})} "
           f"({tcf_delay.iterations} timed DIPs)")
     gk_demo = build_gk_demo(0.2, 0.3)
@@ -92,7 +95,8 @@ def main():
     ob = Builder("orc")
     x = ob.input("x")
     ob.po(ob.buf(x), "y")
-    tcf_gk = tcf_attack(view, ob.circuit, None, 0.6, max_iterations=8)
+    tcf_gk = tcf_attack(view, SimulatedTwoVectorOracle(ob.circuit), 0.6,
+                        max_iterations=8)
     print(f"  vs glitch key            -> "
           f"{verdict(not tcf_gk.unsat_at_first_iteration)} "
           f"(no DIP: a static key variable cannot glitch)")

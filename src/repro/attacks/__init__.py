@@ -33,15 +33,13 @@ from .enhanced_removal import (
 )
 from .tcf import (
     SimulatedTwoVectorOracle,
-    TcfAttackResult,
-    encode_timed,
     find_delay_test,
     tcf_attack,
     two_vector_response,
 )
 from .scan import ScanAttackResult, ScanChain, insert_scan_chain, scan_attack
 from .appsat import AppSatResult, appsat_attack
-from .unroll import SequentialAttackResult, sequential_sat_attack
+from .unroll import sequential_sat_attack
 
 __all__ = [
     "AttackOutcome", "recovered_corruption", "score_recovery",
@@ -53,9 +51,9 @@ __all__ = [
     "RemovalResult", "removal_attack", "signal_probabilities",
     "EnhancedRemovalResult", "LocatedGk", "enhanced_removal_attack",
     "locate_gk_structures",
-    "SimulatedTwoVectorOracle", "TcfAttackResult", "encode_timed",
-    "find_delay_test", "tcf_attack", "two_vector_response",
+    "SimulatedTwoVectorOracle", "find_delay_test", "tcf_attack",
+    "two_vector_response",
     "ScanAttackResult", "ScanChain", "insert_scan_chain", "scan_attack",
     "AppSatResult", "appsat_attack",
-    "SequentialAttackResult", "sequential_sat_attack",
+    "sequential_sat_attack",
 ]

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..locking.base import LockedCircuit
 from ..netlist.circuit import Circuit
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import extract_combinational
+from ..netlist.transform import combinational_circuit, extract_combinational
 from ..synth.optimize import sweep_dead_gates
 from .oracle import CombinationalOracle
 
@@ -252,11 +252,7 @@ def removal_attack(
     result.restored = restored
 
     # Designer-side ground truth accuracy.
-    original_comb = (
-        extract_combinational(locked.original).circuit
-        if locked.original.flip_flops()
-        else locked.original
-    )
+    original_comb = combinational_circuit(locked.original)
     output_map = dict(zip(restored.outputs, original_comb.outputs))
     patterns_drawn: List[Dict[str, int]] = []
     assignments: List[Dict[str, int]] = []

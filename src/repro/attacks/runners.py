@@ -233,8 +233,8 @@ def _run_tcf(context: AttackContext) -> AttackOutcome:
     start = time.perf_counter()
     result = tcf_attack(
         target,
-        oracle=oracle,
-        sample_time=sample_time,
+        oracle,
+        sample_time,
         dt=context.param("dt", 0.25),
         max_iterations=context.param("max_iterations", 32),
     )

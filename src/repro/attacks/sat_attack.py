@@ -11,6 +11,14 @@ correct — for ordinary locking.  :class:`KeyConeMiter` builds that
 formula on one structural-hash table, so copy 2 and each pin add
 clauses only for the keys' fan-out cone (see its docstring).
 
+:func:`dip_loop` is the one loop of the attack's three families: the
+combinational attack here (:func:`sat_attack`, scan access assumed), the
+unrolled attack without scan access
+(:func:`~repro.attacks.unroll.sequential_sat_attack`) and the timed
+attack over two-vector tests (:func:`~repro.attacks.tcf.tcf_attack`).
+They differ only in the copy the miter encodes (a
+:mod:`repro.netlist.transform` view) and in how the oracle is asked.
+
 Against the paper's GK-locked designs, the very first DIP query returns
 UNSAT (the GK key inputs are combinationally non-influential), so the
 attack "succeeds" immediately with an arbitrary key — and the function
@@ -24,13 +32,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import (
-    CombinationalView, combinational_circuit, combinational_view,
-)
+from ..netlist.transform import combinational_circuit, combinational_view
 from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
 from ..sat.cnf import CNF
@@ -39,7 +45,8 @@ from ..sat.tseitin import CircuitEncoder, NodeTable, miter_xors
 from .oracle import OracleProtocol
 
 __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
-           "SatAttackResult", "sat_attack", "verify_key_against_oracle"]
+           "SatAttackResult", "dip_loop", "sat_attack",
+           "verify_key_against_oracle"]
 
 #: Version of :class:`KeyConeMiter`'s variable numbering.  Warm-start
 #: clause pools are stored by variable number, so
@@ -71,7 +78,7 @@ class IterationStats:
 
 @dataclass
 class SatAttackResult:
-    """Outcome of one SAT attack run."""
+    """Outcome of one run of :func:`dip_loop`, for any family."""
 
     completed: bool  # the DIP loop terminated (UNSAT) within budget
     key: Optional[Dict[str, int]]  # a key consistent with all DIPs
@@ -79,7 +86,10 @@ class SatAttackResult:
     #: the GK signature (Sec. VI): the cold miter is UNSAT at once;
     #: never set for a warm-started solver
     unsat_at_first_iteration: bool
-    dips: List[Dict[str, int]] = field(default_factory=list)
+    #: what each DIP asked the oracle: an input pattern (``sat``), an
+    #: input sequence from reset (``sequential``) or a (V1, V2) pair
+    #: (``tcf``)
+    dips: List[Any] = field(default_factory=list)
     oracle_queries: int = 0
     solver_conflicts: int = 0
     solver_decisions: int = 0
@@ -109,9 +119,13 @@ def _interface_map(comb, oracle: OracleProtocol) -> Dict[str, str]:
 class KeyConeMiter:
     """The SAT attack's two-copy miter, on one structural-hash table.
 
-    *view* is the locked netlist's
-    :func:`~repro.netlist.transform.combinational_view`, built once and
-    encoded by every copy and pin.  Copy 1 encodes it; copy 2 encodes it
+    *view* is the locked netlist's copy kind, built once and encoded by
+    every copy and pin: its
+    :func:`~repro.netlist.transform.combinational_view`, its
+    :func:`~repro.netlist.transform.unrolled_view` or its
+    :func:`~repro.netlist.transform.timed_view`.  The miter reads only
+    the view's input, key and output names (nets or tags), so the three
+    kinds fold and hash alike.  Copy 1 encodes it; copy 2 encodes it
     again with fresh key variables and copy 1's primary-input literals,
     through the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate
     outside the keys' fan-out cone sees copy 1's fan-in literals, so it
@@ -123,7 +137,8 @@ class KeyConeMiter:
     variables, so the pattern folds through its constants and only the
     key-dependent remainder gets new nodes, shared wherever the two
     copies (or earlier pins) built the same node.  *oracle_output_of*
-    maps each output of *view* to the oracle's name for it.
+    maps each output of *view* to the response's name for it; a
+    response of None (an unknown observation) pins nothing.
 
     Soundness, against the plain two-copy encoding:
 
@@ -145,8 +160,8 @@ class KeyConeMiter:
     def __init__(
         self,
         solver: Solver,
-        view: CombinationalView,
-        oracle_output_of: Mapping[str, str],
+        view,
+        oracle_output_of: Mapping,
     ) -> None:
         self.solver = solver
         self.view = view
@@ -184,9 +199,9 @@ class KeyConeMiter:
         self._add(cnf)
         return encoder
 
-    def pin(self, pattern: Mapping[str, int], response: Mapping) -> int:
-        """Constrain both copies to answer *response* on *pattern*;
-        returns the number of clauses added."""
+    def pin(self, pattern: Mapping, response: Mapping) -> int:
+        """Constrain both copies to answer *response* on *pattern*
+        (input name -> bit); returns the number of clauses added."""
         view = self.view
         table = self.table
         cnf = CNF(num_vars=self.solver.num_vars)
@@ -199,20 +214,121 @@ class KeyConeMiter:
                 cnf, view, dict(constants, **key_vars), table=table
             )
             for net in view.outputs:
+                value = response[self.oracle_output_of[net]]
+                if value is None:
+                    continue
                 lit = encoder.var_of[net]
-                if not response[self.oracle_output_of[net]]:
+                if not value:
                     lit = -lit
                 if lit != true:  # else a constant output that agrees
                     cnf.add_clause([lit])
         return self._add(cnf)
 
-    def dip(self, model: Mapping[int, bool]) -> Dict[str, int]:
-        """The primary-input pattern of a model of the miter."""
+    def dip(self, model: Mapping[int, bool]) -> Dict:
+        """The input pattern (input name -> bit) of a model of the miter."""
         return {net: int(model[var]) for net, var in self.pi_vars.items()}
 
     def key(self, model: Mapping[int, bool]) -> Dict[str, int]:
         """Copy 1's key in a model of the miter."""
         return {net: int(model[var]) for net, var in self.key_vars[0].items()}
+
+
+def dip_loop(
+    family: str,
+    view,
+    oracle_output_of: Mapping,
+    query: Callable[[Dict], Tuple[Any, Mapping]],
+    max_iterations: int,
+    solver: Optional[Solver] = None,
+) -> SatAttackResult:
+    """Run the DIP loop on a :class:`KeyConeMiter` of *view*.
+
+    Each iteration asks the solver for a DIP, hands its input pattern
+    (input name -> bit) to *query*, and pins both copies to the answer.
+    *query* returns ``(dip, response)``: what it asked the oracle, kept
+    in ``result.dips``, and the observation, keyed by the values of
+    *oracle_output_of*.  When no DIP remains, a key consistent with
+    every pin is extracted; an over-constrained miter (no consistent
+    key at all) leaves ``key`` None.
+
+    The run opens the spans ``attack.<family>``, ``.encode``, one
+    ``.iteration`` per query plus the final one and ``.key_extract``,
+    and counts ``attack.<family>.iterations`` and ``.oracle_queries``.
+    *solver* replaces the default fresh :class:`Solver` (e.g. one
+    seeded by :func:`~repro.attacks.warm_start.warm_solver`); it must
+    have no clauses added yet.
+    """
+    if not view.key_inputs:
+        raise NetlistError("netlist has no key inputs; nothing to attack")
+    if solver is None:
+        solver = Solver()
+    name = f"attack.{family}"
+    iteration_name = f"{name}.iteration"
+    iterations, queries = f"{name}.iterations", f"{name}.oracle_queries"
+
+    t_start = time.perf_counter()
+    # Touch the loop counters so they appear in metric tables even for
+    # the paper's headline case (UNSAT at iteration 1: zero of each).
+    _metrics.inc(iterations, 0)
+    _metrics.inc(queries, 0)
+    with trace_span(
+        name, design=view.name, key_bits=len(view.key_inputs)
+    ) as attack_span:
+        with trace_span(f"{name}.encode") as encode_span:
+            miter = KeyConeMiter(solver, view, oracle_output_of)
+            encode_span.annotate(
+                vars=solver.num_vars, clauses=miter.clauses,
+                merged_outputs=miter.merged_outputs,
+            )
+
+        result = SatAttackResult(
+            completed=False, key=None, iterations=0,
+            unsat_at_first_iteration=False,
+        )
+        for iteration in range(max_iterations):
+            with trace_span(
+                iteration_name, index=iteration + 1
+            ) as iteration_span:
+                if not solver.solve([miter.diff]):
+                    result.completed = True
+                    break
+                pattern = miter.dip(solver.model())
+                dip, response = query(pattern)
+                result.dips.append(dip)
+                result.iterations += 1
+                result.oracle_queries += 1
+                _metrics.inc(queries)
+                iteration_span.annotate(
+                    pin_clauses=miter.pin(pattern, response))
+                result.iteration_stats.append(IterationStats(
+                    index=result.iterations,
+                    seconds=time.perf_counter() - t_start,
+                    solver_decisions=solver.num_decisions,
+                    solver_conflicts=solver.num_conflicts,
+                    solver_propagations=solver.num_propagations,
+                    oracle_queries=result.oracle_queries,
+                    clauses=solver.num_clauses,
+                ))
+                _metrics.inc(iterations)
+
+        # The GK signature is a property of the cold miter: a solver
+        # seeded with an earlier run's clauses may already pin the key
+        # of any lock and so refute the first query for another reason.
+        result.unsat_at_first_iteration = (
+            result.completed and result.iterations == 0
+            and solver.num_imported == 0
+        )
+        result.solver_conflicts = solver.num_conflicts
+        result.solver_decisions = solver.num_decisions
+        if result.completed:
+            with trace_span(f"{name}.key_extract"):
+                if solver.solve([]):
+                    result.key = miter.key(solver.model())
+        attack_span.annotate(
+            iterations=result.iterations, completed=result.completed,
+            unsat_at_first=result.unsat_at_first_iteration,
+        )
+    return result
 
 
 def sat_attack(
@@ -235,78 +351,11 @@ def sat_attack(
     it must have no clauses added yet.
     """
     view = combinational_view(locked_netlist)
-    if not view.key_inputs:
-        raise NetlistError("netlist has no key inputs; nothing to attack")
-    oracle_output_of = _interface_map(view, oracle)
-
-    if solver is None:
-        solver = Solver()
-
-    t_start = time.perf_counter()
-    # Touch the loop counters so they appear in metric tables even for
-    # the paper's headline case (UNSAT at iteration 1: zero of each).
-    _metrics.inc("attack.sat.iterations", 0)
-    _metrics.inc("attack.sat.oracle_queries", 0)
-    with trace_span(
-        "attack.sat", design=view.name, key_bits=len(view.key_inputs)
-    ) as attack_span:
-        with trace_span("attack.sat.encode") as encode_span:
-            miter = KeyConeMiter(solver, view, oracle_output_of)
-            encode_span.annotate(
-                vars=solver.num_vars, clauses=miter.clauses,
-                merged_outputs=miter.merged_outputs,
-            )
-
-        result = SatAttackResult(
-            completed=False, key=None, iterations=0,
-            unsat_at_first_iteration=False,
-        )
-        for iteration in range(max_iterations):
-            with trace_span(
-                "attack.sat.iteration", index=iteration + 1
-            ) as iteration_span:
-                if not solver.solve([miter.diff]):
-                    result.completed = True
-                    break
-                dip = miter.dip(solver.model())
-                result.dips.append(dip)
-                result.iterations += 1
-                response = oracle.query(dip)
-                result.oracle_queries += 1
-                _metrics.inc("attack.sat.oracle_queries")
-                iteration_span.annotate(pin_clauses=miter.pin(dip, response))
-                result.iteration_stats.append(IterationStats(
-                    index=result.iterations,
-                    seconds=time.perf_counter() - t_start,
-                    solver_decisions=solver.num_decisions,
-                    solver_conflicts=solver.num_conflicts,
-                    solver_propagations=solver.num_propagations,
-                    oracle_queries=result.oracle_queries,
-                    clauses=solver.num_clauses,
-                ))
-                _metrics.inc("attack.sat.iterations")
-
-        # The GK signature is a property of the cold miter: a solver
-        # seeded with an earlier run's clauses may already pin the key
-        # of any lock and so refute the first query for another reason.
-        result.unsat_at_first_iteration = (
-            result.completed and result.iterations == 0
-            and solver.num_imported == 0
-        )
-        result.solver_conflicts = solver.num_conflicts
-        result.solver_decisions = solver.num_decisions
-        if result.completed:
-            with trace_span("attack.sat.key_extract"):
-                if solver.solve([]):
-                    result.key = miter.key(solver.model())
-                else:
-                    # over-constrained: no consistent key at all
-                    result.key = None
-        attack_span.annotate(
-            iterations=result.iterations, completed=result.completed,
-            unsat_at_first=result.unsat_at_first_iteration,
-        )
-    return result
+    return dip_loop(
+        "sat", view, _interface_map(view, oracle),
+        lambda pattern: (pattern, oracle.query(pattern)),
+        max_iterations, solver,
+    )
 
 
 def verify_key_against_oracle(

@@ -29,7 +29,7 @@ from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
 from .compiled import compile_circuit
-from .transform import combinational_circuit, extract_combinational
+from .transform import combinational_circuit, unrolled_view
 
 __all__ = [
     "EquivalenceResult",
@@ -177,61 +177,56 @@ def check_sequential_equivalence(
     so it tolerates re-encoded or restructured state (e.g. a design
     where retiming moved logic across registers).  UNSAT proves no
     input sequence of the given length distinguishes the machines.
+    Both :func:`~repro.netlist.transform.unrolled_view` copies hash into
+    one table over shared per-frame inputs, with the key inputs pinned
+    by *key_a* / *key_b* bound to constants, so outputs whose copies
+    share one literal in every frame need no SAT call.  The
+    counterexample maps ``"<input>@<frame>"`` to its bit for every
+    frame of the distinguishing sequence.
     """
-    # Deferred import: attacks depends on netlist, not vice versa.
-    from ..attacks.unroll import _unroll
-
-    if frames < 1:
-        raise NetlistError("need at least one frame")
+    view_a = unrolled_view(circuit_a, frames)
+    view_b = unrolled_view(circuit_b, frames)
     if sorted(circuit_a.inputs) != sorted(circuit_b.inputs):
         raise NetlistError("input interfaces differ")
     if len(circuit_a.outputs) != len(circuit_b.outputs):
         raise NetlistError("output counts differ")
-
-    cnf = CNF()
-    solver = Solver()
-    copies = []
     for circuit, key in ((circuit_a, key_a), (circuit_b, key_b)):
-        extraction = extract_combinational(circuit)
-        missing = set(extraction.circuit.key_inputs) - set(key or {})
+        missing = set(circuit.key_inputs) - set(key or {})
         if missing:
             raise NetlistError(
                 f"unpinned key inputs {sorted(missing)[:4]}"
             )
-        shared_pis = copies[0].pi_vars if copies else None
-        copy = _unroll(
-            cnf,
-            extraction.circuit,
-            extraction.pseudo_inputs,
-            extraction.pseudo_outputs,
-            list(circuit.outputs),
-            frames,
-            shared_pis=shared_pis,
-        )
-        for net, value in (key or {}).items():
-            var = copy.key_vars[net]
-            cnf.add_clause([var if value else -var])
-        copies.append(copy)
 
-    xor_vars = []
-    for t in range(frames):
-        for net_a, net_b in zip(circuit_a.outputs, circuit_b.outputs):
-            x = cnf.new_var()
-            cnf.add_xor(
-                x, copies[0].po_vars[t][net_a], copies[1].po_vars[t][net_b]
-            )
-            xor_vars.append(x)
-    diff = cnf.new_var()
-    cnf.add_or(diff, xor_vars)
-    cnf.add_clause([diff])
-    solver.add_cnf(cnf)
-    if not solver.solve():
-        return EquivalenceResult(True, None, None)
-    model = solver.model()
-    # Report the first frame's inputs of the distinguishing sequence.
+    # Deferred import: repro.sat.tseitin imports this package.
+    from ..sat.tseitin import CircuitEncoder, NodeTable, miter_xors
+
+    with trace_span("netlist.sequential_equivalence",
+                    frames=frames) as span:
+        cnf = CNF()
+        table = NodeTable()
+        enc_a = CircuitEncoder(cnf, view_a,
+                               _pinned_keys(circuit_a, key_a, table, cnf),
+                               table=table)
+        shared = {tag: enc_a.var_of[tag] for tag in view_a.inputs}
+        shared.update(_pinned_keys(circuit_b, key_b, table, cnf))
+        enc_b = CircuitEncoder(cnf, view_b, shared, table=table)
+        unmerged = miter_xors(cnf, (
+            (None, enc_a.var_of[(net_a, t)], enc_b.var_of[(net_b, t)])
+            for t in range(frames)
+            for net_a, net_b in zip(circuit_a.outputs, circuit_b.outputs)
+        ))
+        span.annotate(merged=len(view_a.outputs) - len(unmerged),
+                      unmerged=len(unmerged), solved=bool(unmerged))
+        if not unmerged:
+            return EquivalenceResult(True, None, None)
+        cnf.add_clause([x for _, x in unmerged])
+        solver = Solver()
+        solver.add_cnf(cnf)
+        if not solver.solve():
+            return EquivalenceResult(True, None, None)
+        model = solver.model()
     counterexample = {
-        f"{net}@{t}": int(model[copies[0].pi_vars[t][net]])
-        for t in range(frames)
-        for net in copies[0].pi_vars[t]
+        f"{net}@{t}": int(model[enc_a.var_of[(net, t)]])
+        for net, t in view_a.inputs
     }
     return EquivalenceResult(False, counterexample, None)

@@ -7,9 +7,14 @@ and inputs, respectively" (paper, Sec. VI).
 :func:`extract_combinational` builds that core as a new circuit (for
 the evaluators); :func:`combinational_view` describes it in place,
 without a copy (for the Tseitin encoder); :func:`combinational_circuit`
-is the flip-flop-free circuit of any netlist.  The other helpers
-support the locking flows: exposing internal nets as key inputs after
-stripping KEYGENs, and inserting buffers.
+is the flip-flop-free circuit of any netlist.  The encoder's two other
+copy kinds are described on top of the core view:
+:func:`unrolled_view` (T clock cycles from reset, for the attack
+without scan access and bounded sequential equivalence) and
+:func:`timed_view` (one copy per time tick, for the timed attack of
+Sec. V-B).  The other helpers support the locking flows: exposing
+internal nets as key inputs after stripping KEYGENs, and inserting
+buffers.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ from .circuit import Circuit, Gate, NetlistError
 __all__ = [
     "CombinationalExtraction",
     "CombinationalView",
+    "TimedView",
+    "UnrolledView",
     "combinational_circuit",
     "combinational_view",
     "extract_combinational",
+    "timed_view",
+    "unrolled_view",
     "remove_gates",
     "expose_as_key_input",
     "fanin_depths",
@@ -156,6 +165,97 @@ def combinational_view(netlist: Circuit) -> CombinationalView:
              gate.truth_table)
             for gate in netlist.topological_order()
         ],
+    )
+
+
+@dataclass(frozen=True)
+class UnrolledView:
+    """*frames* clock cycles of a netlist from the all-zero reset state.
+
+    *core* is the netlist's :class:`CombinationalView` and *state* pairs
+    each flip-flop's Q net with its D net, in the core's order.  The
+    encoder walks *core* once per frame: frame 0's Q nets read constant
+    0 and frame t's read frame t-1's D nets.  *inputs* are
+    ``(primary input, frame)`` tags, *outputs* ``(primary output,
+    frame)`` tags, and the key inputs are static across frames.
+    """
+
+    name: str
+    core: CombinationalView
+    frames: int
+    state: List[Tuple[str, str]]
+    inputs: List[Tuple[str, int]]
+    key_inputs: List[str]
+    outputs: List[Tuple[str, int]]
+
+
+def unrolled_view(netlist: Circuit, frames: int) -> UnrolledView:
+    """Describe *frames* cycles of *netlist* from reset, in place."""
+    if frames < 1:
+        raise NetlistError("need at least one frame")
+    core = combinational_view(netlist)
+    pis, pos = len(netlist.inputs), len(netlist.outputs)
+    return UnrolledView(
+        name=netlist.name,
+        core=core,
+        frames=frames,
+        state=list(zip(core.inputs[pis:], core.outputs[pos:])),
+        inputs=[(net, t) for t in range(frames) for net in netlist.inputs],
+        key_inputs=core.key_inputs,
+        outputs=[(net, t) for t in range(frames) for net in netlist.outputs],
+    )
+
+
+@dataclass(frozen=True)
+class TimedView:
+    """A combinational circuit time-expanded over ticks ``0..ticks``.
+
+    The timed characteristic function of Ho et al.: the inputs hold V1
+    long enough to settle and switch to V2 at tick 0; a gate of
+    *delays* ticks (one entry per gate of *core*, in its order) drives
+    at tick t its function of its fan-ins at tick ``t - delay``, or of
+    the settled V1 values when that is before tick 0 (transport
+    delay).  *inputs* are ``(net, 0)`` tags for V1 and ``(net, 1)``
+    for V2; the key inputs are static; *outputs* are the primary
+    outputs sampled at tick *ticks*.
+    """
+
+    name: str
+    core: CombinationalView
+    ticks: int
+    delays: Tuple[int, ...]
+    inputs: List[Tuple[str, int]]
+    key_inputs: List[str]
+    outputs: List[str]
+
+
+def timed_view(
+    circuit: Circuit,
+    ticks: int,
+    dt: float,
+    delay_override: Optional[Dict[str, float]] = None,
+) -> TimedView:
+    """Describe *circuit* over *ticks* steps of *dt* ns.
+
+    *delay_override* maps a gate name to the delay it has in place of
+    its cell's (delay-defect injection).
+    """
+    if circuit.flip_flops():
+        raise NetlistError("a timed view needs a combinational circuit")
+    overrides = delay_override or {}
+    core = combinational_view(circuit)
+    gates = circuit.topological_order()
+    return TimedView(
+        name=circuit.name,
+        core=core,
+        ticks=ticks,
+        delays=tuple(
+            max(0, int(round(overrides.get(g.name, g.cell.delay) / dt)))
+            for g in gates
+        ),
+        inputs=[(net, v) for v in (0, 1) for net in core.inputs],
+        key_inputs=core.key_inputs,
+        outputs=core.outputs,
     )
 
 

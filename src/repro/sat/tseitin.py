@@ -17,12 +17,19 @@ a circuit that see the same fan-in literals get the same literal and
 emit its clauses once, which is how the SAT attack's miter copies, its
 DIP pins, the equivalence checker and ATPG stay small.
 
+The same walk encodes the two other copy kinds: an
+:class:`~repro.netlist.transform.UnrolledView` is one walk per clock
+cycle, frame 0's Q nets bound to the constant-false literal and frame
+t's to frame t-1's D literals, and a
+:class:`~repro.netlist.transform.TimedView` is the walk of the settled
+first vector plus one literal per gate and time tick.  Frames and
+ticks hash like copies do, so a frame that sees the reset constants
+and a tick whose fan-ins have not yet switched cost nothing.
+
 The rewrites are folding, trivial AND/XOR/MUX identities and hashing
 only.  Nothing re-associates, so a GK's arms
 ``MUX(k, XNOR(x, k), XOR(x, k))`` stay three nodes rather than one
-``NOT x``.  :func:`encode_gate_function` is the plain one-variable-per-
-net encoding of one cell, kept for the time-expanded (TCF) and unrolled
-encoders.
+``NOT x``.
 """
 
 from __future__ import annotations
@@ -32,67 +39,23 @@ from typing import (
 )
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.transform import CombinationalView, combinational_view
+from ..netlist.transform import (
+    CombinationalView, TimedView, UnrolledView, combinational_view,
+)
 from .cnf import CNF
 
-__all__ = ["CircuitEncoder", "NodeTable", "encode_circuit",
-           "encode_gate_function", "miter_xors"]
+__all__ = ["CircuitEncoder", "NodeTable", "encode_circuit", "miter_xors"]
 
 
-def encode_gate_function(
-    cnf: CNF,
-    function: str,
-    out: int,
-    operands: "list[int]",
-    truth_table=None,
-) -> None:
-    """Clauses for ``out <-> function(operands)`` over explicit variables.
-
-    Shared by the time-expanded (TCF) and unrolled encoders, which wire
-    the same cell functions between variables of different time ticks or
-    frames, and by :class:`NodeTable` for its LUT nodes.
-    """
-    if function == "BUF":
-        cnf.add_equal(out, operands[0])
-    elif function == "INV":
-        cnf.add_equal(out, -operands[0])
-    elif function == "AND2":
-        cnf.add_and(out, operands)
-    elif function == "NAND2":
-        cnf.add_and(-out, operands)
-    elif function == "OR2":
-        cnf.add_or(out, operands)
-    elif function == "NOR2":
-        cnf.add_or(-out, operands)
-    elif function == "XOR2":
-        cnf.add_xor(out, operands[0], operands[1])
-    elif function == "XNOR2":
-        cnf.add_xor(-out, operands[0], operands[1])
-    elif function == "MUX2":
-        a, b, sel = operands
-        cnf.add_mux(out, a, b, sel)
-    elif function == "MUX4":
-        a, b, c, d, s0, s1 = operands
-        low = cnf.new_var()
-        high = cnf.new_var()
-        cnf.add_mux(low, a, b, s0)
-        cnf.add_mux(high, c, d, s0)
-        cnf.add_mux(out, low, high, s1)
-    elif function == "TIE0":
-        cnf.add_clause([-out])
-    elif function == "TIE1":
-        cnf.add_clause([out])
-    elif function == "LUT":
-        if truth_table is None:
-            raise NetlistError("LUT encoding needs a truth table")
-        for index, bit in enumerate(truth_table):
-            selector = [
-                operands[i] if (index >> i) & 1 else -operands[i]
-                for i in range(len(operands))
-            ]
-            cnf.add_clause([-lit for lit in selector] + [out if bit else -out])
-    else:
-        raise NetlistError(f"cannot encode function {function!r}")
+def _lut_clauses(cnf: CNF, out: int, operands: Sequence[int],
+                 truth_table: Sequence[int]) -> None:
+    """Clauses for ``out <-> LUT(operands)``, one per truth-table row."""
+    for index, bit in enumerate(truth_table):
+        selector = [
+            operands[i] if (index >> i) & 1 else -operands[i]
+            for i in range(len(operands))
+        ]
+        cnf.add_clause([-lit for lit in selector] + [out if bit else -out])
 
 
 class NodeTable:
@@ -219,7 +182,7 @@ class NodeTable:
             table = [1 - bit for bit in table]
         out, new = self._node(cnf, ("lut", tuple(free), tuple(table)))
         if new:
-            encode_gate_function(cnf, "LUT", out, free, table)
+            _lut_clauses(cnf, out, free, table)
         return -out if negate else out
 
     def gate(self, cnf: CNF, function: str, operands: Sequence[int],
@@ -259,34 +222,43 @@ class NodeTable:
 
 
 class CircuitEncoder:
-    """Encodes one combinational copy of a netlist into a shared CNF.
+    """Encodes one copy of a netlist into a shared CNF.
 
     Args:
         cnf: Formula to append clauses/variables to.
         circuit: The netlist to encode, combinational or sequential, or
-            its :func:`~repro.netlist.transform.combinational_view`.  A
-            netlist gets its view built on the spot; a caller encoding
-            one netlist several times builds the view once and passes
-            it.  Flip-flop Q nets are inputs and D nets outputs, in the
-            order of :func:`~repro.netlist.transform.extract_combinational`,
-            and the variables are numbered as on that copy.
-        net_vars: Pre-assigned literals for some nets: shared primary
-            inputs, a copy's own key variables, or constants from
-            ``table.constant`` (a pinned pattern, a stuck-at fault).  A
-            gate whose output is pre-assigned is not encoded: its driver
-            is cut.  Remaining inputs get fresh variables.
+            a view of it from :mod:`repro.netlist.transform`.  A netlist
+            gets its :func:`~repro.netlist.transform.combinational_view`
+            built on the spot; a caller encoding one netlist several
+            times builds the view once and passes it.  A combinational
+            view makes flip-flop Q nets inputs and D nets outputs, in
+            the order of
+            :func:`~repro.netlist.transform.extract_combinational`, and
+            numbers the variables as on that copy.  An
+            :class:`~repro.netlist.transform.UnrolledView` walks the
+            core once per clock cycle from reset and a
+            :class:`~repro.netlist.transform.TimedView` once for the
+            settled vectors and once per time tick; both name their
+            inputs and outputs by tags (see each view).
+        net_vars: Pre-assigned literals for some inputs (nets or tags):
+            shared primary inputs, a copy's own key variables, or
+            constants from ``table.constant`` (a pinned pattern, a
+            stuck-at fault).  On a combinational view a gate whose
+            output is pre-assigned is not encoded: its driver is cut.
+            Remaining inputs get fresh variables.
         table: Node table to hash into; share one between calls to share
             their nodes (a fresh one by default).
 
-    ``var_of`` maps every net to its literal, which may be negative or
-    the constant ``±table.true``.
+    ``var_of`` maps every input, key and output (and, on a combinational
+    view, every net) to its literal, which may be negative or the
+    constant ``±table.true``.
     """
 
     def __init__(
         self,
         cnf: CNF,
-        circuit: Union[Circuit, CombinationalView],
-        net_vars: Optional[Mapping[str, int]] = None,
+        circuit: Union[Circuit, CombinationalView, UnrolledView, TimedView],
+        net_vars: Optional[Mapping] = None,
         table: Optional[NodeTable] = None,
     ) -> None:
         if isinstance(circuit, Circuit):
@@ -294,35 +266,79 @@ class CircuitEncoder:
         self.cnf = cnf
         self.view = circuit
         self.table = NodeTable() if table is None else table
-        self.var_of: Dict[str, int] = dict(net_vars or {})
-        self._encode()
+        self.var_of: Dict = dict(net_vars or {})
+        if isinstance(circuit, UnrolledView):
+            self._unroll(circuit)
+        elif isinstance(circuit, TimedView):
+            self._expand(circuit)
+        else:
+            self._walk(circuit, self.var_of)
 
-    def _var(self, net: str) -> int:
-        var = self.var_of.get(net)
-        if var is None:
-            var = self.cnf.new_var()
-            self.var_of[net] = var
-        return var
+    def _fresh(self, var_of: Dict, nets) -> None:
+        """A fresh variable for each of *nets* that *var_of* lacks."""
+        for net in nets:
+            if net not in var_of:
+                var_of[net] = self.cnf.new_var()
 
-    def _encode(self) -> None:
-        view = self.view
-        for net in view.inputs + view.key_inputs:
-            self._var(net)
-        cnf, gate, var_of = self.cnf, self.table.gate, self.var_of
+    def _walk(self, view: CombinationalView, var_of: Dict) -> None:
+        """Encode *view* into *var_of* (net -> literal)."""
+        self._fresh(var_of, view.inputs + view.key_inputs)
+        cnf, gate = self.cnf, self.table.gate
+
+        def var(net):
+            lit = var_of[net] = cnf.new_var()
+            return lit
+
         for function, out, fanins, truth_table in view.gates:
             if out in var_of:
                 continue  # pre-bound by the caller: its driver is cut
             var_of[out] = gate(cnf, function, [
-                var_of[net] if net in var_of else self._var(net)
+                var_of[net] if net in var_of else var(net)
                 for net in fanins
             ], truth_table)
-        for net in view.outputs:
-            self._var(net)
+        self._fresh(var_of, view.outputs)
 
-    def output_vars(self) -> Dict[str, int]:
+    def _unroll(self, view: UnrolledView) -> None:
+        core, var_of = view.core, self.var_of
+        self._fresh(var_of, view.inputs + view.key_inputs)
+        pis = core.inputs[:len(core.inputs) - len(view.state)]
+        pos = core.outputs[:len(core.outputs) - len(view.state)]
+        state = {  # the all-zero reset state
+            q_net: self.table.constant(self.cnf, 0) for q_net, _ in view.state
+        }
+        for t in range(view.frames):
+            frame = {net: var_of[net] for net in core.key_inputs}
+            frame.update(state)
+            frame.update((net, var_of[(net, t)]) for net in pis)
+            self._walk(core, frame)
+            var_of.update(((net, t), frame[net]) for net in pos)
+            state = {q_net: frame[d_net] for q_net, d_net in view.state}
+
+    def _expand(self, view: TimedView) -> None:
+        core, var_of = view.core, self.var_of
+        self._fresh(var_of, view.inputs + view.key_inputs)
+        cnf, gate = self.cnf, self.table.gate
+        keys = {net: var_of[net] for net in core.key_inputs}
+        settled = dict(keys)
+        settled.update((net, var_of[(net, 0)]) for net in core.inputs)
+        self._walk(core, settled)
+        ticks = []
+        for t in range(view.ticks + 1):
+            now = dict(keys)
+            now.update((net, var_of[(net, 1)]) for net in core.inputs)
+            ticks.append(now)
+            for (function, out, fanins, truth_table), delay in zip(
+                core.gates, view.delays
+            ):
+                before = ticks[t - delay] if t >= delay else settled
+                now[out] = gate(cnf, function,
+                                [before[net] for net in fanins], truth_table)
+        var_of.update((net, ticks[-1][net]) for net in view.outputs)
+
+    def output_vars(self) -> Dict:
         return {net: self.var_of[net] for net in self.view.outputs}
 
-    def input_vars(self) -> Dict[str, int]:
+    def input_vars(self) -> Dict:
         return {net: self.var_of[net] for net in self.view.inputs}
 
     def key_vars(self) -> Dict[str, int]:

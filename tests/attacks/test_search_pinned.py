@@ -13,6 +13,13 @@ If a change moves any of these numbers, it has changed the miter's
 encoding or the solver's search: decide whether
 ``MITER_ENCODING_VERSION`` must be bumped (it must whenever the miter's
 variable numbering changes) before writing the new numbers here.
+
+The 2-frame unrolled attack (:func:`sequential_sat_attack`, no scan
+access) runs the same loop on the same miter over its unrolled copy; it
+is pinned on the same GK locks and on 4-bit XOR and SARLock locks of
+the same sequential designs (iterations, conflicts, decisions and the
+key, which must also be 2-frame equivalent to the design).  It keeps no
+warm-start pool, so these numbers move with its encoding alone.
 """
 
 import random
@@ -21,9 +28,11 @@ import pytest
 
 from repro.attacks import CombinationalOracle
 from repro.attacks.sat_attack import sat_attack
+from repro.attacks.unroll import sequential_sat_attack
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.core import GkLock, expose_gk_keys
-from repro.locking import SarLock
+from repro.locking import SarLock, XorLock
+from repro.netlist.equivalence import check_sequential_equivalence
 from repro.sat.solver import Solver
 from repro.sta.clock import ClockSpec
 from repro.sta.timing import analyze
@@ -49,11 +58,16 @@ def _clock_with_glitch_room(circuit):
     return ClockSpec(period=round(critical * 1.08 + GLITCH_ROOM_NS, 2))
 
 
-def _gk_case(seed):
+def _gk_lock(seed):
     design = _design(seed, flip_flops=8, gates=40, inputs=6)
     locked = GkLock(_clock_with_glitch_room(design)).lock(
         design, 4, random.Random(seed))
-    return expose_gk_keys(locked), CombinationalOracle(design)
+    return expose_gk_keys(locked), design
+
+
+def _gk_case(seed):
+    netlist, design = _gk_lock(seed)
+    return netlist, CombinationalOracle(design)
 
 
 def _sarlock_case(seed):
@@ -64,6 +78,10 @@ def _sarlock_case(seed):
 
 def _sar_key(bits):
     return {f"keyin_s{i}": int(bit) for i, bit in enumerate(bits)}
+
+
+def _xor_key(bits):
+    return {f"keyin_x{i}": int(bit) for i, bit in enumerate(bits)}
 
 
 # (seed, iterations, conflicts, decisions, solver vars, solver clauses, key)
@@ -112,3 +130,46 @@ def test_sarlock_attack_search_is_pinned(seed, iterations, conflicts,
     netlist, oracle = _sarlock_case(seed)
     assert _attack(netlist, oracle) == (
         iterations, conflicts, decisions, num_vars, clauses, key)
+
+
+def _gk_key(first, second, bits):
+    return {f"keyout${first}": int(bits[0]), f"keyout${second}": int(bits[1])}
+
+
+# (lock, seed, iterations, conflicts, decisions, key); frames = 2
+SEQUENTIAL_RUNS = [
+    ("gk", 1, 0, 19, 32, _gk_key(0, 46, "01")),
+    ("gk", 2, 0, 30, 76, _gk_key(0, 46, "00")),
+    ("gk", 3, 0, 9, 39, _gk_key(0, 50, "00")),
+    ("gk", 4, 0, 2, 13, _gk_key(0, 52, "10")),
+    ("gk", 5, 0, 6, 76, _gk_key(0, 50, "11")),
+    ("gk", 6, 0, 2, 14, _gk_key(0, 50, "01")),
+    ("xor", 1, 5, 30, 168, _xor_key("0110")),
+    ("xor", 2, 2, 18, 71, _xor_key("0100")),
+    ("xor", 3, 3, 13, 67, _xor_key("1100")),
+    ("sarlock", 1, 14, 28, 260, _sar_key("0010")),
+    ("sarlock", 2, 15, 32, 303, _sar_key("0001")),
+    ("sarlock", 3, 14, 33, 285, _sar_key("0011")),
+]
+
+
+@pytest.mark.parametrize("lock,seed,iterations,conflicts,decisions,key",
+                         SEQUENTIAL_RUNS,
+                         ids=[f"{run[0]}-seed{run[1]}"
+                              for run in SEQUENTIAL_RUNS])
+def test_sequential_attack_search_is_pinned(lock, seed, iterations,
+                                            conflicts, decisions, key):
+    if lock == "gk":
+        netlist, design = _gk_lock(seed)
+    else:
+        design = _design(seed, flip_flops=8, gates=40, inputs=6)
+        scheme = XorLock() if lock == "xor" else SarLock()
+        netlist = scheme.lock(design, 4, random.Random(seed)).circuit
+    result = sequential_sat_attack(netlist, design, frames=2)
+    assert (result.iterations, result.solver_conflicts,
+            result.solver_decisions, result.key) == (
+        iterations, conflicts, decisions, key)
+    assert result.completed
+    assert result.unsat_at_first_iteration == (lock == "gk")
+    if lock != "gk":
+        assert check_sequential_equivalence(design, netlist, 2, key_b=key)

@@ -6,15 +6,15 @@ import random
 import pytest
 
 from repro.attacks import (
-    encode_timed,
+    SimulatedTwoVectorOracle,
     find_delay_test,
     tcf_attack,
     two_vector_response,
 )
 from repro.core.gk import build_gk_demo
 from repro.netlist import Builder
-from repro.sat import CNF, Solver
-from repro.sim import EventSimulator
+from repro.netlist.transform import timed_view
+from repro.sat import CNF, CircuitEncoder, Solver
 
 
 def small_comb():
@@ -41,24 +41,23 @@ class TestEncodeTimed:
                 v2 = dict(zip(["a", "b"], v2_bits))
                 chip = two_vector_response(circuit, v1, v2, sample_time)
                 cnf = CNF()
-                copy = encode_timed(cnf, circuit, ticks, dt)
+                copy = CircuitEncoder(cnf, timed_view(circuit, ticks, dt))
                 solver = Solver()
                 solver.add_cnf(cnf)
                 assumptions = []
                 for net in circuit.inputs:
-                    var1, var2 = copy.v1[net], copy.v2[net]
+                    var1, var2 = copy.var_of[(net, 0)], copy.var_of[(net, 1)]
                     assumptions.append(var1 if v1[net] else -var1)
                     assumptions.append(var2 if v2[net] else -var2)
                 assert solver.solve(assumptions)
-                model = solver.model()
-                got = int(model[copy.sampled("y")])
+                got = int(solver.model_lit(copy.var_of["y"]))
                 assert got == chip["y"], (v1, v2)
 
     def test_sequential_rejected(self, toy_sequential):
         from repro.netlist import NetlistError
 
         with pytest.raises(NetlistError, match="combinational"):
-            encode_timed(CNF(), toy_sequential, 4, 0.1)
+            timed_view(toy_sequential, 4, 0.1)
 
 
 class TestDelayTestGeneration:
@@ -106,8 +105,8 @@ class TestTcfAttackOnGk:
         x = oracle.input("x")
         oracle.po(oracle.buf(x), "y")
         result = tcf_attack(
-            attacker_view, oracle.circuit, None, sample_time=0.6, dt=0.05,
-            max_iterations=8,
+            attacker_view, SimulatedTwoVectorOracle(oracle.circuit),
+            sample_time=0.6, dt=0.05, max_iterations=8,
         )
         assert result.completed
         assert result.unsat_at_first_iteration
@@ -128,8 +127,8 @@ class TestTcfAttackOnGk:
         locked = b.circuit
         # activated chip: correct key selects the FAST arm (k=0)
         result = tcf_attack(
-            locked, locked, {"k": 0}, sample_time=0.3, dt=0.05,
-            max_iterations=16,
+            locked, SimulatedTwoVectorOracle(locked, {"k": 0}),
+            sample_time=0.3, dt=0.05, max_iterations=16,
         )
         assert result.completed
         assert result.iterations >= 1  # a timed DIP existed
@@ -151,33 +150,33 @@ class TestTwoVectorOracleSeam:
         return b.circuit
 
     def test_explicit_oracle_matches_default_path(self):
-        from repro.attacks import SimulatedTwoVectorOracle
+        """Any TwoVectorOracleProtocol object plugs in: a stub tester
+        that answers from the event simulator directly gives the same
+        DIPs and key as the default SimulatedTwoVectorOracle, and each
+        oracle counts one query per DIP."""
+
+        class StubTester:
+            query_count = 0
+
+            def two_vector(self, v1, v2, sample_time):
+                self.query_count += 1
+                return two_vector_response(locked, v1, v2, sample_time,
+                                           key={"k": 0})
 
         locked = self.delay_locked()
-        baseline = tcf_attack(locked, locked, {"k": 0}, sample_time=0.3,
-                              dt=0.05, max_iterations=16)
-        oracle = SimulatedTwoVectorOracle(locked, {"k": 0})
-        explicit = tcf_attack(locked, sample_time=0.3, dt=0.05,
-                              max_iterations=16, oracle=oracle)
+        simulated = SimulatedTwoVectorOracle(locked, {"k": 0})
+        baseline = tcf_attack(locked, simulated, sample_time=0.3, dt=0.05,
+                              max_iterations=16)
+        stub = StubTester()
+        explicit = tcf_attack(locked, stub, sample_time=0.3, dt=0.05,
+                              max_iterations=16)
         assert explicit.completed and baseline.completed
         assert explicit.key == baseline.key == {"k": 0}
         assert explicit.dips == baseline.dips
-        assert oracle.query_count == explicit.iterations
-
-    def test_oracle_and_circuit_are_mutually_exclusive(self):
-        from repro.attacks import SimulatedTwoVectorOracle
-        from repro.netlist import NetlistError
-
-        locked = self.delay_locked()
-        oracle = SimulatedTwoVectorOracle(locked, {"k": 0})
-        with pytest.raises(NetlistError, match="not both"):
-            tcf_attack(locked, locked, {"k": 0}, sample_time=0.3,
-                       oracle=oracle)
-        with pytest.raises(NetlistError, match="either"):
-            tcf_attack(locked, sample_time=0.3)
+        assert stub.query_count == explicit.iterations
+        assert simulated.query_count == baseline.iterations
 
     def test_simulated_oracle_needs_key_for_keyed_circuit(self):
-        from repro.attacks import SimulatedTwoVectorOracle
         from repro.netlist import NetlistError
 
         locked = self.delay_locked()

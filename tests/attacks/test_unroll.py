@@ -24,7 +24,8 @@ class TestAgainstXor:
         locked = XorLock().lock(toy_sequential, 2, rng)
         result = sequential_sat_attack(locked.circuit, toy_sequential,
                                        frames=3)
-        for sequence in result.distinguishing_sequences:
+        assert result.dips
+        for sequence in result.dips:
             assert len(sequence) == 3
             assert all(set(frame) == {"a", "b"} for frame in sequence)
 

@@ -1,26 +1,37 @@
 """Equivalence and ATPG verdicts against exhaustive simulation.
 
-:func:`~repro.netlist.equivalence.check_equivalence` and
+:func:`~repro.netlist.equivalence.check_equivalence`,
+:func:`~repro.netlist.equivalence.check_sequential_equivalence` and
 :func:`~repro.netlist.atpg.generate_test` encode both of their copies
 through one structural-hash table, so most of a miter folds away
 before the solver sees it.  These properties draw small random
 :class:`~repro.netlist.Builder` circuits (``tests/random_circuits.py``),
 with and without keys and with pinned internal nets, and compare every
-verdict with a simulation of every input pattern.  Every counterexample
-and every test pattern must really tell the two circuits apart.
+verdict with a simulation of every input pattern; the bounded
+sequential check draws two XOR locks of one small random sequential
+design under random keys and compares with
+:class:`~repro.sim.cyclesim.CycleSimulator` runs from reset over every
+input sequence.  Every counterexample and every test pattern must
+really tell the two circuits apart.
 
 Example volume comes from the ``tests/hypothesis_profiles.py`` profiles
 (``HYPOTHESIS_PROFILE=ci`` runs 200+ examples per property).
 """
 
+import itertools
+
 from hypothesis import given, strategies as st
 from hypothesis_profiles import active_profile
 from random_circuits import (
-    all_patterns, bits, circuit_pairs, circuits, simulate,
+    all_patterns, bits, circuit_pairs, circuits, sequential_designs,
+    simulate, xor_locks,
 )
 
 from repro.netlist.atpg import Fault, generate_test
-from repro.netlist.equivalence import check_equivalence
+from repro.netlist.equivalence import (
+    check_equivalence, check_sequential_equivalence,
+)
+from repro.sim.cyclesim import CycleSimulator
 
 
 def internal_pins(data, circuit):
@@ -105,3 +116,46 @@ def test_generate_test_matches_exhaustive_fault_simulation(circuit, data):
     assert (test is not None) == testable
     if test is not None:
         assert test.observed_at in observed(test.inputs)
+
+
+@active_profile()
+@given(data=st.data())
+def test_sequential_equivalence_matches_exhaustive_runs(data):
+    """Two XOR locks of one small random sequential design, each under a
+    random key: equivalent over T frames iff no input sequence of T
+    frames from reset makes their output traces differ, and the
+    counterexample (``"<input>@<frame>"`` -> bit) is such a sequence."""
+    design = data.draw(sequential_designs())
+    a, b = data.draw(xor_locks(design)), data.draw(xor_locks(design))
+    key_a, key_b = bits(data, a.key_inputs), bits(data, b.key_inputs)
+    frames = data.draw(st.integers(1, 3))
+    result = check_sequential_equivalence(a, b, frames, key_a, key_b)
+
+    def traces(sequence):
+        return [
+            [[outputs[net] for net in circuit.outputs] for outputs in
+             CycleSimulator(circuit, reset_value=0).run(
+                 [dict(frame, **key) for frame in sequence])]
+            for circuit, key in ((a, key_a), (b, key_b))
+        ]
+
+    sequences = [
+        [dict(zip(design.inputs, values[t * len(design.inputs):]))
+         for t in range(frames)]
+        for values in itertools.product(
+            (0, 1), repeat=frames * len(design.inputs))
+    ]
+    distinguishing = any(
+        trace_a != trace_b
+        for trace_a, trace_b in map(traces, sequences)
+    )
+    assert result.equivalent == (not distinguishing)
+    if not result.equivalent:
+        sequence = [
+            {net: result.counterexample[f"{net}@{t}"]
+             for net in design.inputs}
+            for t in range(frames)
+        ]
+        assert len(result.counterexample) == frames * len(design.inputs)
+        trace_a, trace_b = traces(sequence)
+        assert trace_a != trace_b

@@ -1,21 +1,28 @@
-"""Random combinational circuits for the encoder and checker properties.
+"""Random circuits for the encoder and checker properties.
 
 :func:`recipes` draws a circuit as data: input and key counts, gate
 specs over the nets made so far, and output picks.  :func:`build` turns
 a recipe into a :class:`~repro.netlist.Builder` circuit over every cell
 function (at most 6 inputs, 3 key inputs and 12 gates), and
 :func:`circuit_pairs` builds a recipe and a variant with at most one
-gate redrawn.  :func:`simulate` is the reference evaluator: a walk of
-``topological_order()`` with the cell functions of :mod:`repro.sim.logic`
-in which *forced* nets keep their given value instead of their
-driver's.  Importable as ``random_circuits`` because pytest puts
-``tests/`` on the path (see ``hypothesis_profiles``).
+gate redrawn.  :func:`sequential_designs` draws generated sequential
+netlists small enough to simulate every input sequence of 3 frames,
+and :func:`xor_locks` an XOR lock of one.  :func:`simulate` is the
+reference evaluator: a walk of ``topological_order()`` with the cell
+functions of :mod:`repro.sim.logic` in which *forced* nets keep their
+given value instead of their driver's.  Importable as
+``random_circuits`` because pytest puts ``tests/`` on the path (see
+``hypothesis_profiles``).
 """
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
+from repro.bench.generator import GeneratorSpec, random_sequential_circuit
+from repro.locking import XorLock
+from repro.locking.xor_lock import lockable_nets
 from repro.netlist import Builder
 from repro.sim.logic import eval_function
 
@@ -48,11 +55,11 @@ def gate_specs(draw, available):
 
 
 @st.composite
-def recipes(draw, min_keys=0):
+def recipes(draw, min_keys=0, max_inputs=6, max_keys=3):
     """``(inputs, keys, gate specs, output indices)``; every net may
     drive an output."""
-    num_inputs = draw(st.integers(1, 6))
-    num_keys = draw(st.integers(min_keys, 3))
+    num_inputs = draw(st.integers(1, max_inputs))
+    num_keys = draw(st.integers(min_keys, max_keys))
     gates = []
     for _ in range(draw(st.integers(1, 12))):
         gates.append(draw(gate_specs(num_inputs + num_keys + len(gates))))
@@ -90,9 +97,10 @@ def build(recipe, name="rand"):
     return b.circuit
 
 
-def circuits(min_keys=0):
-    """A random combinational circuit with at least *min_keys* keys."""
-    return recipes(min_keys).map(build)
+def circuits(min_keys=0, max_inputs=6, max_keys=3):
+    """A random combinational circuit with *min_keys* to *max_keys* keys
+    and at most *max_inputs* inputs."""
+    return recipes(min_keys, max_inputs, max_keys).map(build)
 
 
 @st.composite
@@ -107,6 +115,30 @@ def circuit_pairs(draw, min_keys=0):
         variant[index] = draw(gate_specs(num_inputs + num_keys + index))
     return (build(recipe, "a"),
             build((num_inputs, num_keys, tuple(variant), outputs), "b"))
+
+
+@st.composite
+def sequential_designs(draw):
+    """A generated sequential netlist with 1-2 inputs, 1-3 flip-flops
+    and 2-15 gates."""
+    return random_sequential_circuit(GeneratorSpec(
+        name="seq",
+        num_inputs=draw(st.integers(1, 2)),
+        num_outputs=draw(st.integers(1, 2)),
+        num_flip_flops=draw(st.integers(1, 3)),
+        num_combinational=draw(st.integers(2, 15)),
+        seed=draw(st.integers(0, 2 ** 16)),
+    ))
+
+
+def xor_locks(design):
+    """*design* XOR-locked with 1-2 key bits (no more than it has
+    lockable nets)."""
+    sites = min(2, len(lockable_nets(design)))
+    return st.tuples(st.integers(1, sites), st.integers(0, 2 ** 16)).map(
+        lambda drawn: XorLock().lock(
+            design, drawn[0], random.Random(drawn[1])).circuit
+    )
 
 
 def simulate(circuit, assignment, forced=None):

@@ -21,6 +21,16 @@ inputs and key pairs:
     give every net the value of a simulation that forces those nets,
     and encoding a copy again adds nothing and returns its literals.
 
+(c) and (d) also run on the miter's two other copy kinds: the
+unrolled copy (small XOR-locked
+:func:`~repro.bench.generator.random_sequential_circuit` netlists over
+1-3 frames, against :class:`~repro.sim.cyclesim.CycleSimulator` runs
+from reset over every input sequence) and the time-expanded copy
+(random circuits with at most 3 inputs and 2 keys, against
+:func:`~repro.attacks.tcf.two_vector_response` over every (V1, V2)
+pair, sampled half a tick after the copy's last tick, which is often a
+tick on which some net switches).
+
 Example volume comes from the ``tests/hypothesis_profiles.py`` profiles
 (``HYPOTHESIS_PROFILE=ci`` runs 200+ examples per property).
 """
@@ -29,14 +39,25 @@ import copy
 
 from hypothesis import given, strategies as st
 from hypothesis_profiles import active_profile
-from random_circuits import all_patterns, bits, circuits, simulate
+from random_circuits import (
+    all_patterns, bits, circuits, sequential_designs, simulate, xor_locks,
+)
 
 from repro.attacks.sat_attack import KeyConeMiter
+from repro.attacks.tcf import two_vector_response
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.netlist.compiled import compile_circuit
-from repro.netlist.transform import combinational_view, extract_combinational
+from repro.netlist.transform import (
+    combinational_view, extract_combinational, timed_view, unrolled_view,
+)
 from repro.sat import CNF, CircuitEncoder, Solver
 from repro.sat.tseitin import NodeTable
+from repro.sim.cyclesim import CycleSimulator
+
+#: The timed copies' tick, in ns: every default-library cell delay is a
+#: whole number of ticks, so the event simulator's transitions land on
+#: ticks and a sample half a tick later is never on an edge.
+TICK = 0.005
 
 
 @st.composite
@@ -52,8 +73,78 @@ def sequential_views(draw):
     ))).circuit
 
 
+@st.composite
+def locked_sequential(draw):
+    """A small XOR-locked random sequential netlist and a frame count of
+    1-3."""
+    locked = draw(xor_locks(draw(sequential_designs())))
+    return locked, draw(st.integers(1, 3))
+
+
 def lit(var, value):
     return var if value else -var
+
+
+def evaluator_responses(circuit):
+    """``respond(pattern, keys)``: the compiled evaluator's outputs."""
+    compiled = compile_circuit(circuit)
+    return lambda pattern, keys: compiled.query_outputs(
+        [dict(pattern, **key) for key in keys]
+    )
+
+
+def sequence_responses(netlist, frames):
+    """``respond(pattern, keys)`` over ``(input, frame)`` tags: each
+    key's ``(output, frame)`` trace, simulated from reset."""
+    def respond(pattern, keys):
+        sequence = [{net: pattern[(net, t)] for net in netlist.inputs}
+                    for t in range(frames)]
+        answers = []
+        for key in keys:
+            trace = CycleSimulator(netlist, reset_value=0).run(
+                [dict(frame, **key) for frame in sequence]
+            )
+            answers.append({
+                (net, t): value
+                for t, outputs in enumerate(trace)
+                for net, value in outputs.items()
+            })
+        return answers
+    return respond
+
+
+def two_vector_responses(circuit, sample_time):
+    """``respond(pattern, keys)`` over ``(input, 0)`` (V1) and
+    ``(input, 1)`` (V2) tags: each key's event-simulated outputs."""
+    def respond(pattern, keys):
+        v1, v2 = ({net: pattern[(net, v)] for net in circuit.inputs}
+                  for v in (0, 1))
+        return [two_vector_response(circuit, v1, v2, sample_time, key=key)
+                for key in keys]
+    return respond
+
+
+def switching_ticks(circuit):
+    """Every tick at which some net may switch once V2 is applied at
+    tick 0, and the tick before each."""
+    at = {net: {0} for net in circuit.inputs}
+    for gate in circuit.topological_order():
+        delay = round(gate.cell.delay / TICK)
+        at[gate.output] = {
+            delay + t for net in gate.input_nets() for t in at.get(net, ())
+        }
+    edges = set().union(*at.values())
+    return sorted(edges | {t - 1 for t in edges if t})
+
+
+def timed_case(draw, circuit):
+    """The timed view of *circuit* at a drawn tick count, often one at
+    or just before a switching tick, and the sample time half a tick
+    past its last tick."""
+    ticks = draw(st.one_of(
+        st.sampled_from(switching_ticks(circuit)), st.integers(0, 80),
+    ))
+    return timed_view(circuit, ticks, TICK), (ticks + 0.5) * TICK
 
 
 def key_cone_nets(circuit):
@@ -158,28 +249,21 @@ def test_prebound_gates_not_reencoded(circuit, data):
     assert_outputs_pinned(solver, fixed, outputs)
 
 
-@active_profile()
-@given(circuit=circuits(min_keys=1), data=st.data())
-def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
-    """(c) After 1-3 pinned patterns on the miter's one table, a key pair
-    is consistent iff both keys reproduce every response in exhaustive
-    simulation."""
+def assert_pins_admit_matching_keys(data, view, key_inputs, respond):
+    """(c) on *view*: after 1-3 pins, a key pair is consistent iff both
+    keys reproduce every response.  *respond(pattern, keys)* gives each
+    key's response, keyed by *view*'s output names."""
     solver = Solver()
-    miter = KeyConeMiter(
-        solver, combinational_view(circuit),
-        {net: net for net in circuit.outputs},
-    )
-    keys = all_patterns(circuit.key_inputs)
+    miter = KeyConeMiter(solver, view, {name: name for name in view.outputs})
+    keys = all_patterns(key_inputs)
     matches = [True] * len(keys)
     for _ in range(data.draw(st.integers(1, 3))):
-        pattern = bits(data, circuit.inputs)
-        answers = compile_circuit(circuit).query_outputs(
-            [dict(pattern, **key) for key in keys]
-        )
+        pattern = bits(data, view.inputs)
+        answers = respond(pattern, keys)
         if data.draw(st.booleans()):
             response = data.draw(st.sampled_from(answers))
         else:
-            response = bits(data, circuit.outputs)
+            response = bits(data, view.outputs)
         miter.pin(pattern, response)
         matches = [
             match and answer == response
@@ -196,43 +280,103 @@ def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
             )
 
 
+def assert_diff_iff_keys_disagree(view, key_inputs, respond):
+    """(d) on *view*: ``diff`` is satisfiable iff brute force over every
+    input pattern and key finds a pattern on which two keys disagree; a
+    model is such a witness."""
+    solver = Solver()
+    miter = KeyConeMiter(solver, view, {name: name for name in view.outputs})
+    keys = all_patterns(key_inputs)
+    disagree = any(
+        any(answer != answers[0] for answer in answers)
+        for answers in (
+            respond(pattern, keys) for pattern in all_patterns(view.inputs)
+        )
+    )
+    assert solver.solve([miter.diff]) == disagree
+    if disagree:
+        model = solver.model()
+        key1, key2 = (
+            {net: int(model[var]) for net, var in key_vars.items()}
+            for key_vars in miter.key_vars
+        )
+        assert miter.key(model) == key1
+        first, second = respond(miter.dip(model), [key1, key2])
+        assert first != second
+
+
+@active_profile()
+@given(circuit=circuits(min_keys=1), data=st.data())
+def test_dip_constraint_admits_exactly_matching_keys(circuit, data):
+    """(c) After 1-3 pinned patterns on the miter's one table, a key pair
+    is consistent iff both keys reproduce every response in exhaustive
+    simulation."""
+    assert_pins_admit_matching_keys(
+        data, combinational_view(circuit), circuit.key_inputs,
+        evaluator_responses(circuit),
+    )
+
+
+@active_profile()
+@given(case=locked_sequential(), data=st.data())
+def test_unrolled_dip_constraint_admits_exactly_matching_keys(case, data):
+    """(c) on the unrolled copy: pinned input sequences admit exactly
+    the key pairs whose runs from reset reproduce every trace."""
+    netlist, frames = case
+    assert_pins_admit_matching_keys(
+        data, unrolled_view(netlist, frames), netlist.key_inputs,
+        sequence_responses(netlist, frames),
+    )
+
+
+@active_profile()
+@given(circuit=circuits(min_keys=1, max_inputs=3, max_keys=2),
+       data=st.data())
+def test_timed_dip_constraint_admits_exactly_matching_keys(circuit, data):
+    """(c) on the time-expanded copy: pinned (V1, V2) tests admit
+    exactly the key pairs whose event simulation reproduces every
+    sampled response."""
+    view, sample_time = timed_case(data.draw, circuit)
+    assert_pins_admit_matching_keys(
+        data, view, circuit.key_inputs,
+        two_vector_responses(circuit, sample_time),
+    )
+
+
 @active_profile()
 @given(circuit=circuits(min_keys=1))
 def test_miter_sat_iff_two_keys_disagree(circuit):
     """(d) ``diff`` is satisfiable iff brute force over inputs x key
     pairs finds an input on which two keys disagree; a model is such a
     witness."""
-    solver = Solver()
-    miter = KeyConeMiter(
-        solver, combinational_view(circuit),
-        {net: net for net in circuit.outputs},
+    assert_diff_iff_keys_disagree(
+        combinational_view(circuit), circuit.key_inputs,
+        evaluator_responses(circuit),
     )
-    compiled = compile_circuit(circuit)
-    keys = all_patterns(circuit.key_inputs)
-    patterns = all_patterns(circuit.inputs)
-    answers = compiled.query_outputs([
-        dict(pattern, **key) for pattern in patterns for key in keys
-    ])
-    disagree = any(
-        any(answer != block[0] for answer in block)
-        for block in (
-            answers[start:start + len(keys)]
-            for start in range(0, len(answers), len(keys))
-        )
+
+
+@active_profile()
+@given(case=locked_sequential())
+def test_unrolled_miter_sat_iff_two_keys_disagree(case):
+    """(d) on the unrolled copy: ``diff`` is satisfiable iff some input
+    sequence from reset makes two keys' traces differ in some frame."""
+    netlist, frames = case
+    assert_diff_iff_keys_disagree(
+        unrolled_view(netlist, frames), netlist.key_inputs,
+        sequence_responses(netlist, frames),
     )
-    assert solver.solve([miter.diff]) == disagree
-    if disagree:
-        model = solver.model()
-        dip = miter.dip(model)
-        key1, key2 = (
-            {net: int(model[var]) for net, var in key_vars.items()}
-            for key_vars in miter.key_vars
-        )
-        assert miter.key(model) == key1
-        first, second = compiled.query_outputs(
-            [dict(dip, **key1), dict(dip, **key2)]
-        )
-        assert first != second
+
+
+@active_profile()
+@given(circuit=circuits(min_keys=1, max_inputs=3, max_keys=2),
+       data=st.data())
+def test_timed_miter_sat_iff_two_keys_disagree(circuit, data):
+    """(d) on the time-expanded copy: ``diff`` is satisfiable iff some
+    (V1, V2) test makes two keys' sampled outputs differ."""
+    view, sample_time = timed_case(data.draw, circuit)
+    assert_diff_iff_keys_disagree(
+        view, circuit.key_inputs, two_vector_responses(circuit, sample_time),
+    )
 
 
 @active_profile()
