@@ -8,8 +8,9 @@ disagree for some key pair.  Each DIP is resolved against the oracle
 observed response, pruning every key inconsistent with it.  When no DIP
 remains, any key satisfying the accumulated constraints is functionally
 correct — for ordinary locking.  :class:`KeyConeMiter` builds that
-formula on one structural-hash table, so copy 2 and each pin add
-clauses only for the keys' fan-out cone (see its docstring).
+formula on one structural-hash table: the two copies of a combinational
+core encode only the keys' cone of influence, and copy 2 and each pin
+add clauses only for the keys' fan-out cone (see its docstring).
 
 :func:`dip_loop` is the one loop of the attack's three families: the
 combinational attack here (:func:`sat_attack`, scan access assumed), the
@@ -36,7 +37,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
-from ..netlist.transform import combinational_circuit, combinational_view
+from ..netlist.transform import (
+    CombinationalView, combinational_circuit, combinational_view,
+    key_influence_view,
+)
 from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
 from ..sat.cnf import CNF
@@ -53,7 +57,7 @@ __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
 #: :func:`~repro.attacks.warm_start.shared_clause_key` is salted with this:
 #: bump it whenever the miter's base encoding changes, or a pool saved
 #: under the old numbering would be seeded into unrelated variables.
-MITER_ENCODING_VERSION = 3
+MITER_ENCODING_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -125,15 +129,20 @@ class KeyConeMiter:
     :func:`~repro.netlist.transform.unrolled_view` or its
     :func:`~repro.netlist.transform.timed_view`.  The miter reads only
     the view's input, key and output names (nets or tags), so the three
-    kinds fold and hash alike.  Copy 1 encodes it; copy 2 encodes it
-    again with fresh key variables and copy 1's primary-input literals,
-    through the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate
-    outside the keys' fan-out cone sees copy 1's fan-in literals, so it
-    hashes onto copy 1's node and adds nothing.  ``diff`` is the OR of
+    kinds fold and hash alike.  Copy 1 encodes the base: of a
+    combinational view, its keys' cone of influence
+    (:func:`~repro.netlist.transform.key_influence_view`: the outputs
+    some key reaches and their fan-in, every input and key variable
+    still allocated first); an unrolled or timed view whole, since its
+    cone crosses frames and ticks.  Copy 2 encodes the base again with
+    fresh key variables and copy 1's primary-input literals, through
+    the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate outside
+    the keys' fan-out cone sees copy 1's fan-in literals, so it hashes
+    onto copy 1's node and adds nothing.  ``diff`` is the OR of
     per-output XORs over the outputs whose two literals differ, and
-    :meth:`pin` adds one oracle observation to both copies: *view* is
-    encoded once per copy with the pattern's inputs bound to the
-    constant-true literal (or its negation) and that copy's key
+    :meth:`pin` adds one oracle observation to both copies: the whole
+    *view* is encoded once per copy with the pattern's inputs bound to
+    the constant-true literal (or its negation) and that copy's key
     variables, so the pattern folds through its constants and only the
     key-dependent remainder gets new nodes, shared wherever the two
     copies (or earlier pins) built the same node.  *oracle_output_of*
@@ -146,6 +155,10 @@ class KeyConeMiter:
       fan-in literals, so a shared node computes the same function in
       every model.  Outputs whose copies share one literal agree in
       every model, and dropping them from ``diff`` removes no model.
+    * An output outside the cone of influence is a function of the
+      inputs alone: both copies would hash it to one literal, so its
+      logic adds no XOR to ``diff``, and leaving it out of the base
+      removes no model.
     * Folding is exact: each rewrite (a constant operand, equal or
       complementary operands, a negated MUX select or arm) is a Boolean
       identity.
@@ -154,7 +167,8 @@ class KeyConeMiter:
       formula is UNSAT, just as the plain encoding is.
 
     ``clauses`` counts the base encoding's clauses and
-    ``merged_outputs`` the outputs both copies hash to one literal.
+    ``merged_outputs`` the outputs with no XOR in ``diff``: those both
+    copies hash to one literal and those outside the cone.
     """
 
     def __init__(
@@ -168,8 +182,12 @@ class KeyConeMiter:
         self.oracle_output_of = oracle_output_of
         self.table = NodeTable()
         self.clauses = 0
-        copy1 = self._encode({})
-        copy2 = self._encode({net: copy1.var_of[net] for net in view.inputs})
+        base = view
+        if isinstance(view, CombinationalView):
+            base = key_influence_view(view)
+        copy1 = self._encode(base, {})
+        copy2 = self._encode(
+            base, {net: copy1.var_of[net] for net in view.inputs})
         self.pi_vars = {net: copy1.var_of[net] for net in view.inputs}
         #: per copy, key input -> variable
         self.key_vars = [
@@ -180,7 +198,7 @@ class KeyConeMiter:
         cnf = CNF(num_vars=solver.num_vars)
         xors = miter_xors(cnf, (
             (net, copy1.var_of[net], copy2.var_of[net])
-            for net in view.outputs
+            for net in base.outputs
         ))
         self.merged_outputs = len(view.outputs) - len(xors)
         #: assumed true per DIP query: some unmerged output differs
@@ -193,9 +211,9 @@ class KeyConeMiter:
         self.clauses += len(cnf.clauses)
         return len(cnf.clauses)
 
-    def _encode(self, net_vars: Mapping[str, int]) -> CircuitEncoder:
+    def _encode(self, base, net_vars: Mapping) -> CircuitEncoder:
         cnf = CNF(num_vars=self.solver.num_vars)
-        encoder = CircuitEncoder(cnf, self.view, net_vars, table=self.table)
+        encoder = CircuitEncoder(cnf, base, net_vars, table=self.table)
         self._add(cnf)
         return encoder
 

@@ -16,7 +16,8 @@ Failure taxonomy:
   retried (a deterministic job that timed out once will time out
   again).  Only that matrix cell fails.
 * ``crashed`` — the worker process died (segfault, OOM-kill,
-  ``os._exit``).  ``ProcessPoolExecutor`` breaks the whole pool, so the
+  ``os._exit``).  ``ProcessPoolExecutor`` breaks the whole pool (a
+  future or the next ``submit`` raises ``BrokenProcessPool``), so the
   runner rebuilds it and quarantines every job that was in flight:
   suspects rerun one at a time (uncharged), so the next pool break
   names its culprit with certainty — only the true crasher is charged
@@ -354,12 +355,22 @@ def _run_pool(
             # crash attribution both rely on that).  While any crash
             # suspect is pending, suspects run strictly alone — nothing
             # else is submitted until they are resolved.
-            def submit(attempt: _Attempt) -> None:
-                future = executor.submit(
-                    pool_execute, attempt.spec.to_dict(), config.timeout,
-                    trace_ctx,
-                )
+            def submit(index: int) -> bool:
+                """Move ``pending[index]`` in flight; False if the pool
+                broke since the last wait (``submit`` raises then): the
+                job stays pending, uncharged, and the pool is rebuilt."""
+                attempt = pending[index]
+                try:
+                    future = executor.submit(
+                        pool_execute, attempt.spec.to_dict(),
+                        config.timeout, trace_ctx,
+                    )
+                except BrokenProcessPool:
+                    handle_pool_break([])
+                    return False
+                del pending[index]
                 inflight[future] = (attempt, time.monotonic())
+                return True
 
             suspects_pending = any(
                 a.spec.job_id in quarantine for a in pending
@@ -373,14 +384,15 @@ def _run_pool(
                         None,
                     )
                     if ready is not None:
-                        submit(pending.pop(ready))
+                        submit(ready)
             else:
                 ready_index = next(
                     (i for i, a in enumerate(pending) if a.ready_at <= now),
                     None,
                 )
                 while len(inflight) < workers and ready_index is not None:
-                    submit(pending.pop(ready_index))
+                    if not submit(ready_index):
+                        break
                     now = time.monotonic()
                     ready_index = next(
                         (i for i, a in enumerate(pending)

@@ -473,23 +473,41 @@ class Circuit:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural sanity; raises :class:`NetlistError`."""
+        """Check structural sanity; raises :class:`NetlistError`.
+
+        One pass checks each gate whole, in insertion order: its pins
+        and truth table (as :meth:`Gate.validate`, which raises the
+        message when one is wrong), its fan-in drivers, its clock use.
+        Then the outputs, the inputs and, through
+        :meth:`topological_order`, combinational cycles.  The first
+        problem found is raised.
+        """
         ffs = self.flip_flop_names()
+        driver = self._driver
+        clock = self.clock
         for gate in self.gates.values():
-            gate.validate()
-            for pin, net in gate.pins.items():
-                if net not in self._driver:
+            pins = gate.pins
+            cell = gate.cell
+            inputs = cell.inputs
+            if (gate.truth_table is not None or cell.function == "LUT"
+                    or len(pins) != len(inputs)):
+                gate.validate()
+            for pin in inputs:
+                if pin not in pins:
+                    gate.validate()
+            for pin, net in pins.items():
+                if net not in driver:
                     raise NetlistError(
                         f"gate {gate.name} pin {pin}: undriven net {net!r}"
                     )
             if gate.name in ffs:
-                if self.clock is None:
+                if clock is None:
                     raise NetlistError(f"flip-flop {gate.name} but no clock defined")
-                if gate.pins.get("CLK") != self.clock:
+                if pins.get("CLK") != clock:
                     raise NetlistError(
-                        f"flip-flop {gate.name} CLK pin must use clock {self.clock}"
+                        f"flip-flop {gate.name} CLK pin must use clock {clock}"
                     )
-            elif self.clock is not None and self.clock in gate.pins.values():
+            elif clock is not None and clock in pins.values():
                 raise NetlistError(
                     f"gate {gate.name}: clock used as data input"
                 )

@@ -7,8 +7,10 @@ and inputs, respectively" (paper, Sec. VI).
 :func:`extract_combinational` builds that core as a new circuit (for
 the evaluators); :func:`combinational_view` describes it in place,
 without a copy (for the Tseitin encoder); :func:`combinational_circuit`
-is the flip-flop-free circuit of any netlist.  The encoder's two other
-copy kinds are described on top of the core view:
+is the flip-flop-free circuit of any netlist, and
+:func:`key_influence_view` narrows a core view to the logic its key
+inputs can influence (the SAT attack's miter copies).  The encoder's
+two other copy kinds are described on top of the core view:
 :func:`unrolled_view` (T clock cycles from reset, for the attack
 without scan access and bounded sequential equivalence) and
 :func:`timed_view` (one copy per time tick, for the timed attack of
@@ -32,6 +34,7 @@ __all__ = [
     "combinational_circuit",
     "combinational_view",
     "extract_combinational",
+    "key_influence_view",
     "timed_view",
     "unrolled_view",
     "remove_gates",
@@ -165,6 +168,36 @@ def combinational_view(netlist: Circuit) -> CombinationalView:
              gate.truth_table)
             for gate in netlist.topological_order()
         ],
+    )
+
+
+def key_influence_view(view: CombinationalView) -> CombinationalView:
+    """*view* restricted to its keys' cone of influence.
+
+    The outputs kept are those some key input reaches, in *view*'s
+    order, and the gates kept are their transitive fan-in, in *view*'s
+    order; the inputs and key inputs are all kept.  Every output left
+    out is a function of the inputs alone.
+    """
+    reached = set(view.key_inputs)
+    for _function, out, fanins, _table in view.gates:
+        if not reached.isdisjoint(fanins):
+            reached.add(out)
+    outputs = [net for net in view.outputs if net in reached]
+    needed = set(outputs)
+    gates = []
+    for gate in reversed(view.gates):
+        _function, out, fanins, _table = gate
+        if out in needed:
+            needed.update(fanins)
+            gates.append(gate)
+    gates.reverse()
+    return CombinationalView(
+        name=view.name,
+        inputs=view.inputs,
+        key_inputs=view.key_inputs,
+        outputs=outputs,
+        gates=gates,
     )
 
 

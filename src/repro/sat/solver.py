@@ -13,7 +13,10 @@ its own: a MiniSat-style conflict-driven clause-learning solver with
 The public interface speaks DIMACS-style signed literals (``+v`` /
 ``-v``) and supports incremental use: clauses may be added between
 :meth:`Solver.solve` calls, and solving under *assumptions* is
-supported (the SAT attack uses both).
+supported (the SAT attack uses both).  :meth:`Solver.add_cnf` loads a
+whole :class:`~repro.sat.cnf.CNF` in one pass (every new variable
+allocated at once, literals mapped inline) and leaves the solver as
+one :meth:`Solver.add_clause` per clause would.
 
 This is a general-purpose solver; it is deliberately independent of the
 netlist layer (see :mod:`repro.sat.tseitin` for the bridge).
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import context as _obs
 from ..obs.spans import trace_span
@@ -113,16 +116,29 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return the next variable (1-based)."""
-        self._num_vars += 1
-        self._assigns.append(_UNASSIGNED)
-        self._polarity.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._order, (0.0, self._num_vars - 1))
+        self._allocate(self._num_vars + 1)
         return self._num_vars
+
+    def _allocate(self, num_vars: int) -> None:
+        """Allocate variables up to *num_vars*, all at once.
+
+        Each new ``(0.0, var)`` entry ranks at or after every entry the
+        order heap holds (activities are never negative, and the new
+        variables are the highest), so appending them in order keeps
+        the heap invariant and pushes exactly as ``heappush`` would.
+        """
+        old = self._num_vars
+        count = num_vars - old
+        if count <= 0:
+            return
+        self._num_vars = num_vars
+        self._assigns.extend([_UNASSIGNED] * count)
+        self._polarity.extend([0] * count)
+        self._level.extend([0] * count)
+        self._reason.extend([None] * count)
+        self._activity.extend([0.0] * count)
+        self._watches.extend([] for _ in range(2 * count))
+        self._order.extend((0.0, var) for var in range(old, num_vars))
 
     @property
     def num_vars(self) -> int:
@@ -137,10 +153,6 @@ class Solver:
     def num_learnt_clauses(self) -> int:
         """Learned clauses currently retained."""
         return len(self._learnts)
-
-    def _ensure_var(self, var: int) -> None:
-        while self._num_vars < var:
-            self.new_var()
 
     @staticmethod
     def _to_internal(lit: int) -> int:
@@ -166,54 +178,67 @@ class Solver:
         """Add a clause; returns False if the formula became trivially UNSAT."""
         if self._unsat:
             return False
+        clause = list(literals)
+        if 0 in clause:
+            raise ValueError("0 is not a literal")
+        self._allocate(max(map(abs, clause), default=0))
         self._cancel_until(0)
-        seen = set()
-        lits: List[int] = []
-        rest = iter(literals)
-        for lit in rest:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            self._ensure_var(abs(lit))
-            ilit = self._to_internal(lit)
-            if ilit ^ 1 in seen:
-                return self._allocate_rest(rest)  # tautology
-            if ilit in seen:
-                continue
-            value = self._lit_value(ilit)
-            if value == 1:
-                return self._allocate_rest(rest)  # satisfied at level 0
-            if value == 0:
-                continue  # falsified at level 0: drop literal
-            seen.add(ilit)
-            lits.append(ilit)
-        if not lits:
-            self._unsat = True
-            return False
-        if len(lits) == 1:
-            self._enqueue(lits[0], None)
-            if self._propagate() is not None:
-                self._unsat = True
-                return False
-            return True
-        clause = _Clause(lits, learnt=False)
-        self._clauses.append(clause)
-        self._watches[lits[0]].append((lits[1], clause))
-        self._watches[lits[1]].append((lits[0], clause))
-        return True
-
-    def _allocate_rest(self, rest: Iterator[int]) -> bool:
-        """Allocate the variables of a dropped clause's unread literals,
-        so :meth:`model` covers every variable any clause named."""
-        for lit in rest:
-            self._ensure_var(abs(lit))
-        return True
+        return self._add_clauses((clause,))
 
     def add_cnf(self, cnf: CNF) -> bool:
-        self._ensure_var(cnf.num_vars)
-        ok = True
-        for clause in cnf.clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
+        """Add every clause of *cnf* in one pass.
+
+        The same as allocating ``cnf.num_vars`` variables and calling
+        :meth:`add_clause` per clause: the same clauses kept, literals
+        fixed and watches set, in the same order.
+        """
+        self._allocate(cnf.num_vars)
+        if self._unsat:
+            return not cnf.clauses
+        self._cancel_until(0)
+        return self._add_clauses(cnf.clauses)
+
+    def _add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add *clauses* (over allocated variables) at level 0.
+
+        Each clause is filtered as it comes: it is dropped if it is a
+        tautology or has a literal true at level 0, and repeated
+        literals and literals false at level 0 are left out.  What is
+        left is the empty clause (the formula is UNSAT: stop and return
+        False), a unit (fixed and propagated; a conflict is UNSAT too)
+        or a clause watched on its first two literals.
+        """
+        assigns = self._assigns
+        watches = self._watches
+        problem = self._clauses
+        for clause in clauses:
+            lits: List[int] = []
+            for lit in clause:
+                # the internal literal (2 * var + sign); its value is
+                # assigns[var] ^ sign, or 2 while unassigned
+                ilit = 2 * lit - 2 if lit > 0 else -2 * lit - 1
+                value = assigns[ilit >> 1]
+                if value == 2:
+                    if ilit ^ 1 in lits:
+                        break  # tautology
+                    if ilit not in lits:
+                        lits.append(ilit)
+                elif value != ilit & 1:
+                    break  # satisfied at level 0
+            else:
+                if len(lits) > 1:
+                    kept = _Clause(lits, learnt=False)
+                    problem.append(kept)
+                    watches[lits[0]].append((lits[1], kept))
+                    watches[lits[1]].append((lits[0], kept))
+                    continue
+                if lits:
+                    self._enqueue(lits[0], None)
+                    if self._propagate() is None:
+                        continue
+                self._unsat = True
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Assignment trail
@@ -506,7 +531,7 @@ class Solver:
             return False
         internal_assumptions = []
         for lit in assumptions:
-            self._ensure_var(abs(lit))
+            self._allocate(abs(lit))
             internal_assumptions.append(self._to_internal(lit))
 
         restart_index = 1

@@ -12,7 +12,12 @@ decisions, its variable and clause counts and the recovered key.
 If a change moves any of these numbers, it has changed the miter's
 encoding or the solver's search: decide whether
 ``MITER_ENCODING_VERSION`` must be bumped (it must whenever the miter's
-variable numbering changes) before writing the new numbers here.
+variable numbering changes) before writing the new numbers here.  The
+variable and clause columns are those of encoding version 4, whose
+copies encode only the keys' cone of influence; the move from version
+3 (whole copies) rewrote those two columns alone, and every iteration,
+conflict, decision and key held, as the cone argument predicts (a
+variable outside the cone is never decided and never in a conflict).
 
 The 2-frame unrolled attack (:func:`sequential_sat_attack`, no scan
 access) runs the same loop on the same miter over its unrolled copy; it
@@ -86,20 +91,20 @@ def _xor_key(bits):
 
 # (seed, iterations, conflicts, decisions, solver vars, solver clauses, key)
 GK_RUNS = [
-    (1, 0, 17, 64, 61, 145, {"keyout$0": 0, "keyout$46": 0}),
-    (2, 0, 18, 80, 60, 142, {"keyout$0": 0, "keyout$46": 0}),
-    (3, 0, 18, 69, 64, 156, {"keyout$0": 0, "keyout$50": 0}),
-    (4, 0, 15, 57, 63, 152, {"keyout$0": 1, "keyout$52": 0}),
-    (5, 0, 19, 62, 66, 165, {"keyout$0": 1, "keyout$50": 0}),
-    (6, 0, 18, 81, 56, 129, {"keyout$0": 0, "keyout$50": 0}),
+    (1, 0, 17, 64, 42, 83, {"keyout$0": 0, "keyout$46": 0}),
+    (2, 0, 18, 80, 39, 76, {"keyout$0": 0, "keyout$46": 0}),
+    (3, 0, 18, 69, 52, 116, {"keyout$0": 0, "keyout$50": 0}),
+    (4, 0, 15, 57, 39, 75, {"keyout$0": 1, "keyout$52": 0}),
+    (5, 0, 19, 62, 54, 126, {"keyout$0": 1, "keyout$50": 0}),
+    (6, 0, 18, 81, 41, 80, {"keyout$0": 0, "keyout$50": 0}),
 ]
 SARLOCK_RUNS = [
-    (1, 15, 27, 217, 129, 350, _sar_key("0010")),
-    (2, 15, 28, 211, 132, 361, _sar_key("0001")),
-    (3, 15, 34, 241, 133, 361, _sar_key("0011")),
-    (4, 15, 29, 182, 132, 357, _sar_key("0101")),
-    (5, 15, 31, 200, 131, 355, _sar_key("1101")),
-    (6, 15, 27, 210, 127, 341, _sar_key("0110")),
+    (1, 15, 27, 217, 119, 317, _sar_key("0010")),
+    (2, 15, 28, 211, 124, 335, _sar_key("0001")),
+    (3, 15, 34, 241, 124, 332, _sar_key("0011")),
+    (4, 15, 29, 182, 115, 304, _sar_key("0101")),
+    (5, 15, 31, 200, 116, 307, _sar_key("1101")),
+    (6, 15, 27, 210, 119, 316, _sar_key("0110")),
 ]
 
 

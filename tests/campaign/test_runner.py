@@ -113,6 +113,36 @@ def test_innocent_bystanders_are_never_charged():
         assert record["attempts"] == 1
 
 
+def test_pool_broken_at_submit_is_rebuilt(monkeypatch):
+    """``executor.submit`` raises BrokenProcessPool when a worker died
+    since the last wait.  That is a pool break like a broken future:
+    the job that was not submitted goes back uncharged and the pool is
+    rebuilt, so with retries=0 every job still finishes on its first
+    attempt."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.campaign.runner as runner
+
+    pools = []
+
+    class BreaksAtFirstSubmit(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            if len(pools) == 1:
+                raise BrokenProcessPool("a worker died")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", BreaksAtFirstSubmit)
+    result = run_campaign(_echo_jobs(4), _config(jobs=2, retries=0))
+    assert result.status_counts == {"ok": 4}
+    assert [r["attempts"] for r in result.ordered()] == [1] * 4
+    assert len(pools) == 2
+
+
 def test_serial_and_pool_agree():
     jobs = [JobSpec.make("echo", value=i) for i in range(6)]
     serial = run_campaign(jobs, _config(jobs=1))

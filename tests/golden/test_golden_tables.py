@@ -1,10 +1,16 @@
-"""Golden regression + determinism tests for the paper tables.
+"""Golden regression + determinism tests for the paper tables and the
+arena suite.
 
 The golden files pin the exact aggregate (every number and the
 formatted text) of Table I and Table II as produced by the seed
 pipeline.  Any change to the generator, a locking flow, the delay
-model, or the seed derivations shows up here as a byte-level diff —
-regenerate deliberately with::
+model, or the seed derivations shows up here as a byte-level diff.
+``arena_suite.json`` pins the committed arena suite
+(``examples/arena/suite.json``) the same way, apart from wall times:
+every cell's outcome (verdicts, recovered key, queries, corruption,
+details) and every leaderboard row, so a change to an attack, a
+scheme, the miter or the solver that moves any of them shows here.
+Regenerate deliberately with::
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -27,6 +33,7 @@ from repro.reporting.tables import (
     table2_aggregate,
     table2_rows_from_cells,
 )
+from regen import arena_suite_snapshot
 
 GOLDEN_DIR = os.path.dirname(__file__)
 SUBSET = ["s1238", "s5378", "s9234"]
@@ -75,6 +82,11 @@ def test_table1_matches_golden():
 
 def test_table2_matches_golden():
     assert _dumps(_table2_aggregate(BENCHMARKS)) == _golden("table2.json")
+
+
+@pytest.mark.slow
+def test_arena_suite_matches_golden():
+    assert _dumps(arena_suite_snapshot()) == _golden("arena_suite.json")
 
 
 # ----------------------------------------------------------------------

@@ -219,6 +219,108 @@ class TestValidation:
         with pytest.raises(NetlistError, match="duplicate input"):
             c.validate()
 
+    # The netlist is corrupted after construction, past the checks of
+    # add_gate, so each case reaches validate()'s own branch.  Messages
+    # are matched whole.
+
+    def _lut(self):
+        c = Circuit("lut", default_library())
+        c.add_input("a")
+        c.add_input("b")
+        gate = c.add_gate("g", "LUT2_X1", {"I0": "a", "I1": "b"}, "y",
+                          truth_table=(0, 1, 1, 0))
+        c.add_output("y")
+        return c, gate
+
+    def _raises(self, c, message):
+        with pytest.raises(NetlistError) as caught:
+            c.validate()
+        assert str(caught.value) == message
+
+    def test_unconnected_pin_caught(self):
+        c = small()
+        nand = [g for g in c.gates.values() if g.function == "NAND2"][0]
+        del nand.pins["B"]
+        self._raises(c, f"gate {nand.name}: unconnected pins ['B']")
+
+    def test_unknown_pin_caught(self):
+        c = small()
+        nand = [g for g in c.gates.values() if g.function == "NAND2"][0]
+        nand.pins["Z"] = "a"
+        self._raises(c, f"gate {nand.name}: unknown pins ['Z']")
+
+    def test_renamed_pin_caught(self):
+        """A pin renamed in place keeps the pin count: the missing pin
+        is reported first, as Gate.validate checks it first."""
+        c = small()
+        nand = [g for g in c.gates.values() if g.function == "NAND2"][0]
+        nand.pins["Z"] = nand.pins.pop("B")
+        self._raises(c, f"gate {nand.name}: unconnected pins ['B']")
+
+    def test_lut_truth_table_length_caught(self):
+        c, gate = self._lut()
+        gate.truth_table = (0, 1)
+        self._raises(c, "gate g: LUT needs a 4-entry truth table")
+        gate.truth_table = None
+        self._raises(c, "gate g: LUT needs a 4-entry truth table")
+
+    def test_lut_truth_table_bits_caught(self):
+        c, gate = self._lut()
+        gate.truth_table = (0, 1, 2, 0)
+        self._raises(c, "gate g: truth table bits must be 0/1")
+
+    def test_truth_table_on_non_lut_caught(self):
+        c = small()
+        nand = [g for g in c.gates.values() if g.function == "NAND2"][0]
+        nand.truth_table = (0, 1, 1, 1)
+        self._raises(c, f"gate {nand.name}: truth table on non-LUT cell")
+
+    def test_flip_flop_on_another_clock_caught(self):
+        c = Circuit("bad", default_library())
+        c.set_clock("clk")
+        c.add_input("d")
+        c.add_input("clk2")
+        c.add_gate("ff", "DFF_X1", {"D": "d", "CLK": "clk2"}, "q")
+        c.add_output("q")
+        self._raises(c, "flip-flop ff CLK pin must use clock clk")
+
+    def test_gate_driven_input_caught(self):
+        c = small()
+        c.inputs.append("n1")
+        self._raises(c, "input 'n1' is gate-driven")
+
+    def test_combinational_cycle_caught(self):
+        c = Circuit("cyc", default_library())
+        c.add_input("a")
+        c.add_gate("g1", "AND2_X1", {"A": "a", "B": "n2"}, "n1")
+        c.add_gate("g2", "INV_X1", {"A": "n1"}, "n2")
+        c.add_output("n2")
+        self._raises(c, "combinational cycle through gates ['g1', 'g2']")
+
+    def test_first_error_in_check_order(self):
+        """Gates in insertion order, each checked whole (pins, truth
+        table, drivers, clock) before the next; then the outputs, then
+        the inputs, then cycles."""
+        c = Circuit("bad", default_library())
+        c.set_clock("clk")
+        c.add_input("a")
+        c.add_gate("g1", "AND2_X1", {"A": "a", "B": "ghost"}, "n1")
+        c.add_gate("g2", "AND2_X1", {"A": "a", "B": "clk"}, "n2")
+        c.add_output("ghost2")
+        c.inputs.append("a")
+        c.gates["g1"].truth_table = (0, 0, 0, 1)
+        self._raises(c, "gate g1: truth table on non-LUT cell")
+        c.gates["g1"].truth_table = None
+        self._raises(c, "gate g1 pin B: undriven net 'ghost'")
+        c.gates["g1"].pins["B"] = "a"
+        self._raises(c, "gate g2: clock used as data input")
+        c.gates["g2"].pins["B"] = "n1"
+        self._raises(c, "primary output 'ghost2' is undriven")
+        c.outputs.remove("ghost2")
+        self._raises(c, "duplicate input 'a'")
+        c.inputs.pop()
+        c.validate()
+
 
 class TestCones:
     def test_fanin_cone_stops_at_ff(self, toy_sequential):

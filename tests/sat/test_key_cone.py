@@ -19,7 +19,20 @@ inputs and key pairs:
     some input;
 (e) two copies on one table with random nets pre-bound to constants
     give every net the value of a simulation that forces those nets,
-    and encoding a copy again adds nothing and returns its literals.
+    and encoding a copy again adds nothing and returns its literals;
+(f) the miter's copies encode only the keys' cone of influence
+    (:func:`~repro.netlist.transform.key_influence_view`): it keeps
+    exactly the outputs in the keys' fan-out and their fan-in, in the
+    view's order, and every output it leaves out is a function of the
+    inputs alone.
+
+On the combinational copy, (c) and (d) check that smaller base against
+brute force: most drawn circuits have an output no key reaches, and
+about half have keys that reach no output at all
+(:func:`test_circuits_draw_key_independent_outputs` checks that the
+strategy draws both).  The edge cases are pinned below them: keys that
+reach no output, a key-independent output sharing fan-in with the
+cone, and an unrolled copy, which is encoded whole.
 
 (c) and (d) also run on the miter's two other copy kinds: the
 unrolled copy (small XOR-locked
@@ -37,18 +50,21 @@ Example volume comes from the ``tests/hypothesis_profiles.py`` profiles
 
 import copy
 
-from hypothesis import given, strategies as st
+from hypothesis import find, given, settings, strategies as st
 from hypothesis_profiles import active_profile
 from random_circuits import (
     all_patterns, bits, circuits, sequential_designs, simulate, xor_locks,
 )
 
-from repro.attacks.sat_attack import KeyConeMiter
+from repro.attacks import CombinationalOracle
+from repro.attacks.sat_attack import KeyConeMiter, sat_attack
 from repro.attacks.tcf import two_vector_response
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
+from repro.netlist import Builder
 from repro.netlist.compiled import compile_circuit
 from repro.netlist.transform import (
-    combinational_view, extract_combinational, timed_view, unrolled_view,
+    combinational_view, extract_combinational, key_influence_view,
+    timed_view, unrolled_view,
 )
 from repro.sat import CNF, CircuitEncoder, Solver
 from repro.sat.tseitin import NodeTable
@@ -436,3 +452,139 @@ def test_shared_table_copies_fold_constants(circuit, data):
     ), table=table)
     assert (len(cnf.clauses), cnf.num_vars) == (clauses, num_vars)
     assert again.var_of == copy2.var_of
+
+
+@active_profile()
+@given(circuit=circuits(min_keys=1))
+def test_key_influence_view_keeps_what_keys_reach(circuit):
+    """(f) The kept outputs are those in a key's fan-out and the kept
+    gates their fan-in (by ``Circuit.fanout_cone`` and
+    ``fanin_cone``), a subsequence of the view's gates whose fan-ins are
+    inputs, keys or kept gates' outputs; an output left out keeps its
+    value under every key, for every input."""
+    view = combinational_view(circuit)
+    cone = key_influence_view(view)
+    assert (cone.inputs, cone.key_inputs) == (view.inputs, view.key_inputs)
+    reached = key_cone_nets(circuit)
+    assert cone.outputs == [net for net in view.outputs if net in reached]
+    fanin = {
+        circuit.gates[name].output
+        for net in cone.outputs for name in circuit.fanin_cone(net)
+    }
+    assert {gate[1] for gate in cone.gates} == fanin
+    positions = [view.gates.index(gate) for gate in cone.gates]
+    assert positions == sorted(positions)
+    defined = set(view.inputs + view.key_inputs)
+    for _function, out, fanins, _table in cone.gates:
+        assert defined.issuperset(fanins)
+        defined.add(out)
+    assert defined.issuperset(cone.outputs)
+    left_out = [net for net in view.outputs if net not in set(cone.outputs)]
+    respond = evaluator_responses(circuit)
+    keys = all_patterns(circuit.key_inputs)
+    for pattern in all_patterns(circuit.inputs):
+        answers = respond(pattern, keys)
+        for net in left_out:
+            assert len({answer[net] for answer in answers}) == 1, net
+
+
+def test_circuits_draw_key_independent_outputs():
+    """The ``circuits`` strategy behind (c) and (d) draws circuits with
+    an output no key reaches (about three in four do) and circuits
+    whose keys reach no output (about one in two)."""
+    def dropped(circuit):
+        view = combinational_view(circuit)
+        return len(view.outputs) - len(key_influence_view(view).outputs)
+
+    quick = settings(database=None, max_examples=200)
+    mixed = find(circuits(min_keys=1),
+                 lambda c: 0 < dropped(c) < len(c.outputs), settings=quick)
+    assert key_influence_view(combinational_view(mixed)).outputs
+    unreached = find(circuits(min_keys=1),
+                     lambda c: dropped(c) == len(c.outputs), settings=quick)
+    assert not key_influence_view(combinational_view(unreached)).outputs
+
+
+def node_kinds(miter):
+    return sorted(key[0] for key in miter.table.nodes)
+
+
+def test_keys_reaching_no_output():
+    """The base is the key and input variables and ``NOT diff``: no
+    XOR, every output merged.  The first query is UNSAT and a key is
+    still extracted."""
+    def build(locked):
+        b = Builder("unreached")
+        a, c = b.inputs("a", "b")
+        if locked:
+            b.and2(a, b.key_input("k0"))  # drives nothing
+        b.po(b.or2(a, c), "y")
+        return b.circuit
+
+    circuit = build(locked=True)
+    view = combinational_view(circuit)
+    solver = Solver()
+    miter = KeyConeMiter(solver, view, {net: net for net in view.outputs})
+    assert miter.merged_outputs == 1
+    assert miter.clauses == 1 and miter.table.nodes == {}
+    assert not solver.solve([miter.diff])
+
+    result = sat_attack(circuit, CombinationalOracle(build(locked=False)))
+    assert result.completed and result.unsat_at_first_iteration
+    assert set(result.key) == {"k0"}
+
+
+def shared_fanin(locked, y2_function="or2"):
+    """``y1 = AND(a, b) XOR k`` (just the AND unless *locked*) and
+    ``y2 = AND(a, b) <op> c``: the key-independent ``y2`` reads the
+    cone's AND."""
+    b = Builder("locked" if locked else "chip")
+    a, bb, c = b.inputs("a", "b", "c")
+    shared = b.and2(a, bb)
+    if locked:
+        b.po(b.xor(shared, b.key_input("k0")), "y1")
+    else:
+        b.po(shared, "y1")
+    b.po(getattr(b, y2_function)(shared, c), "y2")
+    return b.circuit
+
+
+def test_key_independent_output_sharing_the_cone():
+    """``y2``'s gate is left out of the base, the AND it shares with
+    ``y1`` is encoded once, and each pin still constrains ``y2``: an
+    oracle whose ``y2`` no key reproduces leaves no key."""
+    locked = shared_fanin(locked=True)
+    view = combinational_view(locked)
+    cone = key_influence_view(view)
+    assert cone.outputs == ["y1"]
+    assert [gate[0] for gate in cone.gates] == ["AND2", "XOR2", "BUF"]
+    miter = KeyConeMiter(Solver(), view, {net: net for net in view.outputs})
+    assert miter.merged_outputs == 1
+    assert node_kinds(miter) == ["and", "xor", "xor"]
+
+    result = sat_attack(locked, CombinationalOracle(shared_fanin(False)))
+    assert result.completed and result.key == {"k0": 0}
+    wrong = CombinationalOracle(shared_fanin(False, "nor2"))
+    result = sat_attack(locked, wrong)
+    assert result.completed and result.key is None
+
+
+def test_unrolled_copy_is_encoded_whole():
+    """An unrolled copy keeps every output's logic: the key-independent
+    ``y2 = AND(a, b)`` gets its node in each frame, where the
+    combinational copy of the same netlist leaves it out."""
+    b = Builder("seq")
+    b.clock("clk")
+    a, bb = b.inputs("a", "b")
+    b.po(b.dff(b.xor(a, b.key_input("k0"))), "y1")
+    b.po(b.and2(a, bb), "y2")
+    netlist = b.circuit
+
+    comb = combinational_view(netlist)
+    miter = KeyConeMiter(Solver(), comb, {net: net for net in comb.outputs})
+    assert node_kinds(miter) == ["xor", "xor"]
+    unrolled = unrolled_view(netlist, 2)
+    miter = KeyConeMiter(
+        Solver(), unrolled, {net: net for net in unrolled.outputs})
+    assert node_kinds(miter).count("and") == 2
+
