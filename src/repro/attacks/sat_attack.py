@@ -57,7 +57,9 @@ __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
 #: :func:`~repro.attacks.warm_start.shared_clause_key` is salted with this:
 #: bump it whenever the miter's base encoding changes, or a pool saved
 #: under the old numbering would be seeded into unrelated variables.
-MITER_ENCODING_VERSION = 4
+#: 5: flip-flops are numbered in Q-net order, not instance-name order
+#: (the two differ on every ``.bench``-loaded sequential netlist).
+MITER_ENCODING_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,10 @@ def _interface_map(comb, oracle: OracleProtocol) -> Dict[str, str]:
     *comb* is the locked netlist's combinational view or circuit.
     Locking may rename a flip-flop's D net (a GK splices its MUX in
     front of the FF), but both combinational cores list outputs in the
-    same order: original POs first, then pseudo-POs sorted by FF name.
-    Inputs must agree by name (locking never renames Q nets or PIs).
+    same order: original POs first, then pseudo-POs sorted by their
+    flip-flop's Q net.  Inputs must agree by name (locking never
+    renames Q nets or PIs, and ``.bench`` keeps both), so the pairing
+    holds across a ``.bench`` round trip of either netlist.
     """
     if sorted(comb.inputs) != sorted(oracle.inputs):
         raise NetlistError("oracle input interface does not match")

@@ -61,9 +61,9 @@ from . import __version__
 from .attacks.oracle import CombinationalOracle
 from .attacks.sat_attack import sat_attack, verify_key_against_oracle
 from .bench.iwls import BENCHMARKS, iwls_benchmark
-from .locking.base import LockingScheme
+from .locking.base import LockingError, LockingScheme
 from .netlist.bench_io import parse_bench, write_bench
-from .netlist.circuit import Circuit
+from .netlist.circuit import Circuit, NetlistError
 from .netlist.stats import overhead
 from .netlist.verilog_io import parse_verilog, write_verilog
 from .sta.clock import ClockSpec
@@ -665,25 +665,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    """Live fleet dashboard: plain full redraws, no curses."""
+    """Live dashboard of one server: plain full redraws, no curses."""
     import time as _time
 
     from .obs.export import render_top
     from .serve import ServeConnection
 
     connection = ServeConnection(args.address)
+    previous = None
     try:
         while True:
             response = connection.fetch_obs()
-            fleet = response.get("fleet") or {}
             clock_text = _time.strftime("%H:%M:%S")
             if not args.once:
                 # ANSI clear + home: a dumb full redraw works on any
                 # terminal a CI log might replay, unlike curses.
                 sys.stdout.write("\x1b[2J\x1b[H")
-            _emit(render_top(fleet, clock_text=clock_text), result=True)
+            _emit(render_top(response, previous, clock_text=clock_text),
+                  result=True)
             if args.once:
                 return 0
+            previous = response
             sys.stdout.flush()
             _time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -824,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--serve-seconds", type=float, metavar="SEC",
                    help="run for SEC seconds then drain (CI smoke mode; "
                         "default: serve until interrupted)")
-    group = p.add_argument_group("fleet observability")
+    group = p.add_argument_group("server observability")
     group.add_argument("--metrics-file", metavar="FILE",
                        help="dump a Prometheus-style text snapshot to "
                             "FILE (atomic replace) every "
@@ -841,14 +843,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answered requests at or above MS are "
                             "logged as slow (errors always are)")
     group.add_argument("--fleet-trace", action="store_true",
-                       help="trace inside the server and buffer span "
-                            "trees for the obs op / remote trace "
-                            "adoption")
+                       help="trace inside the server and buffer its "
+                            "span trees until the traced client they "
+                            "belong to fetches them (obs op / remote "
+                            "trace adoption)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "top",
-        help="live fleet view of a serve endpoint (plain redraw)",
+        help="live dashboard of a serve endpoint (plain redraw)",
         parents=[obs_flags],
     )
     p.add_argument("address", metavar="HOST:PORT",
@@ -946,7 +949,27 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _QUIET = bool(getattr(args, "quiet", False))
+    try:
+        return _run(args)
+    except _refused() as exc:
+        # A refused input or an unreachable server, not a bug: one line
+        # and status 2, kept apart from attack's 1 for "no key".
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
+
+def _refused() -> tuple:
+    """The errors of a refused input or an unreachable server.
+
+    An ``except`` clause evaluates this only once something is raised,
+    so commands that never reach the server do not import it.
+    """
+    from .serve.protocol import ServeError
+
+    return (OSError, NetlistError, LockingError, ServeError)
+
+
+def _run(args: argparse.Namespace) -> int:
     # `profile` manages its own observability session (run_profile) and
     # threads --trace through as an extra sink; every other command gets
     # a session assembled here from the shared flags.

@@ -64,11 +64,13 @@ def _core_interface(
     """(inputs, outputs, flip-flops) of *circuit*'s combinational core.
 
     Inputs are the PIs then the flip-flops' Q nets, outputs the POs
-    then their D nets, both in flip-flop name order: the one order of
-    the extraction and the view alike.  The SAT attack maps a locked
-    netlist's outputs onto its oracle's by this position.
+    then their D nets, both in Q-net order: the one order of the
+    extraction and the view alike.  The SAT attack maps a locked
+    netlist's outputs onto its oracle's by this position, so the order
+    rests on the Q net, which ``.bench`` keeps and locking never
+    renames, not on the instance name, which ``.bench`` drops.
     """
-    flip_flops = sorted(circuit.flip_flops(), key=lambda g: g.name)
+    flip_flops = sorted(circuit.flip_flops(), key=lambda g: g.output)
     return (circuit.inputs + [ff.output for ff in flip_flops],
             circuit.outputs + [ff.pins["D"] for ff in flip_flops],
             flip_flops)

@@ -3,8 +3,12 @@
 Zero-dependency observability for every hot path in the repo: nested
 wall/monotonic-time spans (:func:`trace_span`), a metrics registry
 (counters / gauges / fixed-bucket histograms), pluggable sinks
-(in-memory, JSONL file, human-readable tree), and a whole-pipeline
-profile harness (:func:`run_profile`, surfaced as ``repro profile``).
+(in-memory, JSONL file, human-readable tree, and the buffer a served
+oracle ships each traced client's span trees from), a whole-pipeline
+profile harness (:func:`run_profile`, surfaced as ``repro profile``),
+and the text views of one oracle server's ``obs`` response: the
+Prometheus dump (:func:`render_exposition`) and ``repro top``
+(:func:`render_top`).
 
 Everything is off by default and *cheap* when off: instrumented call
 sites check one module attribute (``context.ACTIVE is None``) before
@@ -60,13 +64,7 @@ from .propagate import (
     current_context,
     remote_span,
 )
-from .aggregate import FleetAggregator
-from .export import (
-    render_exposition,
-    render_fleet_prometheus,
-    render_prometheus,
-    render_top,
-)
+from .export import render_exposition, render_prometheus, render_top
 
 __all__ = [
     "ObsSession", "capture", "current", "disable", "enable", "is_enabled",
@@ -81,7 +79,5 @@ __all__ = [
     "span_tree_from_dict", "span_tree_to_dict",
     "TraceContext", "attach_context",
     "context_from_request", "current_context", "remote_span",
-    "FleetAggregator",
-    "render_exposition", "render_fleet_prometheus", "render_prometheus",
-    "render_top",
+    "render_exposition", "render_prometheus", "render_top",
 ]

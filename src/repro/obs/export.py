@@ -1,29 +1,34 @@
-"""Text export of observability state: Prometheus exposition + ``top``.
+"""Text export of one server's ``obs`` response: Prometheus + ``top``.
 
-Two consumers, two formats:
+Both views read the same input, the response of the ``obs`` wire op
+(``stats``, ``latency_hist`` and ``metrics``; see
+:meth:`repro.serve.server.OracleServer._op_obs`):
 
-* :func:`render_prometheus` / :func:`render_fleet_prometheus` emit the
-  Prometheus text exposition format (``# TYPE`` headers, cumulative
-  ``_bucket{le=...}`` histogram lines, labeled per-worker/per-circuit
-  series).  ``repro serve --metrics-file`` dumps this periodically and
-  on ``SIGUSR1``; any scraper that reads textfile-collector output can
-  ingest it.
-* :func:`render_top` renders the fleet snapshot as fixed-width tables
-  for the ``repro top`` subcommand — curses-free, deterministic given
-  the snapshot (the golden test relies on that), redrawn by the CLI
-  with a plain ANSI clear.
+* :func:`render_exposition` emits the Prometheus text exposition
+  format (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histogram
+  lines, per-circuit series labelled by content id).  The server's own
+  counters, queue gauges, circuit rows and request-latency histogram
+  come first and need no tracing session; with one, the registry dump
+  (:func:`render_prometheus`) follows.  ``repro serve --metrics-file``
+  writes it periodically and on ``SIGUSR1``; any scraper that reads
+  textfile-collector output can ingest it.  It carries counters, not
+  rates: Prometheus computes rates itself.
+* :func:`render_top` renders the ``repro top`` dashboard as
+  fixed-width text, curses-free and deterministic given its inputs
+  (the golden test relies on that).  Its rates come from the deltas
+  between two of the caller's own polls over the server's uptime.
 
-Everything here is pure text-from-dict: no sockets, no sessions, so it
-is trivially testable and usable from any process that has a snapshot.
+Everything here is pure text-from-dict: no sockets, no sessions.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Tuple
 
-__all__ = ["render_prometheus", "render_fleet_prometheus",
-           "render_exposition", "render_top"]
+from .metrics import histogram_from_snapshot
+
+__all__ = ["render_prometheus", "render_exposition", "render_top"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -42,103 +47,98 @@ def _num(value: Any) -> str:
     return str(value)
 
 
+def _family(metric: str, entry: Mapping[str, Any]) -> List[str]:
+    """The ``# TYPE`` line and samples of one registry-snapshot entry
+    (nothing for an unknown kind)."""
+    kind = entry.get("kind")
+    if kind in ("counter", "gauge"):
+        return [f"# TYPE {metric} {kind}",
+                f"{metric} {_num(entry.get('value', 0))}"]
+    if kind != "histogram":
+        return []
+    lines = [f"# TYPE {metric} histogram"]
+    counts = entry.get("counts") or []
+    cumulative = 0
+    for bound, count in zip(entry.get("bounds") or [], counts):
+        cumulative += count
+        lines.append(
+            f'{metric}_bucket{{le="{_num(float(bound))}"}} {cumulative}'
+        )
+    total = entry.get("count", sum(counts))
+    lines.append(f'{metric}_bucket{{le="+Inf"}} {total}')
+    lines.append(f"{metric}_sum {_num(entry.get('sum', 0.0))}")
+    lines.append(f"{metric}_count {total}")
+    return lines
+
+
+def _text(lines: List[str]) -> str:
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def render_prometheus(snapshot: Mapping[str, Any],
                       prefix: str = "repro_") -> str:
     """Prometheus text exposition of a metrics-registry snapshot."""
     lines: List[str] = []
     for name in sorted(snapshot):
-        entry = snapshot[name]
-        metric = _metric_name(name, prefix)
-        kind = entry.get("kind")
-        if kind == "counter":
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_num(entry.get('value', 0))}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_num(entry.get('value', 0))}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {metric} histogram")
-            bounds = entry.get("bounds") or []
-            counts = entry.get("counts") or []
-            cumulative = 0
-            for bound, count in zip(bounds, counts):
-                cumulative += count
-                lines.append(
-                    f'{metric}_bucket{{le="{_num(float(bound))}"}} '
-                    f"{cumulative}"
-                )
-            total = entry.get("count", sum(counts))
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {total}')
-            lines.append(f"{metric}_sum {_num(entry.get('sum', 0.0))}")
-            lines.append(f"{metric}_count {total}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        lines += _family(_metric_name(name, prefix), snapshot[name])
+    return _text(lines)
 
 
-def render_fleet_prometheus(fleet: Mapping[str, Any],
-                            prefix: str = "repro_serve_") -> str:
-    """Labeled per-worker / per-circuit series from a fleet snapshot."""
+def _circuit_rows(
+    stats: Mapping[str, Any],
+) -> List[Tuple[str, int, Optional[int], Optional[int]]]:
+    """``(circuit id, queries, budget, remaining)`` per served circuit,
+    most queried first; remaining is None without a budget and never
+    below 0."""
+    registry = stats.get("registry") or {}
+    budgets = registry.get("budgets") or {}
+    rows = []
+    for cid, queries in (registry.get("query_counts") or {}).items():
+        budget = budgets.get(cid)
+        remaining = None if budget is None else max(0, budget - queries)
+        rows.append((cid, queries, budget, remaining))
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
+def render_exposition(response: Mapping[str, Any]) -> str:
+    """Exposition of one ``obs`` response: the server's stats, then the
+    registry dump when tracing is on.
+
+    A registry metric whose name a stats family already took (the
+    ``serve.queue.depth`` gauge, the ``serve.request.seconds``
+    histogram) is left out, so each family appears once.
+    """
+    stats = response.get("stats") or {}
+    batcher = stats.get("batcher") or {}
+    admission = stats.get("admission") or {}
     lines: List[str] = []
+    for name, kind, value in (
+        ("requests", "counter", stats.get("requests", 0)),
+        ("errors", "counter", stats.get("errors", 0)),
+        ("batches", "counter", batcher.get("batches", 0)),
+        ("lanes", "counter", batcher.get("lanes_total", 0)),
+        ("queue_depth", "gauge", admission.get("pending", 0)),
+        ("queue_peak", "gauge", admission.get("peak_pending", 0)),
+    ):
+        lines += _family(f"repro_serve_{name}", {"kind": kind, "value": value})
+    rows = _circuit_rows(stats)
+    for name, kind, column in (("circuit_queries", "counter", 1),
+                               ("circuit_remaining", "gauge", 3)):
+        metric = f"repro_serve_{name}"
+        samples = [f'{metric}{{circuit="{row[0]}"}} {row[column]}'
+                   for row in rows if row[column] is not None]
+        if samples:
+            lines += [f"# TYPE {metric} {kind}"] + samples
+    latency = response.get("latency_hist")
+    if latency:
+        lines += _family("repro_serve_request_seconds", latency)
 
-    def series(name: str, kind: str, rows) -> None:
-        metric = prefix + name
-        emitted = False
-        for label_kv, value in rows:
-            if value is None:
-                continue
-            if not emitted:
-                lines.append(f"# TYPE {metric} {kind}")
-                emitted = True
-            lines.append(f"{metric}{{{label_kv}}} {_num(value)}")
-
-    workers = fleet.get("workers") or {}
-    for field, kind in (("requests", "counter"), ("errors", "counter"),
-                        ("qps", "gauge"), ("batches", "counter"),
-                        ("lanes_total", "counter"), ("queue_depth", "gauge"),
-                        ("queue_peak", "gauge"), ("occupancy_mean", "gauge")):
-        series(f"worker_{field}", kind,
-               ((f'worker="{wid}"', row.get(field))
-                for wid, row in sorted(workers.items())))
-
-    circuits = fleet.get("circuits") or {}
-    for field, kind in (("query_count", "counter"), ("qps", "gauge"),
-                        ("remaining", "gauge")):
-        series(f"circuit_{field}", kind,
-               ((f'circuit="{cid}"', entry.get(field))
-                for cid, entry in sorted(circuits.items())))
-
-    totals = fleet.get("totals") or {}
-    for field in ("workers", "requests", "errors", "qps", "queue_depth"):
-        value = totals.get(field)
-        if value is not None:
-            metric = f"{prefix}fleet_{field}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_num(value)}")
-
-    latency = fleet.get("latency") or {}
-    for field in ("p50_s", "p95_s", "p99_s", "mean_s", "max_s"):
-        value = latency.get(field)
-        if value is not None:
-            metric = f"{prefix}latency_{field.replace('_s', '_seconds')}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_num(float(value))}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_exposition(obs_response: Mapping[str, Any]) -> str:
-    """Full exposition from one ``obs`` wire-op response: fleet series
-    first (when present), then the raw per-process registry dump."""
-    parts: List[str] = []
-    fleet = obs_response.get("fleet")
-    if fleet:
-        text = render_fleet_prometheus(fleet)
-        if text:
-            parts.append(text)
-    metrics = obs_response.get("metrics")
-    if metrics:
-        text = render_prometheus(metrics)
-        if text:
-            parts.append(text)
-    return "\n".join(parts) if parts else "# no metrics recorded\n"
+    taken = {line.split()[2] for line in lines if line.startswith("# TYPE")}
+    metrics = response.get("metrics") or {}
+    return _text(lines) + render_prometheus({
+        name: entry for name, entry in metrics.items()
+        if _metric_name(name, "repro_") not in taken
+    })
 
 
 # ----------------------------------------------------------------------
@@ -146,70 +146,78 @@ def render_exposition(obs_response: Mapping[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 def _ms(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    return f"{value * 1e3:.1f}"
+    return "-" if value is None else f"{value * 1e3:.1f}"
 
 
 def _short(cid: str, width: int = 16) -> str:
     return cid if len(cid) <= width else cid[:width - 1] + "…"
 
 
-def render_top(fleet: Mapping[str, Any],
+def _elapsed(stats: Mapping[str, Any],
+             earlier: Mapping[str, Any]) -> Optional[float]:
+    """Seconds of server uptime between two polls, or None: no earlier
+    poll, or the server restarted in between (its uptime or request
+    count went back)."""
+    if not earlier or stats.get("requests", 0) < earlier.get("requests", 0):
+        return None
+    elapsed = stats.get("uptime_s", 0.0) - earlier.get("uptime_s", 0.0)
+    return elapsed if elapsed > 0 else None
+
+
+def render_top(response: Mapping[str, Any],
+               previous: Optional[Mapping[str, Any]] = None,
                clock_text: Optional[str] = None) -> str:
-    """Plain-text dashboard of one fleet snapshot (deterministic)."""
-    totals = fleet.get("totals") or {}
-    latency = fleet.get("latency") or {}
-    header = (
-        f"repro fleet  workers={totals.get('workers', 0)}"
-        f"  requests={totals.get('requests', 0)}"
-        f"  errors={totals.get('errors', 0)}"
-        f"  qps={totals.get('qps', 0.0):g}"
-    )
-    if latency:
-        header += (f"  p50={_ms(latency.get('p50_s'))}ms"
-                   f" p95={_ms(latency.get('p95_s'))}ms"
-                   f" p99={_ms(latency.get('p99_s'))}ms")
+    """Plain-text dashboard of one ``obs`` response (deterministic).
+
+    Rates are the request and per-circuit query deltas since
+    *previous*, the caller's last poll of the same server, over the
+    ``uptime_s`` delta.  Without one, or where the server restarted in
+    between, they read ``-``; a count that went back reads ``-`` too.
+    """
+    stats = response.get("stats") or {}
+    batcher = stats.get("batcher") or {}
+    admission = stats.get("admission") or {}
+    earlier = (previous or {}).get("stats") or {}
+    elapsed = _elapsed(stats, earlier)
+
+    def rate(now: int, before: int) -> str:
+        if elapsed is None or now < before:
+            return "-"
+        return f"{(now - before) / elapsed:.1f}"
+
+    requests = stats.get("requests", 0)
+    header = (f"repro serve  uptime={stats.get('uptime_s', 0.0):.1f}s"
+              f"  requests={requests}  errors={stats.get('errors', 0)}"
+              f"  qps={rate(requests, earlier.get('requests', 0))}")
     if clock_text:
         header += f"  [{clock_text}]"
-    lines = [header, ""]
-
-    workers = fleet.get("workers") or {}
-    lines.append(f"{'worker':<8}{'requests':>10}{'errors':>8}{'qps':>9}"
-                 f"{'batches':>9}{'occ.mean':>10}{'queue':>7}{'circuits':>10}"
-                 f"{'p99_ms':>9}")
-    for wid in sorted(workers):
-        row = workers[wid]
-        occupancy = row.get("occupancy_mean")
-        row_latency = row.get("latency") or {}
+    lines = [header]
+    latency = response.get("latency_hist")
+    if latency and latency.get("count"):
+        hist = histogram_from_snapshot(latency)
+        lines.append("latency  " + "  ".join(
+            f"p{q}={_ms(hist.quantile(q / 100))}ms" for q in (50, 95, 99)
+        ))
+    occupancy = batcher.get("occupancy_mean")
+    lines += [
+        f"batches={batcher.get('batches', 0)}"
+        f"  lanes={batcher.get('lanes_total', 0)}"
+        f"  occ.mean={'-' if occupancy is None else occupancy}"
+        f"  queue={admission.get('pending', 0)}"
+        f"  peak={admission.get('peak_pending', 0)}",
+        "",
+        f"{'circuit':<18}{'queries':>9}{'qps':>9}{'budget':>9}"
+        f"{'remaining':>11}",
+    ]
+    before = (earlier.get("registry") or {}).get("query_counts") or {}
+    rows = _circuit_rows(stats)
+    for cid, queries, budget, remaining in rows:
         lines.append(
-            f"{wid:<8}{row.get('requests', 0):>10}{row.get('errors', 0):>8}"
-            f"{row.get('qps', 0.0):>9g}{row.get('batches', 0):>9}"
-            f"{occupancy if occupancy is not None else '-':>10}"
-            f"{row.get('queue_depth', 0):>7}{row.get('circuits', 0):>10}"
-            f"{_ms(row_latency.get('p99_s')):>9}"
+            f"{_short(cid):<18}{queries:>9}"
+            f"{rate(queries, before.get(cid, 0)):>9}"
+            f"{'-' if budget is None else budget:>9}"
+            f"{'-' if remaining is None else remaining:>11}"
         )
-    if not workers:
-        lines.append("(no workers reporting)")
-    lines.append("")
-
-    circuits = fleet.get("circuits") or {}
-    lines.append(f"{'circuit':<18}{'queries':>9}{'qps':>9}{'budget':>9}"
-                 f"{'remaining':>11}  workers")
-    ordered = sorted(
-        circuits.items(),
-        key=lambda item: (-item[1].get("query_count", 0), item[0]),
-    )
-    for cid, entry in ordered:
-        budget = entry.get("budget")
-        remaining = entry.get("remaining")
-        lines.append(
-            f"{_short(cid):<18}{entry.get('query_count', 0):>9}"
-            f"{entry.get('qps', 0.0):>9g}"
-            f"{budget if budget is not None else '-':>9}"
-            f"{remaining if remaining is not None else '-':>11}"
-            f"  {','.join(entry.get('workers') or ())}"
-        )
-    if not circuits:
+    if not rows:
         lines.append("(no circuits registered)")
     return "\n".join(lines) + "\n"

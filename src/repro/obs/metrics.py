@@ -186,10 +186,11 @@ def histogram_snapshot(hist: Histogram) -> dict:
     }
 
 
-def histogram_from_snapshot(entry: dict, name: str = "snapshot") -> Histogram:
-    """Rebuild a :class:`Histogram` from its snapshot entry, so merged
-    cross-process data can reuse :meth:`Histogram.quantile`."""
-    hist = Histogram(name, tuple(entry.get("bounds") or ()))
+def histogram_from_snapshot(entry: dict) -> Histogram:
+    """Rebuild a :class:`Histogram` from its snapshot entry, so data
+    shipped across processes (the ``obs`` op's request-latency
+    histogram) can reuse :meth:`Histogram.quantile`."""
+    hist = Histogram("snapshot", tuple(entry.get("bounds") or ()))
     counts = list(entry.get("counts") or ())
     if len(counts) == len(hist.counts):
         hist.counts = counts

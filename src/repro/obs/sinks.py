@@ -122,13 +122,17 @@ class SpanBuffer(Sink):
     """Buffers completed *root* trees, serialized, for another process.
 
     The shipping half of distributed tracing: ``repro serve
-    --fleet-trace`` attaches one to its session and a client's ``obs``
-    request (``"spans": true``) drains it.  Trees are serialized
-    eagerly at close time so draining is a cheap list handoff and later
-    span mutation cannot race the reader.  Bounded: past *capacity*
-    roots the oldest are dropped and counted, so a server nobody polls
-    cannot leak memory.  Thread-safe (spans close on the event loop,
-    drains may arrive from another thread).
+    --fleet-trace`` attaches one to its session, and a client's ``obs``
+    request (``"spans": true``) drains the trees of its own trace, the
+    roots that carry its trace id (:func:`~repro.obs.propagate.remote_span`
+    stamps it); trees of other traces stay.  Roots without a trace id,
+    such as the server's startup registrations and untraced clients'
+    requests, are never buffered: no drain could return them.  Trees
+    are serialized eagerly at close time so draining is a cheap list
+    handoff and later span mutation cannot race the reader.  Bounded:
+    past *capacity* roots the oldest are dropped and counted, so trees
+    nobody fetches cannot leak memory.  Thread-safe (spans close on the
+    event loop, drains may arrive from another thread).
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -140,7 +144,7 @@ class SpanBuffer(Sink):
         self._roots: Deque[dict] = deque()
 
     def on_span(self, span: Span) -> None:
-        if span.parent is not None:
+        if span.parent is not None or "trace_id" not in span.attrs:
             return
         from .snapshots import span_tree_to_dict  # local: import cycle
 
@@ -151,12 +155,16 @@ class SpanBuffer(Sink):
                 self._roots.popleft()
                 self.dropped += 1
 
-    def drain(self) -> List[dict]:
-        """Hand over (and forget) every buffered tree."""
+    def drain(self, trace_id: str) -> List[dict]:
+        """Hand over (and forget) every buffered tree of *trace_id*."""
         with self._lock:
-            out = list(self._roots)
-            self._roots.clear()
-        return out
+            mine = [tree for tree in self._roots
+                    if tree["attrs"].get("trace_id") == trace_id]
+            if mine:
+                self._roots = deque(
+                    tree for tree in self._roots
+                    if tree["attrs"].get("trace_id") != trace_id)
+        return mine
 
     def __len__(self) -> int:
         with self._lock:

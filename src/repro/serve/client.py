@@ -172,10 +172,11 @@ class ServeConnection:
         return self.request({"op": "stats"})
 
     def fetch_obs(self, spans: bool = False) -> Dict[str, Any]:
-        """The server's aggregated observability snapshot (``obs`` op).
+        """The server's observability state (``obs`` op).
 
-        ``spans=True`` also drains the server's buffered span trees —
-        destructive server-side, so each tree is fetched exactly once.
+        ``spans=True`` also drains the server's buffered span trees of
+        this session's trace (the ``ctx`` the request carries names
+        it) — destructive server-side, so each tree is fetched once.
         """
         request: Dict[str, Any] = {"op": "obs"}
         if spans:
@@ -281,14 +282,17 @@ class RemoteOracle:
 
 
 def adopt_remote_trace(connection: ServeConnection) -> int:
-    """Pull the server's buffered span trees into the local session.
+    """Pull this session's span trees from the server into it.
 
-    Fetches ``obs`` with ``spans=True`` and stitches every tree whose
-    recorded parent token matches a span this session exported (the
-    ``ctx`` the connection attached on each request), producing one
-    contiguous cross-process trace.  Returns the number of trees
-    adopted; 0 — never an error — when observability is disabled, the
-    server predates the ``obs`` op, or the fetch fails.
+    Fetches ``obs`` with ``spans=True``, which hands over only the
+    buffered trees of this session's trace: the server's answers to
+    the requests this session sent (each carried its ``ctx``).  Each
+    tree is adopted: one whose recorded parent token names a span this
+    session exported stitches under that span, producing one
+    contiguous cross-process trace; one whose parent is not known here
+    becomes a top-level root.  Returns the number of trees adopted;
+    0 — never an error — when observability is disabled, the server
+    predates the ``obs`` op, or the fetch fails.
     """
     from ..obs import context as _obs
 

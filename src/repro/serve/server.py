@@ -40,9 +40,8 @@ from ..netlist.bench_io import parse_bench
 from ..netlist.transform import combinational_circuit
 from ..obs import context as _obs
 from ..obs import metrics as _metrics
-from ..obs.aggregate import FleetAggregator
 from ..obs.metrics import histogram_snapshot
-from ..obs.propagate import context_from_request, remote_span
+from ..obs.propagate import TraceContext, context_from_request, remote_span
 from ..obs.sinks import SlowRequestLog, SpanBuffer
 from .admission import AdmissionConfig, AdmissionController
 from .batcher import BatchConfig, DynamicBatcher
@@ -143,9 +142,6 @@ class OracleServer:
             self.registry, self.admission, self.config.batch,
             slow_log=slow_log,
         )
-        #: the fleet view the ``obs`` op answers with: this process as
-        #: worker "0"
-        self.fleet = FleetAggregator()
         from ..obs.metrics import DEFAULT_TIME_BUCKETS, Histogram
 
         self.latency = Histogram("serve.request.seconds",
@@ -298,41 +294,41 @@ class OracleServer:
         }
 
     def _op_obs(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """This process's aggregated observability snapshot.
+        """This server's observability state, for ``repro top`` and the
+        metrics dump.
 
-        Everything is *cumulative* — stats counters, the full
-        request-latency histogram, the metrics-registry dump — so the
-        op is safe to poll at any rate (``repro top`` polls it every
-        couple of seconds).  ``"spans": true``
-        additionally drains the buffered span trees; that part is
-        destructive by design — each tree ships exactly once.
+        ``stats`` (the ``stats`` op's payload), ``latency_hist`` (the
+        full request-latency histogram) and ``metrics`` (the registry
+        dump, None without tracing) are all *cumulative*, so the op is
+        safe to poll at any rate.  ``"spans": true`` also drains the
+        buffered span trees of the caller's trace, named by the
+        request's ``ctx``: each tree ships once, to the client whose
+        request it answered, and every other tree stays buffered.
         """
         stats = self._op_stats()
         stats.pop("ok", None)
-        latency = histogram_snapshot(self.latency)
-        metrics = _metrics.snapshot()
-        self.fleet.update("0", stats, latency=latency, metrics=metrics)
         response: Dict[str, Any] = {
             "ok": True,
             "stats": stats,
-            "latency_hist": latency,
-            "metrics": metrics,
-            "fleet": self.fleet.snapshot(),
+            "latency_hist": histogram_snapshot(self.latency),
+            "metrics": _metrics.snapshot(),
         }
         if request.get("spans"):
-            response["spans"] = self.drain_spans()
+            response["spans"] = self.drain_spans(
+                context_from_request(request))
         return response
 
     @staticmethod
-    def drain_spans() -> List[dict]:
-        """Every span tree the active session's buffers hold (once)."""
+    def drain_spans(ctx: Optional[TraceContext]) -> List[dict]:
+        """The buffered span trees of *ctx*'s trace (each once); none
+        without a context or an active session."""
         session = _obs.ACTIVE
-        if session is None:
+        if session is None or ctx is None:
             return []
         trees: List[dict] = []
         for sink in session.sinks:
             if isinstance(sink, SpanBuffer):
-                trees.extend(sink.drain())
+                trees.extend(sink.drain(ctx.trace_id))
         return trees
 
     # ------------------------------------------------------------------

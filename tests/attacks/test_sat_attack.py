@@ -1,5 +1,6 @@
 """Tests for the SAT attack [11] and the paper's Sec. VI result."""
 
+import io
 import random
 
 import pytest
@@ -9,9 +10,16 @@ from repro.attacks import (
     sat_attack,
     verify_key_against_oracle,
 )
+from repro.bench import iwls_benchmark
 from repro.core import GkLock, expose_gk_keys
 from repro.locking import SarLock, XorLock
-from repro.netlist import Builder, NetlistError
+from repro.netlist import (
+    Builder,
+    NetlistError,
+    check_equivalence,
+    parse_bench,
+    write_bench,
+)
 
 
 def medium_comb():
@@ -59,6 +67,21 @@ class TestAgainstXorLocking:
         assert verify_key_against_oracle(
             locked.circuit, oracle, result.key, samples=32
         ) == 1.0
+
+    def test_bench_round_tripped_lock_against_its_original(self):
+        """``.bench`` drops flip-flop instance names (the reader names
+        them ``dff$N``), so a re-read lock lists its flip-flops in
+        another name order than the in-memory original; the attack
+        pairs their pseudo-POs by Q net, which ``.bench`` keeps."""
+        original = iwls_benchmark("s1238").circuit
+        locked = XorLock().lock(original, 4, random.Random(2019)).circuit
+        text = io.StringIO()
+        write_bench(locked, text)
+        reread = parse_bench(text.getvalue(), name="locked.bench")
+        result = sat_attack(reread, CombinationalOracle(original))
+        assert result.completed and result.key is not None
+        assert check_equivalence(original, reread,
+                                 key_b=result.key).equivalent
 
 
 class TestAgainstSarLock:

@@ -1,7 +1,7 @@
-"""Fleet aggregation and the text ops surface.
+"""The text ops surface: Prometheus exposition and ``repro top``.
 
-:class:`FleetAggregator` is exercised with an injected fake clock so
-QPS deltas are exact, and the ``repro top`` rendering is pinned byte
+Both render one ``obs`` response of one server.  ``repro top`` takes
+its rates from two of its own polls, and its rendering is pinned byte
 for byte against ``tests/golden/top_render.txt``.  Regenerate the
 golden deliberately with::
 
@@ -11,45 +11,32 @@ golden deliberately with::
 import os
 import sys
 
-import pytest
-
-from repro.obs.aggregate import FleetAggregator
-from repro.obs.export import (
-    render_exposition,
-    render_fleet_prometheus,
-    render_prometheus,
-    render_top,
-)
-from repro.obs.snapshots import MetricMergeError
+from repro.obs.export import render_exposition, render_prometheus, render_top
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), os.pardir, "golden", "top_render.txt"
 )
 
 
-class FakeClock:
-    def __init__(self, now=100.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
-def _stats(requests=0, errors=0, batches=0, lanes=0, occupancy=None,
-           pending=0, peak=0, query_counts=None, budgets=None):
-    """A worker stats payload in the shape the ``obs`` op returns."""
+def _response(uptime=60.0, requests=0, errors=0, batches=0, lanes=0,
+              occupancy=None, pending=0, peak=0, query_counts=None,
+              budgets=None, latency=None, metrics=None):
+    """An ``obs`` response in the shape the server sends."""
     return {
-        "requests": requests,
-        "errors": errors,
-        "batcher": {"batches": batches, "lanes_total": lanes,
-                    "occupancy_mean": occupancy},
-        "admission": {"pending": pending, "peak_pending": peak},
-        "registry": {"size": len(query_counts or {}),
-                     "query_counts": dict(query_counts or {}),
-                     "budgets": dict(budgets or {})},
+        "ok": True,
+        "stats": {
+            "uptime_s": uptime,
+            "requests": requests,
+            "errors": errors,
+            "batcher": {"batches": batches, "lanes_total": lanes,
+                        "occupancy_mean": occupancy},
+            "admission": {"pending": pending, "peak_pending": peak},
+            "registry": {"size": len(query_counts or {}),
+                         "query_counts": dict(query_counts or {}),
+                         "budgets": dict(budgets or {})},
+        },
+        "latency_hist": latency,
+        "metrics": metrics,
     }
 
 
@@ -59,84 +46,53 @@ def _latency(counts, bounds=(0.001, 0.01, 0.1), low=0.0005, high=0.05):
             "sum": high * sum(counts) / 2, "min": low, "max": high}
 
 
-class TestFleetAggregator:
-    def test_qps_comes_from_consecutive_sample_deltas(self):
-        clock = FakeClock()
-        fleet = FleetAggregator(clock=clock)
-        fleet.update("0", _stats(requests=100))
-        clock.advance(10.0)
-        fleet.update("0", _stats(requests=250))
-        snap = fleet.snapshot()
-        assert snap["workers"]["0"]["qps"] == 15.0
-        assert snap["totals"]["qps"] == 15.0
-        # cumulative counters are reported as-is, never summed over polls
-        assert snap["totals"]["requests"] == 250
+def _header(text):
+    return text.splitlines()[0]
 
-    def test_redelivered_cumulative_sample_cannot_double_count(self):
-        clock = FakeClock()
-        fleet = FleetAggregator(clock=clock)
-        for _ in range(5):  # same cumulative numbers, five polls
-            fleet.update("0", _stats(requests=40, errors=2))
-            clock.advance(1.0)
-        snap = fleet.snapshot()
-        assert snap["totals"]["requests"] == 40
-        assert snap["totals"]["errors"] == 2
-        assert snap["workers"]["0"]["qps"] == 0.0
 
-    def test_counter_reset_clamps_qps_to_zero(self):
-        """A restarted server's counters start over; the delta is
-        negative and must clamp, not go < 0."""
-        clock = FakeClock()
-        fleet = FleetAggregator(clock=clock)
-        fleet.update("0", _stats(requests=500))
-        clock.advance(2.0)
-        fleet.update("0", _stats(requests=3))
-        assert fleet.snapshot()["workers"]["0"]["qps"] == 0.0
+class TestTopRates:
+    def test_rate_comes_from_consecutive_polls(self):
+        first = _response(uptime=50.0, requests=100,
+                          query_counts={"cid": 40})
+        second = _response(uptime=60.0, requests=250,
+                           query_counts={"cid": 100, "new": 30})
+        text = render_top(second, first)
+        assert "qps=15.0" in _header(text)
+        rows = {line.split()[0]: line.split() for line in
+                text.splitlines() if line.startswith(("cid", "new"))}
+        assert rows["cid"][:3] == ["cid", "100", "6.0"]
+        assert rows["new"][:3] == ["new", "30", "3.0"]
 
-    def test_circuit_rows_join_across_workers(self):
-        clock = FakeClock()
-        fleet = FleetAggregator(clock=clock)
-        fleet.update("0", _stats(requests=30,
-                                 query_counts={"cid-a": 30},
-                                 budgets={"cid-a": 100}))
-        fleet.update("1", _stats(requests=12,
-                                 query_counts={"cid-a": 5, "cid-b": 7}))
-        snap = fleet.snapshot()
-        row = snap["circuits"]["cid-a"]
-        assert row["query_count"] == 35
-        assert row["budget"] == 100
-        assert row["remaining"] == 100 - 35
-        assert row["workers"] == ["0", "1"]
-        assert snap["circuits"]["cid-b"]["budget"] is None
-        assert snap["circuits"]["cid-b"]["remaining"] is None
+    def test_first_frame_prints_no_rate(self):
+        text = render_top(_response(requests=7, query_counts={"cid": 7}))
+        assert "qps=-" in _header(text)
+        (row,) = [line for line in text.splitlines()
+                  if line.startswith("cid")]
+        assert row.split()[:3] == ["cid", "7", "-"]
+
+    def test_restart_between_polls_prints_no_rate(self):
+        """A restarted server's uptime and counters start over: the
+        deltas would be negative, so the frame prints none."""
+        before = _response(uptime=100.0, requests=500,
+                           query_counts={"cid": 400})
+        for after in (_response(uptime=2.0, requests=3,
+                                query_counts={"cid": 1}),
+                      _response(uptime=120.0, requests=3,
+                                query_counts={"cid": 1})):
+            text = render_top(after, before)
+            assert "qps=-" in _header(text)
+            (row,) = [line for line in text.splitlines()
+                      if line.startswith("cid")]
+            assert row.split()[2] == "-"
 
     def test_remaining_budget_never_negative(self):
-        fleet = FleetAggregator(clock=FakeClock())
-        fleet.update("0", _stats(query_counts={"cid": 120},
-                                 budgets={"cid": 100}))
-        assert fleet.snapshot()["circuits"]["cid"]["remaining"] == 0
-
-    def test_latency_quantiles_merge_bucket_exactly(self):
-        fleet = FleetAggregator(clock=FakeClock())
-        fleet.update("0", _stats(requests=4),
-                     latency=_latency([2, 1, 1, 0]))
-        fleet.update("1", _stats(requests=6),
-                     latency=_latency([0, 0, 5, 1], high=0.2))
-        latency = fleet.snapshot()["latency"]
-        assert latency["count"] == 10
-        # rank(p50) = 5 of 10 -> third bucket (le 0.1)
-        assert latency["p50_s"] == pytest.approx(0.1)
-        # rank(p99) = 10 -> overflow bucket, clamped to observed max
-        assert latency["p99_s"] == pytest.approx(0.2)
-        assert latency["max_s"] == pytest.approx(0.2)
-
-    def test_mismatched_latency_bounds_refuse_to_merge(self):
-        fleet = FleetAggregator(clock=FakeClock())
-        fleet.update("0", _stats(requests=1), latency=_latency([1, 0, 0, 0]))
-        fleet.update("1", _stats(requests=1),
-                     latency=_latency([1, 0, 0], bounds=(1.0, 2.0)))
-        with pytest.raises(MetricMergeError):
-            fleet.snapshot()
+        response = _response(query_counts={"cid": 120},
+                             budgets={"cid": 100})
+        (row,) = [line for line in render_top(response).splitlines()
+                  if line.startswith("cid")]
+        assert row.split()[3:] == ["100", "0"]
+        assert ('repro_serve_circuit_remaining{circuit="cid"} 0'
+                in render_exposition(response).splitlines())
 
 
 class TestPrometheusRendering:
@@ -165,46 +121,82 @@ class TestPrometheusRendering:
         assert "# TYPE repro_queue_depth gauge" in text
         assert "repro_queue_depth 3" in text
 
-    def test_fleet_series_are_labeled_per_worker_and_circuit(self):
-        fleet = FleetAggregator(clock=FakeClock())
-        fleet.update("0", _stats(requests=9, query_counts={"cid": 9},
-                                 budgets={"cid": 50}))
-        text = render_fleet_prometheus(fleet.snapshot())
-        assert 'repro_serve_worker_requests{worker="0"} 9' in text
-        assert 'repro_serve_circuit_query_count{circuit="cid"} 9' in text
-        assert 'repro_serve_circuit_remaining{circuit="cid"} 41' in text
-        assert "repro_serve_fleet_workers 1" in text
-
     def test_exposition_without_any_metrics(self):
-        assert render_exposition({}) == "# no metrics recorded\n"
+        """No registry (``metrics`` is None, the server is not tracing):
+        the server's counters, queue gauges and latency histogram, and
+        no rate gauge."""
+        text = render_exposition(_response(
+            requests=9, errors=1, batches=4, lanes=20, pending=2, peak=5,
+            latency=_latency([2, 1, 1, 0]),
+        ))
+        lines = text.splitlines()
+        for line in ("# TYPE repro_serve_requests counter",
+                     "repro_serve_requests 9", "repro_serve_errors 1",
+                     "repro_serve_batches 4", "repro_serve_lanes 20",
+                     "# TYPE repro_serve_queue_depth gauge",
+                     "repro_serve_queue_depth 2", "repro_serve_queue_peak 5",
+                     "# TYPE repro_serve_request_seconds histogram",
+                     'repro_serve_request_seconds_bucket{le="0.001"} 2',
+                     'repro_serve_request_seconds_bucket{le="+Inf"} 4',
+                     "repro_serve_request_seconds_count 4"):
+            assert line in lines, line
+        assert "qps" not in text and "rate" not in text
+
+    def test_circuit_series_are_labeled_by_circuit(self):
+        text = render_exposition(_response(
+            query_counts={"cid": 9, "free": 3}, budgets={"cid": 50}))
+        lines = text.splitlines()
+        assert "# TYPE repro_serve_circuit_queries counter" in lines
+        assert 'repro_serve_circuit_queries{circuit="cid"} 9' in lines
+        assert 'repro_serve_circuit_queries{circuit="free"} 3' in lines
+        assert "# TYPE repro_serve_circuit_remaining gauge" in lines
+        assert 'repro_serve_circuit_remaining{circuit="cid"} 41' in lines
+        assert 'circuit_remaining{circuit="free"}' not in text
+
+    def test_registry_dump_follows_and_each_family_appears_once(self):
+        """Under tracing the registry records ``serve.queue.depth`` and
+        ``serve.request.seconds`` too; the stats families keep those
+        names, and the rest of the dump follows."""
+        metrics = {
+            "serve.queue.depth": {"kind": "gauge", "value": 7},
+            "serve.request.seconds": _latency([1, 0, 0, 0]),
+            "serve.batch.flushes": {"kind": "counter", "value": 4},
+        }
+        text = render_exposition(_response(
+            pending=2, latency=_latency([2, 1, 1, 0]), metrics=metrics))
+        families = [line.split()[2] for line in text.splitlines()
+                    if line.startswith("# TYPE")]
+        assert len(families) == len(set(families))
+        assert "repro_serve_queue_depth 2" in text.splitlines()
+        assert "repro_serve_queue_depth 7" not in text
+        assert 'repro_serve_request_seconds_bucket{le="+Inf"} 4' in text
+        assert "repro_serve_batch_flushes 4" in text.splitlines()
+        assert text.index("repro_serve_batch_flushes") > \
+            text.index("repro_serve_request_seconds")
 
 
 # ----------------------------------------------------------------------
 # repro top golden
 # ----------------------------------------------------------------------
 
-def _golden_fleet():
-    """A deterministic two-worker, two-circuit fleet history."""
-    clock = FakeClock()
-    fleet = FleetAggregator(clock=clock)
-    fleet.update("0", _stats(requests=100, query_counts={"aaaa1111bbbb2222cccc": 90},
-                             budgets={"aaaa1111bbbb2222cccc": 1000}))
-    fleet.update("1", _stats(requests=40, query_counts={"dddd3333": 40}))
-    clock.advance(10.0)
-    fleet.update("0", _stats(requests=220, errors=3, batches=25, lanes=200,
-                             occupancy=8.0, pending=2, peak=9,
-                             query_counts={"aaaa1111bbbb2222cccc": 180},
-                             budgets={"aaaa1111bbbb2222cccc": 1000}),
-                 latency=_latency([100, 80, 30, 10], high=0.25))
-    fleet.update("1", _stats(requests=90, errors=1, batches=12, lanes=70,
-                             occupancy=5.5, pending=0, peak=4,
-                             query_counts={"dddd3333": 90}),
-                 latency=_latency([40, 30, 20, 0]))
-    return fleet.snapshot()
+def _golden_polls():
+    """Two polls of one server, 10 s of uptime apart: one budgeted and
+    one unbudgeted circuit, and a circuit's id wider than its column."""
+    first = _response(uptime=120.0, requests=140,
+                      query_counts={"aaaa1111bbbb2222cccc": 90,
+                                    "dddd3333": 40},
+                      budgets={"aaaa1111bbbb2222cccc": 1000})
+    second = _response(uptime=130.0, requests=310, errors=4, batches=37,
+                       lanes=270, occupancy=7.3, pending=2, peak=9,
+                       query_counts={"aaaa1111bbbb2222cccc": 180,
+                                     "dddd3333": 90},
+                       budgets={"aaaa1111bbbb2222cccc": 1000},
+                       latency=_latency([140, 110, 50, 10], high=0.25))
+    return second, first
 
 
 def _render_golden():
-    return render_top(_golden_fleet(), clock_text="12:00:00")
+    return render_top(*_golden_polls(), clock_text="12:00:00")
 
 
 def test_top_rendering_matches_golden():
@@ -212,11 +204,10 @@ def test_top_rendering_matches_golden():
         assert _render_golden() == stream.read()
 
 
-def test_top_rendering_of_an_empty_fleet():
-    text = render_top(FleetAggregator(clock=FakeClock()).snapshot())
-    assert "(no workers reporting)" in text
+def test_top_rendering_of_an_idle_server():
+    text = render_top(_response())
     assert "(no circuits registered)" in text
-    assert text.startswith("repro fleet  workers=0")
+    assert text.startswith("repro serve  uptime=60.0s  requests=0")
 
 
 if __name__ == "__main__":

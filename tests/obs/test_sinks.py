@@ -78,6 +78,29 @@ class TestInMemorySink:
             sink.metric_value("missing.metric")
 
 
+class TestSpanBuffer:
+    def test_buffers_traced_roots_and_drains_one_trace(self):
+        """Only roots stamped with a trace id are buffered, and a
+        drain hands over its own trace's trees and keeps the rest."""
+        buffer = obs.SpanBuffer()
+        obs.enable(buffer)
+        try:
+            with obs.trace_span("untraced"):
+                pass
+            for trace in ("t1", "t2", "t1"):
+                with obs.trace_span("request", trace_id=trace):
+                    with obs.trace_span("child"):
+                        pass
+        finally:
+            obs.disable()
+        assert len(buffer) == 3
+        mine = buffer.drain("t1")
+        assert [tree["attrs"]["trace_id"] for tree in mine] == ["t1", "t1"]
+        assert [child["name"] for child in mine[0]["children"]] == ["child"]
+        assert buffer.drain("t1") == []
+        assert len(buffer) == 1 and buffer.dropped == 0
+
+
 class TestRendering:
     def test_span_tree_shows_durations_and_attrs(self):
         sink = obs.InMemorySink()

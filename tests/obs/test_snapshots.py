@@ -1,9 +1,8 @@
 """Merge semantics and cross-process span stitching.
 
 ``merge_metrics`` is the one funnel every worker snapshot passes
-through (campaign adoption, fleet aggregation), so its kind-by-kind
-semantics — counters add, gauges max, histograms bucket-exact or
-refuse — are pinned here.
+through (campaign adoption), so its kind-by-kind semantics — counters
+add, gauges max, histograms bucket-exact or refuse — are pinned here.
 """
 
 import pytest

@@ -54,10 +54,21 @@ def gate_specs(draw, available):
     return function, operands, table
 
 
+def _key_fanout(num_inputs, num_keys, gates):
+    """Indices of the nets in the keys' fan-out, the keys included."""
+    reached = set(range(num_inputs, num_inputs + num_keys))
+    for index, (_function, operands, _table) in enumerate(gates):
+        if reached.intersection(operands):
+            reached.add(num_inputs + num_keys + index)
+    return sorted(reached)
+
+
 @st.composite
 def recipes(draw, min_keys=0, max_inputs=6, max_keys=3):
     """``(inputs, keys, gate specs, output indices)``; every net may
-    drive an output."""
+    drive an output.  With keys, the outputs lead with a net of the
+    keys' fan-out unless a 0-3 draw comes out 3, so most circuits have
+    an output some key reaches; the rest draw their outputs freely."""
     num_inputs = draw(st.integers(1, max_inputs))
     num_keys = draw(st.integers(min_keys, max_keys))
     gates = []
@@ -67,6 +78,10 @@ def recipes(draw, min_keys=0, max_inputs=6, max_keys=3):
         st.integers(0, num_inputs + num_keys + len(gates) - 1),
         min_size=1, max_size=4, unique=True,
     ))
+    if num_keys and draw(st.integers(0, 3)) < 3:
+        reached = draw(st.sampled_from(
+            _key_fanout(num_inputs, num_keys, gates)))
+        outputs = [reached] + [i for i in outputs if i != reached][:3]
     return num_inputs, num_keys, tuple(gates), tuple(outputs)
 
 

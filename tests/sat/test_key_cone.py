@@ -27,10 +27,12 @@ inputs and key pairs:
     inputs alone.
 
 On the combinational copy, (c) and (d) check that smaller base against
-brute force: most drawn circuits have an output no key reaches, and
-about half have keys that reach no output at all
-(:func:`test_circuits_draw_key_independent_outputs` checks that the
-strategy draws both).  The edge cases are pinned below them: keys that
+brute force: about three in four drawn circuits have an output no key
+reaches, and about one in eleven has keys that reach no output at all
+(one in twenty of the time-expanded copy's smaller circuits), since the
+strategy leads most circuits' outputs with a net some key reaches
+(:func:`test_circuits_draw_key_independent_outputs` checks that it
+draws both kinds).  The edge cases are pinned below them: keys that
 reach no output, a key-independent output sharing fan-in with the
 cone, and an unrolled copy, which is encoded whole.
 
@@ -491,7 +493,7 @@ def test_key_influence_view_keeps_what_keys_reach(circuit):
 def test_circuits_draw_key_independent_outputs():
     """The ``circuits`` strategy behind (c) and (d) draws circuits with
     an output no key reaches (about three in four do) and circuits
-    whose keys reach no output (about one in two)."""
+    whose keys reach no output (about one in eleven)."""
     def dropped(circuit):
         view = combinational_view(circuit)
         return len(view.outputs) - len(key_influence_view(view).outputs)

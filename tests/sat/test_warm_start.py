@@ -14,6 +14,7 @@
   iterations.
 """
 
+import io
 import json
 import random
 
@@ -25,6 +26,7 @@ from repro.attacks import (
     verify_key_against_oracle,
 )
 from repro.attacks.registry import AttackContext, run_attack
+from repro.attacks.sat_attack import MITER_ENCODING_VERSION
 from repro.attacks.warm_start import (
     load_shared_clauses,
     oracle_fingerprint,
@@ -32,11 +34,13 @@ from repro.attacks.warm_start import (
     store_shared_clauses,
     warm_solver,
 )
+from repro.bench import iwls_benchmark
 from repro.campaign.cache import NetlistCache
 from repro.campaign.matrix import JobSpec
 from repro.campaign.worker import execute_job
 from repro.locking import XorLock
-from repro.netlist import Builder
+from repro.netlist import Builder, parse_bench, write_bench
+from repro.netlist.transform import combinational_view
 from repro.sat import Solver
 
 #: Lock seed whose cold attack on :func:`medium_comb` needs a DIP and
@@ -190,6 +194,27 @@ class TestPersistence:
         new_key = shared_clause_key(locked.circuit, "sat", fingerprint)
         assert new_key != old_key
         assert load_shared_clauses(cache, new_key) == []
+
+    def test_flip_flop_order_is_the_versioned_one(self):
+        """Pools of a ``.bench``-loaded netlist are keyed by its text,
+        which a reorder of the view leaves alone, so only the version
+        keeps them apart.  Version 5 numbers the pseudo-PIs in Q-net
+        order; version 4 used instance-name order, which differs on a
+        round trip (the reader names flip-flops ``dff$N``).  A change
+        of this order must bump the version and rewrite this test."""
+        locked = XorLock().lock(iwls_benchmark("s1238").circuit, 4,
+                                random.Random(2019)).circuit
+        text = io.StringIO()
+        write_bench(locked, text)
+        reread = parse_bench(text.getvalue(), name="locked.bench")
+        flip_flops = reread.flip_flops()
+        by_q_net = sorted(ff.output for ff in flip_flops)
+        by_name = [ff.output
+                   for ff in sorted(flip_flops, key=lambda g: g.name)]
+        view = combinational_view(reread)
+        assert view.inputs[len(reread.inputs):] == by_q_net
+        assert by_q_net != by_name
+        assert MITER_ENCODING_VERSION == 5
 
 
 class TestWarmAttack:

@@ -1,4 +1,4 @@
-"""Fleet observability end to end: one query, one span tree.
+"""Server observability end to end: one query, one span tree.
 
 The distributed-tracing acceptance test lives here: a client root span
 must come back as ONE contiguous tree spanning the client and the
@@ -7,12 +7,14 @@ server process —
     client root -> serve.client.query -> serve.request
                 -> serve.batch.flush
 
-— plus the ops-plane invariants: the ``obs`` wire op's fleet totals
-agree with the cumulative stats, and the slow-request log captures
-slow, rejected, and deadline-expired requests.
+— and each traced client of one server adopts only its own trees;
+plus the ops-plane invariants: the views rendered from the ``obs``
+wire op agree with the cumulative stats, and the slow-request log
+captures slow, rejected, and deadline-expired requests.
 """
 
 import asyncio
+import contextlib
 import io
 import json
 import signal
@@ -20,6 +22,10 @@ import signal
 import pytest
 
 from repro import obs
+from repro.obs import context as _obs
+from repro.obs.context import ObsSession
+from repro.obs.export import render_exposition, render_top
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import InMemorySink, SlowRequestLog
 from repro.serve import (
     DeadlineExceededError,
@@ -81,20 +87,21 @@ class TestSingleServerTracing:
             obs.disable()
 
     def test_obs_op_works_with_observability_disabled(self):
-        """The ops plane is always on: stats/fleet answer without a
-        session; only span shipping needs one."""
+        """The ops plane is always on: stats answer without a session;
+        only span shipping needs one."""
         assert not obs.is_enabled()
         server = OracleServer()
         circuit = build_chain("t2", 4)
         _request(server, {"op": "register", "netlist": bench_text(circuit),
                           "name": circuit.name})
         response = _request(server, {"op": "obs", "spans": True})
-        assert response["ok"]
+        assert set(response) == {"ok", "stats", "latency_hist", "metrics",
+                                 "spans"}
         assert response["spans"] == []
-        assert response["fleet"]["totals"]["workers"] == 1
+        assert response["metrics"] is None
         assert response["stats"]["requests"] == 2  # register + obs
 
-    def test_fleet_totals_match_cumulative_stats(self):
+    def test_ops_views_match_cumulative_stats(self):
         server = OracleServer()
         circuit = build_chain("t3", 5)
         register = _request(server, {"op": "register",
@@ -104,14 +111,17 @@ class TestSingleServerTracing:
             _request(server, query_request(register["circuit"], ["a"],
                                            [{"a": value}]))
         response = _request(server, {"op": "obs"})
-        fleet = response["fleet"]
         stats = response["stats"]
-        assert fleet["totals"]["requests"] == stats["requests"]
-        assert fleet["totals"]["errors"] == stats["errors"]
-        row = fleet["circuits"][register["circuit"]]
-        assert row["query_count"] == 3
-        assert row["query_count"] == \
-            stats["registry"]["query_counts"][register["circuit"]]
+        cid = register["circuit"]
+        assert stats["registry"]["query_counts"][cid] == 3
+        exposition = render_exposition(response).splitlines()
+        assert f"repro_serve_requests {stats['requests']}" in exposition
+        assert f"repro_serve_errors {stats['errors']}" in exposition
+        assert f'repro_serve_circuit_queries{{circuit="{cid}"}} 3' \
+            in exposition
+        (row,) = [line for line in render_top(response).splitlines()
+                  if line.startswith(cid[:15])]
+        assert row.split()[1:3] == ["3", "-"]
 
 
 # ----------------------------------------------------------------------
@@ -207,3 +217,62 @@ class TestCrossProcessTracing:
         (root,) = [r for r in session.roots if r.name == "client.root"]
         assert _find_chain(root, self.CHAIN), \
             f"no contiguous chain under {root.name}"
+
+
+@contextlib.contextmanager
+def _active(session):
+    """Make *session* the process's active one for a block, as if each
+    client ran in its own process."""
+    previous = _obs.ACTIVE
+    _obs.ACTIVE = session
+    try:
+        yield
+    finally:
+        _obs.ACTIVE = previous
+
+
+class TestTraceScopedAdoption:
+    def test_each_client_adopts_only_its_own_trees(self, tmp_path):
+        """Two traced clients, each with its own session, on one
+        `repro serve --fleet-trace` process: each adopts exactly the
+        trees of its own requests (register and queries), stitched
+        under its own spans; neither takes the server's startup
+        registration or the other's trees, and the first adoption
+        leaves the second client's trees in place."""
+        circuit = build_chain("scoped", 4)
+        netlist = tmp_path / "scoped.bench"
+        netlist.write_text(bench_text(circuit))
+        with serve_process(netlist, tmp_path,
+                           "--fleet-trace") as (server, address):
+            clients = {}
+            for name, queries in (("a", 2), ("b", 1)):
+                session = ObsSession([InMemorySink()], MetricsRegistry())
+                with _active(session):
+                    with obs.trace_span(f"client.{name}"):
+                        oracle = RemoteOracle(address, circuit=circuit)
+                        for value in range(queries):
+                            oracle.query({"a": value})
+                clients[name] = (session, oracle, queries)
+            for name in ("b", "a"):  # b adopts first
+                session, oracle, queries = clients[name]
+                with _active(session):
+                    assert adopt_remote_trace(oracle.connection) \
+                        == 1 + queries
+                oracle.close()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10.0) == 0
+
+        for name, (session, _oracle, queries) in clients.items():
+            (root,) = session.roots
+            assert root.name == f"client.{name}"
+            requests = [span for span in root.iter_tree()
+                        if span.name == "serve.request"]
+            assert sorted(span.attrs["op"] for span in requests) == \
+                ["query"] * queries + ["register"]
+            assert {span.attrs["trace_id"] for span in requests} == \
+                {session.trace_id}
+            for span in requests:
+                if span.attrs["op"] == "query":
+                    assert span.parent.name == "serve.client.query"
+                else:
+                    assert span.parent is root

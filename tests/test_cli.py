@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.netlist import parse_bench, write_bench
+from repro.serve import RemoteOracle
 
 from tests.serve.conftest import serve_process
 
@@ -269,3 +270,88 @@ class TestAttackRemoteFlags:
               "-o", locked_path])
         with pytest.raises(SystemExit, match="needs an oracle"):
             main(["attack", locked_path])
+
+
+class TestRefusedInput:
+    """A refused input or an unreachable server is one line on stderr
+    and status 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "missing.bench"],
+        ["info", "bad.bench"],
+        ["lock", "iwls:s1238", "--scheme", "gk", "--key-bits", "5000"],
+        ["top", "127.0.0.1:1", "--once"],
+        ["attack", "l.bench", "iwls:s1238", "--remote", "127.0.0.1:1"],
+    ], ids=["missing-file", "bad-netlist", "infeasible-lock",
+            "top-refused", "remote-refused"])
+    def test_one_line_and_status_2(self, argv, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.bench").write_text(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\ny = FOO(a, b, c)\n")
+        assert main(["lock", "iwls:s1238", "--scheme", "xor",
+                     "--key-bits", "4", "-o", "l.bench"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {argv[0]}: ")
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestOpsSurface:
+    """`repro serve --metrics-file` and `repro top` against a served
+    process."""
+
+    @staticmethod
+    def _query(address, circuit, patterns):
+        """*patterns* one-pattern queries; returns the circuit id."""
+        with RemoteOracle(address, circuit=circuit) as oracle:
+            for value in range(patterns):
+                oracle.query({net: value % 2 for net in oracle.inputs})
+            return oracle.circuit_id
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_metrics_file(self, bench_file, toy_sequential, tmp_path,
+                          traced):
+        """The dump written on the way out has the request counter, the
+        circuit's query count and the latency histogram, each family
+        once; under ``--trace`` the registry dump follows."""
+        path = tmp_path / "m.prom"
+        flags = ["--metrics-file", str(path), "--metrics-interval", "0"]
+        if traced:
+            flags += ["--trace", str(tmp_path / "trace.jsonl")]
+        with serve_process(bench_file, tmp_path, *flags) as (server,
+                                                             address):
+            cid = self._query(address, toy_sequential, 3)
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10.0) == 0
+        lines = path.read_text().splitlines()
+        families = [line.split()[2] for line in lines
+                    if line.startswith("# TYPE")]
+        assert len(families) == len(set(families))
+        (requests,) = [line for line in lines
+                       if line.startswith("repro_serve_requests ")]
+        assert int(requests.split()[1]) >= 5  # register, 3 queries, obs
+        assert f'repro_serve_circuit_queries{{circuit="{cid}"}} 3' in lines
+        (inf,) = [line for line in lines if line.startswith(
+            'repro_serve_request_seconds_bucket{le="+Inf"}')]
+        (count,) = [line for line in lines if line.startswith(
+            "repro_serve_request_seconds_count ")]
+        assert inf.split()[1] == count.split()[1]
+        assert ("repro_serve_batch_flushes" in families) == traced
+
+    def test_top_once(self, bench_file, toy_sequential, tmp_path, capsys):
+        """One frame: the circuit's query count, no rate yet, no worker
+        table."""
+        with serve_process(bench_file, tmp_path) as (server, address):
+            cid = self._query(address, toy_sequential, 5)
+            assert main(["top", "%s:%d" % address, "--once"]) == 0
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10.0) == 0
+        out = capsys.readouterr().out
+        (row,) = [line for line in out.splitlines()
+                  if line.startswith(cid[:15])]
+        assert row.split()[1:3] == ["5", "-"]
+        assert "worker" not in out
