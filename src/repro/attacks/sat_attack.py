@@ -59,7 +59,9 @@ __all__ = ["IterationStats", "KeyConeMiter", "MITER_ENCODING_VERSION",
 #: under the old numbering would be seeded into unrelated variables.
 #: 5: flip-flops are numbered in Q-net order, not instance-name order
 #: (the two differ on every ``.bench``-loaded sequential netlist).
-MITER_ENCODING_VERSION = 5
+#: 6: the node table rewrites ``XOR(a, XOR(a, c))`` to ``c`` and
+#: ``MUX(s, NOT b, b)`` to ``XNOR(s, b)``, which folds a GK to one literal.
+MITER_ENCODING_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,12 @@ class KeyConeMiter:
       logic adds no XOR to ``diff``, and leaving it out of the base
       removes no model.
     * Folding is exact: each rewrite (a constant operand, equal or
-      complementary operands, a negated MUX select or arm) is a Boolean
-      identity.
+      complementary operands, a negated MUX select or arm,
+      ``XOR(a, XOR(a, c)) = c`` and ``MUX(s, NOT b, b) = XNOR(s, b)``)
+      is a Boolean identity.  The last two fold a GK,
+      ``MUX(k, XNOR(x, k), XOR(x, k))``, to ``NOT x`` (or ``x``) in
+      each copy, so a GK lock's copies hash to one literal per output
+      and ``diff`` has no XOR at all.
     * A key-independent output that disagrees with the oracle folds to
       a constant and pins the constant-true literal false, so the
       formula is UNSAT, just as the plain encoding is.
@@ -276,6 +282,10 @@ def dip_loop(
     The run opens the spans ``attack.<family>``, ``.encode``, one
     ``.iteration`` per query plus the final one and ``.key_extract``,
     and counts ``attack.<family>.iterations`` and ``.oracle_queries``.
+    ``.encode`` carries the base's ``vars``, ``clauses`` and
+    ``merged_outputs`` and how often the node table's two cancelling
+    rewrites fired (``xor_collapses``, ``mux_collapses``): a GK lock
+    shows every output merged and one of each per GK and copy.
     *solver* replaces the default fresh :class:`Solver` (e.g. one
     seeded by :func:`~repro.attacks.warm_start.warm_solver`); it must
     have no clauses added yet.
@@ -301,6 +311,8 @@ def dip_loop(
             encode_span.annotate(
                 vars=solver.num_vars, clauses=miter.clauses,
                 merged_outputs=miter.merged_outputs,
+                xor_collapses=miter.table.xor_collapses,
+                mux_collapses=miter.table.mux_collapses,
             )
 
         result = SatAttackResult(

@@ -91,7 +91,11 @@ def _emit(text: str = "", *, result: bool = False, err: bool = False) -> None:
 
 def _load(path: str) -> Circuit:
     if path.startswith("iwls:"):
-        return iwls_benchmark(path[5:]).circuit
+        name = path[5:]
+        if name not in BENCHMARKS:  # a refused input, not a KeyError
+            raise NetlistError(f"unknown benchmark {name!r}; choose from "
+                               f"{', '.join(BENCHMARKS)}")
+        return iwls_benchmark(name).circuit
     with open(path) as stream:
         text = stream.read()
     if path.endswith((".v", ".sv")):

@@ -26,10 +26,14 @@ first vector plus one literal per gate and time tick.  Frames and
 ticks hash like copies do, so a frame that sees the reset constants
 and a tick whose fan-ins have not yet switched cost nothing.
 
-The rewrites are folding, trivial AND/XOR/MUX identities and hashing
-only.  Nothing re-associates, so a GK's arms
-``MUX(k, XNOR(x, k), XOR(x, k))`` stay three nodes rather than one
-``NOT x``.
+The rewrites are folding, trivial AND/XOR/MUX identities, two
+cancellations and hashing.  The cancellations are
+``XOR(a, XOR(a, c)) = c`` (one operand is an XOR node with the other
+among its fan-ins) and ``MUX(s, NOT b, b) = XNOR(s, b)`` (complementary
+arms).  Together they fold a GK, ``MUX(k, XNOR(x, k), XOR(x, k))``
+behind any BUF chains, to the literal ``NOT x`` (or ``x`` for the
+swapped arms): its key drops out.  Nothing re-associates beyond that:
+``XOR(XOR(a, b), XOR(a, c))`` stays a node.
 """
 
 from __future__ import annotations
@@ -67,11 +71,18 @@ class NodeTable:
     literal, allocated with its unit clause on first use.  Every method
     takes the :class:`CNF` that receives a new node's clauses; the CNFs
     of one table must all feed the same solver, in order.
+    ``xor_collapses`` and ``mux_collapses`` count how often
+    ``XOR(a, XOR(a, c)) = c`` and ``MUX(s, NOT b, b) = XNOR(s, b)``
+    fired.
     """
 
     def __init__(self) -> None:
         self.nodes: Dict[tuple, int] = {}
         self.true: Optional[int] = None
+        #: XOR node variable -> its two fan-in variables
+        self.xor_fanins: Dict[int, Tuple[int, int]] = {}
+        self.xor_collapses = 0
+        self.mux_collapses = 0
 
     def constant(self, cnf: CNF, value: int) -> int:
         """The literal of constant *value*."""
@@ -121,10 +132,20 @@ class NodeTable:
             return self.constant(cnf, 1)
         # XOR(-a, b) == -XOR(a, b): key on the variables, sign the result
         negate = (a < 0) != (b < 0)
-        a, b = sorted((abs(a), abs(b)))
+        a, b = abs(a), abs(b)
+        if a > b:
+            a, b = b, a
+        # XOR(a, XOR(a, c)) == c: a node's fan-ins are older than it,
+        # so only the younger operand b can be the inner XOR
+        fanins = self.xor_fanins.get(b)
+        if fanins is not None and a in fanins:
+            self.xor_collapses += 1
+            c = fanins[1] if fanins[0] == a else fanins[0]
+            return -c if negate else c
         out, new = self._node(cnf, ("xor", a, b))
         if new:
             cnf.add_xor(out, a, b)
+            self.xor_fanins[out] = (a, b)
         return -out if negate else out
 
     def mux2(self, cnf: CNF, a: int, b: int, sel: int) -> int:
@@ -134,6 +155,9 @@ class NodeTable:
             return b if sel == true else a
         if a == b:
             return a
+        if a == -b:  # MUX(s, NOT b, b) == XNOR(s, b)
+            self.mux_collapses += 1
+            return -self.xor2(cnf, sel, b)
         if sel < 0:
             sel, a, b = -sel, b, a
         if true is not None:

@@ -166,10 +166,16 @@ class OracleServer:
         field), so a traced client's tree stitches the server's spans
         under the submitting span when they ship home.  Disabled, the
         context field is never even decoded.
+
+        An ``obs`` poll is the ops view reading the server, not traffic:
+        it counts in neither ``requests`` nor the latency histogram, so
+        ``repro top`` and the metrics dumper do not see their own polls.
         """
         op = request.get("op")
         t0 = time.perf_counter()
-        self.requests += 1
+        traffic = op != "obs"
+        if traffic:
+            self.requests += 1
         ctx = (context_from_request(request)
                if _obs.ACTIVE is not None else None)
         error_code: Optional[str] = None
@@ -186,8 +192,9 @@ class OracleServer:
             error_code = wrapped.code
             response = {"ok": False, "error": error_to_payload(wrapped)}
         took = time.perf_counter() - t0
-        self.latency.observe(took)
-        _metrics.observe("serve.request.seconds", took)
+        if traffic:
+            self.latency.observe(took)
+            _metrics.observe("serve.request.seconds", took)
         if self.slow_log is not None and \
                 self.slow_log.should_log(took, error_code):
             circuit = request.get("circuit")

@@ -13,18 +13,30 @@ If a change moves any of these numbers, it has changed the miter's
 encoding or the solver's search: decide whether
 ``MITER_ENCODING_VERSION`` must be bumped (it must whenever the miter's
 variable numbering changes) before writing the new numbers here.  The
-variable and clause columns are those of encoding version 4, whose
-copies encode only the keys' cone of influence; the move from version
-3 (whole copies) rewrote those two columns alone, and every iteration,
-conflict, decision and key held, as the cone argument predicts (a
-variable outside the cone is never decided and never in a conflict).
+variable and clause columns are those of encoding version 6.  Version
+4's copies encode only the keys' cone of influence; the move from
+version 3 (whole copies) rewrote those two columns alone, and every
+iteration, conflict, decision and key held, as the cone argument
+predicts (a variable outside the cone is never decided and never in a
+conflict).  Version 5 renumbered only ``.bench``-loaded netlists, none
+of which is pinned here.  Version 6's node table rewrites
+``XOR(a, XOR(a, c))`` to ``c`` and ``MUX(s, NOT b, b)`` to
+``XNOR(s, b)``, which folds every GK to ``NOT x`` or ``x`` in both
+copies: the GK rows went to 0 conflicts and 0 decisions (the first
+query is refuted by the miter's own unit clause, every output having
+merged), with fewer variables and clauses, and any key is consistent,
+so the solver's default polarity returns the all-zero one.  Of the
+SARLock rows only seed 2's variables and clauses moved (124 -> 123,
+335 -> 331: the XOR rewrite fires on it); its search held.
 
 The 2-frame unrolled attack (:func:`sequential_sat_attack`, no scan
 access) runs the same loop on the same miter over its unrolled copy; it
 is pinned on the same GK locks and on 4-bit XOR and SARLock locks of
 the same sequential designs (iterations, conflicts, decisions and the
 key, which must also be 2-frame equivalent to the design).  It keeps no
-warm-start pool, so these numbers move with its encoding alone.
+warm-start pool, so these numbers move with its encoding alone.  Under
+version 6 the GK rows went to 0 conflicts, 0 decisions and the all-zero
+key, for the reason above; the XOR and SARLock rows held.
 """
 
 import random
@@ -91,16 +103,16 @@ def _xor_key(bits):
 
 # (seed, iterations, conflicts, decisions, solver vars, solver clauses, key)
 GK_RUNS = [
-    (1, 0, 17, 64, 42, 83, {"keyout$0": 0, "keyout$46": 0}),
-    (2, 0, 18, 80, 39, 76, {"keyout$0": 0, "keyout$46": 0}),
-    (3, 0, 18, 69, 52, 116, {"keyout$0": 0, "keyout$50": 0}),
-    (4, 0, 15, 57, 39, 75, {"keyout$0": 1, "keyout$52": 0}),
-    (5, 0, 19, 62, 54, 126, {"keyout$0": 1, "keyout$50": 0}),
-    (6, 0, 18, 81, 41, 80, {"keyout$0": 0, "keyout$50": 0}),
+    (1, 0, 0, 0, 36, 56, {"keyout$0": 0, "keyout$46": 0}),
+    (2, 0, 0, 0, 33, 49, {"keyout$0": 0, "keyout$46": 0}),
+    (3, 0, 0, 0, 46, 89, {"keyout$0": 0, "keyout$50": 0}),
+    (4, 0, 0, 0, 32, 44, {"keyout$0": 0, "keyout$52": 0}),
+    (5, 0, 0, 0, 48, 99, {"keyout$0": 0, "keyout$50": 0}),
+    (6, 0, 0, 0, 35, 53, {"keyout$0": 0, "keyout$50": 0}),
 ]
 SARLOCK_RUNS = [
     (1, 15, 27, 217, 119, 317, _sar_key("0010")),
-    (2, 15, 28, 211, 124, 335, _sar_key("0001")),
+    (2, 15, 28, 211, 123, 331, _sar_key("0001")),
     (3, 15, 34, 241, 124, 332, _sar_key("0011")),
     (4, 15, 29, 182, 115, 304, _sar_key("0101")),
     (5, 15, 31, 200, 116, 307, _sar_key("1101")),
@@ -143,12 +155,12 @@ def _gk_key(first, second, bits):
 
 # (lock, seed, iterations, conflicts, decisions, key); frames = 2
 SEQUENTIAL_RUNS = [
-    ("gk", 1, 0, 19, 32, _gk_key(0, 46, "01")),
-    ("gk", 2, 0, 30, 76, _gk_key(0, 46, "00")),
-    ("gk", 3, 0, 9, 39, _gk_key(0, 50, "00")),
-    ("gk", 4, 0, 2, 13, _gk_key(0, 52, "10")),
-    ("gk", 5, 0, 6, 76, _gk_key(0, 50, "11")),
-    ("gk", 6, 0, 2, 14, _gk_key(0, 50, "01")),
+    ("gk", 1, 0, 0, 0, _gk_key(0, 46, "00")),
+    ("gk", 2, 0, 0, 0, _gk_key(0, 46, "00")),
+    ("gk", 3, 0, 0, 0, _gk_key(0, 50, "00")),
+    ("gk", 4, 0, 0, 0, _gk_key(0, 52, "00")),
+    ("gk", 5, 0, 0, 0, _gk_key(0, 50, "00")),
+    ("gk", 6, 0, 0, 0, _gk_key(0, 50, "00")),
     ("xor", 1, 5, 30, 168, _xor_key("0110")),
     ("xor", 2, 2, 18, 71, _xor_key("0100")),
     ("xor", 3, 3, 13, 67, _xor_key("1100")),

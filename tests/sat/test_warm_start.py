@@ -200,7 +200,8 @@ class TestPersistence:
         which a reorder of the view leaves alone, so only the version
         keeps them apart.  Version 5 numbers the pseudo-PIs in Q-net
         order; version 4 used instance-name order, which differs on a
-        round trip (the reader names flip-flops ``dff$N``).  A change
+        round trip (the reader names flip-flops ``dff$N``).  Version 6
+        keeps that order and adds two node-table rewrites.  A change
         of this order must bump the version and rewrite this test."""
         locked = XorLock().lock(iwls_benchmark("s1238").circuit, 4,
                                 random.Random(2019)).circuit
@@ -214,7 +215,7 @@ class TestPersistence:
         view = combinational_view(reread)
         assert view.inputs[len(reread.inputs):] == by_q_net
         assert by_q_net != by_name
-        assert MITER_ENCODING_VERSION == 5
+        assert MITER_ENCODING_VERSION == 6
 
 
 class TestWarmAttack:

@@ -99,7 +99,21 @@ class TestSingleServerTracing:
                                  "spans"}
         assert response["spans"] == []
         assert response["metrics"] is None
-        assert response["stats"]["requests"] == 2  # register + obs
+        assert response["stats"]["requests"] == 1  # an obs poll is not one
+
+    def test_obs_polls_are_not_requests(self):
+        """``repro top`` and the metrics dumper poll ``obs``: the polls
+        move neither ``requests`` nor the latency histogram, while a
+        ``stats`` request still counts in both."""
+        server = OracleServer()
+        for _ in range(3):
+            response = _request(server, {"op": "obs"})
+        assert response["stats"]["requests"] == 0
+        assert response["latency_hist"]["count"] == 0
+        _request(server, {"op": "stats"})
+        response = _request(server, {"op": "obs"})
+        assert response["stats"]["requests"] == 1
+        assert response["latency_hist"]["count"] == 1
 
     def test_ops_views_match_cumulative_stats(self):
         server = OracleServer()

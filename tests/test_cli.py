@@ -282,8 +282,9 @@ class TestRefusedInput:
         ["lock", "iwls:s1238", "--scheme", "gk", "--key-bits", "5000"],
         ["top", "127.0.0.1:1", "--once"],
         ["attack", "l.bench", "iwls:s1238", "--remote", "127.0.0.1:1"],
+        ["info", "iwls:s99"],
     ], ids=["missing-file", "bad-netlist", "infeasible-lock",
-            "top-refused", "remote-refused"])
+            "top-refused", "remote-refused", "unknown-iwls-name"])
     def test_one_line_and_status_2(self, argv, tmp_path, monkeypatch,
                                    capsys):
         monkeypatch.chdir(tmp_path)
@@ -333,7 +334,9 @@ class TestOpsSurface:
         assert len(families) == len(set(families))
         (requests,) = [line for line in lines
                        if line.startswith("repro_serve_requests ")]
-        assert int(requests.split()[1]) >= 5  # register, 3 queries, obs
+        # two registrations (the server's and the client's) and 3
+        # queries; the final dump's own obs poll is not a request
+        assert int(requests.split()[1]) == 5
         assert f'repro_serve_circuit_queries{{circuit="{cid}"}} 3' in lines
         (inf,) = [line for line in lines if line.startswith(
             'repro_serve_request_seconds_bucket{le="+Inf"}')]
