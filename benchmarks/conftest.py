@@ -30,7 +30,6 @@ from repro.bench.generator import (  # noqa: E402
     GeneratorSpec,
     random_sequential_circuit,
 )
-from repro.netlist.compiled import default_lanes  # noqa: E402
 
 _OBS_DUMP = os.path.join(os.path.dirname(__file__), "BENCH_obs.json")
 _SNAPSHOTS = {}
@@ -54,24 +53,28 @@ def _obs_snapshot(request):
         yield
         session.publish_metrics()
         if sink.last_snapshot:
-            _SNAPSHOTS[request.node.nodeid] = dict(
-                sink.last_snapshot, lane_width=default_lanes()
-            )
+            _SNAPSHOTS[request.node.nodeid] = dict(sink.last_snapshot)
     finally:
         obs.disable()
 
 
+def _cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 @pytest.fixture(scope="session")
 def bench_record():
-    """Stamp the effective lane width into a BENCH payload.
+    """Stamp the cores the run could use into a BENCH payload.
 
     Every record a benchmark dumps goes through this, so the committed
-    artifacts always say which compile width (``REPRO_LANES`` or the
-    default 64) produced the numbers.
+    artifacts always say how many cores produced the numbers.
     """
 
     def stamp(payload):
-        payload["lane_width"] = default_lanes()
+        payload["cores"] = _cores()
         return payload
 
     return stamp

@@ -1,4 +1,4 @@
-"""Throughput of the compiled circuit IR: regimes and lane widths.
+"""Throughput of the compiled circuit IR: regimes and pass widths.
 
 Two benchmarks, both over :meth:`CompiledCircuit.query_outputs`:
 
@@ -8,32 +8,33 @@ Two benchmarks, both over :meth:`CompiledCircuit.query_outputs`:
   (:func:`evaluate_combinational_interpreted`), the pre-compiled-IR
   behaviour and the executable reference,
 * ``compiled_single`` — the compiled evaluator, one pattern per call
-  (one lane of the default 64 used), the oracle's single-query path,
-* ``compiled_parallel_64`` — the batched lane-wide path, the
-  batched-oracle and signal-probability path.
+  (a one-lane pass), the oracle's single-query path,
+* ``compiled_parallel_64`` — the batched path over pattern dicts, 64
+  per pass: the batched-oracle and signal-probability path.
 
-**Lane widths** — the same batched path compiled at 64/256/1024/4096
-lanes (the width is a compile-time parameter; wider planes amortize the
-per-chunk schedule walk over more patterns).  The asserted curve runs
-on the *deep oracle* — at 4.6k gates the largest circuit in the
-benchmark suite (deeper than any IWLS stand-in's combinational core)
-and interface-light, so per-pattern cost is dominated by gate
-evaluation, the regime widening is for.  The s1238 core rides along as
-an unasserted secondary datapoint: its interface-heavy shape (packing
-and lane extraction are O(patterns x interface nets) at *any* width)
-bounds what widening can recover.
+**Plane-batch sizes** — 4096 patterns as plane batches
+(:class:`PlaneBatch`) of 64/256/1024/4096 patterns, each batch one
+pass exactly that wide (a
+wider pass amortizes the schedule walk over more patterns).  The
+batches are packed off the clock: the curve times the walk, which is
+what the serving stack runs per flush.  The asserted curve runs on the
+*deep oracle* — at 4.6k gates the largest circuit in the benchmark
+suite (deeper than any IWLS stand-in's combinational core) and
+interface-light, so per-pattern cost is dominated by gate evaluation,
+the regime wide passes are for.  The s1238 core rides along as an
+unasserted secondary datapoint.
 
 Results land in ``benchmarks/BENCH_compiled.json`` under a versioned
 schema, one section per benchmark, merged not overwritten (a partial
 run must not wipe the other section; a pre-schema flat artifact is
 adopted as the ``throughput`` section).  Three guards:
 
-* the lane-wide path must clear 20x the interpreted throughput (the
+* the batched path must clear 20x the interpreted throughput (the
   headline number for the migration),
 * against the committed baseline, the parallel-over-interpreted speedup
   must not regress by more than 10%, and
-* some width >= 256 must clear 2x the 64-lane throughput on the deep
-  oracle.
+* some batch of >= 256 patterns must clear 2x the throughput of
+  64-pattern batches on the deep oracle.
 
 All guards are ratios, not absolute rates, so they are
 machine-independent.
@@ -46,7 +47,7 @@ import time
 
 import pytest
 
-from repro.netlist.compiled import compile_circuit
+from repro.netlist.compiled import PlaneBatch, compile_circuit
 from repro.netlist.transform import extract_combinational
 from repro.sim.cyclesim import evaluate_combinational_interpreted
 
@@ -57,8 +58,10 @@ MAX_REGRESSION = 0.10
 MIN_WIDE_SPEEDUP = 2.0
 _REPEATS = 3
 
-#: the lanes-vs-throughput curve's x axis
-WIDTHS = (64, 256, 1024, 4096)
+#: the batch-size-vs-throughput curve's x axis: patterns per plane
+#: batch, each batch one pass that wide
+BATCH_SIZES = (64, 256, 1024, 4096)
+CURVE_PATTERNS = 4096
 
 
 def _merge_dump(section, payload):
@@ -145,7 +148,7 @@ def test_compiled_throughput(s1238, bench_record):
     print(f"\nBENCH_compiled: {json.dumps(results['patterns_per_second'])}")
 
     assert parallel >= MIN_PARALLEL_SPEEDUP * interpreted, (
-        f"lane-wide path is only {parallel / interpreted:.1f}x the "
+        f"batched path is only {parallel / interpreted:.1f}x the "
         f"interpreted walk (need {MIN_PARALLEL_SPEEDUP:.0f}x)"
     )
     if baseline is not None:
@@ -157,25 +160,28 @@ def test_compiled_throughput(s1238, bench_record):
         )
 
 
-def _width_curve(circuit, num_patterns, seed):
-    """{width: patterns/second} of the batched path at every width."""
-    patterns = _random_patterns(circuit, num_patterns, seed)
+def _batch_curve(circuit, seed):
+    """{batch size: patterns/second} of plane batches of every size."""
+    patterns = _random_patterns(circuit, CURVE_PATTERNS, seed)
+    compiled = compile_circuit(circuit)
     curve = {}
-    for width in WIDTHS:
-        compiled = compile_circuit(circuit, width)
-        curve[width] = _patterns_per_second(
-            lambda ps: compiled.query_outputs(ps), patterns
+    for size in BATCH_SIZES:
+        batches = [PlaneBatch.pack(circuit.inputs, patterns[i:i + size])
+                   for i in range(0, CURVE_PATTERNS, size)]
+        curve[size] = size * _patterns_per_second(
+            lambda bs: [compiled.query_outputs(b) for b in bs], batches
         )
     return curve
 
 
 @pytest.mark.no_obs
-def test_lane_width_throughput_curve(s1238, deep4k, bench_record):
+def test_plane_batch_throughput_curve(s1238, deep4k, bench_record):
     shallow = extract_combinational(s1238.circuit).circuit
-    deep_curve = _width_curve(deep4k, 4096, 0xD4B1)
-    shallow_curve = _width_curve(shallow, 2048, 0x51238)
+    deep_curve = _batch_curve(deep4k, 0xD4B1)
+    shallow_curve = _batch_curve(shallow, 0x51238)
 
-    results = bench_record({"widths": list(WIDTHS), "circuits": {}})
+    results = bench_record({"batch_sizes": list(BATCH_SIZES),
+                            "patterns": CURVE_PATTERNS, "circuits": {}})
     for label, circuit, curve in (
         ("deep4k", deep4k, deep_curve),
         ("s1238_comb", shallow, shallow_curve),
@@ -192,17 +198,17 @@ def test_lane_width_throughput_curve(s1238, deep4k, bench_record):
                 for w, pps in curve.items()
             },
         }
-    _merge_dump("lane_width_curve", results)
-    print("\nBENCH_compiled lane curve: " + json.dumps({
+    _merge_dump("plane_batch_curve", results)
+    print("\nBENCH_compiled batch curve: " + json.dumps({
         label: entry["speedup_vs_64"]
         for label, entry in results["circuits"].items()
     }))
 
     best_wide = max(
-        deep_curve[w] / deep_curve[64] for w in WIDTHS if w >= 256
+        deep_curve[n] / deep_curve[64] for n in BATCH_SIZES if n >= 256
     )
     assert best_wide >= MIN_WIDE_SPEEDUP, (
-        f"widening the planes yields only {best_wide:.2f}x the 64-lane "
-        f"throughput on the deep oracle (need {MIN_WIDE_SPEEDUP:.1f}x "
-        f"at some width >= 256)"
+        f"wider batches yield only {best_wide:.2f}x the throughput of "
+        f"64-pattern batches on the deep oracle (need "
+        f"{MIN_WIDE_SPEEDUP:.1f}x at some size >= 256)"
     )

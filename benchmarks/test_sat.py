@@ -49,13 +49,6 @@ def _merge_dump(section, payload):
         stream.write("\n")
 
 
-def _cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def _attack(cache, target, original):
     """One attack through :func:`warm_solver`: (wall, result, solver)."""
     oracle = CombinationalOracle(original)
@@ -94,7 +87,6 @@ def test_sat_attack_warm_start(s1238, tmp_path, bench_record):
         "scheme": "xor",
         "key_bits": KEY_BITS,
         "seed": SEED,
-        "cores": _cores(),
         "wall_s": {k: round(v, 2) for k, v in walls.items()},
         "iterations": iters,
         "conflicts": conflicts,

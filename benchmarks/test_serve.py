@@ -18,8 +18,9 @@ by interface marshalling.  A paper benchmark (s1238's combinational
 core) rides along as an uasserted secondary datapoint — its shallow,
 interface-heavy shape bounds the gain lower.
 
-A second benchmark records the lane-width curve: the deep oracle
-served at 64 and 256 lanes under one concurrent multi-pattern load.
+A second benchmark records the flush-width curve: the deep oracle
+served at ``max_batch`` 64 and 256 under one concurrent multi-pattern
+load (each flush is one pass as wide as the patterns it holds).
 
 Results land in ``benchmarks/BENCH_serve.json`` (one section per
 benchmark, merged).  Guard: on the deep oracle, batching must deliver
@@ -130,91 +131,84 @@ def test_serve_batching_throughput(s1238, deep4k, bench_record):
 
 
 # ----------------------------------------------------------------------
-# Serve-level lane width curve
+# Serve-level flush width curve
 # ----------------------------------------------------------------------
 
-LANE_WIDTHS = (64, 256)
-LANE_CLIENTS = 64
-LANE_PATTERNS = 4           # 64 clients x 4 patterns = 256 lanes in flight
-LANE_ROUNDS = 6
+FLUSH_WIDTHS = (64, 256)
+WIDE_CLIENTS = 64
+WIDE_PATTERNS = 4           # 64 clients x 4 patterns = 256 lanes in flight
+WIDE_ROUNDS = 6
 
 
-def _lane_throughput(circuit, lanes):
-    """Patterns/second through the full dispatch path at one width.
-
-    ``max_batch=None`` resolves against the registry's lane width, so
-    the flush trigger follows ``lanes`` with no separate knob — the
-    exact configuration ``repro serve --lanes`` produces.
-    """
+def _flush_throughput(circuit, max_batch):
+    """Patterns/second through the full dispatch path at one flush
+    width: the configuration ``repro serve --max-batch`` produces."""
 
     async def scenario():
         server = OracleServer(config=ServerConfig(
-            lanes=lanes,
-            batch=BatchConfig(max_batch=None, window_s=0.05),
+            batch=BatchConfig(max_batch=max_batch, window_s=0.05),
             admission=AdmissionConfig(max_pending=8192),
         ))
-        assert server.batcher.max_batch == lanes
         entry = server.registry.register(circuit)
-        assert entry.compiled.lanes == lanes
         rng = random.Random(0x1A4E5)
         requests = [
             query_request(entry.circuit_id, entry.compiled.inputs, [
                 {net: rng.randint(0, 1) for net in entry.compiled.inputs}
-                for _ in range(LANE_PATTERNS)
+                for _ in range(WIDE_PATTERNS)
             ])
-            for _ in range(LANE_CLIENTS)
+            for _ in range(WIDE_CLIENTS)
         ]
         async def client(index, rounds):
             for _ in range(rounds):
                 response = await server.handle(requests[index])
                 assert response["ok"], response
 
-        await asyncio.gather(*(client(i, 1) for i in range(LANE_CLIENTS)))
+        await asyncio.gather(*(client(i, 1) for i in range(WIDE_CLIENTS)))
         start = time.perf_counter()
         await asyncio.gather(
-            *(client(i, LANE_ROUNDS) for i in range(LANE_CLIENTS))
+            *(client(i, WIDE_ROUNDS) for i in range(WIDE_CLIENTS))
         )
         elapsed = time.perf_counter() - start
-        pps = LANE_CLIENTS * LANE_ROUNDS * LANE_PATTERNS / elapsed
+        pps = WIDE_CLIENTS * WIDE_ROUNDS * WIDE_PATTERNS / elapsed
         return pps, server.batcher.stats()
 
     return asyncio.run(scenario())
 
 
 @pytest.mark.no_obs
-def test_serve_lane_width_curve(deep4k, bench_record):
-    """End-to-end lanes-vs-throughput: the deep oracle served at 64 and
-    256 lanes under the same concurrent multi-pattern workload.  Wider
-    flushes amortize the per-chunk schedule walk over more patterns;
-    the gain is recorded, and wide serving must at least hold the line
-    (the compiled-IR curve in BENCH_compiled.json carries the asserted
-    2x — this one includes protocol framing, which widening cannot
-    shrink)."""
+def test_serve_flush_width_curve(deep4k, bench_record):
+    """End-to-end flush-width-vs-throughput: the deep oracle served at
+    ``max_batch`` 64 and 256 under the same concurrent multi-pattern
+    workload.  A wider flush is one wider pass, which amortizes the
+    schedule walk over more patterns; the gain is recorded, and wide
+    serving must at least hold the line (the compiled-IR curve in
+    BENCH_compiled.json carries the asserted 2x — this one includes
+    protocol framing, which widening cannot shrink)."""
     curve = {}
     stats = {}
-    for lanes in LANE_WIDTHS:
-        curve[lanes], stats[lanes] = _lane_throughput(deep4k, lanes)
+    for width in FLUSH_WIDTHS:
+        curve[width], stats[width] = _flush_throughput(deep4k, width)
 
     results = bench_record({
         "circuit": "deep4k",
-        "clients": LANE_CLIENTS,
-        "rounds": LANE_ROUNDS,
-        "patterns_per_request": LANE_PATTERNS,
+        "clients": WIDE_CLIENTS,
+        "rounds": WIDE_ROUNDS,
+        "patterns_per_request": WIDE_PATTERNS,
         "patterns_per_second": {
             str(w): round(pps, 1) for w, pps in curve.items()
         },
         "speedup_vs_64": {
-            str(w): round(curve[w] / curve[64], 2) for w in LANE_WIDTHS
+            str(w): round(curve[w] / curve[64], 2) for w in FLUSH_WIDTHS
         },
         "occupancy_mean": {
-            str(w): stats[w]["occupancy_mean"] for w in LANE_WIDTHS
+            str(w): stats[w]["occupancy_mean"] for w in FLUSH_WIDTHS
         },
     })
-    _merge_dump("lane_width", results)
-    print(f"\nBENCH_serve lane curve: "
+    _merge_dump("max_batch", results)
+    print(f"\nBENCH_serve flush curve: "
           f"{json.dumps(results['patterns_per_second'])}")
 
     assert curve[256] >= 0.9 * curve[64], (
-        f"serving at 256 lanes dropped throughput to "
-        f"{curve[256] / curve[64]:.2f}x of 64-lane serving"
+        f"serving at max_batch 256 dropped throughput to "
+        f"{curve[256] / curve[64]:.2f}x of max_batch 64"
     )

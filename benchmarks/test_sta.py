@@ -60,13 +60,6 @@ def _merge_dump(section, payload):
         stream.write("\n")
 
 
-def _cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def _best_ms(fn):
     best = float("inf")
     for _ in range(REPEATS):
@@ -108,7 +101,6 @@ def test_retime_vs_full_analyze(monkeypatch, bench_record):
         "circuit": BENCH,
         "key_bits": KEY_BITS,
         "seed": SEED,
-        "cores": _cores(),
         "trials": len(trials),
         "repeats": REPEATS,
         "per_trial_ms": {"retimed": round(retime, 3),
@@ -147,7 +139,6 @@ def test_hybrid_lock_span_breakdown(bench_record):
         "circuit": BENCH,
         "key_bits": KEY_BITS,
         "seed": SEED,
-        "cores": _cores(),
         "lock_ms": round(wall * 1000.0, 2),
         "spans": layers,
         "retime_cone_gates": {"min": min(cones), "max": max(cones),
@@ -200,7 +191,6 @@ def test_table_campaign_plans_each_design_once(monkeypatch, bench_record):
     payload = {
         "benchmarks": list(TABLE_BENCHES),
         "seed": SEED,
-        "cores": _cores(),
         "jobs": len(jobs),
         "campaign_ms": round(wall * 1000.0, 2),
         "designs": designs,

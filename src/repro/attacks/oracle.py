@@ -22,11 +22,9 @@ typed against it, so any implementation plugs in: the in-process
 :class:`TwoVectorOracleProtocol` is the analogous seam for the *timed*
 attack surface (TCF's launch/capture measurements).
 
-Both concrete oracles resolve their compiled circuit through the
-process-wide serving registry
-(:func:`repro.serve.registry.default_registry`) **once, at
-construction**, and hold the instance — the same
-lookup-then-hold story the oracle server uses, and the correct
+:class:`CombinationalOracle` compiles its circuit **once, at
+construction** (:func:`~repro.netlist.compiled.compile_circuit`, which
+memoizes on the circuit) and holds the instance — the correct
 semantics for an activated chip: it does not change because the Python
 ``Circuit`` object it was built from is later mutated.
 """
@@ -46,6 +44,7 @@ except ImportError:  # pragma: no cover - py<3.8 fallback, never hit in CI
 
 from ..locking.base import LockedCircuit
 from ..netlist.circuit import Circuit, NetlistError
+from ..netlist.compiled import compile_circuit
 from ..netlist.transform import combinational_circuit
 from ..sim.harness import SequentialTrace, simulate_sequential
 from ..sim.logic import LogicValue
@@ -105,18 +104,6 @@ def random_pattern(nets: Sequence[str], rng: random.Random) -> Dict[str, int]:
     return {net: rng.randint(0, 1) for net in nets}
 
 
-def _registry_compiled(circuit: Circuit):
-    """Compiled instance via the serving registry (one memo story).
-
-    Imported lazily: ``repro.serve`` imports this module for the
-    protocol, so a module-level import would be circular.  At call time
-    (oracle construction) both packages are fully initialized.
-    """
-    from ..serve.registry import default_registry
-
-    return default_registry().compiled_for(circuit)
-
-
 class CombinationalOracle:
     """I/O oracle over the combinational core of the original design."""
 
@@ -124,7 +111,7 @@ class CombinationalOracle:
         if original.key_inputs:
             raise NetlistError("the oracle wraps the *original* (keyless) design")
         self.circuit = comb = combinational_circuit(original)
-        self._compiled = _registry_compiled(comb)
+        self._compiled = compile_circuit(comb)
         self.inputs: List[str] = list(comb.inputs)
         self.outputs: List[str] = list(comb.outputs)
         self.query_count = 0
@@ -137,7 +124,7 @@ class CombinationalOracle:
     def query_batch(
         self, assignments: Sequence[Mapping[str, LogicValue]]
     ) -> List[Dict[str, LogicValue]]:
-        """Outputs for many patterns: one bit-parallel pass per lane width.
+        """Outputs for many patterns, 64 per bit-parallel pass.
 
         Counts one oracle query per pattern — batching is an evaluation
         optimization, not a cheaper attack model.
@@ -158,10 +145,6 @@ class TimingOracle:
         self.locked = locked
         self.clock_period = clock_period
         self.delay_mode = delay_mode
-        # Same memoization story as CombinationalOracle: the compiled
-        # instance the event simulator's settle pass needs is resolved
-        # through the registry up front, not re-derived per run.
-        self._compiled = _registry_compiled(locked.circuit)
         self.run_count = 0
 
     def run(

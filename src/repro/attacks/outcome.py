@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.compiled import compile_circuit
+from ..netlist.compiled import LANES, compile_circuit
 from ..netlist.equivalence import check_equivalence
 from ..netlist.transform import combinational_circuit
 
@@ -108,13 +108,12 @@ def recovered_corruption(
     if set(b.key_inputs) - set(key):
         return None
     rng = rng or random.Random(0xA77AC)
-    compiled_a = compile_circuit(a)
     patterns = [
         {net: rng.randint(0, 1) for net in a.inputs}
-        for _ in range(compiled_a.lanes)
+        for _ in range(LANES)
     ]
-    got_a = compiled_a.query_outputs(patterns)
-    got_b = compile_circuit(b, compiled_a.lanes).query_outputs(
+    got_a = compile_circuit(a).query_outputs(patterns)
+    got_b = compile_circuit(b).query_outputs(
         [dict(pattern, **key) for pattern in patterns]
     )
     observed = mismatched = 0

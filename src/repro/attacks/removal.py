@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..locking.base import LockedCircuit
 from ..netlist.circuit import Circuit
-from ..netlist.compiled import compile_circuit
+from ..netlist.compiled import LANES, compile_circuit
 from ..netlist.transform import combinational_circuit, extract_combinational
 from ..synth.optimize import sweep_dead_gates
 from .oracle import CombinationalOracle
@@ -85,12 +85,11 @@ def signal_probabilities(
     sensitive_flags = [False] * len(ids)
 
     num_nets = compiled.num_nets
-    lanes = compiled.lanes
     remaining = samples
     while remaining:
-        used = min(lanes, remaining)
+        used = min(LANES, remaining)
         remaining -= used
-        lane_mask = compiled.mask if used == lanes else (1 << used) - 1
+        lane_mask = (1 << used) - 1
         va = [0] * num_nets
         ka = [0] * num_nets
         vb = [0] * num_nets
@@ -117,8 +116,8 @@ def signal_probabilities(
                 if value:
                     vb[nid] |= bit
                 kb[nid] |= bit
-        compiled.run_planes(va, ka)
-        compiled.run_planes(vb, kb)
+        compiled.run_planes(va, ka, lane_mask)
+        compiled.run_planes(vb, kb, lane_mask)
         for j, nid in enumerate(ids):
             v1, k1 = va[nid], ka[nid]
             v2, k2 = vb[nid], kb[nid]

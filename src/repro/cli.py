@@ -89,6 +89,15 @@ def _emit(text: str = "", *, result: bool = False, err: bool = False) -> None:
     print(text, file=sys.stderr if err else sys.stdout)
 
 
+class _RefusedFlag(Exception):
+    """A flag value no run can use (a refused input, like a bad file)."""
+
+
+def _at_least(flag: str, value: float, floor: int) -> None:
+    if not value >= floor:  # NaN too
+        raise _RefusedFlag(f"{flag} must be at least {floor}, got {value}")
+
+
 def _load(path: str) -> Circuit:
     if path.startswith("iwls:"):
         name = path[5:]
@@ -216,6 +225,7 @@ def _maybe_adopt_remote_trace(args: argparse.Namespace, oracle) -> None:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    _at_least("--verify-samples", args.verify_samples, 1)
     locked = _load(args.locked)
     oracle = _attack_oracle(args)
     warm = nullcontext()
@@ -579,13 +589,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     from .serve.client import register_request
 
-    if args.lanes is not None:
-        from .netlist.compiled import check_lanes
-
-        try:
-            check_lanes(args.lanes)
-        except ValueError as exc:
-            raise SystemExit(f"--lanes: {exc}")
+    _at_least("--max-batch", args.max_batch, 1)
+    _at_least("--window-ms", args.window_ms, 0)
+    _at_least("--max-pending", args.max_pending, 1)
+    if args.budget is not None:
+        _at_least("--budget", args.budget, 0)
     # The same request RemoteOracle sends, so the printed ID is the one
     # a client registering the same file gets; a locked netlist is
     # refused before the server starts.
@@ -608,7 +616,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         admission=AdmissionConfig(max_pending=args.max_pending),
         default_budget=args.budget,
-        lanes=args.lanes,
         slow_log_path=args.slow_log,
         slow_request_s=args.slow_threshold_ms / 1000.0,
     ))
@@ -636,7 +643,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"{len(response['outputs'])} out)", result=True)
             _emit(f"serving {len(registrations)} circuit(s) on "
                   f"{host}:{port} ("
-                  f"{server.registry.lane_width()} lanes, "
                   f"batch<= {server.batcher.max_batch}, "
                   f"window {args.window_ms}ms)",
                   result=True)
@@ -814,13 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 = ephemeral, printed on startup)")
-    p.add_argument("--lanes", type=int, default=None, metavar="N",
-                   help="bit-parallel lane width circuits are compiled "
-                        "at — any positive multiple of 64 (default: "
-                        "REPRO_LANES or 64)")
-    p.add_argument("--max-batch", type=int, default=None, metavar="N",
-                   help="lanes per batch flush; 1 disables coalescing "
-                        "(default: match --lanes)")
+    p.add_argument("--max-batch", type=int, default=64, metavar="N",
+                   help="patterns per batch flush, each flush one pass "
+                        "that wide; 1 disables coalescing")
     p.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
                    help="max latency a lone query waits for co-batching")
     p.add_argument("--max-pending", type=int, default=1024, metavar="N",
@@ -970,7 +972,7 @@ def _refused() -> tuple:
     """
     from .serve.protocol import ServeError
 
-    return (OSError, NetlistError, LockingError, ServeError)
+    return (OSError, NetlistError, LockingError, ServeError, _RefusedFlag)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -2,13 +2,7 @@
 
 from .cells import Cell, CellLibrary, default_library
 from .circuit import Circuit, CircuitStats, Gate, NetlistError
-from .compiled import (
-    CompiledCircuit,
-    check_lanes,
-    compile_circuit,
-    default_lanes,
-    set_default_lanes,
-)
+from .compiled import CompiledCircuit, compile_circuit
 from .builder import Builder
 from .transform import (
     CombinationalExtraction,

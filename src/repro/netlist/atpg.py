@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
-from .compiled import compile_circuit
+from .compiled import LANES, MASK, compile_circuit
 from .transform import (
     CombinationalView, combinational_circuit, combinational_view,
 )
@@ -154,17 +154,15 @@ def fault_coverage(
         nets = rng.sample(nets, sample)
     report = CoverageReport()
 
-    # Bit-parallel random fault simulation first: one lane-wide pass of
+    # Bit-parallel random fault simulation first: one pass of LANES
     # patterns per fault through the compiled evaluator catches the
     # easy-to-detect majority, leaving SAT-exact ATPG, on one view of
     # the core for the whole sweep, for the stubborn remainder.  Sound
     # because a simulated Boolean difference *is* a detecting pattern,
     # so the detected/untestable counts are identical to the pure-SAT
-    # sweep (wider lanes can only move faults from the SAT column to
-    # the cheaper sim column).
+    # sweep.
     compiled = compile_circuit(comb)
     view = combinational_view(comb)
-    lanes, mask = compiled.lanes, compiled.mask
     sim_rng = random.Random(0x5EED)  # never the caller's rng
     pinned = dict(key or {})
     sim_ok = all(
@@ -178,18 +176,18 @@ def fault_coverage(
         good_v = [0] * compiled.num_nets
         good_k = [0] * compiled.num_nets
         for net_id in compiled.input_ids:
-            good_v[net_id] = sim_rng.getrandbits(lanes)
-            good_k[net_id] = mask
+            good_v[net_id] = sim_rng.getrandbits(LANES)
+            good_k[net_id] = MASK
         for net in compiled.key_inputs:
             if net not in pinned:
                 net_id = compiled.net_ids[net]
-                good_v[net_id] = sim_rng.getrandbits(lanes)
-                good_k[net_id] = mask
+                good_v[net_id] = sim_rng.getrandbits(LANES)
+                good_k[net_id] = MASK
         for net, value in pinned.items():
             net_id = compiled.net_ids[net]
-            good_v[net_id] = mask if value else 0
-            good_k[net_id] = mask
-        compiled.run_planes(good_v, good_k)
+            good_v[net_id] = MASK if value else 0
+            good_k[net_id] = MASK
+        compiled.run_planes(good_v, good_k, MASK)
 
     for net in nets:
         for value in (0, 1):
@@ -200,9 +198,9 @@ def fault_coverage(
                 fid = compiled.net_ids[net]
                 faulty_v = list(good_v)
                 faulty_k = list(good_k)
-                faulty_v[fid] = mask if value else 0
-                faulty_k[fid] = mask
-                compiled.run_planes(faulty_v, faulty_k, skip_out=fid)
+                faulty_v[fid] = MASK if value else 0
+                faulty_k[fid] = MASK
+                compiled.run_planes(faulty_v, faulty_k, MASK, skip_out=fid)
                 for out_id in compiled.output_ids:
                     if ((good_v[out_id] ^ faulty_v[out_id])
                             & good_k[out_id] & faulty_k[out_id]):

@@ -118,7 +118,7 @@ class Circuit:
     # existed loadable (the campaign cache stores pickled circuits).
     _mutations: int = 0
     _topo_cache = None  # (mutations, tuple of gates) or None
-    _compiled_cache = None  # (mutations, {lanes: CompiledCircuit}) or None
+    _compiled_cache = None  # (mutations, CompiledCircuit) or None
     _ff_edits: int = 0
     _ff_cache = None  # (ff_edits, tuple of flip-flops, their names) or None
     _memo = None  # (mutations, key, value) or None; see memo()
@@ -371,16 +371,6 @@ class Circuit:
         value = compute()
         self._memo = (stamp, key, value)
         return value, False
-
-    def compiled(self, lanes: Optional[int] = None) -> "object":
-        """The circuit's compiled IR (cached per lane width behind the
-        mutation counter).
-
-        See :func:`repro.netlist.compiled.compile_circuit`.
-        """
-        from .compiled import compile_circuit
-
-        return compile_circuit(self, lanes)
 
     def stats(self) -> CircuitStats:
         ffs = self.flip_flops()

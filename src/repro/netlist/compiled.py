@@ -30,17 +30,18 @@ On top of the arrays sits a two-plane **bit-parallel** evaluator with
 full 0/1/X semantics: each net carries a ``value`` word and a ``known``
 word (bit *i* = lane *i*; X ⇔ known bit clear; the invariant
 ``value & ~known == 0`` holds everywhere), so one pass over the arrays
-simulates *lanes* input patterns at once.  The lane width is a
-compile-time parameter (default :data:`LANES` = 64; any positive
-multiple of 64 accepted — Python ints are arbitrary-precision, so the
-identical word algebra runs at 256/1024/4096 lanes with no new code
-paths).  The per-op plane formulas implement the
-same pessimistic ternary semantics as :mod:`repro.sim.logic` — a
-controlling value decides the output with X on the other pin, a MUX
-with an X select is known only when both candidates agree, and a LUT
-with X inputs is known only when every reachable table entry agrees
-(computed by Shannon reduction over the entry planes, which is
-equivalent).
+simulates many input patterns at once.  A pass is exactly as wide as
+the patterns it carries: a :class:`PlaneBatch` of *n* patterns runs in
+one *n*-lane pass, and the all-lanes word that TIE cells, LUT entries
+and flip-flop state fill is the pass's own (Python ints are
+arbitrary-precision, so the same word algebra runs at any width).
+Pattern dicts are packed :data:`LANES` per pass.  The per-op plane
+formulas implement the same pessimistic ternary semantics as
+:mod:`repro.sim.logic` — a controlling value decides the output with X
+on the other pin, a MUX with an X select is known only when both
+candidates agree, and a LUT with X inputs is known only when every
+reachable table entry agrees (computed by Shannon reduction over the
+entry planes, which is equivalent).
 
 The compiled form is immutable and cached on the circuit behind its
 mutation counter (:func:`compile_circuit`), and it pickles cleanly so
@@ -49,10 +50,9 @@ the campaign cache ships it to pool workers alongside the instance.
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate
 from operator import itemgetter, lshift
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .circuit import Circuit, NetlistError
 
@@ -62,60 +62,19 @@ __all__ = [
     "CompiledCircuit",
     "PlaneBatch",
     "compile_circuit",
-    "check_lanes",
-    "default_lanes",
-    "set_default_lanes",
 ]
 
-#: the historical default width and the plane-word quantum: every lane
-#: width must be a positive multiple of this
+#: patterns per pass on the pattern-dict paths, and the sample size of
+#: the random-pattern checks built on the evaluator
 LANES = 64
-#: all-lanes-set plane word at the default width
+#: all-lanes-set plane word of a :data:`LANES`-wide pass
 MASK = (1 << LANES) - 1
-
-#: process-wide programmatic override of the default width (set via
-#: :func:`set_default_lanes`); takes precedence over ``REPRO_LANES``
-_default_lanes_override: Optional[int] = None
-
-
-def check_lanes(lanes: int) -> int:
-    """Validate a lane width: any positive multiple of :data:`LANES`."""
-    if not isinstance(lanes, int) or lanes <= 0 or lanes % LANES:
-        raise ValueError(
-            f"lane width must be a positive multiple of {LANES}, "
-            f"got {lanes!r}"
-        )
-    return lanes
 
 
 def default_lanes() -> int:
-    """The width used when a caller does not pass one explicitly.
+    """:data:`LANES`; kept for callers that read the width by name."""
+    return LANES
 
-    Resolution order: :func:`set_default_lanes` override, then the
-    ``REPRO_LANES`` environment variable (how CI runs the whole suite
-    wide), then :data:`LANES`.
-    """
-    if _default_lanes_override is not None:
-        return _default_lanes_override
-    raw = os.environ.get("REPRO_LANES")
-    if not raw:
-        return LANES
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_LANES must be an integer, got {raw!r}")
-    return check_lanes(lanes)
-
-
-def set_default_lanes(lanes: Optional[int]) -> Optional[int]:
-    """Set (or with ``None`` clear) the process-wide default width.
-
-    Returns the previous override so callers can restore it.
-    """
-    global _default_lanes_override
-    previous = _default_lanes_override
-    _default_lanes_override = None if lanes is None else check_lanes(lanes)
-    return previous
 
 # Function opcodes, dense so the evaluator dispatches on small ints.
 (
@@ -361,8 +320,6 @@ class CompiledCircuit:
     """
 
     __slots__ = (
-        "lanes",
-        "mask",
         "name",
         "net_names",
         "net_ids",
@@ -389,7 +346,7 @@ class CompiledCircuit:
         "fanin_ids",
         "fanin_tuples",
         "levels",
-        "lut_value_planes",
+        "lut_tables",
         "_sched",
         "_iface_keyset",
     )
@@ -397,9 +354,7 @@ class CompiledCircuit:
     #: slots rebuilt from the others on unpickle, never serialized
     _DERIVED = ("_sched", "_iface_keyset")
 
-    def __init__(self, circuit: Circuit, lanes: Optional[int] = None) -> None:
-        self.lanes = check_lanes(default_lanes() if lanes is None else lanes)
-        self.mask = (1 << self.lanes) - 1
+    def __init__(self, circuit: Circuit) -> None:
         order = circuit.topological_order()
         comb_driven = {gate.output for gate in order}
 
@@ -450,7 +405,7 @@ class CompiledCircuit:
         fanin_ids: List[int] = []
         fanin_tuples: List[Tuple[int, ...]] = []
         levels: List[int] = []
-        lut_value_planes: List[Optional[Tuple[int, ...]]] = []
+        lut_tables: List[Optional[Tuple[int, ...]]] = []
         level_of: Dict[int, int] = {}
 
         for gate in order:
@@ -471,12 +426,8 @@ class CompiledCircuit:
                 1 + max((level_of.get(n, 0) for n in fanin), default=0)
             )
             level_of[net_ids[gate.output]] = levels[-1]
-            if gate.truth_table is not None:
-                lut_value_planes.append(
-                    tuple(self.mask if bit else 0 for bit in gate.truth_table)
-                )
-            else:
-                lut_value_planes.append(None)
+            lut_tables.append(None if gate.truth_table is None
+                              else tuple(gate.truth_table))
 
         self.num_nets = len(net_names)
         self.net_names = tuple(net_names)
@@ -490,10 +441,9 @@ class CompiledCircuit:
         self.fanin_ids = tuple(fanin_ids)
         self.fanin_tuples = tuple(fanin_tuples)
         self.levels = tuple(levels)
-        self.lut_value_planes = tuple(lut_value_planes)
+        self.lut_tables = tuple(lut_tables)
         self._sched = list(
-            zip(self.ops, self.out_ids, self.fanin_tuples,
-                self.lut_value_planes)
+            zip(self.ops, self.out_ids, self.fanin_tuples, self.lut_tables)
         )
         self._iface_keyset = frozenset(self.inputs) | frozenset(
             self.key_inputs)
@@ -507,22 +457,24 @@ class CompiledCircuit:
                 if slot not in self._DERIVED}
 
     def __setstate__(self, state):
-        # Pre-width pickles (campaign caches) carry no lanes/mask slots:
-        # they were compiled at the historical 64-lane width.
-        state.setdefault("lanes", LANES)
-        state.setdefault("mask", (1 << state["lanes"]) - 1)
+        # IRs pickled while the lane width was a compile-time setting
+        # (campaign caches) hold each LUT entry as an all-lanes word of
+        # that width, and carry the width and its mask.
+        if "lut_value_planes" in state:
+            state["lut_tables"] = tuple(
+                planes and tuple(1 if word else 0 for word in planes)
+                for planes in state.pop("lut_value_planes"))
         # Older pickles also carry slots the class dropped once their
         # only reader stopped using the IR: per-gate cell delays (STA)
         # and the functions, fan-in names and truth tables the Tseitin
         # encoder read.
-        for slot in ("delays", "functions", "fanin_name_tuples",
-                     "truth_tables"):
+        for slot in ("lanes", "mask", "delays", "functions",
+                     "fanin_name_tuples", "truth_tables"):
             state.pop(slot, None)
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
         self._sched = list(
-            zip(self.ops, self.out_ids, self.fanin_tuples,
-                self.lut_value_planes)
+            zip(self.ops, self.out_ids, self.fanin_tuples, self.lut_tables)
         )
         self._iface_keyset = frozenset(self.inputs) | frozenset(
             self.key_inputs)
@@ -535,17 +487,17 @@ class CompiledCircuit:
         self,
         value: List[int],
         known: List[int],
+        mask: int,
         skip_out: int = -1,
     ) -> None:
         """One levelized pass: fill every gate-output plane in place.
 
         *value*/*known* are ``num_nets``-long lists of plane words with
-        the source slots (< ``num_sources``) already populated.  Pass
-        *skip_out* to leave one driven net's plane untouched (stuck-at
-        fault injection).
+        the source slots (< ``num_sources``) already populated; *mask*
+        has one bit set per lane of the pass.  Pass *skip_out* to leave
+        one driven net's plane untouched (stuck-at fault injection).
         """
-        mask = self.mask
-        for op, out, fin, lut_planes in self._sched:
+        for op, out, fin, lut_table in self._sched:
             if out == skip_out:
                 continue
             if op == OP_NAND2:
@@ -620,7 +572,7 @@ class CompiledCircuit:
                 value[out] = mask
                 known[out] = mask
             else:  # OP_LUT: Shannon reduction over the entry planes
-                vals = list(lut_planes)
+                vals = [mask if bit else 0 for bit in lut_table]
                 knowns = [mask] * len(vals)
                 for sel in fin:  # I0..Ik, low-to-high
                     vs, ks = value[sel], known[sel]
@@ -660,14 +612,28 @@ class CompiledCircuit:
                     f"in circuit {self.name!r}"
                 )
 
+    def _planes(self, state: Optional[Mapping],
+                mask: int) -> Tuple[List[int], List[int]]:
+        """Zeroed planes for one pass over *mask*'s lanes, with every
+        flip-flop Q net holding its *state* value in each lane."""
+        value = [0] * self.num_nets
+        known = [0] * self.num_nets
+        if state:
+            for ff_name, q_id in zip(self.ff_names, self.ff_q_ids):
+                v, k = _plane_bits(state.get(ff_name, None))
+                value[q_id] = mask if v else 0
+                known[q_id] = mask if k else 0
+        return value, known
+
     def _pack(
         self,
         assignments: Sequence[Mapping],
         state: Optional[Mapping] = None,
-    ) -> Tuple[List[int], List[int]]:
-        """Source planes for up to ``self.lanes`` checked assignments."""
-        value = [0] * self.num_nets
-        known = [0] * self.num_nets
+    ) -> Tuple[List[int], List[int], int]:
+        """Source planes and lane mask of one pass over checked
+        assignments, one lane each."""
+        mask = (1 << len(assignments)) - 1
+        value, known = self._planes(state, mask)
         net_ids = self.net_ids
         num_sources = self.num_sources
         for lane, assignment in enumerate(assignments):
@@ -687,14 +653,7 @@ class CompiledCircuit:
                     known[net_id] |= bit
                 elif val is not None:
                     raise ValueError(f"not a logic value: {val!r}")
-        if state is None:
-            state = {}
-        mask = self.mask
-        for ff_name, q_id in zip(self.ff_names, self.ff_q_ids):
-            v, k = _plane_bits(state.get(ff_name, None))
-            value[q_id] = mask if v else 0
-            known[q_id] = mask if k else 0
-        return value, known
+        return value, known, mask
 
     @staticmethod
     def _lane(value: List[int], known: List[int], net_id: int, lane: int):
@@ -722,20 +681,19 @@ class CompiledCircuit:
         assignments: Sequence[Mapping],
         state: Optional[Mapping] = None,
     ) -> List[Dict[str, object]]:
-        """Full net-for-net evaluation of many patterns, ``lanes`` per pass."""
+        """Full net-for-net evaluation of many patterns, :data:`LANES`
+        per pass."""
         results: List[Dict[str, object]] = []
         if state is None:
             state = {}
-        lanes = self.lanes
-        for start in range(0, len(assignments), lanes):
-            chunk = assignments[start:start + lanes]
+        for start in range(0, len(assignments), LANES):
+            chunk = assignments[start:start + LANES]
             for assignment in chunk:
                 self._check_assignment(assignment)
-            value, known = self._pack(chunk, state)
-            self.run_planes(value, known)
-            # Byte-rendered planes: O(1) lane reads at any width (see
-            # query_outputs).
-            nbytes = lanes >> 3
+            value, known, mask = self._pack(chunk, state)
+            self.run_planes(value, known, mask)
+            # Byte-rendered planes: O(1) lane reads (see query_outputs).
+            nbytes = LANES >> 3
             out_planes = [
                 (net, value[net_id].to_bytes(nbytes, "little"),
                  known[net_id].to_bytes(nbytes, "little"))
@@ -765,29 +723,29 @@ class CompiledCircuit:
         assignments,
         state: Optional[Mapping] = None,
     ):
-        """Primary-output dicts for many patterns (the oracle's view).
+        """Primary-output dicts for many patterns (the oracle's view),
+        :data:`LANES` per pass.
 
         *assignments* may instead be a :class:`PlaneBatch` over the
-        circuit's inputs then its key inputs; the outputs then come
-        back as a :class:`PlaneBatch` over ``outputs``, with no
-        per-pattern dict built on either side.
+        circuit's inputs then its key inputs; the batch then runs in one
+        pass as wide as its count, and the outputs come back as a
+        :class:`PlaneBatch` over ``outputs``, with no per-pattern dict
+        built on either side.
         """
         if isinstance(assignments, PlaneBatch):
             return self._query_planes(assignments, state)
         results: List[Dict[str, object]] = []
-        lanes = self.lanes
-        for start in range(0, len(assignments), lanes):
-            chunk = assignments[start:start + lanes]
+        for start in range(0, len(assignments), LANES):
+            chunk = assignments[start:start + LANES]
             for assignment in chunk:
                 self._check_assignment(assignment)
-            value, known = self._pack(chunk, state)
-            self.run_planes(value, known)
+            value, known, mask = self._pack(chunk, state)
+            self.run_planes(value, known, mask)
             # Lane extraction: each plane word is rendered to bytes once
-            # per chunk, so reading lane *i* is O(1) byte indexing at any
-            # width — shifting a wide plane per lane would be O(lanes)
-            # and widening would *slow* this, the hottest line of the
-            # batched oracle path.
-            nbytes = lanes >> 3
+            # per chunk, so reading lane *i* is O(1) byte indexing —
+            # shifting the plane per lane would cost more on this, the
+            # hottest line of the batched oracle path.
+            nbytes = LANES >> 3
             po_planes = [
                 (net, value[net_id].to_bytes(nbytes, "little"),
                  known[net_id].to_bytes(nbytes, "little"))
@@ -805,7 +763,8 @@ class CompiledCircuit:
 
     def _query_planes(self, batch: PlaneBatch,
                       state: Optional[Mapping]) -> PlaneBatch:
-        """:meth:`query_outputs` on planes, ``lanes`` patterns per pass."""
+        """:meth:`query_outputs` on planes: one pass, one lane per
+        pattern of the batch."""
         sources = self.inputs + self.key_inputs
         if batch.nets != sources:
             _check_names(sources, dict.fromkeys(batch.nets))
@@ -813,24 +772,17 @@ class CompiledCircuit:
                 "a plane batch must list the circuit's inputs, then its "
                 "key inputs, in order"
             )
-        count = batch.count
-        lanes = self.lanes
-        source_ids = self.input_ids + self.key_ids
-        out_value = [0] * len(self.output_ids)
-        out_known = [0] * len(self.output_ids)
-        for start in range(0, count, lanes):
-            # Lanes past the batch's count stay X in, and are cut from
-            # the outputs (a TIE cell is known in every lane).
-            keep = (1 << min(lanes, count - start)) - 1
-            value, known = self._pack((), state)
-            for net_id, v, k in zip(source_ids, batch.value, batch.known):
-                value[net_id] = (v >> start) & keep
-                known[net_id] = (k >> start) & keep
-            self.run_planes(value, known)
-            for j, net_id in enumerate(self.output_ids):
-                out_value[j] |= (value[net_id] & keep) << start
-                out_known[j] |= (known[net_id] & keep) << start
-        return PlaneBatch(self.outputs, out_value, out_known, count)
+        mask = (1 << batch.count) - 1
+        value, known = self._planes(state, mask)
+        for net_id, v, k in zip(self.input_ids + self.key_ids, batch.value,
+                                batch.known):
+            value[net_id] = v
+            known[net_id] = k
+        self.run_planes(value, known, mask)
+        return PlaneBatch(self.outputs,
+                          [value[net_id] for net_id in self.output_ids],
+                          [known[net_id] for net_id in self.output_ids],
+                          batch.count)
 
     def step_state(
         self,
@@ -839,8 +791,8 @@ class CompiledCircuit:
     ) -> Tuple[Dict[str, object], Dict[str, object]]:
         """One clock cycle: (primary outputs, next flip-flop state)."""
         self._check_assignment(assignment)
-        value, known = self._pack([assignment], state)
-        self.run_planes(value, known)
+        value, known, mask = self._pack([assignment], state)
+        self.run_planes(value, known, mask)
         lane_of = self._lane
         outputs = {
             net: lane_of(value, known, net_id, 0)
@@ -853,29 +805,21 @@ class CompiledCircuit:
         return outputs, next_state
 
 
-def compile_circuit(
-    circuit: Circuit, lanes: Optional[int] = None
-) -> CompiledCircuit:
-    """The compiled IR of *circuit* at *lanes*, memoized per width behind
-    the circuit's mutation counter.
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """The compiled IR of *circuit*, memoized behind the circuit's
+    mutation counter.
 
-    The cache — ``(mutations, {lanes: CompiledCircuit})`` — lives on the
-    circuit instance (and therefore travels with pickles, which is how
-    the campaign cache lets pool workers skip recompilation), so one
-    circuit can hold compiled instances at several widths at once; any
-    structural edit invalidates all of them.
+    The cache — ``(mutations, CompiledCircuit)`` — lives on the circuit
+    instance, and therefore travels with pickles, which is how the
+    campaign cache lets pool workers skip recompilation.
     """
-    lanes = check_lanes(default_lanes() if lanes is None else lanes)
     cached = circuit._compiled_cache
-    if cached is not None and not isinstance(cached[1], dict):
-        # Pre-width pickle: a bare (mutations, compiled) pair.
-        cached = (cached[0], {cached[1].lanes: cached[1]})
-        circuit._compiled_cache = cached
     if cached is None or cached[0] != circuit._mutations:
-        cached = (circuit._mutations, {})
+        cached = (circuit._mutations, CompiledCircuit(circuit))
         circuit._compiled_cache = cached
-    by_width = cached[1]
-    compiled = by_width.get(lanes)
-    if compiled is None:
-        by_width[lanes] = compiled = CompiledCircuit(circuit, lanes)
-    return compiled
+    elif isinstance(cached[1], dict):
+        # Pickled while the IR was memoized per lane width: any of those
+        # IRs serves every batch now.
+        cached = (cached[0], next(iter(cached[1].values())))
+        circuit._compiled_cache = cached
+    return cached[1]

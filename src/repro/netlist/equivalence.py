@@ -28,7 +28,7 @@ from ..obs.spans import trace_span
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from .circuit import Circuit, NetlistError
-from .compiled import compile_circuit
+from .compiled import LANES, compile_circuit
 from .transform import combinational_circuit, unrolled_view
 
 __all__ = [
@@ -81,24 +81,23 @@ def check_equivalence(
                 f"circuit {tag} has unpinned key inputs {sorted(missing)[:4]}"
             )
 
-    # Fast path: one full bit-parallel pass of random patterns through
-    # the compiled evaluator first (as many patterns as it has lanes).
+    # Fast path: one full bit-parallel pass of LANES random patterns
+    # through the compiled evaluator first.
     # A Boolean disagreement is a counterexample and skips the SAT miter
     # entirely; agreement falls through to the exhaustive proof.  (Only
     # when the key dicts pin key inputs alone — pinning arbitrary
     # internal nets is a SAT-level construct.)
     if (set(key_a or {}) <= set(a.key_inputs)
             and set(key_b or {}) <= set(b.key_inputs)):
-        compiled_a = compile_circuit(a)
         rng = random.Random(0xC0FFEE)
         patterns = [
             {net: rng.randint(0, 1) for net in a.inputs}
-            for _ in range(compiled_a.lanes)
+            for _ in range(LANES)
         ]
-        got_a = compiled_a.query_outputs(
+        got_a = compile_circuit(a).query_outputs(
             [dict(pattern, **(key_a or {})) for pattern in patterns]
         )
-        got_b = compile_circuit(b, compiled_a.lanes).query_outputs(
+        got_b = compile_circuit(b).query_outputs(
             [dict(pattern, **(key_b or {})) for pattern in patterns]
         )
         for pattern, values_a, values_b in zip(patterns, got_a, got_b):

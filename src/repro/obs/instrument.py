@@ -84,7 +84,9 @@ def run_profile(
     * ``pnr``    — placement + routing of the original;
     * ``sta``    — timing analysis with routed wire delays;
     * ``lock``   — the GK flow (nests the flow's own stage spans);
-    * ``attack`` — KEYGEN-stripped SAT attack (nests DIP iterations);
+    * ``attack`` — KEYGEN-stripped SAT attack: exposing the GK keys
+      (``attack.expose_keys``), building the oracle (``attack.oracle``)
+      and the attack itself (``attack.sat``, nesting DIP iterations);
     * ``sim``    — event-driven validation run with the correct key.
 
     Temporarily replaces any active observability session; restores it
@@ -140,8 +142,10 @@ def run_profile(
                 summary["gks_inserted"] = len(locked.metadata["gks"])
 
             with trace_span("attack"):
-                exposed = expose_gk_keys(locked)
-                oracle = CombinationalOracle(circuit)
+                with trace_span("attack.expose_keys"):
+                    exposed = expose_gk_keys(locked)
+                with trace_span("attack.oracle"):
+                    oracle = CombinationalOracle(circuit)
                 result = sat_attack(
                     exposed, oracle, max_iterations=max_iterations
                 )

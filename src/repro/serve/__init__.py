@@ -10,8 +10,7 @@ value/known word pair per net, :mod:`repro.serve.protocol`), with:
 * a **dynamic batcher** coalescing concurrent single-pattern queries
   into lane-wide bit-parallel evaluations (:mod:`repro.serve.batcher`);
 * a content-addressed **circuit registry** with an LRU of compiled
-  instances, shared with the in-process oracles
-  (:mod:`repro.serve.registry`);
+  instances (:mod:`repro.serve.registry`);
 * **admission control** — bounded queueing, per-request deadlines,
   typed backpressure errors, graceful drain
   (:mod:`repro.serve.admission`);
@@ -51,7 +50,6 @@ from .registry import (
     CircuitRegistry,
     RegisteredCircuit,
     circuit_content_id,
-    default_registry,
 )
 from .server import (
     OracleServer,
@@ -69,6 +67,5 @@ __all__ = [
     "DeadlineExceededError", "UnknownCircuitError",
     "QueryBudgetExceededError",
     "CircuitRegistry", "RegisteredCircuit", "circuit_content_id",
-    "default_registry",
     "OracleServer", "ServerConfig", "ThreadedServer", "registration_view",
 ]

@@ -1,7 +1,7 @@
-"""Dynamic batcher: coalesce concurrent oracle queries into lane-wide passes.
+"""Dynamic batcher: coalesce concurrent oracle queries into one wide pass.
 
-The compiled IR evaluates one lane-width of patterns for roughly the
-price of one (:mod:`repro.netlist.compiled`), but a *served* oracle
+The compiled IR evaluates a batch of patterns in one pass for roughly
+the price of one (:mod:`repro.netlist.compiled`), but a *served* oracle
 sees that parallelism shredded: every client sends one pattern at a
 time, exactly like the SAT attack's DIP loop.  The batcher reassembles
 it — queries against the same circuit arriving within one **batching
@@ -13,15 +13,14 @@ Requests arrive as bit planes (a
 the wire by the server), so co-batching is arithmetic on plane words:
 each request's planes are shifted to the lane offset the requests
 before it fill (``PlaneBatch.concat``), the combined batch is
-evaluated once, and the output planes are cut back at the same
-offsets (``PlaneBatch.split``).  No per-pattern object is built
-between the socket and the evaluator.
+evaluated in one pass as wide as its pattern count, and the output
+planes are cut back at the same offsets (``PlaneBatch.split``).  No
+per-pattern object is built between the socket and the evaluator.
 
 A batch flushes when either trigger fires, whichever comes first:
 
-* **width** — the pending lane count reaches ``max_batch`` (default:
-  the registry's compiled lane width, so a flush fills exactly one
-  bit-parallel pass at any ``--lanes`` setting), or
+* **width** — the pending lane count reaches ``max_batch`` (default
+  64), or
 * **deadline** — ``window_s`` elapsed since the batch's first request
   (bounded added latency for a lone client).
 
@@ -39,9 +38,9 @@ the surviving requests run in one pass.  If anything in the flush
 raises, every request still waiting fails with that error: no future
 is ever left pending.
 
-The evaluation itself runs synchronously on the event loop: a lane-wide
-pass over the biggest benchmark is ~1 ms at 64 lanes (and grows far
-slower than linearly with width), well under the batching window, and
+The evaluation itself runs synchronously on the event loop: a 64-lane
+pass over the biggest benchmark is ~1 ms (and a pass grows far slower
+than linearly with its width), well under the batching window, and
 keeping it on-loop makes result delivery deterministic — no executor
 handoff, no cross-thread wakeups.
 """
@@ -63,7 +62,8 @@ from .registry import CircuitRegistry, RegisteredCircuit
 __all__ = ["BatchConfig", "DynamicBatcher", "OCCUPANCY_BUCKETS"]
 
 #: occupancy histogram boundaries (lanes per flushed batch); extends
-#: past 64 so wide-lane deployments still resolve their flush sizes
+#: past 64 so servers with a wider ``max_batch`` still resolve their
+#: flush sizes
 OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0,
                      128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 
@@ -72,15 +72,13 @@ OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0,
 class BatchConfig:
     """Batching policy knobs."""
 
-    #: lanes per flush; 1 disables coalescing (the "batching off" mode);
-    #: ``None`` matches the registry's compiled lane width, so the flush
-    #: trigger tracks ``--lanes`` without separate plumbing
-    max_batch: Optional[int] = None
+    #: lanes per flush; 1 disables coalescing (the "batching off" mode)
+    max_batch: int = 64
     #: max seconds a lone request waits before its batch flushes anyway
     window_s: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.max_batch is not None and self.max_batch < 1:
+        if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.window_s < 0:
             raise ValueError("window_s must be >= 0")
@@ -119,11 +117,7 @@ class DynamicBatcher:
         self.registry = registry
         self.admission = admission
         self.config = config or BatchConfig()
-        #: resolved flush width: explicit max_batch, else one full
-        #: bit-parallel pass at the registry's lane width
-        self.max_batch = (self.config.max_batch
-                          if self.config.max_batch is not None
-                          else registry.lane_width())
+        self.max_batch = self.config.max_batch
         #: optional :class:`~repro.obs.sinks.SlowRequestLog`; deadline
         #: expiries are logged here at flush time with their lateness,
         #: which the request-level log upstream cannot know

@@ -5,16 +5,10 @@ SHA-256-over-canonical-JSON identity the campaign cache uses
 (:func:`repro.campaign.cache.content_key` over the circuit's ``.bench``
 text) — so registering the same netlist twice, from two clients or two
 processes, lands on one entry and one
-:class:`~repro.netlist.compiled.CompiledCircuit` instance.
-
-The registry is also the **one memoization story** for in-process
-consumers: :class:`~repro.attacks.oracle.CombinationalOracle` and
-:class:`~repro.attacks.oracle.TimingOracle` resolve their compiled
-instance through :meth:`CircuitRegistry.compiled_for` on the process
-default registry at construction and hold it for their lifetime, so the
-served path and the in-process path share identical lookup-then-hold
-semantics (an activated chip does not change under the attacker's
-feet, even if the Python object it was built from is later mutated).
+:class:`~repro.netlist.compiled.CompiledCircuit` instance.  Each entry
+holds that instance for its lifetime, so a hosted chip does not change
+under the attacker's feet even if the Python object it was built from
+is later mutated.
 
 Entries are kept in an LRU of bounded ``capacity``; **query accounting
 survives eviction**: per-circuit query counts and budgets live in a
@@ -27,24 +21,18 @@ from __future__ import annotations
 import io
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..campaign.cache import content_key
 from ..netlist.bench_io import write_bench
-from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.compiled import (
-    CompiledCircuit,
-    check_lanes,
-    compile_circuit,
-    default_lanes,
-)
+from ..netlist.circuit import Circuit
+from ..netlist.compiled import CompiledCircuit, compile_circuit
 from .protocol import QueryBudgetExceededError, UnknownCircuitError
 
 __all__ = [
     "circuit_content_id",
     "RegisteredCircuit",
     "CircuitRegistry",
-    "default_registry",
 ]
 
 
@@ -52,30 +40,13 @@ def circuit_content_id(circuit: Circuit) -> str:
     """Content hash of *circuit* (its canonical ``.bench`` serialization).
 
     Serializing and re-parsing the same text therefore lands on one ID,
-    which is what makes registration idempotent across clients.
-    Circuits that use cells beyond the ``.bench`` gate set (a GK-locked
-    design on its way to the timing oracle, say) cannot serialize; they
-    get a structural fingerprint over the full gate list instead —
-    in-process consumers only, since the wire protocol ships ``.bench``
-    text and can never carry such a circuit.
+    which is what makes registration idempotent across clients.  A
+    circuit with cells beyond the ``.bench`` gate set raises
+    :class:`~repro.netlist.circuit.NetlistError`: the wire ships
+    ``.bench`` text and can never carry one.
     """
-    try:
-        text = io.StringIO()
-        write_bench(circuit, text)
-    except NetlistError:
-        gates = sorted(
-            (gate.name, gate.cell.name, sorted(gate.pins.items()),
-             gate.output)
-            for gate in circuit.gates.values()
-        )
-        return content_key(
-            kind="serve.circuit.structural",
-            name=circuit.name,
-            inputs=list(circuit.inputs),
-            key_inputs=list(circuit.key_inputs),
-            outputs=list(circuit.outputs),
-            gates=gates,
-        )
+    text = io.StringIO()
+    write_bench(circuit, text)
     return content_key(kind="serve.circuit", netlist=text.getvalue())
 
 
@@ -97,7 +68,6 @@ class RegisteredCircuit:
             "name": self.circuit.name,
             "inputs": list(self.compiled.inputs),
             "outputs": list(self.compiled.outputs),
-            "lanes": self.compiled.lanes,
         }
 
 
@@ -105,18 +75,13 @@ class CircuitRegistry:
     """Bounded LRU of :class:`RegisteredCircuit` plus query accounting.
 
     Thread-safe: the asyncio server mutates it from the event loop while
-    in-process oracles (possibly on other threads) resolve compiled
-    instances through the same object.
+    other threads (an in-process client, ``stats`` readers) read it.
     """
 
-    def __init__(self, capacity: int = 16,
-                 lanes: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError("registry capacity must be >= 1")
         self.capacity = capacity
-        #: bit-parallel width circuits are compiled at; ``None`` follows
-        #: the process default (:func:`repro.netlist.compiled.default_lanes`)
-        self.lanes = None if lanes is None else check_lanes(lanes)
         self._entries: "OrderedDict[str, RegisteredCircuit]" = OrderedDict()
         self._lock = threading.Lock()
         # Accounting outlives eviction (budgets must not reset).
@@ -158,7 +123,7 @@ class CircuitRegistry:
         # Compile outside the lock (it can take milliseconds on the big
         # benchmarks); compile_circuit memoizes on the circuit, so a
         # racing duplicate registration costs nothing extra.
-        compiled = compile_circuit(circuit, self.lanes)
+        compiled = compile_circuit(circuit)
         entry = RegisteredCircuit(circuit_id, circuit, compiled)
         with self._lock:
             self.misses += 1
@@ -197,14 +162,6 @@ class CircuitRegistry:
             self.hits += 1
             return entry
 
-    def compiled_for(self, circuit: Circuit) -> CompiledCircuit:
-        """Register-and-resolve for in-process consumers (the oracles)."""
-        return self.register(circuit).compiled
-
-    def lane_width(self) -> int:
-        """The concrete width this registry compiles at, resolved now."""
-        return self.lanes if self.lanes is not None else default_lanes()
-
     # ------------------------------------------------------------------
     # Query accounting
     # ------------------------------------------------------------------
@@ -242,7 +199,6 @@ class CircuitRegistry:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "lanes": self.lane_width(),
                 "registrations": self.registrations,
                 "evictions": self.evictions,
                 "hits": self.hits,
@@ -254,17 +210,3 @@ class CircuitRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CircuitRegistry({len(self._entries)}/{self.capacity}, "
                 f"hits={self.hits}, misses={self.misses})")
-
-
-_DEFAULT: Optional[CircuitRegistry] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_registry() -> CircuitRegistry:
-    """The process-wide registry the in-process oracles resolve through."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        with _DEFAULT_LOCK:
-            if _DEFAULT is None:
-                _DEFAULT = CircuitRegistry()
-    return _DEFAULT

@@ -76,12 +76,6 @@ class ServerConfig:
     #: answered requests at or above this duration are logged as slow
     #: (rejections and errors are always logged)
     slow_request_s: float = 1.0
-    #: bit-parallel lane width circuits are compiled at (and, unless
-    #: ``batch.max_batch`` is set explicitly, the batcher's flush
-    #: width); ``None`` follows the process default — ``REPRO_LANES``
-    #: or 64.  Only used when the server builds its own registry; a
-    #: registry passed in keeps its own width.
-    lanes: Optional[int] = None
 
 
 def registration_view(
@@ -132,7 +126,7 @@ class OracleServer:
     ) -> None:
         self.config = config or ServerConfig()
         self.registry = (registry if registry is not None
-                         else CircuitRegistry(lanes=self.config.lanes))
+                         else CircuitRegistry())
         self.admission = AdmissionController(self.config.admission)
         if slow_log is None and self.config.slow_log_path:
             slow_log = SlowRequestLog(self.config.slow_log_path,

@@ -249,7 +249,7 @@ class EventSimulator:
             if v is not None:
                 plane_v[net_id] = v
                 plane_k[net_id] = 1
-        compiled.run_planes(plane_v, plane_k)
+        compiled.run_planes(plane_v, plane_k, 1)
         for net, net_id in zip(compiled.out_names, compiled.out_ids):
             values[net] = (plane_v[net_id] & 1) if plane_k[net_id] & 1 else None
         for net in self._values:

@@ -82,15 +82,12 @@ class TestOracleProtocol:
         assert isinstance(Stub(), OracleProtocol)
         assert not isinstance(object(), OracleProtocol)
 
-    def test_oracles_share_one_registry_compiled_instance(
-            self, toy_combinational):
-        """Satellite of the serving PR: both oracles resolve their
-        compiled circuit through the process default registry, so two
+    def test_oracles_share_one_compiled_instance(self, toy_combinational):
+        """Both oracles hold the circuit's memoized compiled IR, so two
         oracles over the same design share one compiled instance."""
-        from repro.serve.registry import default_registry
+        from repro.netlist import compile_circuit
 
         first = CombinationalOracle(toy_combinational)
         second = CombinationalOracle(toy_combinational)
         assert first._compiled is second._compiled
-        assert first._compiled is default_registry().compiled_for(
-            toy_combinational)
+        assert first._compiled is compile_circuit(toy_combinational)

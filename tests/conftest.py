@@ -70,29 +70,21 @@ def _force_trace():
         obs.disable()
 
 
-@pytest.fixture(autouse=True)
-def _lane_width():
-    """Run every test at the ``REPRO_LANES`` lane width when set (the
-    CI wide-lane differential tier, mirroring ``REPRO_FORCE_TRACE``):
-    every existing test then doubles as a cross-width check, because
-    all compiled evaluation inherits the default width.
+@pytest.fixture
+def pass_masks(monkeypatch):
+    """The lane mask of every compiled-evaluator pass, in call order
+    (one bit per pattern the pass carries)."""
+    from repro.netlist.compiled import CompiledCircuit
 
-    Installed as a ``set_default_lanes`` override (not just the env
-    var) so a test that clears the environment still runs wide, and
-    restored afterwards so an explicit override inside a test cannot
-    leak.  Tests that pass an explicit ``lanes=`` are unaffected.
-    """
-    raw = os.environ.get("REPRO_LANES")
-    if not raw:
-        yield
-        return
-    from repro.netlist.compiled import set_default_lanes
+    masks = []
+    run_planes = CompiledCircuit.run_planes
 
-    previous = set_default_lanes(int(raw))
-    try:
-        yield
-    finally:
-        set_default_lanes(previous)
+    def recording(self, value, known, mask, *args, **kwargs):
+        masks.append(mask)
+        return run_planes(self, value, known, mask, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledCircuit, "run_planes", recording)
+    return masks
 
 
 @pytest.fixture

@@ -74,11 +74,6 @@ class TestCompiledCache:
         c.add_gate(c.new_gate_name("buf"), "BUF_X1", {"A": c.inputs[0]}, n)
         assert compile_circuit(c) is not compiled
 
-    def test_circuit_compiled_accessor(self, toy_combinational):
-        assert toy_combinational.compiled() is compile_circuit(
-            toy_combinational
-        )
-
     def test_clone_does_not_share_cache(self, toy_combinational):
         compiled = compile_circuit(toy_combinational)
         clone = toy_combinational.clone()
@@ -110,25 +105,61 @@ class TestPickle:
         )
 
     def test_circuit_pickle_carries_compiled_cache(self, toy_sequential):
-        default = compile_circuit(toy_sequential)
-        wide = compile_circuit(toy_sequential, default.lanes * 4)
+        compile_circuit(toy_sequential)
         clone = pickle.loads(pickle.dumps(toy_sequential))
         cached = clone._compiled_cache
         assert cached is not None and cached[0] == clone._mutations
-        # The carried cache is served, not recompiled — per width.
-        assert compile_circuit(clone) is cached[1][default.lanes]
-        assert compile_circuit(clone, wide.lanes) is cached[1][wide.lanes]
+        # The carried cache is served, not recompiled.
+        assert compile_circuit(clone) is cached[1]
 
     def test_pre_width_cache_tuple_still_served(self, toy_sequential):
-        # Circuits pickled before the width parameter carried a bare
-        # (mutations, CompiledCircuit) pair; compile_circuit adopts it.
+        # Circuits pickled before the lane width was a compile-time
+        # setting carry a bare (mutations, CompiledCircuit) pair: the
+        # format the cache has again now.
         compiled = compile_circuit(toy_sequential)
         toy_sequential._compiled_cache = (toy_sequential._mutations,
                                           compiled)
         assert compile_circuit(toy_sequential) is compiled
-        assert toy_sequential._compiled_cache[1] == {
-            compiled.lanes: compiled
-        }
+        assert toy_sequential._compiled_cache[1] is compiled
+
+    def test_per_width_cache_still_served(self, toy_sequential):
+        # Circuits pickled while the IR was memoized per lane width
+        # carry (mutations, {lanes: CompiledCircuit}); any of those IRs
+        # serves every batch.
+        compiled = compile_circuit(toy_sequential)
+        toy_sequential._compiled_cache = (toy_sequential._mutations,
+                                          {256: compiled})
+        assert compile_circuit(toy_sequential) is compiled
+        assert toy_sequential._compiled_cache[1] is compiled
+
+    def test_pickle_carrying_a_lane_width_still_loads(self, monkeypatch):
+        # An IR pickled at a compile-time width of 256 lanes carries the
+        # width, its mask, and every LUT entry as a 256-bit word.
+        b = Builder("lutwide")
+        x, y = b.inputs("x", "y")
+        b.po(b.lut([x, y], (0, 1, 1, 1)), "z")
+        b.po(b.const1(), "one")
+        compiled = compile_circuit(b.circuit)
+        wide = (1 << 256) - 1
+        old_state = dict(compiled.__getstate__(), lanes=256, mask=wide)
+        old_state["lut_value_planes"] = tuple(
+            table and tuple(wide if bit else 0 for bit in table)
+            for table in old_state.pop("lut_tables"))
+        monkeypatch.setattr(CompiledCircuit, "__getstate__",
+                            lambda self: dict(old_state))
+        data = pickle.dumps(compiled)
+        monkeypatch.undo()
+        clone = pickle.loads(data)
+        assert not hasattr(clone, "lanes") and not hasattr(clone, "mask")
+        assert clone.lut_tables == compiled.lut_tables
+        patterns = [{"x": vx, "y": vy} for vx in (0, 1, None)
+                    for vy in (0, 1, None)]
+        batch = PlaneBatch.pack(["x", "y"], patterns)
+        assert clone.query_outputs(batch) == compiled.query_outputs(batch)
+        want = [evaluate_combinational_interpreted(b.circuit, p)
+                for p in patterns]
+        assert clone.query_outputs(patterns) == [
+            {"z": values["z"], "one": values["one"]} for values in want]
 
     def test_pickle_carrying_cell_delays_still_loads(self, toy_sequential,
                                                      monkeypatch):

@@ -1,24 +1,27 @@
-"""Cross-width property suite for the parameterized bit-parallel planes.
+"""Pass-width property suite: a pass is exactly as wide as its batch.
 
-The compiled evaluator's lane width is a compile-time parameter
-(:mod:`repro.netlist.compiled`): the same two-plane 0/1/X word algebra
-runs at 64, 256, or 1024 lanes.  Nothing downstream may be able to
-tell the widths apart — these properties pin that down with hypothesis
-over random circuits and random ternary pattern sets, including the
-shapes where a width bug would hide:
+The compiled evaluator (:mod:`repro.netlist.compiled`) runs a
+:class:`~repro.netlist.compiled.PlaneBatch` of *n* patterns in one
+*n*-lane pass, and pattern dicts 64 per pass.  Nothing downstream may
+be able to tell the pass widths apart — these properties pin that down
+with hypothesis over random circuits and random ternary pattern sets,
+comparing every plane batch with per-pattern dict evaluation (one
+one-lane pass each), including the shapes where a width bug would
+hide:
 
-* **partial final chunks** — a pattern count that fills the last pass
-  of one width exactly and leaves another width's pass mostly empty;
+* **batch sizes around the dict path's 64-pattern pass** — one lane
+  short, exact, one over, several passes' worth, and 4096;
 * **all-X lanes** — patterns whose planes contribute no set bits, so a
-  stray mask of the wrong width shows up as a spurious known;
+  stray all-lanes word (a TIE cell, a LUT entry, flip-flop state) of
+  the wrong width shows up as a spurious known;
 * result order — lane-for-lane: result *i* is pattern *i* at every
   width, so plain list equality is the lane-level comparison.
 
-Deterministic cases cover the width contract itself: validation,
-``REPRO_LANES``/override resolution, per-width memoization, and pickle.
+Deterministic cases pin what no longer varies: the dict path's
+64-pattern passes and the 64-pattern samples of the random-pattern
+checks, whatever the environment says.
 """
 
-import pickle
 import random
 from functools import lru_cache
 
@@ -29,19 +32,17 @@ from hypothesis import strategies as st
 from repro.bench.generator import GeneratorSpec, random_sequential_circuit
 from repro.netlist.compiled import (
     LANES,
+    MASK,
     CompiledCircuit,
-    check_lanes,
+    PlaneBatch,
     compile_circuit,
     default_lanes,
-    set_default_lanes,
 )
 
-WIDTHS = (64, 256, 1024)
 TERNARY = (0, 1, None)
 
-#: pattern counts chosen so that, at some width in WIDTHS, the final
-#: chunk is exactly full, one lane over, or one lane short
-CHUNK_EDGE_COUNTS = (1, 63, 64, 65, 127, 128, 129, 140, 256, 257)
+#: batch sizes at and around the dict path's 64-pattern pass
+CHUNK_EDGE_COUNTS = (1, 63, 64, 65, 127, 128, 129, 140, 256, 257, 4096)
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +69,12 @@ def _patterns(circuit, rng, count, x_bias):
     return patterns
 
 
+def _per_pattern(compiled, patterns, state=None):
+    """Each pattern in its own one-lane pass."""
+    return [compiled.query_outputs([pattern], state)[0]
+            for pattern in patterns]
+
+
 class TestCrossWidthProperties:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -82,13 +89,13 @@ class TestCrossWidthProperties:
         self, circuit_seed, num_gates, pattern_seed, count, x_bias
     ):
         circuit = _circuit(circuit_seed, num_gates)
+        compiled = compile_circuit(circuit)
         rng = random.Random(pattern_seed)
         patterns = _patterns(circuit, rng, count, x_bias)
-        reference = compile_circuit(circuit, 64).query_outputs(patterns)
-        assert len(reference) == count
-        for lanes in WIDTHS[1:]:
-            assert compile_circuit(circuit, lanes).query_outputs(
-                patterns) == reference
+        reference = _per_pattern(compiled, patterns)
+        assert compiled.query_outputs(patterns) == reference
+        batch = PlaneBatch.pack(circuit.inputs, patterns)
+        assert compiled.query_outputs(batch).unpack() == reference
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -101,137 +108,147 @@ class TestCrossWidthProperties:
                                          count):
         """Full net-for-net dicts, not just the primary outputs."""
         circuit = _circuit(circuit_seed, 24)
+        compiled = compile_circuit(circuit)
         rng = random.Random(pattern_seed)
         patterns = _patterns(circuit, rng, count, x_bias=0.25)
-        reference = compile_circuit(circuit, 64).evaluate_many(patterns)
-        for lanes in WIDTHS[1:]:
-            assert compile_circuit(circuit, lanes).evaluate_many(
-                patterns) == reference
+        assert compiled.evaluate_many(patterns) == [
+            compiled.evaluate(pattern) for pattern in patterns]
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         circuit_seed=st.integers(min_value=0, max_value=3),
         pattern_seed=st.integers(min_value=0, max_value=2**16),
+        count=st.sampled_from([1, 64, 65, 257]),
     )
-    def test_sequential_step_state_agrees(self, circuit_seed, pattern_seed):
-        """FF state planes are all-lanes-replicated; widths must agree."""
+    def test_sequential_step_state_agrees(self, circuit_seed, pattern_seed,
+                                          count):
+        """Flip-flop state fills every lane of the pass, at any width."""
         circuit = _circuit(circuit_seed, 30, num_flip_flops=4)
+        compiled = compile_circuit(circuit)
         rng = random.Random(pattern_seed)
-        assignment = {net: rng.choice(TERNARY) for net in circuit.inputs}
         state = {g.name: rng.choice(TERNARY) for g in circuit.flip_flops()}
-        reference = compile_circuit(circuit, 64).step_state(assignment, state)
-        for lanes in WIDTHS[1:]:
-            assert compile_circuit(circuit, lanes).step_state(
-                assignment, state) == reference
+        patterns = _patterns(circuit, rng, count, x_bias=0.3)
+        reference = [compiled.step_state(pattern, state)[0]
+                     for pattern in patterns]
+        assert compiled.query_outputs(patterns, state) == reference
+        batch = PlaneBatch.pack(circuit.inputs, patterns)
+        assert compiled.query_outputs(batch, state).unpack() == reference
 
 
 class TestChunkEdges:
     @pytest.mark.parametrize("count", CHUNK_EDGE_COUNTS)
-    def test_partial_final_chunks_account_identically(self, count):
-        """Every width returns exactly *count* results, in lane order."""
+    def test_partial_final_chunks_account_identically(self, count,
+                                                      pass_masks):
+        """A plane batch is one pass exactly *count* lanes wide; pattern
+        dicts are 64 per pass, the last one partial; both equal
+        per-pattern evaluation, in lane order."""
         circuit = _circuit(1, 24)
+        compiled = compile_circuit(circuit)
         rng = random.Random(count * 7919)
         patterns = _patterns(circuit, rng, count, x_bias=0.2)
-        reference = compile_circuit(circuit, 64).query_outputs(patterns)
+        reference = _per_pattern(compiled, patterns)
         assert len(reference) == count
-        for lanes in WIDTHS[1:]:
-            got = compile_circuit(circuit, lanes).query_outputs(patterns)
-            assert len(got) == count
-            assert got == reference
+
+        del pass_masks[:]
+        batch = PlaneBatch.pack(circuit.inputs, patterns)
+        got = compiled.query_outputs(batch)
+        assert pass_masks == [(1 << count) - 1]
+        assert got.count == count and got.unpack() == reference
+
+        del pass_masks[:]
+        assert compiled.query_outputs(patterns) == reference
+        full, last = divmod(count, LANES)
+        assert pass_masks == [MASK] * full + ([(1 << last) - 1] if last
+                                              else [])
 
     def test_all_x_lanes(self):
         """All-X patterns: planes carry zero set bits at every width."""
         circuit = _circuit(2, 24)
+        compiled = compile_circuit(circuit)
         patterns = [{net: None for net in circuit.inputs}
                     for _ in range(67)]
-        reference = compile_circuit(circuit, 64).query_outputs(patterns)
-        assert len(reference) == 67
-        for lanes in WIDTHS[1:]:
-            assert compile_circuit(circuit, lanes).query_outputs(
-                patterns) == reference
+        reference = _per_pattern(compiled, patterns)
+        assert compiled.query_outputs(patterns) == reference
+        batch = PlaneBatch.pack(circuit.inputs, patterns)
+        assert compiled.query_outputs(batch).unpack() == reference
 
 
 class TestWidthContract:
-    @pytest.mark.parametrize("bad", [0, -64, 1, 63, 65, 100, 96])
-    def test_rejects_non_multiples_of_64(self, bad):
-        with pytest.raises(ValueError, match="positive multiple"):
-            check_lanes(bad)
-        with pytest.raises(ValueError, match="positive multiple"):
-            compile_circuit(_circuit(0, 12), bad)
-
-    @pytest.mark.parametrize("lanes", [64, 128, 256, 4096])
-    def test_accepts_positive_multiples(self, lanes):
-        assert check_lanes(lanes) == lanes
-        compiled = compile_circuit(_circuit(0, 12), lanes)
-        assert compiled.lanes == lanes
-        assert compiled.mask == (1 << lanes) - 1
-
-    def test_memoized_per_width(self):
-        circuit = _circuit(3, 12)
-        c64 = compile_circuit(circuit, 64)
-        c256 = compile_circuit(circuit, 256)
-        assert c64 is not c256
-        # One circuit holds compiled instances at several widths.
-        assert compile_circuit(circuit, 64) is c64
-        assert compile_circuit(circuit, 256) is c256
-
-    def test_structural_edit_invalidates_every_width(self):
-        circuit = _circuit(4, 12)
-        c64 = compile_circuit(circuit, 64)
-        c256 = compile_circuit(circuit, 256)
-        net = circuit.new_net("width_probe")
-        circuit.add_gate(circuit.new_gate_name("inv"), "INV_X1",
-                         {"A": list(circuit.inputs)[0]}, net)
-        assert compile_circuit(circuit, 64) is not c64
-        assert compile_circuit(circuit, 256) is not c256
-
-    def test_pickle_preserves_width(self):
-        compiled = compile_circuit(_circuit(5, 12), 256)
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert isinstance(clone, CompiledCircuit)
-        assert clone.lanes == 256
-        assert clone.mask == compiled.mask
-        patterns = _patterns(_circuit(5, 12), random.Random(9), 70, 0.2)
-        assert clone.query_outputs(patterns) == compiled.query_outputs(
-            patterns)
-
-    def test_env_var_sets_default(self, monkeypatch):
-        # Clear any programmatic override (e.g. the suite-wide
-        # REPRO_LANES fixture) so the env var itself is what resolves.
-        previous = set_default_lanes(None)
-        try:
-            monkeypatch.setenv("REPRO_LANES", "256")
-            assert default_lanes() == 256
-            compiled = compile_circuit(_circuit(0, 12))
-            assert compiled.lanes == 256
-        finally:
-            set_default_lanes(previous)
-
-    def test_env_var_validated(self, monkeypatch):
-        previous = set_default_lanes(None)
-        try:
-            monkeypatch.setenv("REPRO_LANES", "100")
-            with pytest.raises(ValueError, match="positive multiple"):
-                default_lanes()
-            monkeypatch.setenv("REPRO_LANES", "wide")
-            with pytest.raises(ValueError, match="integer"):
-                default_lanes()
-        finally:
-            set_default_lanes(previous)
-
-    def test_override_beats_env(self, monkeypatch):
+    def test_default_is_64_without_overrides(self, monkeypatch, pass_masks):
+        """Nothing sets the width: ``REPRO_LANES`` is not read, and
+        pattern dicts go 64 per pass."""
         monkeypatch.setenv("REPRO_LANES", "256")
-        previous = set_default_lanes(1024)
-        try:
-            assert default_lanes() == 1024
-        finally:
-            set_default_lanes(previous)
+        assert default_lanes() == LANES == 64
+        circuit = _circuit(0, 12)
+        patterns = _patterns(circuit, random.Random(3), 130, 0.2)
+        compile_circuit(circuit).query_outputs(patterns)
+        assert pass_masks == [MASK, MASK, 0b11]
 
-    def test_default_is_64_without_overrides(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANES", raising=False)
-        previous = set_default_lanes(None)
-        try:
-            assert default_lanes() == LANES == 64
-        finally:
-            set_default_lanes(previous)
+
+class TestSampleSizes:
+    """The random-pattern checks draw 64 patterns whatever the
+    environment says (they once followed a process-wide lane width, and
+    their figures drifted with it)."""
+
+    @pytest.fixture(autouse=True)
+    def _wide_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LANES", "256")
+
+    @pytest.fixture
+    def query_sizes(self, monkeypatch):
+        sizes = []
+        query_outputs = CompiledCircuit.query_outputs
+
+        def recording(self, assignments, *args, **kwargs):
+            sizes.append(len(assignments))
+            return query_outputs(self, assignments, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledCircuit, "query_outputs", recording)
+        return sizes
+
+    @pytest.fixture(scope="class")
+    def xor_locked(self):
+        from repro.bench import iwls_benchmark
+        from repro.locking import XorLock
+
+        bench = iwls_benchmark("s1238")
+        locked = XorLock().lock(bench.circuit, 8, random.Random(0))
+        return bench.circuit, locked
+
+    def test_recovered_corruption(self, xor_locked, query_sizes):
+        from repro.attacks import recovered_corruption
+
+        original, locked = xor_locked
+        key = locked.random_wrong_key(random.Random(0xEC))
+        rate = recovered_corruption(original, locked.circuit, key)
+        assert query_sizes == [64, 64]
+        # 295 of 64 patterns x 67 outputs of the combinational core.
+        assert rate == 295 / (64 * 67)
+
+    def test_equivalence_prefilter(self, xor_locked, query_sizes):
+        from repro.netlist import check_equivalence
+
+        original, locked = xor_locked
+        result = check_equivalence(original, locked.circuit,
+                                   key_b=locked.key)
+        assert result.equivalent
+        assert query_sizes == [64, 64]
+
+    def test_signal_probabilities(self, xor_locked, pass_masks):
+        from repro.attacks import signal_probabilities
+        from repro.netlist.transform import extract_combinational
+
+        _original, locked = xor_locked
+        comb = extract_combinational(locked.circuit).circuit
+        signal_probabilities(comb, 100, random.Random(2))
+        # Two passes (key A, key B) of 64 samples, then two of 36.
+        assert pass_masks == [MASK, MASK, (1 << 36) - 1, (1 << 36) - 1]
+
+    def test_atpg_fault_simulation(self, xor_locked, pass_masks):
+        from repro.netlist import fault_coverage
+
+        original, _locked = xor_locked
+        report = fault_coverage(original, sample=4, rng=random.Random(5))
+        assert report.total == 8
+        assert pass_masks and set(pass_masks) == {MASK}

@@ -262,3 +262,20 @@ class TestFlowInstrumentation:
             "flow.gk.drift_waived",
         ):
             assert name in snap
+
+
+class TestProfileInstrumentation:
+    def test_attack_stage_children_cover_its_set_up(self):
+        """``repro profile``'s ``attack`` stage spans its key exposure
+        and oracle build beside the attack, so no set-up cost hides in
+        the stage's self time."""
+        from repro.bench import iwls_benchmark
+        from repro.obs import run_profile
+
+        report = run_profile(iwls_benchmark("s1238").circuit, key_bits=2,
+                             sim_cycles=1)
+        (root,) = report.roots
+        (attack,) = [c for c in root.children if c.name == "attack"]
+        assert [c.name for c in attack.children] == [
+            "attack.expose_keys", "attack.oracle", "attack.sat"]
+        assert sum(c.duration for c in attack.children) <= attack.duration

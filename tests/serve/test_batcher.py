@@ -63,12 +63,14 @@ def test_65_concurrent_requests_split_64_plus_1(registry):
     assert admission.idle
 
 
-def test_65_patterns_at_width_64_vs_128_identical_accounting(registry):
+def test_65_patterns_at_width_64_vs_128_identical_accounting(
+        registry, pass_masks):
     """The off-by-width regression pair: the same 65 single-pattern
-    requests take **two flushes at width 64** (width trigger at lane 64,
-    window for the straggler) but **one flush at width 128** (window
-    only) — and every observable except the flush split is identical:
-    same answers, same lanes_total, same cumulative query count.
+    requests take **two flushes at max_batch 64** (width trigger at lane
+    64, window for the straggler) but **one flush at max_batch 128**
+    (window only), which is one 65-lane pass — and every observable
+    except the flush split is identical: same answers, same
+    lanes_total, same cumulative query count.
     """
     from repro.serve import CircuitRegistry
 
@@ -81,22 +83,22 @@ def test_65_patterns_at_width_64_vs_128_identical_accounting(registry):
         ]
         return [r for result in await asyncio.gather(*tasks) for r in result]
 
-    # Width 64: the historical behavior (also pinned by the
-    # split-64-plus-1 test above).
+    # Width 64: the default (also pinned by the split-64-plus-1 test
+    # above).
     entry64 = registry.register(build_chain())
     narrow, _ = make_batcher(registry, max_batch=64, window_s=0.02)
     narrow_results = asyncio.run(drive(narrow, entry64))
     assert narrow.batches == 2
     assert narrow.lanes_total == 65
 
-    # Width 128: same request stream through a 128-lane registry with
-    # max_batch=None (match the lane width) — a single window flush.
-    wide_registry = CircuitRegistry(lanes=128)
+    # Width 128: same request stream through a second registry at
+    # max_batch=128 — a single window flush, evaluated in one pass.
+    wide_registry = CircuitRegistry()
     entry128 = wide_registry.register(build_chain())
-    assert entry128.compiled.lanes == 128
-    wide, _ = make_batcher(wide_registry, max_batch=None, window_s=0.02)
-    assert wide.max_batch == 128
+    wide, _ = make_batcher(wide_registry, max_batch=128, window_s=0.02)
+    del pass_masks[:]
     wide_results = asyncio.run(drive(wide, entry128))
+    assert pass_masks == [(1 << 65) - 1]
     assert wide.batches == 1
     assert wide.full_batches == 0
     assert wide.window_batches == 1
@@ -110,12 +112,24 @@ def test_65_patterns_at_width_64_vs_128_identical_accounting(registry):
     assert wide_registry.query_count(entry128.circuit_id) == 65
 
 
-def test_max_batch_none_matches_registry_lane_width(registry):
-    """BatchConfig(max_batch=None) resolves against the registry, so the
-    flush trigger tracks ``--lanes`` with no separate plumbing."""
-    batcher, _ = make_batcher(registry, max_batch=None)
-    assert batcher.max_batch == registry.lane_width()
-    assert batcher.stats()["max_batch"] == registry.lane_width()
+def test_max_batch_defaults_to_64(registry):
+    """With no ``max_batch`` a flush fills one 64-lane pass: the width a
+    64-pattern query fills alone."""
+    from repro.serve import AdmissionController, BatchConfig, DynamicBatcher
+
+    batcher = DynamicBatcher(registry, AdmissionController())
+    assert BatchConfig().max_batch == batcher.max_batch == 64
+    assert batcher.stats()["max_batch"] == 64
+
+
+@pytest.mark.parametrize("config", [{"max_batch": 0},
+                                    {"window_s": -0.001}],
+                         ids=["max-batch-0", "negative-window"])
+def test_batch_config_refuses_out_of_range_values(config):
+    from repro.serve import BatchConfig
+
+    with pytest.raises(ValueError):
+        BatchConfig(**config)
 
 
 def test_mixed_circuits_are_never_cobatched(registry):

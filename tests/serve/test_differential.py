@@ -27,6 +27,7 @@ from repro.attacks.oracle import CombinationalOracle, TimingOracle
 from repro.bench import GeneratorSpec, random_sequential_circuit
 from repro.locking import XorLock
 from repro.serve import (
+    BatchConfig,
     OracleServer,
     RemoteOracle,
     ServerConfig,
@@ -201,9 +202,10 @@ class TestTransportsAgree:
 
 
 class TestWideFlush:
-    """Backends serving at a widened lane width (>64 lanes per batcher
-    flush) must stay observationally identical to the 64-lane local
-    oracle — outputs bit-identical, accounting per pattern."""
+    """Servers flushing more than 64 patterns at once (``max_batch`` >
+    64, each flush one pass that wide) must stay observationally
+    identical to the local oracle's 64-pattern passes — outputs
+    bit-identical, accounting per pattern."""
 
     def test_wide_flush_agrees_across_transports(self):
         circuit = generated_circuit(777)
@@ -211,9 +213,9 @@ class TestWideFlush:
         patterns = patterns_for(local, 13, count=65)
         want = local.query_batch(patterns)
 
-        # In-process: the 65-pattern request rides one 128-lane flush.
-        server = OracleServer(config=ServerConfig(lanes=128))
-        assert server.registry.lane_width() == 128
+        # In-process: the 65-pattern request rides one flush.
+        wide = ServerConfig(batch=BatchConfig(max_batch=128))
+        server = OracleServer(config=wide)
         assert server.batcher.max_batch == 128
         inproc = InProcessOracle(server, circuit)
         assert inproc.query_batch(patterns) == want
@@ -221,8 +223,7 @@ class TestWideFlush:
         assert server.batcher.occupancy.max == 65
 
         # Threaded: same config behind real sockets.
-        with ThreadedServer(OracleServer(
-                config=ServerConfig(lanes=128))) as address:
+        with ThreadedServer(OracleServer(config=wide)) as address:
             remote = RemoteOracle(address, circuit=circuit)
             assert remote.query_batch(patterns) == want
             assert remote.server_query_count == len(patterns)

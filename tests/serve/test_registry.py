@@ -10,7 +10,6 @@ from repro.serve import (
     QueryBudgetExceededError,
     UnknownCircuitError,
     circuit_content_id,
-    default_registry,
 )
 
 from tests.serve.conftest import build_chain
@@ -78,11 +77,15 @@ class TestRegistryLru:
         with pytest.raises(ValueError):
             CircuitRegistry(capacity=0)
 
-    def test_compiled_for_shares_one_instance(self, registry):
+    def test_entry_holds_the_circuits_compiled_instance(self, registry):
+        from repro.netlist import compile_circuit
+
         circuit = build_chain()
-        compiled = registry.compiled_for(circuit)
-        assert registry.compiled_for(circuit) is compiled
-        assert registry.get(circuit_content_id(circuit)).compiled is compiled
+        entry = registry.register(circuit)
+        assert entry.compiled is compile_circuit(circuit)
+        assert registry.register(circuit).compiled is entry.compiled
+        assert registry.get(circuit_content_id(circuit)).compiled is \
+            entry.compiled
 
 
 class TestBudgets:
@@ -108,21 +111,16 @@ class TestBudgets:
         assert registry.charge(entry.circuit_id, 10_000) == 10_000
 
 
-def test_default_registry_is_a_process_singleton():
-    assert default_registry() is default_registry()
-    assert isinstance(default_registry(), CircuitRegistry)
-
-
-def test_unserializable_circuit_gets_structural_id():
-    """A GK-locked design (cells beyond the .bench gate set) still
-    registers — the timing oracle resolves through the registry too."""
+def test_unserializable_circuit_is_refused():
+    """A GK-locked design (cells beyond the .bench gate set) has no
+    ``.bench`` text, so no content ID: the wire could never carry it."""
     import random
 
     from repro.bench import iwls_benchmark
     from repro.core import GkLock
+    from repro.netlist import NetlistError
 
     bench = iwls_benchmark("s1238")
     locked = GkLock(bench.clock).lock(bench.circuit, 2, random.Random(1))
-    first = circuit_content_id(locked.circuit)
-    assert first == circuit_content_id(locked.circuit)
-    assert first != circuit_content_id(bench.circuit)
+    with pytest.raises(NetlistError):
+        circuit_content_id(locked.circuit)

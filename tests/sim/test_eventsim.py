@@ -90,6 +90,21 @@ class TestPropagation:
         result = sim.run(1.0)
         assert result.waveforms[y].value_at(0.0) == 1
 
+    def test_initial_settle_of_constants(self):
+        """The settle pass is one lane wide: TIE cells settle to their
+        constant, known, and an unset input stays X."""
+        b = Builder("ties")
+        a = b.input("a")
+        one, zero = b.const1(), b.const0()
+        for net in (b.and2(a, one), b.or2(a, zero), b.or2(a, one)):
+            b.circuit.add_output(net)
+        sim = EventSimulator(b.circuit)
+        result = sim.run(1.0)
+        assert [result.waveforms[net].value_at(0.0)
+                for net in b.circuit.outputs] == [None, None, 1]
+        assert result.waveforms[one].value_at(0.0) == 1
+        assert result.waveforms[zero].value_at(0.0) == 0
+
 
 class TestFlipFlops:
     def build_ff(self):

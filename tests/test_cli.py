@@ -222,6 +222,13 @@ class TestServe:
         view, _ = registration_view(register_request(_load("iwls:s1238")))
         assert printed == circuit_content_id(view)
 
+    def test_help_names_one_width(self, capsys):
+        """``--max-batch`` is the one serving width; no lane knob."""
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--max-batch" in out and "--lanes" not in out
+
     def test_serve_refuses_locked_netlist(self, bench_file, tmp_path):
         locked_path = str(tmp_path / "locked.bench")
         main(["lock", bench_file, "--scheme", "xor", "--key-bits", "2",
@@ -283,8 +290,18 @@ class TestRefusedInput:
         ["top", "127.0.0.1:1", "--once"],
         ["attack", "l.bench", "iwls:s1238", "--remote", "127.0.0.1:1"],
         ["info", "iwls:s99"],
+        ["serve", "iwls:s1238", "--max-batch", "0"],
+        ["serve", "iwls:s1238", "--window-ms", "-1"],
+        ["serve", "iwls:s1238", "--window-ms", "nan"],
+        ["serve", "iwls:s1238", "--max-pending", "0"],
+        ["serve", "iwls:s1238", "--budget", "-1"],
+        ["attack", "l.bench", "iwls:s1238", "--verify-samples", "0"],
+        ["attack", "l.bench", "iwls:s1238", "--verify-samples", "-5"],
     ], ids=["missing-file", "bad-netlist", "infeasible-lock",
-            "top-refused", "remote-refused", "unknown-iwls-name"])
+            "top-refused", "remote-refused", "unknown-iwls-name",
+            "max-batch-0", "negative-window", "nan-window", "max-pending-0",
+            "negative-budget", "verify-samples-0",
+            "negative-verify-samples"])
     def test_one_line_and_status_2(self, argv, tmp_path, monkeypatch,
                                    capsys):
         monkeypatch.chdir(tmp_path)
