@@ -44,8 +44,8 @@ compares outcome fields (``success``, ``key_correct``, ``completed``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Tuple
 
 __all__ = ["ArenaCell", "Expectation", "Scenario"]
 

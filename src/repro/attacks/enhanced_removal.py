@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..netlist.circuit import Circuit, Gate
-from ..sim.cyclesim import evaluate_combinational
+from ..netlist.circuit import Circuit
 from .oracle import CombinationalOracle
 from .sat_attack import SatAttackResult, sat_attack, verify_key_against_oracle
 

@@ -35,8 +35,7 @@ import importlib
 import random
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Mapping,
-    Optional, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Dict
 
 from ..netlist.transform import combinational_circuit
 from .oracle import CombinationalOracle

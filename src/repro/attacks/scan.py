@@ -30,7 +30,6 @@ from ..locking.base import LockedCircuit
 from ..netlist.circuit import Circuit
 from ..netlist.transform import extract_combinational
 from ..sim.cyclesim import evaluate_combinational
-from ..sim.harness import simulate_sequential
 from .oracle import TimingOracle
 
 __all__ = ["ScanChain", "insert_scan_chain", "ScanAttackResult", "scan_attack"]

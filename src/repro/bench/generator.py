@@ -198,7 +198,8 @@ def random_sequential_circuit(
         chosen: List[str] = []
         while len(chosen) < count and unused:
             chosen.append(biased_pop(unused))
-        pool = [net for net in produced if net not in banned and net not in chosen]
+        taken = banned.union(chosen)
+        pool = [net for net in produced if net not in taken]
         while len(chosen) < count and pool:
             chosen.append(biased_pop(pool))
         return chosen

@@ -18,7 +18,11 @@ The flow mirrors the paper's tool sequence step for step:
    retries at another feasible location; :class:`GkLock` keeps the GK
    and only reports the true violations, in
    ``metadata["true_violations"]`` and the ``flow.gk.true_violations``
-   metric.
+   metric, and every GK whose trigger left its Eq. (5) window, in
+   ``metadata["broken_windows"]`` and ``flow.gk.broken_windows`` (only
+   the routed flow's re-placement can move one).  Without P&R, when
+   step 4 changed nothing, step 5 re-times the plan's own analysis over
+   the inserted gates instead of timing the whole design again.
 
 The correct key assigns each GK's 2-bit KEYGEN key to the transitional
 mode whose trigger time parks the glitch over the capture window; all
@@ -28,8 +32,8 @@ other keys corrupt the captured bit (cleanly or metastably).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..locking.base import LockedCircuit, LockingError, LockingScheme
 from ..locking.registry import register_scheme
@@ -43,12 +47,32 @@ from ..sta.timing import TimingAnalysis, analyze
 from ..synth.optimize import optimize
 from .gk import GkStructure, insert_gk
 from .insertion import DEFAULT_GLITCH_LENGTH, GkPlan, plan_design
-from .keygen import KEYGEN_MODES, KeygenStructure, insert_keygen
+from .keygen import KeygenStructure, insert_keygen
 from .strategy import GkConfig, choose_config
 from .timing_rules import TriggerWindow
 
-__all__ = ["GkRecord", "GkLock", "expose_gk_keys", "scheme_registry",
-           "build_scheme"]
+__all__ = ["GkRecord", "GkLock", "expose_gk_keys", "gk_trigger_window",
+           "scheme_registry", "build_scheme"]
+
+
+def gk_trigger_window(
+    gk: GkStructure,
+    plan: GkPlan,
+    circuit: Circuit,
+    clock: ClockSpec,
+    arrival: float,
+) -> TriggerWindow:
+    """Eq. (5)'s trigger window of an inserted GK, from its *achieved*
+    arm delays, with the data arriving at its input ``x`` at *arrival*.
+    """
+    capture = clock.period + clock.arrival(gk.ff)
+    l_min = min(gk.glitch_length_rise, gk.glitch_length_fall)
+    return TriggerWindow(
+        earliest=max(capture + circuit.gates[gk.ff].cell.hold - l_min
+                     - gk.d_mux,
+                     arrival + max(gk.d_path_a, gk.d_path_b)),
+        latest=plan.ub - gk.d_mux,
+    )
 
 
 @dataclass
@@ -79,6 +103,18 @@ class GkRecord:
         arm = circuit.gates[self.gk.arm_a_gate]
         (x_net,) = [n for n in arm.input_nets() if n != key_net]
         return x_net
+
+    def window_holds(
+        self,
+        circuit: Circuit,
+        clock: ClockSpec,
+        arrival_max: Mapping[str, float],
+    ) -> bool:
+        """Does the correct-key trigger still sit inside Eq. (5)'s
+        window, with the data input's arrival read from *arrival_max*?"""
+        window = gk_trigger_window(self.gk, self.plan, circuit, clock,
+                                   arrival_max[self.live_x_net(circuit)])
+        return window.contains(self.trigger_correct_achieved)
 
 
 @register_scheme(
@@ -230,27 +266,42 @@ class GkLock(LockingScheme):
 
             # Step 4: re-synthesis under design constraints.
             with trace_span("flow.resynth"):
-                optimize(locked, protected=protected)
+                changes = optimize(locked, protected=protected)
 
             # Step 5: post-insertion STA + true/false violation triage.
             if self.run_pnr:
                 with trace_span("flow.pnr.post"):
                     wire_delay = route(place(locked)).wire_delay
             with trace_span("flow.sta.post") as post_span:
-                post = analyze(locked, self.clock, wire_delay=wire_delay)
+                if self.run_pnr or changes:
+                    post = analyze(locked, self.clock, wire_delay=wire_delay)
+                else:
+                    # *locked* is the planned netlist plus the kept GKs
+                    # (rolled-back ones left nothing), so re-time only
+                    # what their insertion reached.
+                    post = design.timing.retimed(
+                        [name for record in records
+                         for name in (*record.all_gate_names, record.gk.ff)],
+                        circuit=locked,
+                    )
                 false_violations, true_violations, drift_waived = self._triage(
                     post, records, baseline_violated
                 )
+                broken_windows = [
+                    record.gk.ff for record in records
+                    if not record.window_holds(locked, self.clock,
+                                               post.arrival_max)
+                ]
                 post_span.annotate(
                     false_violations=len(false_violations),
                     true_violations=len(true_violations),
                     drift_waived=len(drift_waived),
+                    broken_windows=len(broken_windows),
                 )
             _metrics.inc("flow.gk.false_violations", len(false_violations))
             _metrics.inc("flow.gk.true_violations", len(true_violations))
             _metrics.inc("flow.gk.drift_waived", len(drift_waived))
-
-            locked.validate()
+            _metrics.inc("flow.gk.broken_windows", len(broken_windows))
         return LockedCircuit(
             circuit=locked,
             original=circuit,
@@ -265,6 +316,7 @@ class GkLock(LockingScheme):
                 "false_violations": false_violations,
                 "true_violations": true_violations,
                 "drift_waived_violations": drift_waived,
+                "broken_windows": broken_windows,
                 "rejected_locations": rejected,
             },
         ), post
@@ -281,7 +333,6 @@ class GkLock(LockingScheme):
         """Insert one GK + KEYGEN; verify the achieved timing; roll back
         on failure (the paper's repeat-the-procedure loop)."""
         config = choose_config(rng)
-        ff = locked.gates[plan.ff]
         k1 = locked.add_key_input(f"keyin_g{2 * index}")
         k2 = locked.add_key_input(f"keyin_g{2 * index + 1}")
         key_out = locked.new_net("keyout")
@@ -299,15 +350,8 @@ class GkLock(LockingScheme):
         pre_inv_delay = (
             locked.library.cheapest("INV").delay if config.pre_invert else 0.0
         )
-        arrival = plan.t_arrival + pre_inv_delay
-        l_min = min(gk.glitch_length_rise, gk.glitch_length_fall)
-        d_ready = max(gk.d_path_a, gk.d_path_b)
-        capture = self.clock.period + self.clock.arrival(plan.ff)
-        window = TriggerWindow(
-            earliest=max(capture + ff.cell.hold - l_min - gk.d_mux,
-                         arrival + d_ready),
-            latest=plan.ub - gk.d_mux,
-        )
+        window = gk_trigger_window(gk, plan, locked, self.clock,
+                                   plan.t_arrival + pre_inv_delay)
         trigger_correct = window.latest - self.margin / 2.0
         if trigger_correct <= window.earliest:
             self._rollback(locked, gk, None, k1, k2)

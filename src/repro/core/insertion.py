@@ -151,11 +151,14 @@ def plan_gk_insertion(
 class DesignPlan:
     """A GK plan at every flip-flop of one design, from one timing
     analysis, plus the endpoints that analysis already violates (the
-    flow's ECO baseline, excluded from post-insertion triage).  Read-only:
+    flow's ECO baseline, excluded from post-insertion triage) and the
+    analysis itself, :meth:`~repro.sta.timing.TimingAnalysis.detached`
+    (the flow's step 5 re-times it over the inserted gates).  Read-only:
     every lock of the design shares it."""
 
     plans: Mapping[str, GkPlan]
     violated: FrozenSet[str]
+    timing: TimingAnalysis
 
 
 def plan_design(
@@ -189,7 +192,8 @@ def plan_design(
         violated = frozenset(
             e.ff for e in timing.setup_violations() + timing.hold_violations()
         )
-        return DesignPlan(plans=MappingProxyType(plans), violated=violated)
+        return DesignPlan(plans=MappingProxyType(plans), violated=violated,
+                          timing=timing.detached())
 
     if wire_delay is not None or analysis is not None:
         return compute(), False

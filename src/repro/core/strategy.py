@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .insertion import GkPlan
 from .keygen import KEYGEN_MODES

@@ -22,7 +22,7 @@ Eq. (6) bounds it for keeping the glitch **clear** of that window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = [
     "TriggerWindow",

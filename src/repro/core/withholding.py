@@ -26,7 +26,7 @@ cannot absorb the difference raises :class:`WithholdingError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit, Gate
 from ..sim.logic import eval_function

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..netlist.circuit import Circuit
 from .base import LockedCircuit, LockingError, LockingScheme

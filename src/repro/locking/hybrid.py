@@ -17,19 +17,21 @@ trigger after the extra gate delay; insertions that would break a
 glitch are rolled back and another site is tried.  The trials start
 from the GK flow's own post-insertion analysis of the locked netlist —
 with its routed wire delays under P&R, the timing the GKs were verified
-against.  Each trial re-times only the new gate's fan-out cone
-(:meth:`TimingAnalysis.retimed`); a rejected trial drops that copy and
-keeps the analysis it started from.
+against.  The window check reads only the GK data inputs' arrivals, so
+the trials keep only their fan-in cones current
+(:class:`~repro.sta.timing.RegionTiming`): each re-times the new gate's
+fan-out inside that region, and an XOR that reaches no GK is not
+re-timed at all.  A rejected trial is dropped.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..netlist.circuit import Circuit
 from ..sta.clock import ClockSpec
-from ..sta.timing import TimingAnalysis
+from ..sta.timing import RegionTiming
 from .base import LockedCircuit, LockingError, LockingScheme
 from .registry import register_scheme
 from .xor_lock import insert_xor_keygate, lockable_nets, remove_xor_keygate
@@ -88,16 +90,21 @@ class HybridGkXor(LockingScheme):
 
         # Candidate sites: nets inside the GK'd FFs' fan-in cones (the
         # "paths encrypted by GK"), excluding GK/KEYGEN gates and POs.
+        # The trials' region: those cones and the GK arms reading them
+        # (the arms' other input, a KEYGEN output, no trial touches).
         po_set = set(locked.outputs)
         per_cone: List[List[str]] = []
         seen: Set[str] = set()
+        region: Set[str] = set()
         for record in records:
             x_net = record.live_x_net(locked)
+            region.update((record.gk.arm_a_gate, record.gk.arm_b_gate))
             cone: List[str] = []
             for gate_name in sorted(locked.fanin_cone(x_net)):
                 driver = locked.gates.get(gate_name)
                 if driver is None or driver.is_flip_flop:
                     continue
+                region.add(gate_name)
                 if driver.name in protected:
                     continue
                 net = driver.output
@@ -127,20 +134,22 @@ class HybridGkXor(LockingScheme):
         key: Dict[str, int] = dict(base.key)
         xor_gates: List[Dict[str, str]] = []
         index = 0
+        arrivals = RegionTiming(timing, region)
         for net in sites:
             if index == xor_bits:
                 break
             key_net = locked.add_key_input(f"keyin_h{index}")
             bit = rng.randint(0, 1)
             gate_name = insert_xor_keygate(locked, net, key_net, bit)
-            trial = timing.retimed([gate_name])
-            if self._gk_windows_hold(locked, records, trial):
-                timing = trial
+            trial = arrivals.trial(gate_name)
+            if all(record.window_holds(locked, self.clock, trial)
+                   for record in records):
+                arrivals.keep()
                 key[key_net] = bit
                 xor_gates.append({"gate": gate_name, "net": net, "key": key_net})
                 protected.add(gate_name)
                 index += 1
-            else:  # roll back: `timing` still describes the netlist
+            else:  # roll back; the kept arrivals still describe the netlist
                 remove_xor_keygate(locked, gate_name)
         if index < xor_bits:
             raise LockingError(
@@ -158,23 +167,3 @@ class HybridGkXor(LockingScheme):
             scheme=self.name,
             metadata=metadata,
         )
-
-    def _gk_windows_hold(
-        self, locked: Circuit, records, analysis: TimingAnalysis
-    ) -> bool:
-        """Do all GK triggers still sit inside their Eq. (5) windows?"""
-        for record in records:
-            x_net = record.live_x_net(locked)
-            arrival = analysis.arrival_max[x_net]
-            gk = record.gk
-            ff_cell = locked.gates[gk.ff].cell
-            capture = self.clock.period + self.clock.arrival(gk.ff)
-            l_min = min(gk.glitch_length_rise, gk.glitch_length_fall)
-            earliest = max(
-                capture + ff_cell.hold - l_min - gk.d_mux,
-                arrival + max(gk.d_path_a, gk.d_path_b),
-            )
-            latest = record.plan.ub - gk.d_mux
-            if not (earliest < record.trigger_correct_achieved < latest):
-                return False
-        return True

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 __all__ = [
     "random_key",

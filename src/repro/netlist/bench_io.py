@@ -19,7 +19,7 @@ as key inputs.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import List, Optional, TextIO, Tuple
 
 from .cells import CellLibrary, default_library
 from .circuit import Circuit, NetlistError

@@ -18,7 +18,7 @@ Cell functions are identified by symbolic names (``"NAND2"``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 __all__ = [

@@ -21,10 +21,10 @@ Conventions used throughout the repo:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-    Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional,
+    Sequence, Set, Tuple,
 )
 
 from .cells import Cell, CellLibrary, default_library
@@ -532,15 +532,21 @@ class Circuit:
                 stack.extend(self.gates[driver].pins.values())
         return cone
 
-    def fanout_cone(self, net: str) -> Set[str]:
-        """Names of gates in the transitive fanout of *net* (stops at FFs)."""
+    def fanout_cone(
+        self, *nets: str, within: Optional[Set[str]] = None
+    ) -> Set[str]:
+        """Names of gates in the transitive fanout of *nets*, in one
+        walk (stops at FFs).  With *within*, the walk enters only the
+        gates that set names."""
         ffs = self.flip_flop_names()
         cone: Set[str] = set()
-        stack = [net]
+        stack = list(nets)
         while stack:
             current = stack.pop()
             for gate_name, _pin in self._fanouts.get(current, ()):
                 if gate_name in cone:
+                    continue
+                if within is not None and gate_name not in within:
                     continue
                 cone.add(gate_name)
                 if gate_name not in ffs:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
-from .circuit import Circuit, CircuitStats
+from .circuit import Circuit
 
 __all__ = ["Overhead", "overhead", "cell_histogram"]
 

@@ -8,7 +8,7 @@ insertion just as the paper re-runs IC Compiler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..netlist.circuit import Circuit

@@ -15,7 +15,6 @@ profiling tool for any circuit in the repo.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 

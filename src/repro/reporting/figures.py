@@ -14,13 +14,12 @@ from typing import Dict, List, Optional, Tuple
 from ..core.gk import build_gk_demo, ideal_gk_library
 from ..core.keygen import insert_keygen
 from ..core.timing_rules import (
-    TriggerWindow,
     trigger_window_off_level,
     trigger_window_on_level,
 )
 from ..netlist.circuit import Circuit
 from ..sim.eventsim import EventSimulator, SimulationResult
-from ..sim.waveform import Pulse, Waveform, render_waveforms
+from ..sim.waveform import Waveform, render_waveforms
 
 __all__ = [
     "Figure",

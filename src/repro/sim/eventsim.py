@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..netlist.circuit import Circuit, Gate, NetlistError
 from ..netlist.compiled import compile_circuit

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from ..netlist.cells import Cell
 from ..netlist.circuit import Circuit

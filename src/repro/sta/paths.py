@@ -10,7 +10,7 @@ triage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from .timing import TimingAnalysis
 

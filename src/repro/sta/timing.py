@@ -16,19 +16,22 @@ Locking flows time the edit, not the design: :meth:`TimingAnalysis.retimed`
 re-times only the fan-out cone of a few new or rewired gates and copies
 every other arrival.  Both passes share one per-gate step, and a gate's
 arrivals depend only on its fan-in's, so the cone re-time equals a full
-:func:`analyze` of the edited netlist bit for bit.
+:func:`analyze` of the edited netlist bit for bit.  A flow that reads
+only a few nets' arrivals keeps just their fan-in cones current
+(:class:`RegionTiming`), with the same step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import ChainMap
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..netlist.circuit import Circuit, Gate, NetlistError
 from ..obs.spans import trace_span
 from .clock import ClockSpec
 
-__all__ = ["EndpointTiming", "TimingAnalysis", "analyze"]
+__all__ = ["EndpointTiming", "RegionTiming", "TimingAnalysis", "analyze"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,8 @@ class EndpointTiming:
 class TimingAnalysis:
     """Complete result of one :func:`analyze` run."""
 
-    circuit: Circuit
+    #: the analysed netlist; None in a :meth:`detached` copy
+    circuit: Optional[Circuit]
     clock: ClockSpec
     arrival_max: Dict[str, float]
     arrival_min: Dict[str, float]
@@ -117,38 +121,80 @@ class TimingAnalysis:
         path.reverse()
         return path
 
-    def retimed(self, gates: Iterable[str]) -> "TimingAnalysis":
-        """A new analysis of ``self.circuit`` after an edit.
+    def detached(self) -> "TimingAnalysis":
+        """This analysis without its netlist, to keep in a memo on that
+        netlist: a copy pointing back would close a reference cycle, and
+        dropped netlists would wait for the cyclic garbage collector.
+        :meth:`retimed` binds it to a netlist again."""
+        return replace(self, circuit=None)
 
-        *gates* are the gates the edit added or rewired.  Only their
-        combinational fan-out cone is re-timed (in Kahn order inside the
-        cone); every other arrival is copied, and so are the endpoints
-        the cone does not reach.  Inputs the edit added (a new key
-        input) arrive at ``input_arrival`` plus their wire delay.  The
-        receiver is left unchanged, so rolling the edit back needs no
-        undo: the caller keeps using this analysis.
+    def retimed(
+        self, gates: Iterable[str], circuit: Optional[Circuit] = None
+    ) -> "TimingAnalysis":
+        """A new analysis of *circuit* (by default ``self.circuit``)
+        after an edit.
+
+        Before the edit *circuit* must have matched the analysed netlist
+        (it may be a clone of it); *gates* are the gates the edit added
+        or rewired.  Only their combinational fan-out cone is re-timed,
+        collected in one walk and timed in Kahn order; every other
+        arrival is copied, and so are the endpoints the cone does not
+        reach.  Inputs the edit added (a new key input) arrive at
+        ``input_arrival`` plus their wire delay, and a flip-flop among
+        *gates* whose Q net has no arrival yet launches at its clock
+        arrival, as in :func:`analyze`.  The receiver is left unchanged,
+        so rolling the edit back needs no undo: the caller keeps using
+        this analysis.
         """
-        circuit = self.circuit
+        if circuit is None:
+            circuit = self.circuit
         wires = self.wire_delay
         arrival_max = dict(self.arrival_max)
         arrival_min = dict(self.arrival_min)
         critical_pred = dict(self.critical_pred)
-        endpoints = dict(self.endpoints)
         for net in circuit.inputs + circuit.key_inputs:
             if net not in arrival_max:
                 arrival_max[net] = arrival_min[net] = (
                     self.input_arrival + wires.get(net, 0.0))
                 critical_pred[net] = None
         with trace_span("sta.retime", design=circuit.name) as span:
-            cone, flip_flops = _fanout_cone(circuit, gates)
+            ffs = circuit.flip_flop_names()
+            members: Dict[str, Gate] = {}
+            captures: Dict[str, Gate] = {}
+            roots: List[str] = []
+            for name in gates:
+                gate = circuit.gates[name]
+                if name not in ffs:
+                    members[name] = gate
+                    roots.append(gate.output)
+                    continue
+                captures[name] = gate
+                if gate.output not in arrival_max:  # a new flip-flop
+                    arrival_max[gate.output] = arrival_min[gate.output] = (
+                        self.clock.arrival(name) + gate.cell.delay
+                        + wires.get(gate.output, 0.0))
+                    critical_pred[gate.output] = None
+                    roots.append(gate.output)
+            for name in circuit.fanout_cone(*roots):
+                gate = circuit.gates[name]
+                if name in ffs:
+                    captures[name] = gate
+                else:
+                    members[name] = gate
+            cone = _kahn_order(members)
             span.annotate(cone=len(cone))
             clock_net = circuit.clock
             for gate in cone:
                 _time_gate(gate, clock_net, wires,
                            arrival_max, arrival_min, critical_pred)
-            for ff in flip_flops:
+            endpoints = dict(self.endpoints)
+            for ff in captures.values():
                 endpoints[ff.name] = _endpoint(
                     ff, self.clock, arrival_max, arrival_min)
+            if len(endpoints) != len(self.endpoints):
+                # new flip-flops: list the endpoints in analyze's order
+                endpoints = {ff.name: endpoints[ff.name]
+                             for ff in circuit.flip_flops()}
         return TimingAnalysis(
             circuit=circuit,
             clock=self.clock,
@@ -159,6 +205,70 @@ class TimingAnalysis:
             wire_delay=wires,
             input_arrival=self.input_arrival,
         )
+
+
+class RegionTiming:
+    """Arrivals kept exact inside one region of a netlist across edits.
+
+    A flow that reads only a few nets' arrivals needs only their
+    combinational fan-in cones current: *region* names those gates (no
+    flip-flops), and the arrivals start as *analysis*'s.  :meth:`trial`
+    re-times an edit's new gate and its fan-out inside the region, over
+    the kept arrivals; :meth:`keep` adopts the last trial, and an
+    unkept one is simply dropped.  Arrivals outside the region go
+    stale, so this is never a :class:`TimingAnalysis`.
+    """
+
+    def __init__(self, analysis: TimingAnalysis, region: Iterable[str]):
+        self.analysis = analysis
+        self.region: Set[str] = set(region)
+        self._kept = (dict(analysis.arrival_max), dict(analysis.arrival_min),
+                      dict(analysis.critical_pred))
+        #: the last trial: its gate if re-timed, and its new arrivals
+        self._last: Tuple[Optional[str], Tuple[dict, ...]] = (None, ())
+
+    def trial(self, gate_name: str) -> Mapping[str, float]:
+        """Max arrivals after an edit that added *gate_name*.
+
+        The gate and its fan-out inside the region are re-timed in Kahn
+        order; a gate whose output reaches no region gate changes no
+        arrival in it and is not re-timed.  Its new inputs (a key input)
+        arrive as in :meth:`TimingAnalysis.retimed`.
+        """
+        analysis = self.analysis
+        circuit = analysis.circuit
+        wires = analysis.wire_delay
+        overlays = ({}, {}, {})
+        arrival_max, arrival_min, critical_pred = (
+            ChainMap(overlay, kept)
+            for overlay, kept in zip(overlays, self._kept))
+        gate = circuit.gates[gate_name]
+        with trace_span("sta.retime", design=circuit.name) as span:
+            reached = circuit.fanout_cone(gate.output, within=self.region)
+            members = {name: circuit.gates[name] for name in reached}
+            if members:
+                members[gate_name] = gate
+                for net in gate.input_nets():
+                    if net not in arrival_max and circuit.is_primary(net):
+                        arrival_max[net] = arrival_min[net] = (
+                            analysis.input_arrival + wires.get(net, 0.0))
+                        critical_pred[net] = None
+            cone = _kahn_order(members)
+            span.annotate(cone=len(cone))
+            for member in cone:
+                _time_gate(member, circuit.clock, wires,
+                           arrival_max, arrival_min, critical_pred)
+        self._last = (gate_name if cone else None, overlays)
+        return arrival_max
+
+    def keep(self) -> None:
+        """Adopt the last :meth:`trial`; a re-timed gate joins the
+        region."""
+        gate_name, overlays = self._last
+        for kept, overlay in zip(self._kept, overlays):
+            kept.update(overlay)
+        if gate_name is not None:
+            self.region.add(gate_name)
 
 
 def analyze(
@@ -271,34 +381,16 @@ def _endpoint(
     )
 
 
-def _fanout_cone(
-    circuit: Circuit, gates: Iterable[str]
-) -> Tuple[List[Gate], List[Gate]]:
-    """The combinational fan-out cone of *gates* in Kahn order, and the
-    flip-flops it reaches (including any flip-flop among *gates*).
+def _kahn_order(members: Mapping[str, Gate]) -> List[Gate]:
+    """The combinational gates *members* in Kahn order among themselves.
 
-    The order inside the cone is any topological one: each gate's
-    arrivals depend only on its fan-in's, so every such order gives the
-    same floats.
+    Any topological order of a cone will do: each gate's arrivals depend
+    only on its fan-in's, so every such order gives the same floats.
     """
-    ffs = circuit.flip_flop_names()
-    cone: Dict[str, Gate] = {}
-    flip_flops: Dict[str, Gate] = {}
-    for name in gates:
-        gate = circuit.gates[name]
-        if name in ffs:
-            flip_flops[name] = gate
-            continue
-        for member in (name, *circuit.fanout_cone(gate.output)):
-            reached = circuit.gates[member]
-            if member in ffs:
-                flip_flops[member] = reached
-            else:
-                cone[member] = reached
-    driver_in_cone = {gate.output: name for name, gate in cone.items()}
+    driver_in_cone = {gate.output: name for name, gate in members.items()}
     indegree: Dict[str, int] = {}
     dependents: Dict[str, List[str]] = {}
-    for name, gate in cone.items():
+    for name, gate in members.items():
         count = 0
         for net in set(gate.pins.values()):
             driver = driver_in_cone.get(net)
@@ -310,12 +402,12 @@ def _fanout_cone(
     order: List[Gate] = []
     while ready:
         name = ready.pop()
-        order.append(cone[name])
+        order.append(members[name])
         for dependent in dependents.get(name, ()):
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 ready.append(dependent)
-    if len(order) != len(cone):
+    if len(order) != len(members):
         cyclic = sorted(name for name, count in indegree.items() if count)
         raise NetlistError(f"combinational cycle through gates {cyclic[:8]}")
-    return order, list(flip_flops.values())
+    return order

@@ -17,7 +17,7 @@ the insertion flow records (and the optimizer must protect).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..netlist.cells import Cell, CellLibrary
 from ..netlist.circuit import Circuit

@@ -15,9 +15,9 @@ design constraints on those paths (Sec. IV-B).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..netlist.circuit import Circuit, Gate, NetlistError
+from ..netlist.circuit import Circuit, Gate
 from ..obs.spans import trace_span
 
 __all__ = ["optimize", "sweep_dead_gates", "propagate_constants",
@@ -48,7 +48,14 @@ def propagate_constants(
     Constants originate at TIE cells and propagate through controlling
     inputs (AND with 0, OR with 1, MUX with constant select, ...).
     Gates that become constant are replaced by a shared TIE cell.
+
+    A forward pass from the TIE outputs through their readers finds the
+    constant nets first (exact: a net that becomes constant never turns
+    unknown again).  When it reaches no unprotected non-TIE gate there
+    is nothing to replace, and the topological scan is skipped.
     """
+    if not _folds_anything(circuit, protected):
+        return 0
     changed = 0
     # The structural edits below invalidate the topological order, but
     # the scan is complete by then.
@@ -81,6 +88,31 @@ def propagate_constants(
         circuit.rewire_sinks(net, replacement)
         changed += 1
     return changed
+
+
+def _folds_anything(circuit: Circuit, protected: FrozenSet[str]) -> bool:
+    """Does some unprotected non-TIE gate compute a constant?"""
+    ffs = circuit.flip_flop_names()
+    const_of: Dict[str, int] = {}
+    stack: List[Gate] = []
+    for gate in circuit.gates.values():
+        if gate.cell.function in ("TIE0", "TIE1"):
+            const_of[gate.output] = _const_eval(gate.cell.function, ())
+            stack.append(gate)
+    while stack:
+        for name, _pin in circuit.fanout_pins(stack.pop().output):
+            reader = circuit.gates[name]
+            if reader.output in const_of or name in ffs:
+                continue
+            value = _const_eval(
+                reader.function,
+                [const_of.get(net) for net in reader.input_nets()])
+            if value is not None:
+                if name not in protected:
+                    return True
+                const_of[reader.output] = value
+                stack.append(reader)
+    return False
 
 
 def _const_eval(function: str, operands) -> Optional[int]:

@@ -12,7 +12,7 @@ glitch generators (Sec. IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable
 
 from ..netlist.circuit import Circuit
 from ..pnr.layout import Layout

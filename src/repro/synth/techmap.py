@@ -9,7 +9,7 @@ libraries or after edits introduce non-minimal cells.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import Iterable, Optional
 
 from ..netlist.cells import CellLibrary
 from ..netlist.circuit import Circuit

@@ -182,3 +182,41 @@ class TestDeterminismAndSeeds:
         ffs_a = {r.gk.ff for r in locked.metadata["gks"]}
         ffs_b = {r.gk.ff for r in other.metadata["gks"]}
         assert ffs_a != ffs_b or other.key != locked.key
+
+
+class TestBrokenWindows:
+    """Step 5 re-checks every GK's Eq. (5) window on the analysis it
+    returns.  The routed flow re-places the whole design after
+    insertion, which can push a GK's data arrival past its window while
+    no endpoint shows a true violation; these three s5378 locks each
+    have one such GK."""
+
+    @pytest.mark.parametrize("instance_seed,key_bits,lock_seed,ff", [
+        (2, 16, 18, "ff79"), (11, 16, 27, "ff111"), (13, 32, 45, "ff22"),
+    ])
+    def test_routed_lock_reports_its_broken_window(
+            self, instance_seed, key_bits, lock_seed, ff):
+        from repro import obs
+        from repro.bench import iwls_benchmark
+
+        inst = iwls_benchmark("s5378", seed=instance_seed)
+        with obs.capture() as sink:
+            locked, post = GkLock(inst.clock, run_pnr=True).lock_timed(
+                inst.circuit, key_bits, random.Random(lock_seed))
+        records = locked.metadata["gks"]
+        assert locked.metadata["broken_windows"] == [ff]
+        assert locked.metadata["true_violations"] == []
+        assert [r.gk.ff for r in records
+                if not r.window_holds(locked.circuit, inst.clock,
+                                      post.arrival_max)] == [ff]
+        assert sink.metric_value("flow.gk.broken_windows") == 1
+        (span,) = sink.spans_named("flow.sta.post")
+        assert span.attrs["broken_windows"] == 1
+        # without P&R the same locks keep every window
+        plain = GkLock(inst.clock).lock(inst.circuit, key_bits,
+                                        random.Random(lock_seed))
+        assert plain.metadata["broken_windows"] == []
+
+    def test_unrouted_lock_reports_none(self, locked_s1238):
+        _inst, locked = locked_s1238
+        assert locked.metadata["broken_windows"] == []

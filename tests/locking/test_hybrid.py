@@ -134,6 +134,7 @@ class TestPnr:
         assert len(routes) == 2
         routed = analyze(locked.circuit, inst.clock,
                          wire_delay=routes[-1].wire_delay)
-        assert scheme._gk_windows_hold(
-            locked.circuit, locked.metadata["gks"], routed)
+        assert all(record.window_holds(locked.circuit, inst.clock,
+                                       routed.arrival_max)
+                   for record in locked.metadata["gks"])
         assert len(locked.metadata["xor_gates"]) == 16

@@ -260,6 +260,7 @@ class TestFlowInstrumentation:
             "flow.gk.false_violations",
             "flow.gk.true_violations",
             "flow.gk.drift_waived",
+            "flow.gk.broken_windows",
         ):
             assert name in snap
 

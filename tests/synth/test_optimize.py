@@ -1,8 +1,10 @@
 """Tests for the logic optimization passes."""
 
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, strategies as st
 
 from repro.netlist import Builder
 from repro.sim import evaluate_combinational
@@ -13,6 +15,8 @@ from repro.synth import (
     simplify_inverters,
     sweep_dead_gates,
 )
+
+from hypothesis_profiles import active_profile
 
 
 def outputs_for_all_patterns(circuit):
@@ -71,6 +75,63 @@ class TestConstantPropagation:
         propagate_constants(b.circuit, frozenset([gate]))
         assert gate in b.circuit.gates
         assert b.circuit.driver_of(out).name == gate
+
+
+def _netlist(circuit):
+    return ({name: (g.cell.name, dict(g.pins), g.output)
+             for name, g in circuit.gates.items()},
+            list(circuit.inputs), list(circuit.outputs))
+
+
+@st.composite
+def tied_circuits(draw):
+    """A random DAG over a few inputs and TIE cells, some flip-flops,
+    and a protected gate set that often sits right behind a TIE."""
+    b = Builder("tied")
+    b.clock()
+    pool = list(b.inputs(*[f"i{n}" for n in range(draw(st.integers(1, 3)))]))
+    for _tie in range(draw(st.integers(1, 3))):
+        pool.append(b.const1() if draw(st.booleans()) else b.const0())
+    protected = set()
+    for _gate in range(draw(st.integers(1, 14))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from(
+            ["inv", "buf", "and2", "nand2", "or2", "nor2", "xor", "xnor",
+             "mux2", "dff"]))
+        if kind == "dff":
+            pool.append(b.dff(draw(pick)))
+            continue
+        if kind in ("inv", "buf"):
+            operands = [draw(pick)]
+        elif kind == "mux2":
+            operands = [draw(pick), draw(pick), draw(pick)]
+        else:
+            operands = [draw(pick), draw(pick)]
+        out = getattr(b, kind)(*operands)
+        if draw(st.integers(0, 2)) == 0:
+            protected.add(b.circuit.driver_of(out).name)
+        pool.append(out)
+    for net in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                             unique=True)):
+        if net not in b.circuit.inputs and net not in b.circuit.outputs:
+            b.po(net)
+    return b.circuit, frozenset(protected)
+
+
+@active_profile()
+@given(tied_circuits())
+def test_constant_folding_matches_the_full_scan(drawn):
+    """The TIE-seeded pre-pass returns early exactly when the
+    topological scan would replace nothing: same count, same netlist."""
+    circuit, protected = drawn
+    fast, full = circuit.clone(), circuit.clone()
+    changed = propagate_constants(fast, protected)
+    with mock.patch("repro.synth.optimize._folds_anything",
+                    return_value=True):
+        expected = propagate_constants(full, protected)
+    event("folded" if expected else "nothing to fold")
+    assert changed == expected
+    assert _netlist(fast) == _netlist(full)
 
 
 class TestInverterSimplification:
