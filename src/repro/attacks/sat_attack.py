@@ -32,14 +32,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Set, Tuple,
+)
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.compiled import compile_circuit
 from ..netlist.transform import (
     CombinationalView, combinational_circuit, combinational_view,
-    key_influence_view,
+    key_fanout, key_influence_view,
 )
 from ..obs import metrics as _metrics
 from ..obs.spans import trace_span
@@ -142,18 +144,30 @@ class KeyConeMiter:
     still allocated first); an unrolled or timed view whole, since its
     cone crosses frames and ticks.  Copy 2 encodes the base again with
     fresh key variables and copy 1's primary-input literals, through
-    the same :class:`~repro.sat.tseitin.NodeTable`.  Every gate outside
-    the keys' fan-out cone sees copy 1's fan-in literals, so it hashes
-    onto copy 1's node and adds nothing.  ``diff`` is the OR of
-    per-output XORs over the outputs whose two literals differ, and
-    :meth:`pin` adds one oracle observation to both copies: the whole
-    *view* is encoded once per copy with the pattern's inputs bound to
-    the constant-true literal (or its negation) and that copy's key
+    the same :class:`~repro.sat.tseitin.NodeTable`.  ``diff`` is the OR
+    of per-output XORs over the outputs whose two literals differ, and
+    :meth:`pin` adds one oracle observation to both copies: *view* is
+    encoded once per copy with the pattern's inputs bound to the
+    constant-true literal (or its negation) and that copy's key
     variables, so the pattern folds through its constants and only the
     key-dependent remainder gets new nodes, shared wherever the two
     copies (or earlier pins) built the same node.  *oracle_output_of*
     maps each output of *view* to the response's name for it; a
     response of None (an unknown observation) pins nothing.
+
+    On a combinational view the miter splits the gates at the keys'
+    fan-out cone (:func:`~repro.netlist.transform.key_fanout`), and
+    only the cone is walked twice.  Copy 2 starts from copy 1's literal
+    for every net outside the cone and walks the base's cone gates.
+    Each pin walks the gates outside the cone once (with every input a
+    constant they all fold to constants), then the cone once per key
+    copy.  A gate outside the cone sees the same fan-in literals in
+    both copies, so a second walk of it would hash onto the first
+    walk's literal and add nothing: the same variables and clauses come
+    out, in the same order, as from whole walks.  The one visible
+    difference is the node table's ``xor_collapses`` and
+    ``mux_collapses``: a rewrite in logic no key reaches is counted
+    once, not once per copy.
 
     Soundness, against the plain two-copy encoding:
 
@@ -192,12 +206,24 @@ class KeyConeMiter:
         self.oracle_output_of = oracle_output_of
         self.table = NodeTable()
         self.clauses = 0
-        base = view
+        #: the nets the keys reach, on a combinational view
+        self._reached: Optional[Set[str]] = None
+        #: (gates outside the cone, the cone) of *view*, for the pins
+        self._pin_views: Optional[Tuple[CombinationalView,
+                                        CombinationalView]] = None
+        base = cone = view
         if isinstance(view, CombinationalView):
+            reached = self._reached = key_fanout(view)
             base = key_influence_view(view)
+            cone = replace(base, gates=[
+                gate for gate in base.gates if gate[1] in reached])
         copy1 = self._encode(base, {})
-        copy2 = self._encode(
-            base, {net: copy1.var_of[net] for net in view.inputs})
+        if self._reached is None:
+            shared = {net: copy1.var_of[net] for net in view.inputs}
+        else:
+            shared = {net: lit for net, lit in copy1.var_of.items()
+                      if net not in self._reached}
+        copy2 = self._encode(cone, shared)
         self.pi_vars = {net: copy1.var_of[net] for net in view.inputs}
         #: per copy, key input -> variable
         self.key_vars = [
@@ -227,19 +253,35 @@ class KeyConeMiter:
         self._add(cnf)
         return encoder
 
+    def _split(self) -> Tuple[CombinationalView, CombinationalView]:
+        """*view*'s gates outside the keys' fan-out cone (no keys, no
+        outputs) and its cone, each as a view; built at the first pin."""
+        if self._pin_views is None:
+            view, reached = self.view, self._reached
+            rest = replace(view, key_inputs=[], outputs=[], gates=[
+                gate for gate in view.gates if gate[1] not in reached])
+            cone = replace(view, gates=[
+                gate for gate in view.gates if gate[1] in reached])
+            self._pin_views = rest, cone
+        return self._pin_views
+
     def pin(self, pattern: Mapping, response: Mapping) -> int:
         """Constrain both copies to answer *response* on *pattern*
         (input name -> bit); returns the number of clauses added."""
         view = self.view
         table = self.table
         cnf = CNF(num_vars=self.solver.num_vars)
-        constants = {
+        bound = {
             net: table.constant(cnf, pattern[net]) for net in view.inputs
         }
         true = table.constant(cnf, 1)
+        walked = view
+        if self._reached is not None:
+            rest, walked = self._split()
+            bound = CircuitEncoder(cnf, rest, bound, table=table).var_of
         for key_vars in self.key_vars:
             encoder = CircuitEncoder(
-                cnf, view, dict(constants, **key_vars), table=table
+                cnf, walked, dict(bound, **key_vars), table=table
             )
             for net in view.outputs:
                 value = response[self.oracle_output_of[net]]

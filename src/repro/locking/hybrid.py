@@ -14,7 +14,10 @@ GK+KEYGEN structures — Table II shows the overhead dropping from the
 Every XOR insertion into a GK cone is timing-verified: the GK's
 Eq. (5) trigger window must still contain its (already synthesized)
 trigger after the extra gate delay; insertions that would break a
-glitch are rolled back and another site is tried.  The trials start
+glitch are rolled back and another site is tried.  If the GK half's
+own routed step 5 already left a GK outside its window, the lock raises
+:class:`~repro.locking.base.LockingError` naming those flip-flops
+before the first trial.  The trials start
 from the GK flow's own post-insertion analysis of the locked netlist —
 with its routed wire delays under P&R, the timing the GKs were verified
 against.  The window check reads only the GK data inputs' arrivals, so
@@ -83,6 +86,15 @@ class HybridGkXor(LockingScheme):
             margin=self.margin,
         )
         base, timing = gk_scheme.lock_timed(circuit, gk_bits, rng)
+        broken = base.metadata["broken_windows"]
+        if broken:
+            # every XOR trial would fail the window check on these GKs
+            raise LockingError(
+                f"the GK half left {len(broken)} GK trigger(s) outside "
+                f"their Eq. (5) window after re-placement "
+                f"({', '.join(broken)}); no XOR key-gate can be checked "
+                "against them"
+            )
         locked = base.circuit
         locked.name = f"{circuit.name}__hybrid{num_key_bits}"
         records = base.metadata["gks"]

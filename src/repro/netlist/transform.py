@@ -9,7 +9,8 @@ the evaluators); :func:`combinational_view` describes it in place,
 without a copy (for the Tseitin encoder); :func:`combinational_circuit`
 is the flip-flop-free circuit of any netlist, and
 :func:`key_influence_view` narrows a core view to the logic its key
-inputs can influence (the SAT attack's miter copies).  The encoder's
+inputs can influence (the SAT attack's miter copies), from the nets
+:func:`key_fanout` finds the keys reach.  The encoder's
 two other copy kinds are described on top of the core view:
 :func:`unrolled_view` (T clock cycles from reset, for the attack
 without scan access and bounded sequential equivalence) and
@@ -22,7 +23,7 @@ buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .circuit import Circuit, Gate, NetlistError
 
@@ -34,6 +35,7 @@ __all__ = [
     "combinational_circuit",
     "combinational_view",
     "extract_combinational",
+    "key_fanout",
     "key_influence_view",
     "timed_view",
     "unrolled_view",
@@ -173,6 +175,16 @@ def combinational_view(netlist: Circuit) -> CombinationalView:
     )
 
 
+def key_fanout(view: CombinationalView) -> Set[str]:
+    """The key inputs of *view* and every net they reach, in one
+    forward pass over its gates."""
+    reached = set(view.key_inputs)
+    for _function, out, fanins, _table in view.gates:
+        if not reached.isdisjoint(fanins):
+            reached.add(out)
+    return reached
+
+
 def key_influence_view(view: CombinationalView) -> CombinationalView:
     """*view* restricted to its keys' cone of influence.
 
@@ -181,10 +193,7 @@ def key_influence_view(view: CombinationalView) -> CombinationalView:
     order; the inputs and key inputs are all kept.  Every output left
     out is a function of the inputs alone.
     """
-    reached = set(view.key_inputs)
-    for _function, out, fanins, _table in view.gates:
-        if not reached.isdisjoint(fanins):
-            reached.add(out)
+    reached = key_fanout(view)
     outputs = [net for net in view.outputs if net in reached]
     needed = set(outputs)
     gates = []

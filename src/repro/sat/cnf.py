@@ -88,18 +88,30 @@ class CNF:
         self.add_clause([-a, b])
         self.add_clause([a, -b])
 
+    def _cover(self, *lits: int) -> None:
+        """Check a gate's literals as :meth:`add_clause` checks each
+        clause's, and raise ``num_vars`` over them."""
+        if 0 in lits:
+            raise ValueError("0 is not a literal")
+        top = max(map(abs, lits))
+        if top > self.num_vars:
+            self.num_vars = top
+
+    # The gate encodings below append their clauses directly, checking
+    # the gate's literals once instead of once per clause.
+
     def add_xor(self, out: int, a: int, b: int) -> None:
         """out <-> a XOR b."""
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
+        self._cover(out, a, b)
+        self.clauses += (
+            (-out, a, b), (-out, -a, -b), (out, -a, b), (out, a, -b),
+        )
 
     def add_and(self, out: int, operands: Sequence[int]) -> None:
         """out <-> AND(operands)."""
-        for lit in operands:
-            self.add_clause([-out, lit])
-        self.add_clause([out] + [-lit for lit in operands])
+        self._cover(out, *operands)
+        self.clauses += [(-out, lit) for lit in operands]
+        self.clauses.append((out, *[-lit for lit in operands]))
 
     def add_or(self, out: int, operands: Sequence[int]) -> None:
         """out <-> OR(operands)."""
@@ -109,7 +121,7 @@ class CNF:
 
     def add_mux(self, out: int, a: int, b: int, sel: int) -> None:
         """out <-> (sel ? b : a)."""
-        self.add_clause([sel, -a, out])
-        self.add_clause([sel, a, -out])
-        self.add_clause([-sel, -b, out])
-        self.add_clause([-sel, b, -out])
+        self._cover(out, a, b, sel)
+        self.clauses += (
+            (sel, -a, out), (sel, a, -out), (-sel, -b, out), (-sel, b, -out),
+        )

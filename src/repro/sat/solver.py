@@ -6,7 +6,8 @@ its own: a MiniSat-style conflict-driven clause-learning solver with
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with reason-side clause minimization,
-* VSIDS variable activities with phase saving,
+* VSIDS variable activities with phase saving, decided from an order
+  heap that holds one live entry per variable,
 * Luby-sequence restarts, and
 * periodic learned-clause database reduction.
 
@@ -34,13 +35,20 @@ from .cnf import CNF
 
 __all__ = ["Solver", "luby"]
 
-_UNASSIGNED = 2  # internal truth values: 1 true, 0 false, 2 unassigned
+_UNASSIGNED = 2  # literal values: 1 true, 0 false, 2 unassigned
 
 #: Search constants: restart after 100 x luby(i) conflicts, and the
 #: MiniSat-style VSIDS activity decays for variables and clauses.
 _RESTART_BASE = 100
 _VAR_DECAY = 0.95
 _CLAUSE_DECAY = 0.999
+
+#: The order heap is rebuilt once it would hold more than this many
+#: entries per variable (dead entries pile up between rebuilds).
+_HEAP_SLACK = 2
+#: The heap-key record of a variable without a live heap entry: keys
+#: are negated activities, never positive.
+_NO_ENTRY = 1.0
 
 
 def luby(index: int) -> int:
@@ -74,7 +82,23 @@ class _Clause:
 
 
 class Solver:
-    """Incremental CDCL solver over DIMACS-style integer literals."""
+    """Incremental CDCL solver over DIMACS-style integer literals.
+
+    Internally a literal is ``2 * var + sign`` over 0-based variables,
+    and ``_values`` holds one truth value per internal literal (1 true,
+    0 false, 2 unassigned; ``_values[2 * var]`` is the variable's).
+
+    The order heap holds ``(-activity, var)`` entries; ``_heap_key[var]``
+    is the key of the variable's live (freshest) entry, or
+    ``_NO_ENTRY``, and any other entry of it is dead and skipped when
+    it pops.  Every unassigned variable has a live entry at its current
+    activity: a backtrack pushes only variables without one, and the
+    heap is rebuilt at each activity rescale and whenever it would
+    outgrow ``_HEAP_SLACK`` entries per variable.  Since only
+    assigned variables are bumped, a decision picks the unassigned
+    variable of highest activity, lowest index on ties (DESIGN.md
+    section 11, "One heap entry per variable").
+    """
 
     def __init__(self) -> None:
         self._num_vars = 0
@@ -83,8 +107,10 @@ class Solver:
         #: per internal literal: list of (blocker, clause) watch entries;
         #: a true blocker lets propagation skip the clause entirely
         self._watches: List[List[Tuple[int, _Clause]]] = []
-        self._assigns: List[int] = []  # per var: 0/1/2
-        self._polarity: List[int] = []  # phase saving, per var
+        self._values: List[int] = []  # per internal literal: 1/0/2
+        #: per var: the literal a decision on it assigns (phase saving:
+        #: its last value, false at first)
+        self._phase: List[int] = []
         self._level: List[int] = []
         self._reason: List[Optional[_Clause]] = []
         self._activity: List[float] = []
@@ -95,7 +121,8 @@ class Solver:
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
-        self._order: List[Tuple[float, int]] = []  # lazy max-heap of (-act, var)
+        self._order: List[Tuple[float, int]] = []  # min-heap of (-act, var)
+        self._heap_key: List[float] = []  # per var: its live entry's key
         self._unsat = False
         self._model: Dict[int, bool] = {}
         self.num_conflicts = 0
@@ -104,6 +131,9 @@ class Solver:
         self.num_learned = 0  # clauses ever learned (survives _reduce_db)
         self.num_imported = 0  # clauses accepted via import_clauses
         self.num_solve_calls = 0
+        self.num_restarts = 0
+        self.num_rescales = 0  # variable-activity rescales
+        self.num_reduced = 0  # learned clauses _reduce_db deleted
         #: warm-start clauses held for import at the first solve (see
         #: :meth:`seed_clauses`)
         self._seeded: List[Tuple[int, ...]] = []
@@ -132,13 +162,14 @@ class Solver:
         if count <= 0:
             return
         self._num_vars = num_vars
-        self._assigns.extend([_UNASSIGNED] * count)
-        self._polarity.extend([0] * count)
+        self._values.extend([_UNASSIGNED] * (2 * count))
+        self._phase.extend(range(2 * old + 1, 2 * num_vars, 2))
         self._level.extend([0] * count)
         self._reason.extend([None] * count)
         self._activity.extend([0.0] * count)
         self._watches.extend([] for _ in range(2 * count))
         self._order.extend((0.0, var) for var in range(old, num_vars))
+        self._heap_key.extend([0.0] * count)
 
     @property
     def num_vars(self) -> int:
@@ -163,12 +194,6 @@ class Solver:
     def _to_external(ilit: int) -> int:
         var = (ilit >> 1) + 1
         return -var if ilit & 1 else var
-
-    def _lit_value(self, ilit: int) -> int:
-        value = self._assigns[ilit >> 1]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value ^ (ilit & 1)
 
     # ------------------------------------------------------------------
     # Clause management
@@ -208,22 +233,21 @@ class Solver:
         False), a unit (fixed and propagated; a conflict is UNSAT too)
         or a clause watched on its first two literals.
         """
-        assigns = self._assigns
+        values = self._values
         watches = self._watches
         problem = self._clauses
         for clause in clauses:
             lits: List[int] = []
             for lit in clause:
-                # the internal literal (2 * var + sign); its value is
-                # assigns[var] ^ sign, or 2 while unassigned
+                # the internal literal (2 * var + sign)
                 ilit = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-                value = assigns[ilit >> 1]
+                value = values[ilit]
                 if value == 2:
                     if ilit ^ 1 in lits:
                         break  # tautology
                     if ilit not in lits:
                         lits.append(ilit)
-                elif value != ilit & 1:
+                elif value:
                     break  # satisfied at level 0
             else:
                 if len(lits) > 1:
@@ -241,57 +265,82 @@ class Solver:
         return True
 
     # ------------------------------------------------------------------
-    # Assignment trail
+    # Assignment trail and the order heap
     # ------------------------------------------------------------------
 
-    def _enqueue(self, ilit: int, reason: Optional[_Clause]) -> bool:
-        value = self._lit_value(ilit)
-        if value != _UNASSIGNED:
-            return value == 1
+    def _enqueue(self, ilit: int, reason: Optional[_Clause]) -> None:
+        """Make the unassigned literal *ilit* true at the current level."""
+        values = self._values
+        values[ilit] = 1
+        values[ilit ^ 1] = 0
         var = ilit >> 1
-        self._assigns[var] = 1 - (ilit & 1)
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(ilit)
-        return True
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        """Backtrack to *level*, pushing each unassigned variable that
+        has no live heap entry at its current activity.  Reasons are
+        left as they are: only an assigned variable's is ever read."""
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for ilit in reversed(self._trail[bound:]):
+        trail = self._trail
+        bound = trail_lim[level]
+        undone = trail[bound:]
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = bound
+        values, phase = self._values, self._phase
+        activity, heap_key = self._activity, self._heap_key
+        pushes = []
+        for ilit in undone:
+            values[ilit] = values[ilit ^ 1] = _UNASSIGNED
             var = ilit >> 1
-            self._polarity[var] = self._assigns[var]
-            self._assigns[var] = _UNASSIGNED
-            self._reason[var] = None
-            # Lazy heap: re-push with the *current* activity.  Duplicate
-            # entries are fine (stale ones are skipped at pop time) and
-            # keeping priorities fresh is what makes VSIDS effective.
-            heapq.heappush(self._order, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            phase[var] = ilit
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                pushes.append((key, var))
+        order = self._order
+        if len(order) + len(pushes) > _HEAP_SLACK * self._num_vars:
+            self._rebuild_order()
+        else:
+            for entry in pushes:
+                heapq.heappush(order, entry)
+
+    def _rebuild_order(self) -> None:
+        """Refill the order heap (in place): one live entry per
+        unassigned variable, at its current activity."""
+        values, activity = self._values, self._activity
+        heap_key = self._heap_key
+        entries = []
+        for var in range(self._num_vars):
+            if values[2 * var] == _UNASSIGNED:
+                key = heap_key[var] = -activity[var]
+                entries.append((key, var))
+            else:
+                heap_key[var] = _NO_ENTRY
+        heapq.heapify(entries)
+        self._order[:] = entries
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
 
     def _propagate(self) -> Optional[_Clause]:
-        # The solver's hot loop: local aliases and inlined literal
-        # valuation (value-of-lit == assigns[var] ^ sign, or 2 when
-        # unassigned) buy a large constant factor in pure Python.
-        assigns = self._assigns
+        # The solver's hot loop: local aliases and one list read per
+        # literal value buy a large constant factor in pure Python.
+        values = self._values
         watches = self._watches
         trail = self._trail
         level = self._level
         reason = self._reason
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self.num_propagations += 1
+        depth = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             false_lit = p ^ 1
             watchlist = watches[false_lit]
             i = j = 0
@@ -299,51 +348,50 @@ class Solver:
             while i < n:
                 entry = watchlist[i]
                 i += 1
-                blocker = entry[0]
-                bvalue = assigns[blocker >> 1]
-                if bvalue != 2 and bvalue ^ (blocker & 1) == 1:
+                if values[entry[0]] == 1:
                     watchlist[j] = entry  # satisfied via the blocker
                     j += 1
                     continue
                 clause = entry[1]
                 lits = clause.lits
                 if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
                 first = lits[0]
-                value = assigns[first >> 1]
-                if value != 2 and value ^ (first & 1) == 1:
+                value = values[first]
+                if value == 1:
                     watchlist[j] = (first, clause)
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lit_k = lits[k]
-                    value_k = assigns[lit_k >> 1]
-                    if value_k == 2 or value_k ^ (lit_k & 1) != 0:
+                    if values[lit_k]:  # true or unassigned: watch it
                         lits[1] = lit_k
                         lits[k] = false_lit
                         watches[lit_k].append((first, clause))
-                        moved = True
                         break
-                if moved:
-                    continue
-                watchlist[j] = (first, clause)
-                j += 1
-                if value != 2:  # first is false: conflict
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    del watchlist[j:]
-                    self._qhead = len(trail)
-                    return clause
-                # Unit: enqueue `first` (inlined _enqueue fast path).
-                var = first >> 1
-                assigns[var] = 1 - (first & 1)
-                level[var] = len(self._trail_lim)
-                reason[var] = clause
-                trail.append(first)
+                else:
+                    watchlist[j] = (first, clause)
+                    j += 1
+                    if value == 0:  # first is false: conflict
+                        while i < n:
+                            watchlist[j] = watchlist[i]
+                            j += 1
+                            i += 1
+                        del watchlist[j:]
+                        self.num_propagations += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+                    # Unit: enqueue `first` (inlined _enqueue).
+                    values[first] = 1
+                    values[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = depth
+                    reason[var] = clause
+                    trail.append(first)
             del watchlist[j:]
+        self.num_propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
@@ -353,35 +401,39 @@ class Solver:
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
         learnt: List[int] = [0]  # slot 0 for the asserting literal
         seen = [False] * self._num_vars
+        level = self._level
+        reason_of = self._reason
+        trail = self._trail
+        bump_var = self._bump_var
+        current = len(self._trail_lim)
         counter = 0
         p: Optional[int] = None
-        index = len(self._trail) - 1
-        backtrack_level = 0
+        index = len(trail) - 1
         reason = conflict
 
         while True:
-            self._bump_clause(reason)
+            if reason.learnt:
+                self._bump_clause(reason)
             for q in reason.lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump_var(var)
-                    if self._level[var] >= self._decision_level():
+                    bump_var(var)
+                    if level[var] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-                        backtrack_level = max(backtrack_level, self._level[var])
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             seen[p >> 1] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[p >> 1]
+            reason = reason_of[p >> 1]
             assert reason is not None
         learnt[0] = p ^ 1
 
@@ -389,12 +441,12 @@ class Solver:
         marked = set(q >> 1 for q in learnt)
         kept = [learnt[0]]
         for q in learnt[1:]:
-            reason = self._reason[q >> 1]
+            reason = reason_of[q >> 1]
             if reason is None:
                 kept.append(q)
                 continue
             if all(
-                (r >> 1) in marked or self._level[r >> 1] == 0
+                (r >> 1) in marked or level[r >> 1] == 0
                 for r in reason.lits
                 if r != (q ^ 1)
             ):
@@ -402,21 +454,23 @@ class Solver:
             kept.append(q)
         learnt = kept
         if len(learnt) > 1:
-            backtrack_level = max(self._level[q >> 1] for q in learnt[1:])
+            backtrack_level = max(level[q >> 1] for q in learnt[1:])
         else:
             backtrack_level = 0
         return learnt, backtrack_level
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             for i in range(self._num_vars):
-                self._activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self._var_inc *= 1e-100
+            self.num_rescales += 1
+            self._rebuild_order()  # re-rank every entry by the new scale
 
     def _bump_clause(self, clause: _Clause) -> None:
-        if not clause.learnt:
-            return
+        """Bump the learned *clause* (problem clauses have no activity)."""
         clause.activity += self._cla_inc
         if clause.activity > 1e20:
             for c in self._learnts:
@@ -452,22 +506,12 @@ class Solver:
                 keep.append(clause)
         if not drop:
             return
+        self.num_reduced += len(drop)
         self._learnts = keep
         for watchlist in self._watches:
             watchlist[:] = [
                 entry for entry in watchlist if id(entry[1]) not in drop
             ]
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-
-    def _pick_branch_var(self) -> Optional[int]:
-        while self._order:
-            _neg_act, var = heapq.heappop(self._order)
-            if self._assigns[var] == _UNASSIGNED:
-                return var
-        return None
 
     # ------------------------------------------------------------------
     # Main search
@@ -489,34 +533,51 @@ class Solver:
             return self._solve(assumptions)
         return self._solve_observed(assumptions)
 
+    #: the counters a solve call reports as per-call deltas: (span
+    #: field, solver attribute, ``sat.solver.*`` registry counter)
+    _COUNTERS = (
+        ("decisions", "num_decisions", "decisions"),
+        ("conflicts", "num_conflicts", "conflicts"),
+        ("propagations", "num_propagations", "propagations"),
+        ("learned", "num_learned", "learned_clauses"),
+        ("restarts", "num_restarts", "restarts"),
+        ("rescales", "num_rescales", "rescales"),
+        ("reduced", "num_reduced", "reduced_clauses"),
+    )
+
     def _solve_observed(self, assumptions: Sequence[int]) -> bool:
-        """:meth:`_solve` wrapped in a span + per-call counter deltas."""
-        before = (self.num_decisions, self.num_conflicts,
-                  self.num_propagations, self.num_learned)
+        """:meth:`_solve` wrapped in a span + per-call counter deltas.
+
+        Besides the search counts the span reports ``restarts``,
+        ``rescales`` (variable-activity rescales), ``reduced`` (learned
+        clauses :meth:`_reduce_db` deleted), ``learnts_kept`` (learned
+        clauses held at return) and ``level0_units`` (variables fixed
+        at level 0); the registry counts the first three and gauges the
+        last two.
+        """
+        before = [getattr(self, attr) for _, attr, _ in self._COUNTERS]
         t0 = time.perf_counter()
         with trace_span(
             "sat.solve", vars=self._num_vars, clauses=len(self._clauses),
             assumptions=len(assumptions),
         ) as span:
             sat = self._solve(assumptions)
-            decisions, conflicts, propagations, learned = (
-                self.num_decisions - before[0],
-                self.num_conflicts - before[1],
-                self.num_propagations - before[2],
-                self.num_learned - before[3],
-            )
+            deltas = {
+                field: getattr(self, attr) - old
+                for (field, attr, _), old in zip(self._COUNTERS, before)
+            }
             span.annotate(result="SAT" if sat else "UNSAT",
-                          decisions=decisions, conflicts=conflicts,
-                          propagations=propagations, learned=learned)
+                          learnts_kept=len(self._learnts),
+                          level0_units=len(self._trail), **deltas)
         session = _obs.ACTIVE
         if session is not None:
             registry = session.registry
             registry.counter("sat.solver.calls").inc()
-            registry.counter("sat.solver.decisions").inc(decisions)
-            registry.counter("sat.solver.conflicts").inc(conflicts)
-            registry.counter("sat.solver.propagations").inc(propagations)
-            registry.counter("sat.solver.learned_clauses").inc(learned)
+            for field, _, metric in self._COUNTERS:
+                registry.counter(f"sat.solver.{metric}").inc(deltas[field])
             registry.gauge("sat.solver.clauses").set(len(self._clauses))
+            registry.gauge("sat.solver.learnts_kept").set(len(self._learnts))
+            registry.gauge("sat.solver.level0_units").set(len(self._trail))
             registry.histogram("sat.solve.seconds").observe(
                 time.perf_counter() - t0
             )
@@ -534,6 +595,13 @@ class Solver:
             self._allocate(abs(lit))
             internal_assumptions.append(self._to_internal(lit))
 
+        values, phase = self._values, self._phase
+        trail, trail_lim = self._trail, self._trail_lim
+        level, reason = self._level, self._reason
+        order, heap_key = self._order, self._heap_key  # refilled in place
+        heappop = heapq.heappop
+        propagate = self._propagate
+        num_vars = self._num_vars
         restart_index = 1
         conflicts_until_restart = _RESTART_BASE * luby(restart_index)
         max_learnts = max(1000, len(self._clauses) // 3)
@@ -541,16 +609,16 @@ class Solver:
         root_level = 0  # decision levels consumed by the assumption prefix
 
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 self.num_conflicts += 1
                 conflict_count += 1
-                if self._decision_level() <= root_level:
+                if len(trail_lim) <= root_level:
                     # Conflict inside/below the assumption prefix: UNSAT;
                     # at level 0 no assumption is involved, so for good
                     # (the trail keeps the conflict, and a later call
                     # would not propagate into it again).
-                    if self._decision_level() == 0:
+                    if not trail_lim:
                         self._unsat = True
                     self._cancel_until(0)
                     return False
@@ -569,33 +637,48 @@ class Solver:
                     conflicts_until_restart = _RESTART_BASE * luby(
                         restart_index
                     )
+                    self.num_restarts += 1
                     self._cancel_until(root_level)
                 continue
 
             # Assumption prefix: one decision level per assumption.
-            if self._decision_level() < len(internal_assumptions):
-                ilit = internal_assumptions[self._decision_level()]
-                value = self._lit_value(ilit)
+            depth = len(trail_lim)
+            if depth < len(internal_assumptions):
+                ilit = internal_assumptions[depth]
+                value = values[ilit]
                 if value == 0:
                     self._cancel_until(0)
                     return False
-                self._trail_lim.append(len(self._trail))
-                root_level = self._decision_level()
+                trail_lim.append(len(trail))
+                root_level = depth + 1
                 if value == _UNASSIGNED:
                     self._enqueue(ilit, None)
                 continue
 
-            var = self._pick_branch_var()
-            if var is None:
+            if len(trail) == num_vars:  # every variable assigned: a model
                 self._model = {
-                    v + 1: self._assigns[v] == 1 for v in range(self._num_vars)
+                    var: value == 1
+                    for var, value in enumerate(values[::2], 1)
                 }
                 self._cancel_until(0)
                 return True
+            # Decide: pop to the first live entry of an unassigned
+            # variable (the invariant guarantees one), then enqueue its
+            # saved phase at a new level.
+            while True:
+                key, var = heappop(order)
+                if heap_key[var] == key:
+                    heap_key[var] = _NO_ENTRY
+                    if values[2 * var] == _UNASSIGNED:
+                        break
             self.num_decisions += 1
-            self._trail_lim.append(len(self._trail))
-            ilit = 2 * var + (1 if self._polarity[var] == 0 else 0)
-            self._enqueue(ilit, None)
+            trail_lim.append(len(trail))
+            ilit = phase[var]
+            values[ilit] = 1
+            values[ilit ^ 1] = 0
+            level[var] = depth + 1
+            reason[var] = None
+            trail.append(ilit)
 
     # ------------------------------------------------------------------
     # Clause export and cross-run warm starts

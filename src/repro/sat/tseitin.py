@@ -209,40 +209,43 @@ class NodeTable:
             _lut_clauses(cnf, out, free, table)
         return -out if negate else out
 
-    def gate(self, cnf: CNF, function: str, operands: Sequence[int],
-             truth_table=None) -> int:
-        """The literal of one cell *function* over *operands*."""
-        if function == "AND2":
-            return self.and2(cnf, *operands)
-        if function == "NAND2":
-            return -self.and2(cnf, *operands)
-        if function == "OR2":
-            return -self.and2(cnf, -operands[0], -operands[1])
-        if function == "NOR2":
-            return self.and2(cnf, -operands[0], -operands[1])
-        if function == "XOR2":
-            return self.xor2(cnf, *operands)
-        if function == "XNOR2":
-            return -self.xor2(cnf, *operands)
-        if function == "INV":
-            return -operands[0]
-        if function == "BUF":
-            return operands[0]
-        if function == "MUX2":
-            return self.mux2(cnf, *operands)
-        if function == "MUX4":
-            a, b, c, d, s0, s1 = operands
-            return self.mux2(cnf, self.mux2(cnf, a, b, s0),
-                             self.mux2(cnf, c, d, s0), s1)
-        if function == "TIE0":
-            return self.constant(cnf, 0)
-        if function == "TIE1":
-            return self.constant(cnf, 1)
-        if function == "LUT":
-            if truth_table is None:
-                raise NetlistError("LUT encoding needs a truth table")
-            return self.lut(cnf, operands, truth_table)
+
+class _Encodings(dict):
+    """Cell function -> ``encode(table, cnf, operands, truth_table)``,
+    so a walk finds a gate's node method in one lookup."""
+
+    def __missing__(self, function: str):
         raise NetlistError(f"cannot encode function {function!r}")
+
+
+def _mux4(table: NodeTable, cnf: CNF, operands: Sequence[int], _tt) -> int:
+    a, b, c, d, s0, s1 = operands
+    return table.mux2(cnf, table.mux2(cnf, a, b, s0),
+                      table.mux2(cnf, c, d, s0), s1)
+
+
+def _lut(table: NodeTable, cnf: CNF, operands: Sequence[int],
+         truth_table) -> int:
+    if truth_table is None:
+        raise NetlistError("LUT encoding needs a truth table")
+    return table.lut(cnf, operands, truth_table)
+
+
+_ENCODINGS = _Encodings({
+    "AND2": lambda t, cnf, ops, _tt: t.and2(cnf, ops[0], ops[1]),
+    "NAND2": lambda t, cnf, ops, _tt: -t.and2(cnf, ops[0], ops[1]),
+    "OR2": lambda t, cnf, ops, _tt: -t.and2(cnf, -ops[0], -ops[1]),
+    "NOR2": lambda t, cnf, ops, _tt: t.and2(cnf, -ops[0], -ops[1]),
+    "XOR2": lambda t, cnf, ops, _tt: t.xor2(cnf, ops[0], ops[1]),
+    "XNOR2": lambda t, cnf, ops, _tt: -t.xor2(cnf, ops[0], ops[1]),
+    "INV": lambda t, cnf, ops, _tt: -ops[0],
+    "BUF": lambda t, cnf, ops, _tt: ops[0],
+    "MUX2": lambda t, cnf, ops, _tt: t.mux2(cnf, ops[0], ops[1], ops[2]),
+    "MUX4": _mux4,
+    "TIE0": lambda t, cnf, ops, _tt: t.constant(cnf, 0),
+    "TIE1": lambda t, cnf, ops, _tt: t.constant(cnf, 1),
+    "LUT": _lut,
+})
 
 
 class CircuitEncoder:
@@ -307,7 +310,7 @@ class CircuitEncoder:
     def _walk(self, view: CombinationalView, var_of: Dict) -> None:
         """Encode *view* into *var_of* (net -> literal)."""
         self._fresh(var_of, view.inputs + view.key_inputs)
-        cnf, gate = self.cnf, self.table.gate
+        cnf, table, encodings = self.cnf, self.table, _ENCODINGS
 
         def var(net):
             lit = var_of[net] = cnf.new_var()
@@ -316,7 +319,7 @@ class CircuitEncoder:
         for function, out, fanins, truth_table in view.gates:
             if out in var_of:
                 continue  # pre-bound by the caller: its driver is cut
-            var_of[out] = gate(cnf, function, [
+            var_of[out] = encodings[function](table, cnf, [
                 var_of[net] if net in var_of else var(net)
                 for net in fanins
             ], truth_table)
@@ -341,7 +344,7 @@ class CircuitEncoder:
     def _expand(self, view: TimedView) -> None:
         core, var_of = view.core, self.var_of
         self._fresh(var_of, view.inputs + view.key_inputs)
-        cnf, gate = self.cnf, self.table.gate
+        cnf, table, encodings = self.cnf, self.table, _ENCODINGS
         keys = {net: var_of[net] for net in core.key_inputs}
         settled = dict(keys)
         settled.update((net, var_of[(net, 0)]) for net in core.inputs)
@@ -355,8 +358,8 @@ class CircuitEncoder:
                 core.gates, view.delays
             ):
                 before = ticks[t - delay] if t >= delay else settled
-                now[out] = gate(cnf, function,
-                                [before[net] for net in fanins], truth_table)
+                now[out] = encodings[function](
+                    table, cnf, [before[net] for net in fanins], truth_table)
         var_of.update((net, ticks[-1][net]) for net in view.outputs)
 
     def output_vars(self) -> Dict:

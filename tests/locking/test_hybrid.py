@@ -138,3 +138,22 @@ class TestPnr:
                                        routed.arrival_max)
                    for record in locked.metadata["gks"])
         assert len(locked.metadata["xor_gates"]) == 16
+
+    @pytest.mark.parametrize("seed, broken", [(4, "ff83"), (14, "ff91")])
+    def test_broken_gk_window_is_named_before_any_trial(self, seed, broken,
+                                                        monkeypatch):
+        """When the GK half's routed step 5 already reports a GK outside
+        its window, the lock names that flip-flop instead of blaming
+        every XOR trial for it, and runs no trial."""
+        from repro.bench import iwls_benchmark
+        from repro.sta.timing import RegionTiming
+
+        trials = []
+        monkeypatch.setattr(RegionTiming, "trial",
+                            lambda self, gate: trials.append(gate))
+        inst = iwls_benchmark("s5378", seed=seed)
+        scheme = HybridGkXor(inst.clock, run_pnr=True)
+        with pytest.raises(LockingError, match=broken) as raised:
+            scheme.lock(inst.circuit, 32, random.Random(seed + 99))
+        assert "XOR key-gates without" not in str(raised.value)
+        assert trials == []

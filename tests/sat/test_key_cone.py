@@ -24,7 +24,13 @@ inputs and key pairs:
     (:func:`~repro.netlist.transform.key_influence_view`): it keeps
     exactly the outputs in the keys' fan-out and their fan-in, in the
     view's order, and every output it leaves out is a function of the
-    inputs alone.
+    inputs alone;
+(g) on random locks (the circuits above and XOR locks of small
+    sequential designs) the miter, whose copy 2 and pins walk only the
+    keys' fan-out cone twice, adds the same clauses in the same batches
+    and order, and ends with the same variables, as a reference miter
+    whose copy 2 and pins walk whole copies, over 1-3 random patterns
+    and responses (some outputs unknown).
 
 On the combinational copy, (c) and (d) check that smaller base against
 brute force: about three in four drawn circuits have an output no key
@@ -69,7 +75,7 @@ from repro.netlist.transform import (
     timed_view, unrolled_view,
 )
 from repro.sat import CNF, CircuitEncoder, Solver
-from repro.sat.tseitin import NodeTable
+from repro.sat.tseitin import NodeTable, miter_xors
 from repro.sim.cyclesim import CycleSimulator
 
 #: The timed copies' tick, in ns: every default-library cell delay is a
@@ -590,3 +596,79 @@ def test_unrolled_copy_is_encoded_whole():
         Solver(), unrolled, {net: net for net in unrolled.outputs})
     assert node_kinds(miter).count("and") == 2
 
+
+class Recorder:
+    """Stands in for the solver: keeps each CNF batch the miter adds."""
+
+    def __init__(self):
+        self.num_vars = 0
+        self.batches = []
+
+    def add_cnf(self, cnf):
+        self.num_vars = max(self.num_vars, cnf.num_vars)
+        self.batches.append(list(cnf.clauses))
+
+
+def whole_walk_miter(view, observations):
+    """The miter's clause batches when copy 2 walks the whole base and
+    each pin the whole view once per copy; and its key variables."""
+    recorder, table = Recorder(), NodeTable()
+
+    def encode(walked, net_vars):
+        cnf = CNF(num_vars=recorder.num_vars)
+        encoder = CircuitEncoder(cnf, walked, net_vars, table=table)
+        recorder.add_cnf(cnf)
+        return encoder
+
+    base = key_influence_view(view)
+    copy1 = encode(base, {})
+    copy2 = encode(base, {net: copy1.var_of[net] for net in view.inputs})
+    cnf = CNF(num_vars=recorder.num_vars)
+    xors = miter_xors(cnf, ((net, copy1.var_of[net], copy2.var_of[net])
+                            for net in base.outputs))
+    cnf.add_or(cnf.new_var(), [x for _, x in xors])
+    recorder.add_cnf(cnf)
+    key_vars = [{net: copy.var_of[net] for net in view.key_inputs}
+                for copy in (copy1, copy2)]
+    for pattern, response in observations:
+        cnf = CNF(num_vars=recorder.num_vars)
+        constants = {net: table.constant(cnf, pattern[net])
+                     for net in view.inputs}
+        true = table.constant(cnf, 1)
+        for keys in key_vars:
+            copy = CircuitEncoder(cnf, view, dict(constants, **keys),
+                                  table=table)
+            for net in view.outputs:
+                if response[net] is None:
+                    continue
+                lit = copy.var_of[net] if response[net] else -copy.var_of[net]
+                if lit != true:
+                    cnf.add_clause([lit])
+        recorder.add_cnf(cnf)
+    return recorder, key_vars
+
+
+@active_profile()
+@given(circuit=st.one_of(circuits(min_keys=1),
+                         sequential_designs().flatmap(xor_locks)),
+       data=st.data())
+def test_cone_walks_add_what_whole_walks_add(circuit, data):
+    """(g) Copy 2 and each pin walk only the keys' fan-out cone twice,
+    yet add the same clauses, batch by batch and in order, as whole
+    walks: a gate outside the cone would hash onto the first walk's
+    literal and add nothing."""
+    view = combinational_view(circuit)
+    observations = [
+        (bits(data, view.inputs),
+         {net: data.draw(st.sampled_from([0, 1, None]))
+          for net in view.outputs})
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    reference, key_vars = whole_walk_miter(view, observations)
+    recorder = Recorder()
+    miter = KeyConeMiter(recorder, view, {net: net for net in view.outputs})
+    for pattern, response in observations:
+        miter.pin(pattern, response)
+    assert recorder.batches == reference.batches
+    assert recorder.num_vars == reference.num_vars
+    assert miter.key_vars == key_vars
